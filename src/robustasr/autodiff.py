@@ -1,19 +1,19 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Values live in numpy arrays. Every operation whose inputs require
-gradients is recorded, in execution order, on a per-thread tape;
+gradients is recorded, in execution order, on the innermost open tape;
 ``backward`` replays that tape in exact reverse order and accumulates
 gradients into leaf tensors. The op set is only what small sequence
-models need: broadcasting covers bias-add and scalar scaling, nothing
-fancier, and everything is double precision.
+models need: broadcasting covers bias-add and scalar scaling, one fused
+tanh-RNN scan covers the encoder, and everything is double precision.
 
-A tape and its tensors belong to one thread. Parameters (leaves) may be
-shared read-only across threads that each run their own tape.
+The tape stack and the recording flag are plain module state, one per
+process; parallel work runs in separate processes, never in threads that
+share a tape.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -130,43 +130,32 @@ class Tape:
         self.records.clear()
 
 
-_tls = threading.local()
-
-
-def _state():
-    if not hasattr(_tls, "stack"):
-        _tls.stack = [Tape()]
-        _tls.enabled = True
-    return _tls
-
-
-def active_tape() -> Tape:
-    return _state().stack[-1]
+_stack: list[Tape] = [Tape()]
+_enabled = True
 
 
 @contextmanager
 def tape():
     """Push a fresh tape for one forward/backward pass."""
-    st = _state()
     t = Tape()
-    st.stack.append(t)
+    _stack.append(t)
     try:
         yield t
     finally:
-        st.stack.pop()
+        _stack.pop()
         t.clear()
 
 
 @contextmanager
 def no_grad():
     """Disable recording (inference paths)."""
-    st = _state()
-    prev = st.enabled
-    st.enabled = False
+    global _enabled
+    prev = _enabled
+    _enabled = False
     try:
         yield
     finally:
-        st.enabled = prev
+        _enabled = prev
 
 
 def constant(values) -> Tensor:
@@ -192,10 +181,9 @@ def _emit(op: str, inputs: Sequence[Tensor], out: Array,
         _finite_or_raise(out, op)
     t = Tensor(out)
     t._from_op = True
-    st = _state()
-    if st.enabled and any(i.requires_grad for i in inputs):
+    if _enabled and any(i.requires_grad for i in inputs):
         t.requires_grad = True
-        tp = st.stack[-1]
+        tp = _stack[-1]
         t._tape = tp
         tp.records.append(_Record(tuple(inputs), t, backward_fn))
     return t
@@ -442,6 +430,71 @@ def l2_norm(a) -> Tensor:
         return (g * da / out,)
 
     return _emit("l2_norm", (a,), np.asarray(out), bwd)
+
+
+def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False) -> Tensor:
+    """Elman scan h_t = tanh(x_t W_in + h_prev W_rec + b) as one tape record.
+
+    ``seq`` is (T, F) with T >= 1; the output is (T, d) with row t the
+    state after frame t. h_prev starts at zero before the first frame
+    (frame 0, or frame T-1 when ``reverse``). The backward pass is
+    backpropagation through time. Forward and backward make the numpy
+    calls an op-by-op scan (matmul, take, matmul, add, add, tanh per
+    frame) would make, in the order its tape would make them, so results
+    are bit-identical to recording that scan.
+    """
+    seq, w_in, w_rec, b = (_promote(v) for v in (seq, w_in, w_rec, b))
+    if seq.ndim != 2 or seq.shape[0] == 0:
+        raise ShapeError(f"tanh_rnn expects a nonempty (T, F) sequence, got {seq.shape}")
+    if w_in.ndim != 2 or w_in.shape[0] != seq.shape[1]:
+        raise ShapeError(f"tanh_rnn: w_in {w_in.shape} does not fit input {seq.shape}")
+    d = w_in.shape[1]
+    if w_rec.shape != (d, d) or b.shape != (d,):
+        raise ShapeError(f"tanh_rnn: w_rec {w_rec.shape} and b {b.shape} "
+                         f"must be ({d}, {d}) and ({d},)")
+    x, wi, wr, bias = seq.data, w_in.data, w_rec.data, b.data
+    n = x.shape[0]
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        pre = x @ wi
+        _finite_or_raise(pre, "tanh_rnn input projection")
+        z = np.empty((n, d))
+        out = np.empty((n, d))
+        h = np.zeros(d)
+        for t in order:
+            zt = z[t]
+            np.add(pre[t], h @ wr, out=zt)
+            zt += bias
+            h = np.tanh(zt, out=out[t])
+    _finite_or_raise(z, "tanh_rnn pre-activation")
+
+    def bwd(g):
+        # Frames in reverse of the forward order: dh = W_rec dz_next + g_t,
+        # dz = dh (1 - h^2).
+        deriv = 1.0 - out * out
+        dpre = np.empty((n, d))
+        dz = None
+        for t in reversed(order):
+            dh = g[t] if dz is None else wr @ dz + g[t]
+            dz = dpre[t] = dh * deriv[t]
+        # The state each frame read: zero for the first, else the one before.
+        h_prev = np.zeros((n, d))
+        if reverse:
+            h_prev[:-1] = out[1:]
+        else:
+            h_prev[1:] = out[:-1]
+        outer = h_prev[:, :, None] * dpre[:, None, :]
+        # Per-frame W_rec and b terms are summed one frame at a time, last
+        # frame first, as the op-by-op tape adds them.
+        back = reversed(order)
+        first = next(back)
+        dwr, db = outer[first].copy(), dpre[first].copy()
+        for t in back:
+            dwr += outer[t]
+            db += dpre[t]
+        return dpre @ wi.T, x.T @ dpre, dwr, db
+
+    return _emit("tanh_rnn", (seq, w_in, w_rec, b), out, bwd, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,6 @@ def run_cell(config: ExperimentConfig, lam_a: float, lam_c: float,
                 benign_wer=benign_wer, accent_acc=accent_acc,
                 adv_twer=pooled[step], n_samples=n_attacked,
                 n_skipped=n_skipped))
-        seen_inference.add(weights.lambda_i_C)
     return rows
 
 

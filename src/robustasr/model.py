@@ -97,57 +97,52 @@ class ModelParams:
             self._tensors[k].data = v.data.copy()
 
 
-def _layer_dims(cfg: ModelConfig) -> list[tuple[str, int, int]]:
-    """(name, fan_in, fan_out) for every weight matrix, in a fixed order."""
-    dims: list[tuple[str, int, int]] = []
-    d = cfg.enc_hidden
+_Shapes = list[tuple[str, tuple[int, ...]]]
+
+
+def _param_shapes(cfg: ModelConfig) -> tuple[_Shapes, _Shapes]:
+    """(weights, biases): (name, shape) of every parameter, in a fixed order.
+
+    This is the one place parameters are named. ``init_params`` draws the
+    weights from the generator in this order and appends the biases, so
+    it is also the checkpoint order.
+    """
+    d, v1, hh = cfg.enc_hidden, cfg.vocab_size + 1, cfg.disc_hidden
+    weights: _Shapes = []
+    biases: _Shapes = []
     for layer in range(cfg.enc_layers):
         in_dim = cfg.feat_dim if layer == 0 else d
-        dims.append((f"enc{layer}.w_in", in_dim, d))
-        dims.append((f"enc{layer}.w_rec", d, d))
-        if cfg.bidirectional:
-            dims.append((f"enc{layer}.w_in_r", in_dim, d))
-            dims.append((f"enc{layer}.w_rec_r", d, d))
-    dims.append(("ctc.w", d, cfg.vocab_size + 1))
-    dims.append(("dec.emb", cfg.vocab_size + 1, cfg.emb_dim))
-    dims.append(("dec.w_in", cfg.emb_dim, cfg.dec_hidden))
-    dims.append(("dec.w_rec", cfg.dec_hidden, cfg.dec_hidden))
-    dims.append(("attn.w_h", d, cfg.attn_dim))
-    dims.append(("attn.w_s", cfg.dec_hidden, cfg.attn_dim))
-    dims.append(("attn.v", cfg.attn_dim, 0))
-    dims.append(("dec.w_out", cfg.dec_hidden + d, cfg.vocab_size + 1))
-    hh = cfg.disc_hidden
+        for sfx in ("", "_r") if cfg.bidirectional else ("",):
+            weights.append((f"enc{layer}.w_in{sfx}", (in_dim, d)))
+            weights.append((f"enc{layer}.w_rec{sfx}", (d, d)))
+            biases.append((f"enc{layer}.b{sfx}", (d,)))
+    weights += [("ctc.w", (d, v1)),
+                ("dec.emb", (v1, cfg.emb_dim)),
+                ("dec.w_in", (cfg.emb_dim, cfg.dec_hidden)),
+                ("dec.w_rec", (cfg.dec_hidden, cfg.dec_hidden)),
+                ("attn.w_h", (d, cfg.attn_dim)),
+                ("attn.w_s", (cfg.dec_hidden, cfg.attn_dim)),
+                ("attn.v", (cfg.attn_dim,)),
+                ("dec.w_out", (cfg.dec_hidden + d, v1))]
+    biases += [("ctc.b", (v1,)), ("dec.b", (cfg.dec_hidden,)),
+               ("attn.b", (cfg.attn_dim,)), ("dec.b_out", (v1,))]
     for i in range(cfg.disc_layers):
-        in_dim = d if i == 0 else hh
         out_dim = cfg.n_accents if i == cfg.disc_layers - 1 else hh
-        dims.append((f"dis{i}.w", in_dim, out_dim))
-    return dims
-
-
-_BIAS_OF = {
-    "enc{l}.w_in": "enc{l}.b",
-}
+        weights.append((f"dis{i}.w", (d if i == 0 else hh, out_dim)))
+        biases.append((f"dis{i}.b", (out_dim,)))
+    return weights, biases
 
 
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded uniform init scaled by 1/sqrt(fan_in); biases start at zero."""
     rng = np.random.default_rng(config.seed)
+    weights, biases = _param_shapes(config)
     tensors: dict[str, Tensor] = {}
-    for name, fan_in, fan_out in _layer_dims(config):
-        scale = 1.0 / np.sqrt(fan_in)
-        shape = (fan_in,) if fan_out == 0 else (fan_in, fan_out)
+    for name, shape in weights:
+        scale = 1.0 / np.sqrt(shape[0])
         tensors[name] = ad.leaf(rng.uniform(-scale, scale, size=shape))
-    for layer in range(config.enc_layers):
-        tensors[f"enc{layer}.b"] = ad.leaf(np.zeros(config.enc_hidden))
-        if config.bidirectional:
-            tensors[f"enc{layer}.b_r"] = ad.leaf(np.zeros(config.enc_hidden))
-    tensors["ctc.b"] = ad.leaf(np.zeros(config.vocab_size + 1))
-    tensors["dec.b"] = ad.leaf(np.zeros(config.dec_hidden))
-    tensors["attn.b"] = ad.leaf(np.zeros(config.attn_dim))
-    tensors["dec.b_out"] = ad.leaf(np.zeros(config.vocab_size + 1))
-    for i in range(config.disc_layers):
-        out_dim = config.n_accents if i == config.disc_layers - 1 else config.disc_hidden
-        tensors[f"dis{i}.b"] = ad.leaf(np.zeros(out_dim))
+    for name, shape in biases:
+        tensors[name] = ad.leaf(np.zeros(shape))
     return ModelParams(config, tensors)
 
 
@@ -160,33 +155,19 @@ def encode(params: ModelParams, x: Tensor) -> Tensor:
     cfg = params.config
     if x.ndim != 2 or x.shape[1] != cfg.feat_dim:
         raise ShapeError(f"encode expects (T, {cfg.feat_dim}), got {x.shape}")
-    d = cfg.enc_hidden
     seq = x
     for layer in range(cfg.enc_layers):
-        seq_fwd = _scan(seq, params[f"enc{layer}.w_in"],
-                        params[f"enc{layer}.w_rec"], params[f"enc{layer}.b"],
-                        d, reverse=False)
+        seq_fwd = ad.tanh_rnn(seq, params[f"enc{layer}.w_in"],
+                              params[f"enc{layer}.w_rec"],
+                              params[f"enc{layer}.b"])
         if cfg.bidirectional:
-            seq_bwd = _scan(seq, params[f"enc{layer}.w_in_r"],
-                            params[f"enc{layer}.w_rec_r"],
-                            params[f"enc{layer}.b_r"], d, reverse=True)
+            seq_bwd = ad.tanh_rnn(seq, params[f"enc{layer}.w_in_r"],
+                                  params[f"enc{layer}.w_rec_r"],
+                                  params[f"enc{layer}.b_r"], reverse=True)
             seq = ad.add(seq_fwd, seq_bwd)
         else:
             seq = seq_fwd
     return seq
-
-
-def _scan(seq: Tensor, w_in: Tensor, w_rec: Tensor, b: Tensor, d: int,
-          reverse: bool) -> Tensor:
-    pre = ad.matmul(seq, w_in)
-    n = seq.shape[0]
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    h = ad.constant(np.zeros(d))
-    rows: list[Tensor] = [None] * n  # type: ignore[list-item]
-    for t in order:
-        h = ad.tanh(ad.add(ad.add(pre[t], ad.matmul(h, w_rec)), b))
-        rows[t] = ad.reshape(h, (1, d))
-    return ad.concat(rows, axis=0)
 
 
 def ctc_head(params: ModelParams, hidden: Tensor) -> Tensor:
@@ -314,15 +295,15 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(f"{path}: bad values for {name}: {e}") from e
         tensors[name] = ad.leaf(arr)
         i += n_rows
-    expected = {n for n, *_ in _expected_names(config)}
-    if set(tensors) != expected:
-        missing = expected - set(tensors)
-        extra = set(tensors) - expected
+    weights, biases = _param_shapes(config)
+    expected = dict(weights + biases)
+    if tensors.keys() != expected.keys():
+        missing = expected.keys() - tensors.keys()
+        extra = tensors.keys() - expected.keys()
         raise CheckpointError(f"{path}: parameter set mismatch "
                               f"(missing={sorted(missing)}, extra={sorted(extra)})")
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"{path}: {name} has shape {tensors[name].shape}, "
+                                  f"config needs {shape}")
     return ModelParams(config, tensors)
-
-
-def _expected_names(config: ModelConfig):
-    fresh = init_params(config)
-    return [(n,) for n in fresh.names()]

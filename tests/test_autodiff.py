@@ -233,3 +233,56 @@ def test_non_finite_raises():
         ad.exp(ad.constant([1e6]))
     with pytest.raises(ad.NonFiniteError):
         ad.log(ad.constant([-1.0]))
+
+
+def _rnn_inputs(rng, t=5, f=3, d=4):
+    return [ad.leaf(rng.normal(scale=0.6, size=s))
+            for s in ((t, f), (f, d), (d, d), (d,))]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_tanh_rnn_gradient_matches_fd_for_every_input(reverse):
+    rng = np.random.default_rng(12 + reverse)
+    inputs = _rnn_inputs(rng)
+    weight = ad.constant(rng.normal(size=(5, 4)))
+
+    def loss_with(i, t):
+        args = list(inputs)
+        args[i] = t
+        return ad.sum_(ad.mul(ad.tanh_rnn(*args, reverse=reverse), weight))
+
+    with ad.tape():
+        ad.backward(loss_with(0, inputs[0]))
+    for i, x in enumerate(inputs):
+        fd = ad.fd_gradient(lambda t, i=i: loss_with(i, t), x)
+        assert rel_err(x.grad, fd.data) < 1e-6, f"input {i}"
+
+
+def test_tanh_rnn_rejects_empty_and_mismatched_shapes():
+    rng = np.random.default_rng(15)
+    seq, w_in, w_rec, b = _rnn_inputs(rng)
+    with pytest.raises(ad.ShapeError):
+        ad.tanh_rnn(np.zeros((0, 3)), w_in, w_rec, b)
+    with pytest.raises(ad.ShapeError):
+        ad.tanh_rnn(np.zeros(3), w_in, w_rec, b)
+    with pytest.raises(ad.ShapeError):
+        ad.tanh_rnn(np.zeros((5, 2)), w_in, w_rec, b)
+    with pytest.raises(ad.ShapeError):
+        ad.tanh_rnn(seq, w_in, np.zeros((4, 3)), b)
+    with pytest.raises(ad.ShapeError):
+        ad.tanh_rnn(seq, w_in, w_rec, np.zeros(3))
+
+
+def test_tanh_rnn_non_finite_raises():
+    rng = np.random.default_rng(16)
+    seq, w_in, w_rec, b = _rnn_inputs(rng)
+    w_big = w_rec.data.copy()
+    w_big[0, 0] = np.inf
+    with pytest.raises(ad.NonFiniteError):
+        ad.tanh_rnn(seq, w_in, w_big, b)
+    x_nan = seq.data.copy()
+    x_nan[2, 1] = np.nan
+    with pytest.raises(ad.NonFiniteError):
+        ad.tanh_rnn(x_nan, w_in, w_rec, b)
+    with ad.no_grad(), pytest.raises(ad.NonFiniteError):
+        ad.tanh_rnn(seq, w_in, w_rec, np.full(4, np.inf))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,84 @@ def test_encode_input_gradient_matches_fd(params):
         ad.backward(f(x))
     fd = ad.fd_gradient(f, x)
     assert rel_err(x.grad, fd.data) < 1e-6
+
+
+def _reference_scan(seq, w_in, w_rec, b, d, reverse):
+    """The encoder scan recorded op by op, one tape record per numpy call."""
+    pre = ad.matmul(seq, w_in)
+    n = seq.shape[0]
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    h = ad.constant(np.zeros(d))
+    rows = [None] * n
+    for t in order:
+        h = ad.tanh(ad.add(ad.add(pre[t], ad.matmul(h, w_rec)), b))
+        rows[t] = ad.reshape(h, (1, d))
+    return ad.concat(rows, axis=0)
+
+
+def _reference_encode(params, x):
+    cfg = params.config
+    seq = x
+    for layer in range(cfg.enc_layers):
+        w = {name.split(".")[1]: t for name, t in params.items()
+             if name.startswith(f"enc{layer}.")}
+        out = _reference_scan(seq, w["w_in"], w["w_rec"], w["b"],
+                              cfg.enc_hidden, reverse=False)
+        if cfg.bidirectional:
+            out = ad.add(out, _reference_scan(seq, w["w_in_r"], w["w_rec_r"],
+                                              w["b_r"], cfg.enc_hidden,
+                                              reverse=True))
+        seq = out
+    return seq
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_encode_bit_identical_to_op_by_op_scan(bidirectional):
+    cfg = replace(TINY, bidirectional=bidirectional, enc_layers=3)
+    rng = np.random.default_rng(11)
+    x0 = rng.normal(size=(9, cfg.feat_dim))
+    weight = ad.constant(rng.normal(size=(9, cfg.enc_hidden)))
+    results = []
+    for enc in (encode, _reference_encode):
+        params = init_params(cfg)
+        for name in params.names():
+            if name.startswith("enc"):
+                params[name].data = 2.0 * params[name].data + 0.3
+        x = ad.leaf(x0)
+        with ad.tape():
+            h = enc(params, x)
+            ad.backward(ad.sum_(ad.mul(h, weight)))
+        results.append((h.data, x.grad, {n: params[n].grad for n in params.names()}))
+    (h1, gx1, gp1), (h2, gx2, gp2) = results
+    assert np.array_equal(h1, h2)
+    assert np.array_equal(gx1, gx2)
+    for name in gp1:
+        assert np.array_equal(gp1[name], gp2[name]), name
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_encode_records_one_op_per_layer_and_direction(bidirectional):
+    cfg = replace(TINY, bidirectional=bidirectional)
+    params = init_params(cfg)
+    x = ad.constant(np.ones((6, cfg.feat_dim)))
+    with ad.tape() as tp:
+        encode(params, x)
+        # bidirectional layers add one record that sums the two directions
+        per_layer = 3 if bidirectional else 1
+        assert len(tp) == cfg.enc_layers * per_layer
+
+
+def test_encode_non_finite_recurrent_weight_raises(params):
+    params["enc0.w_rec"].data[1, 2] = np.inf
+    with pytest.raises(ad.NonFiniteError):
+        encode(params, ad.constant(np.ones((4, TINY.feat_dim))))
+
+
+def test_encode_rejects_empty_and_mismatched_input(params):
+    with pytest.raises(ad.ShapeError):
+        encode(params, ad.constant(np.zeros((0, TINY.feat_dim))))
+    with pytest.raises(ad.ShapeError):
+        encode(params, ad.constant(np.zeros((4, TINY.feat_dim + 1))))
 
 
 def test_ctc_head_rows_normalized(params):
@@ -197,4 +277,16 @@ def test_checkpoint_missing_param_fails(tmp_path, params):
     del lines[idx:idx + 2]
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_wrong_shape_fails(tmp_path, params):
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, params)
+    lines = p.read_text().splitlines()
+    idx = lines.index(f"param ctc.b {TINY.vocab_size + 1}")
+    lines[idx] = f"param ctc.b {TINY.vocab_size}"
+    lines[idx + 1] = " ".join(lines[idx + 1].split()[:-1])
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match="ctc.b"):
         load_checkpoint(p)
