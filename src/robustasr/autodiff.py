@@ -7,6 +7,13 @@ gradients into leaf tensors. The op set is only what small sequence
 models need: broadcasting covers bias-add and scalar scaling, one fused
 tanh-RNN scan covers the encoder, and everything is double precision.
 
+A fused op runs a whole loop in numpy and records one tape entry whose
+backward is written by hand. ``tanh_rnn`` is one; ``record_op`` lets a
+model define its own (the teacher-forced attention decoder in
+``model``). An input may appear in a record more than once: ``backward``
+adds the gradients the record returns for it in list order, so a fused
+op can reproduce the summation order of the op-by-op tape it replaces.
+
 The tape stack and the recording flag are plain module state, one per
 process; parallel work runs in separate processes, never in threads that
 share a tape.
@@ -170,15 +177,27 @@ def _promote(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _finite_or_raise(out: Array, op: str) -> None:
+def check_finite(out: Array, op: str) -> None:
     if not np.isfinite(out).all():
         raise NonFiniteError(f"non-finite values produced by '{op}'")
+
+
+def record_op(op: str, inputs: Sequence[Tensor], out: Array,
+              backward_fn: Callable[[Array], tuple]) -> Tensor:
+    """Wrap ``out`` as the result of a fused op defined outside this module.
+
+    ``backward_fn`` maps the output gradient to one gradient (or None) per
+    entry of ``inputs``. Nothing is recorded under ``no_grad`` or when no
+    input requires gradients. The caller checks finiteness itself, with
+    ``check_finite``.
+    """
+    return _emit(op, inputs, out, backward_fn, check=False)
 
 
 def _emit(op: str, inputs: Sequence[Tensor], out: Array,
           backward_fn: Callable[[Array], tuple], check: bool = True) -> Tensor:
     if check:
-        _finite_or_raise(out, op)
+        check_finite(out, op)
     t = Tensor(out)
     t._from_op = True
     if _enabled and any(i.requires_grad for i in inputs):
@@ -405,31 +424,21 @@ def logsumexp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _emit("logsumexp", (a,), np.asarray(out), bwd)
 
 
+def log_softmax_array(x: Array, axis: int = -1) -> Array:
+    """Overflow-safe log-softmax of a plain array (no tape)."""
+    s = x - x.max(axis=axis, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = _promote(a)
-    da = a.data
-    m = da.max(axis=axis, keepdims=True)
-    s = da - m
-    out = s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
+    out = log_softmax_array(a.data, axis)
     p = np.exp(out)
 
     def bwd(g):
         return (g - p * g.sum(axis=axis, keepdims=True),)
 
     return _emit("log_softmax", (a,), out, bwd)
-
-
-def l2_norm(a) -> Tensor:
-    a = _promote(a)
-    da = a.data
-    out = float(np.sqrt((da * da).sum()))
-
-    def bwd(g):
-        if out == 0.0:
-            return (np.zeros_like(da),)
-        return (g * da / out,)
-
-    return _emit("l2_norm", (a,), np.asarray(out), bwd)
 
 
 def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False) -> Tensor:
@@ -457,7 +466,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False) -> Tensor:
     order = range(n - 1, -1, -1) if reverse else range(n)
     with np.errstate(invalid="ignore", over="ignore"):
         pre = x @ wi
-        _finite_or_raise(pre, "tanh_rnn input projection")
+        check_finite(pre, "tanh_rnn input projection")
         z = np.empty((n, d))
         out = np.empty((n, d))
         h = np.zeros(d)
@@ -466,7 +475,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False) -> Tensor:
             np.add(pre[t], h @ wr, out=zt)
             zt += bias
             h = np.tanh(zt, out=out[t])
-    _finite_or_raise(z, "tanh_rnn pre-activation")
+    check_finite(z, "tanh_rnn pre-activation")
 
     def bwd(g):
         # Frames in reverse of the forward order: dh = W_rec dz_next + g_t,

@@ -130,14 +130,9 @@ def cmd_attack(args) -> int:
                                alpha_fraction=cfg.get("alpha_fraction", 1 / 40))
     benign_wer, accent_acc = evaluate_benign(params, utts, weights,
                                              max_len=cfg.get("max_len", 10))
-    if steps == 0:
-        pooled, n_attacked, n_skipped = attack_split(
-            params, utts, targets, weights, epsilon, alpha, [0],
-            max_decode_len=cfg.get("max_len", 10))
-    else:
-        pooled, n_attacked, n_skipped = attack_split(
-            params, utts, targets, weights, epsilon, alpha, report_at,
-            max_decode_len=cfg.get("max_len", 10))
+    pooled, n_attacked, n_skipped = attack_split(
+        params, utts, targets, weights, epsilon, alpha, report_at,
+        max_decode_len=cfg.get("max_len", 10))
     rows = [ReportRow(lambda_t_A=weights.lambda_t_A,
                       lambda_t_C=weights.lambda_t_C,
                       lambda_i_C=weights.lambda_i_C,
@@ -185,9 +180,8 @@ def cmd_report(args) -> int:
     for name, text in make_tables(rows, steps).items():
         with open(os.path.join(args.out, name), "w") as f:
             f.write(text)
-    check_steps = [s for s in (args.trend_steps and
-                               [int(s) for s in args.trend_steps.split(",")] or
-                               steps)]
+    check_steps = [int(s) for s in args.trend_steps.split(",")] \
+        if args.trend_steps else steps
     results = trend_check(rows, steps=check_steps)
     text = trend_report(results)
     with open(os.path.join(args.out, "trend_check.txt"), "w") as f:

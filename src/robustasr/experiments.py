@@ -218,15 +218,19 @@ def run_cell(config: ExperimentConfig, lam_a: float, lam_c: float,
     epsilon, alpha = calibrate(ds.test, ratio=config.epsilon_ratio,
                                alpha_fraction=config.alpha_fraction)
     rows: list[ReportRow] = []
+    # At lambda_t_C=0 both modes infer with lambda_i_C=0: evaluate and
+    # attack that model once and emit the rows under each mode.
+    done: dict[MtlWeights, tuple] = {}
     for mode in config.grid.modes:
         weights = _mode_weights(lam_a, lam_c, mode)
-        benign_wer, accent_acc = evaluate_benign(
-            params, ds.test[:config.n_eval], weights,
-            max_len=config.max_decode_len)
-        pooled, n_attacked, n_skipped = attack_split(
-            params, ds.test[:config.n_attack], targets, weights,
-            epsilon, alpha, config.grid.report_steps,
-            max_decode_len=config.max_decode_len)
+        if weights not in done:
+            done[weights] = (
+                evaluate_benign(params, ds.test[:config.n_eval], weights,
+                                max_len=config.max_decode_len),
+                attack_split(params, ds.test[:config.n_attack], targets,
+                             weights, epsilon, alpha, config.grid.report_steps,
+                             max_decode_len=config.max_decode_len))
+        (benign_wer, accent_acc), (pooled, n_attacked, n_skipped) = done[weights]
         for step in sorted(pooled):
             rows.append(ReportRow(
                 lambda_t_A=lam_a, lambda_t_C=lam_c,

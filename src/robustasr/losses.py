@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import ModelParams, decoder_advance, decoder_start, discriminate
+from .model import ModelParams, decoder_teacher_forced, discriminate
 
 NEG = -1.0e9  # exact log(0) stand-in; exp(NEG - x) == 0.0 for any sane x
 
@@ -158,21 +158,17 @@ def ctc_brute_force(logp, y: Sequence[int]) -> float:
 def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence[int]) -> Tensor:
     """Teacher-forced decoder negative log-likelihood, averaged per step.
 
-    An empty ``y`` is legal and means "predict eos immediately".
+    An empty ``y`` is legal and means "predict eos immediately". The
+    decoder runs as one fused op (``model.decoder_teacher_forced``), so
+    the loss records four tape entries whatever the length of ``y``.
     """
     cfg = params.config
     y = list(y)
     if any(tok < 0 or tok >= cfg.vocab_size for tok in y):
         raise ValueError("decoder targets must be word ids (no special tokens)")
-    inputs = [cfg.sos] + y
     targets = y + [cfg.eos]
-    state = decoder_start(params, hidden)
-    picked = []
-    for tok_in, tgt in zip(inputs, targets):
-        logp, state = decoder_advance(params, hidden, state, tok_in)
-        picked.append(ad.reshape(logp[tgt], (1,)))
-    total = ad.sum_(ad.concat(picked))
-    return ad.mul(ad.neg(total), 1.0 / len(targets))
+    picked = decoder_teacher_forced(params, hidden, [cfg.sos] + y, targets)
+    return ad.mul(ad.neg(ad.sum_(picked)), 1.0 / len(targets))
 
 
 def dis_loss(params: ModelParams, hidden: Tensor, accent: int) -> Tensor:

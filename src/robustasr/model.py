@@ -6,13 +6,19 @@ per surface and the surfaces never mix: it is the blank column of the
 CTC head, the eos column of the decoder head, and the sos row of the
 decoder embedding table. ``V`` counts all word tokens, content and
 lorem alike, so adversarial targets are expressible.
+
+The attention decoder has one numpy step kernel, ``_decoder_step``, and
+two paths through it: ``decoder_teacher_forced`` loops it over a target
+sequence and records one tape entry with a hand-written backward (the
+decoder loss, in training and attacks), and ``decoder_advance`` runs one
+step for inference and records nothing.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,9 +195,85 @@ class DecoderState:
         self.hproj = hproj
 
 
+# Decoder parameters in the order ``_decoder_step`` unpacks them.
+_STEP_PARAMS = ("dec.emb", "dec.w_in", "dec.w_rec", "dec.b",
+                "attn.w_s", "attn.v", "dec.w_out", "dec.b_out")
+
+
+class _Step(NamedTuple):
+    """Arrays of one decoder step.
+
+    The backward reads s, tanh_att, attn, joint and logp; z, q and
+    log_attn are kept for the finiteness check.
+    """
+
+    z: np.ndarray  # recurrent pre-activation
+    s: np.ndarray  # recurrent state
+    q: np.ndarray  # attention query s @ w_s
+    tanh_att: np.ndarray  # tanh(hproj + q), one row per frame
+    log_attn: np.ndarray  # log attention weights
+    attn: np.ndarray
+    joint: np.ndarray  # [s, context]
+    logp: np.ndarray  # next-token log-probs, eos last
+
+
+def _decoder_step(arrays, s_prev: np.ndarray, hproj: np.ndarray,
+                  hidden: np.ndarray, token: int) -> _Step:
+    """One decoder step in numpy: feed ``token``, attend, predict.
+
+    ``arrays`` holds the parameter arrays named in ``_STEP_PARAMS``. The
+    numpy calls are those of the step recorded op by op (embedding row,
+    two matmuls, two adds, tanh, query, additive attention, softmax,
+    context, output layer, log-softmax), in that order, so values are
+    bit-identical to it. The caller validates ``token`` and checks the
+    result with ``_check_steps``.
+    """
+    emb, w_in, w_rec, b, w_s, v, w_out, b_out = arrays
+    z = (emb[token] @ w_in + s_prev @ w_rec) + b
+    s = np.tanh(z)
+    q = s @ w_s
+    tanh_att = np.tanh(hproj + q)
+    log_attn = ad.log_softmax_array(tanh_att @ v, axis=0)
+    attn = np.exp(log_attn)
+    joint = np.concatenate([s, attn @ hidden])
+    logp = ad.log_softmax_array(joint @ w_out + b_out, axis=0)
+    return _Step(z, s, q, tanh_att, log_attn, attn, joint, logp)
+
+
+# Step arrays whose finiteness implies that of every other step array.
+_CHECKED = ("z", "q", "log_attn", "joint", "logp")
+
+
+def _check_steps(steps: Sequence[_Step]) -> None:
+    """Raise NonFiniteError where the op-by-op step would have raised."""
+    arrays = [getattr(st, name) for st in steps for name in _CHECKED]
+    if not np.isfinite(np.concatenate(arrays)).all():
+        bad = next(name for name in _CHECKED for st in steps
+                   if not np.isfinite(getattr(st, name)).all())
+        raise ad.NonFiniteError(f"non-finite values in the decoder step ({bad})")
+
+
+def _check_token(cfg: ModelConfig, token: int) -> None:
+    if not 0 <= token <= cfg.vocab_size:
+        raise ShapeError(f"decoder token {token} outside 0..{cfg.vocab_size}")
+
+
+def _attention_keys(params: ModelParams, hidden: Tensor) -> np.ndarray:
+    """hidden @ attn.w_h + attn.b: the (T, attn_dim) projection every step reads."""
+    cfg = params.config
+    if hidden.ndim != 2 or hidden.shape[0] < 1 or hidden.shape[1] != cfg.enc_hidden:
+        raise ShapeError(f"decoder expects a nonempty (T, {cfg.enc_hidden}) "
+                         f"hidden sequence, got {hidden.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        hproj = hidden.data @ params["attn.w_h"].data + params["attn.b"].data
+    ad.check_finite(hproj, "attention projection")
+    return hproj
+
+
 def decoder_start(params: ModelParams, hidden: Tensor) -> DecoderState:
-    hproj = ad.add(ad.matmul(hidden, params["attn.w_h"]), params["attn.b"])
-    return DecoderState(ad.constant(np.zeros(params.config.dec_hidden)), hproj)
+    """Zero recurrent state and the attention projection, as constants."""
+    return DecoderState(ad.constant(np.zeros(params.config.dec_hidden)),
+                        ad.constant(_attention_keys(params, hidden)))
 
 
 def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
@@ -200,21 +282,106 @@ def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
 
     Attention is additive over the encoder states, conditioned on the
     updated recurrent state. The last output column is eos.
+
+    Inference only: the step runs in numpy (``_decoder_step``, the kernel
+    the teacher-forced loss also runs) and the results are constant
+    tensors, so nothing is recorded on the tape and no gradient flows
+    back. Training and attacks differentiate the decoder through
+    ``decoder_teacher_forced``.
+    """
+    _check_token(params.config, token)
+    arrays = tuple(params[name].data for name in _STEP_PARAMS)
+    with np.errstate(invalid="ignore", over="ignore"):
+        step = _decoder_step(arrays, state.s.data, state.hproj.data,
+                             hidden.data, token)
+    _check_steps([step])
+    return ad.constant(step.logp), DecoderState(ad.constant(step.s), state.hproj)
+
+
+def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
+                           inputs: Sequence[int],
+                           targets: Sequence[int]) -> Tensor:
+    """(N,) log-probs of ``targets[k]`` after feeding ``inputs[:k + 1]``.
+
+    Runs ``_decoder_step`` N times in numpy and records one tape entry.
+    Its hand-written backward walks the steps last first and adds every
+    gradient term in the order the op-by-op tape of the same steps adds
+    it, so values and gradients are bit-identical to that tape:
+
+    - state s_k takes the w_rec term of step k+1, then its part of the
+      output layer's input, then the attention-query term;
+    - each parameter takes its per-step terms from step N-1 down to 0;
+    - ``hidden`` is listed as an input N+1 times, and the backward returns
+      the context term of each step (N-1 down to 0) and then the
+      attention-projection term. ``autodiff.backward`` adds them one by
+      one after whatever other heads contributed before, as the
+      op-by-op tape did; a single pre-summed term would round differently.
     """
     cfg = params.config
-    emb = ad.reshape(ad.embedding_lookup(params["dec.emb"], [token]),
-                     (cfg.emb_dim,))
-    s = ad.tanh(ad.add(ad.add(ad.matmul(emb, params["dec.w_in"]),
-                              ad.matmul(state.s, params["dec.w_rec"])),
-                       params["dec.b"]))
-    scores = ad.matmul(ad.tanh(ad.add(state.hproj,
-                                      ad.matmul(s, params["attn.w_s"]))),
-                       params["attn.v"])
-    weights = ad.exp(ad.log_softmax(scores, axis=0))
-    context = ad.matmul(weights, hidden)
-    logits = ad.add(ad.matmul(ad.concat([s, context]), params["dec.w_out"]),
-                    params["dec.b_out"])
-    return ad.log_softmax(logits, axis=0), DecoderState(s, state.hproj)
+    n = len(inputs)
+    if n == 0 or len(targets) != n:
+        raise ShapeError(f"teacher forcing needs as many inputs as targets, "
+                         f"got {n} and {len(targets)}")
+    for tok in (*inputs, *targets):
+        _check_token(cfg, tok)
+    hproj = _attention_keys(params, hidden)
+    arrays = tuple(params[name].data for name in _STEP_PARAMS)
+    h = hidden.data
+    s_prev = np.zeros(cfg.dec_hidden)
+    steps = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for tok in inputs:
+            step = _decoder_step(arrays, s_prev, hproj, h, tok)
+            steps.append(step)
+            s_prev = step.s
+    _check_steps(steps)
+    picked = np.array([st.logp[tgt] for st, tgt in zip(steps, targets)])
+    emb, w_in, w_rec, _b, w_s, v, w_out, _b_out = arrays
+    w_h = params["attn.w_h"].data
+    dh = cfg.dec_hidden
+
+    def bwd(g):
+        # Parameter sums start at +0.0; that differs from starting at the
+        # first term only for a -0.0 term, which the leaf update in
+        # ``autodiff.backward`` (grad + term, grad never -0.0) erases.
+        g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out = (
+            np.zeros_like(a) for a in arrays)
+        g_hidden = []
+        g_hproj = None
+        g_s_next = None  # w_rec term of s_k, from step k+1
+        for k in range(n - 1, -1, -1):
+            st = steps[k]
+            g_logp = np.zeros(st.logp.shape)
+            g_logp[targets[k]] += g[k]
+            g_logits = g_logp - np.exp(st.logp) * g_logp.sum(axis=0, keepdims=True)
+            g_b_out += g_logits
+            g_w_out += st.joint[:, None] * g_logits
+            g_joint = w_out @ g_logits
+            g_ctx = g_joint[dh:]
+            g_hidden.append(st.attn[:, None] * g_ctx)
+            g_log_attn = (h @ g_ctx) * st.attn
+            g_scores = g_log_attn - st.attn * g_log_attn.sum(axis=0, keepdims=True)
+            g_v += st.tanh_att.T @ g_scores
+            g_att = g_scores[:, None] * v * (1.0 - st.tanh_att * st.tanh_att)
+            g_hproj = g_att if g_hproj is None else g_hproj + g_att
+            g_q = g_att.sum(axis=0)
+            g_w_s += st.s[:, None] * g_q
+            g_s = g_joint[:dh] if g_s_next is None else g_s_next + g_joint[:dh]
+            g_s = g_s + w_s @ g_q
+            g_z = g_s * (1.0 - st.s * st.s)
+            g_b += g_z
+            s_prev = steps[k - 1].s if k else np.zeros(dh)
+            g_w_rec += s_prev[:, None] * g_z
+            g_s_next = w_rec @ g_z
+            g_w_in += emb[inputs[k]][:, None] * g_z
+            g_emb[inputs[k]] += w_in @ g_z
+        g_hidden.append(g_hproj @ w_h.T)
+        return (g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out,
+                h.T @ g_hproj, g_hproj.sum(axis=0), *g_hidden)
+
+    grad_inputs = (*(params[name] for name in _STEP_PARAMS),
+                   params["attn.w_h"], params["attn.b"], *(hidden,) * (n + 1))
+    return ad.record_op("decoder_teacher_forced", grad_inputs, picked, bwd)
 
 
 def decoder_step(params: ModelParams, hidden: Tensor,

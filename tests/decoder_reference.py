@@ -1,0 +1,47 @@
+"""The attention decoder recorded op by op, one tape record per numpy call.
+
+This is the reference the fused decoder in ``robustasr.model`` is tested
+against: ``decoder_advance`` must give bit-identical log-probs, and the
+teacher-forced op bit-identical losses and gradients.
+"""
+
+import numpy as np
+
+from robustasr import autodiff as ad
+from robustasr.model import DecoderState
+
+
+def reference_start(params, hidden):
+    hproj = ad.add(ad.matmul(hidden, params["attn.w_h"]), params["attn.b"])
+    return DecoderState(ad.constant(np.zeros(params.config.dec_hidden)), hproj)
+
+
+def reference_advance(params, hidden, state, token):
+    cfg = params.config
+    emb = ad.reshape(ad.embedding_lookup(params["dec.emb"], [token]),
+                     (cfg.emb_dim,))
+    s = ad.tanh(ad.add(ad.add(ad.matmul(emb, params["dec.w_in"]),
+                              ad.matmul(state.s, params["dec.w_rec"])),
+                       params["dec.b"]))
+    scores = ad.matmul(ad.tanh(ad.add(state.hproj,
+                                      ad.matmul(s, params["attn.w_s"]))),
+                       params["attn.v"])
+    weights = ad.exp(ad.log_softmax(scores, axis=0))
+    context = ad.matmul(weights, hidden)
+    logits = ad.add(ad.matmul(ad.concat([s, context]), params["dec.w_out"]),
+                    params["dec.b_out"])
+    return ad.log_softmax(logits, axis=0), DecoderState(s, state.hproj)
+
+
+def reference_dec_loss(params, hidden, y):
+    cfg = params.config
+    y = list(y)
+    inputs = [cfg.sos] + y
+    targets = y + [cfg.eos]
+    state = reference_start(params, hidden)
+    picked = []
+    for tok_in, tgt in zip(inputs, targets):
+        logp, state = reference_advance(params, hidden, state, tok_in)
+        picked.append(ad.reshape(logp[tgt], (1,)))
+    total = ad.sum_(ad.concat(picked))
+    return ad.mul(ad.neg(total), 1.0 / len(targets))

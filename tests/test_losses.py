@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from robustasr import attack, train
 from robustasr import autodiff as ad
+from robustasr.attack import adv_loss
+from robustasr.data import Utterance
 from robustasr.losses import (
     CtcInfeasibleError,
     LossBreakdown,
@@ -17,6 +20,9 @@ from robustasr.losses import (
     mtl_loss,
 )
 from robustasr.model import ModelConfig, ctc_head, encode, init_params
+from robustasr.train import sample_losses
+
+from decoder_reference import reference_dec_loss
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=4, disc_hidden=4, seed=2)
@@ -231,3 +237,68 @@ def test_mtl_total_is_differentiable_through_heads(params):
         ad.backward(f(x))
     fd = ad.fd_gradient(f, x)
     assert rel_err(x.grad, fd.data) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the fused teacher-forced decoder is bit-identical to the op-by-op tape
+
+BIDIR = ModelConfig(feat_dim=4, enc_hidden=5, enc_layers=2, dec_hidden=6,
+                    attn_dim=3, emb_dim=2, vocab_size=6, disc_hidden=4,
+                    seed=8, bidirectional=True)
+TARGETS = ([], [2, 2, 2], [1, 3, 0, 3], [0])
+
+
+def _grads(cfg, run):
+    """(loss, input grad, parameter grads) of one tape, as bytes."""
+    params = init_params(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    for t in params.leaves():
+        t.data = t.data * 2.0 + rng.normal(scale=0.1, size=t.shape)
+    x = ad.leaf(rng.normal(size=(7, cfg.feat_dim)))
+    with ad.tape():
+        loss = run(params, x)
+        ad.backward(loss)
+    return (loss.data.tobytes(), x.grad.tobytes(),
+            {n: params[n].grad.tobytes() for n in params.names()})
+
+
+@pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
+@pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
+def test_dec_loss_bit_identical_to_op_by_op(cfg, y):
+    fused = _grads(cfg, lambda p, x: dec_loss(p, encode(p, x), y))
+    ref = _grads(cfg, lambda p, x: reference_dec_loss(p, encode(p, x), y))
+    assert fused == ref
+
+
+@pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
+@pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
+def test_training_mix_bit_identical_to_op_by_op(cfg, y, monkeypatch):
+    # MTL-3 with the discriminator active: hidden's gradient sums the
+    # discriminator, decoder and CTC terms in tape order.
+    def run(p, x):
+        utt = Utterance(id="u", features=x.data, transcript=tuple(y), accent=1)
+        bd = sample_losses(p, utt, MtlWeights(0.7, 0.5))
+        return bd.total
+
+    fused = _grads(cfg, run)
+    monkeypatch.setattr(train, "dec_loss", reference_dec_loss)
+    assert _grads(cfg, run) == fused
+
+
+@pytest.mark.parametrize("lam_i", [0.0, 0.5])
+@pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
+def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
+    weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
+
+    def run(p, x):
+        return adv_loss(p, x, y, weights)
+
+    fused = _grads(BIDIR, run)
+    monkeypatch.setattr(attack, "dec_loss", reference_dec_loss)
+    assert _grads(BIDIR, run) == fused
+
+
+def test_dec_loss_records_four_ops(params, hidden):
+    with ad.tape() as tp:
+        dec_loss(params, hidden, [1, 2, 2, 0])
+        assert len(tp) == 4

@@ -9,12 +9,17 @@ from robustasr.model import (
     ModelConfig,
     decoder_step,
     ctc_head,
+    decoder_advance,
+    decoder_start,
+    decoder_teacher_forced,
     discriminate,
     encode,
     init_params,
     load_checkpoint,
     save_checkpoint,
 )
+
+from decoder_reference import reference_advance, reference_start
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=2, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=5, disc_hidden=4, seed=1)
@@ -195,8 +200,6 @@ def test_decoder_step_requires_sos(params):
 
 def test_attention_weights_sum_to_one(params):
     # reproduce the internals: weights are exp(log_softmax(scores))
-    from robustasr.model import decoder_advance, decoder_start
-
     rng = np.random.default_rng(8)
     h = ad.constant(rng.normal(size=(6, TINY.enc_hidden)))
     state = decoder_start(params, h)
@@ -290,3 +293,86 @@ def test_checkpoint_wrong_shape_fails(tmp_path, params):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match="ctc.b"):
         load_checkpoint(p)
+
+
+# ---------------------------------------------------------------------------
+# fused decoder against the op-by-op reference in decoder_reference.py
+
+DEC_PARAMS = ("dec.emb", "dec.w_in", "dec.w_rec", "dec.b", "attn.w_h",
+              "attn.b", "attn.w_s", "attn.v", "dec.w_out", "dec.b_out")
+
+
+def test_decoder_advance_records_nothing_and_matches_reference(params):
+    rng = np.random.default_rng(12)
+    h = ad.leaf(rng.normal(size=(6, TINY.enc_hidden)))
+    tokens = [TINY.sos, 2, 2, 0, TINY.vocab_size - 1]
+    with ad.tape() as tp:
+        state = decoder_start(params, h)
+        fused = []
+        for tok in tokens:
+            logp, state = decoder_advance(params, h, state, tok)
+            fused.append(logp)
+        assert len(tp) == 0
+    with ad.tape():
+        state = reference_start(params, h)
+        for tok, got in zip(tokens, fused):
+            logp, state = reference_advance(params, h, state, tok)
+            assert not got.requires_grad
+            assert got.data.tobytes() == logp.data.tobytes()
+
+
+def test_decoder_advance_rejects_bad_token(params):
+    h = ad.constant(np.ones((3, TINY.enc_hidden)))
+    state = decoder_start(params, h)
+    for tok in (-1, TINY.vocab_size + 1):
+        with pytest.raises(ad.ShapeError):
+            decoder_advance(params, h, state, tok)
+
+
+@pytest.mark.parametrize("name", ["dec.w_rec", "attn.v", "dec.w_out"])
+def test_decoder_non_finite_parameter_raises(params, name):
+    params[name].data.flat[1] = np.inf
+    h = ad.constant(np.random.default_rng(13).normal(size=(4, TINY.enc_hidden)))
+    state = decoder_start(params, h)
+    with pytest.raises(ad.NonFiniteError):
+        decoder_advance(params, h, state, TINY.sos)
+    with pytest.raises(ad.NonFiniteError):
+        decoder_teacher_forced(params, h, [TINY.sos, 1], [1, TINY.eos])
+
+
+def test_teacher_forced_rejects_bad_tokens(params):
+    h = ad.constant(np.ones((3, TINY.enc_hidden)))
+    eos = TINY.eos
+    for inputs, targets in (([TINY.sos, eos + 1], [1, eos]),
+                            ([TINY.sos, 1], [-1, eos]),
+                            ([TINY.sos], [1, eos]),
+                            ([], [])):
+        with pytest.raises(ad.ShapeError):
+            decoder_teacher_forced(params, h, inputs, targets)
+
+
+@pytest.mark.parametrize("name", ("hidden",) + DEC_PARAMS)
+def test_teacher_forced_gradient_matches_fd(params, name):
+    rng = np.random.default_rng(14)
+    h = ad.leaf(rng.normal(size=(5, TINY.enc_hidden)))
+    inputs, targets = [TINY.sos, 3, 3, 0], [3, 3, 0, TINY.eos]
+    weight = ad.constant(rng.normal(size=len(targets)))
+
+    def loss(p, hidden):
+        picked = decoder_teacher_forced(p, hidden, inputs, targets)
+        return ad.sum_(ad.mul(picked, weight))
+
+    with ad.tape():
+        ad.backward(loss(params, h))
+    if name == "hidden":
+        fd = ad.fd_gradient(lambda t: loss(params, t), h)
+        assert rel_err(h.grad, fd.data) < 1e-6
+        return
+
+    def f(t):
+        p = params.clone()
+        p[name].data = t.data
+        return loss(p, h)
+
+    fd = ad.fd_gradient(f, ad.constant(params[name].data))
+    assert rel_err(params[name].grad, fd.data) < 1e-6
