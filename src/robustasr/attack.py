@@ -110,11 +110,13 @@ def pgd_step(params: ModelParams, x: np.ndarray, delta: np.ndarray, target,
     """Gradient of the inference loss at x+delta, step, project.
 
     A zero gradient is reported via ``grad_norm == 0`` with the
-    perturbation unchanged; callers treat it as convergence.
+    perturbation unchanged; callers treat it as convergence. Only the
+    input is differentiated: the model enters as constants, so no
+    parameter gradient is computed and ``params[...].grad`` is untouched.
     """
     x_adv = ad.leaf(x + delta)
     with ad.tape():
-        loss = adv_loss(params, x_adv, target, config.weights)
+        loss = adv_loss(params.frozen(), x_adv, target, config.weights)
         ad.backward(loss)
     grad = x_adv.grad
     grad_norm = float(np.linalg.norm(grad))

@@ -8,11 +8,14 @@ models need: broadcasting covers bias-add and scalar scaling, one fused
 tanh-RNN scan covers the encoder, and everything is double precision.
 
 A fused op runs a whole loop in numpy and records one tape entry whose
-backward is written by hand. ``tanh_rnn`` is one; ``record_op`` lets a
-model define its own (the teacher-forced attention decoder in
-``model``). An input may appear in a record more than once: ``backward``
-adds the gradients the record returns for it in list order, so a fused
-op can reproduce the summation order of the op-by-op tape it replaces.
+backward is written by hand. ``tanh_rnn`` (the encoder scan) is one;
+``record_op`` lets other modules define their own: the teacher-forced
+attention decoder in ``model`` and the CTC lattice in ``losses``. An
+input may appear in a record more than once: ``backward`` adds the
+gradients the record returns for it in list order, so a fused op can
+reproduce the summation order of the op-by-op tape it replaces. A fused
+backward skips the terms of inputs that require no gradient, such as
+model parameters held constant during an attack.
 
 The tape stack and the recording flag are plain module state, one per
 process; parallel work runs in separate processes, never in threads that
@@ -486,22 +489,28 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False) -> Tensor:
         for t in reversed(order):
             dh = g[t] if dz is None else wr @ dz + g[t]
             dz = dpre[t] = dh * deriv[t]
-        # The state each frame read: zero for the first, else the one before.
-        h_prev = np.zeros((n, d))
-        if reverse:
-            h_prev[:-1] = out[1:]
-        else:
-            h_prev[1:] = out[:-1]
-        outer = h_prev[:, :, None] * dpre[:, None, :]
-        # Per-frame W_rec and b terms are summed one frame at a time, last
-        # frame first, as the op-by-op tape adds them.
-        back = reversed(order)
-        first = next(back)
-        dwr, db = outer[first].copy(), dpre[first].copy()
-        for t in back:
-            dwr += outer[t]
-            db += dpre[t]
-        return dpre @ wi.T, x.T @ dpre, dwr, db
+        # Terms for inputs that take no gradient (a constant input, or
+        # constant weights under attack) are skipped.
+        dwr = db = None
+        if w_rec.requires_grad or b.requires_grad:
+            # The state each frame read: zero for the first, else the one
+            # before.
+            h_prev = np.zeros((n, d))
+            if reverse:
+                h_prev[:-1] = out[1:]
+            else:
+                h_prev[1:] = out[:-1]
+            outer = h_prev[:, :, None] * dpre[:, None, :]
+            # Per-frame W_rec and b terms are summed one frame at a time,
+            # last frame first, as the op-by-op tape adds them.
+            back = reversed(order)
+            first = next(back)
+            dwr, db = outer[first].copy(), dpre[first].copy()
+            for t in back:
+                dwr += outer[t]
+                db += dpre[t]
+        return (dpre @ wi.T if seq.requires_grad else None,
+                x.T @ dpre if w_in.requires_grad else None, dwr, db)
 
     return _emit("tanh_rnn", (seq, w_in, w_rec, b), out, bwd, check=False)
 

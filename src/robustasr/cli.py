@@ -145,7 +145,8 @@ def cmd_attack(args) -> int:
     with open(args.out, "w") as f:
         f.write(text)
     for r in rows:
-        print(f"steps={r.attack_steps}: AdvTWER={r.adv_twer:.4f} "
+        twer = "n/a" if r.adv_twer is None else f"{r.adv_twer:.4f}"
+        print(f"steps={r.attack_steps}: AdvTWER={twer} "
               f"(attacked {r.n_samples}, skipped {r.n_skipped}, "
               f"epsilon={epsilon:.4f}, alpha={alpha:.5f})")
     print(f"wrote {args.out}")

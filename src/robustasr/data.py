@@ -46,11 +46,14 @@ class DataError(Exception):
 class Vocab:
     """Word inventory shared by the generator and the model.
 
-    Token ids: content words first, then lorem words, then blank / sos /
-    eos / pad. Both word groups are model outputs (the attacker's targets
-    must be expressible), but training transcripts only ever use content
-    words, which keeps the overlap between benign and adversarial text
-    exactly zero.
+    Token ids: content words first, then lorem words; ``n_words`` counts
+    both and is the model's ``vocab_size``. The vocabulary holds words
+    only: the model's special tokens (CTC blank, decoder sos and eos)
+    all take the one index past the words, each on its own head (see
+    ``model``). Both word groups are model outputs (the attacker's
+    targets must be expressible), but training transcripts only ever use
+    content words, which keeps the overlap between benign and
+    adversarial text exactly zero.
     """
 
     words: tuple[str, ...] = CONTENT_WORDS
@@ -63,22 +66,6 @@ class Vocab:
     @property
     def n_words(self) -> int:
         return len(self.words) + len(self.lorem_words)
-
-    @property
-    def blank(self) -> int:
-        return self.n_words
-
-    @property
-    def sos(self) -> int:
-        return self.n_words + 1
-
-    @property
-    def eos(self) -> int:
-        return self.n_words + 2
-
-    @property
-    def pad(self) -> int:
-        return self.n_words + 3
 
     @property
     def content_ids(self) -> range:

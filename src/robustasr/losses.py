@@ -1,11 +1,14 @@
 """Task losses and their weighted blends, plus a brute-force CTC oracle.
 
 The CTC loss runs the standard forward recursion over the blank-extended
-label sequence entirely in log space. Unreachable lattice states carry a
-large negative sentinel instead of -inf: at double precision the
-sentinel's contribution underflows to exactly zero in every logsumexp,
-so values and gradients are bit-for-bit what a true -inf would give
-while every tensor stays finite.
+label sequence entirely in log space, as one fused tape op: the lattice
+is a numpy loop over frames with a hand-written backward (the
+alpha-gradient recursion, frames last first). Unreachable lattice states
+carry a large negative sentinel (``NEG``) instead of -inf: at double
+precision the sentinel's contribution underflows to exactly zero in
+every logsumexp, so values and gradients are bit-for-bit what a true
+-inf would give while every lattice array stays finite, and one
+finiteness check over the alphas catches a non-finite input.
 
 Normalization: CTC divides by the label count, the decoder loss by the
 number of output steps (targets plus eos). This keeps the mixing weights
@@ -79,6 +82,15 @@ def ctc_loss(logp: Tensor, y: Sequence[int]) -> Tensor:
 
     ``logp`` is a (T, V+1) matrix of per-frame log-probs with blank in
     the last column; ``y`` holds word ids only. Normalized by ``|y|``.
+
+    A nonempty ``y`` runs the whole lattice in numpy and records one tape
+    entry. Forward and backward make the numpy calls of the lattice
+    recorded op by op (per frame: shift the previous alphas, mask and
+    bias the skip row, a 3-row logsumexp, add the emissions), in the
+    order its tape makes them, so values and gradients are bit-identical
+    to it. The backward walks the frames last first; each frame's
+    gradient into the previous alphas is the direct term plus the skip
+    term, then the one-state shift term, as the op-by-op tape adds them.
     """
     t_frames, width = logp.shape
     blank = width - 1
@@ -104,28 +116,59 @@ def ctc_loss(logp: Tensor, y: Sequence[int]) -> Tensor:
     for s in range(3, n_states, 2):
         if ext[s] != ext[s - 2]:
             skip_ok[s] = 1.0
-    skip_mask = ad.constant(skip_ok.reshape(1, n_states))
-    skip_bias = ad.constant(((1.0 - skip_ok) * NEG).reshape(1, n_states))
-
+    skip_bias = (1.0 - skip_ok) * NEG
     start = np.zeros(n_states)
     start[:2] = 1.0
-    start_mask = ad.constant(start.reshape(1, n_states))
-    start_bias = ad.constant(((1.0 - start) * NEG).reshape(1, n_states))
+    start_bias = (1.0 - start) * NEG
+    scale = 1.0 / len(y)
 
-    pad1 = ad.constant(np.full((1, 1), NEG))
-    pad2 = ad.constant(np.full((1, 2), NEG))
+    emis = logp.data[:, ext_idx]
+    alphas = np.empty((t_frames, n_states))
+    weights = np.empty((t_frames, 3, n_states))  # softmax weights; frame 0 unused
+    with np.errstate(invalid="ignore", over="ignore"):
+        alphas[0] = emis[0] * start + start_bias
+        for t in range(1, t_frames):
+            prev = alphas[t - 1]
+            # rows: stay, advance one state, skip two (masked and biased)
+            stacked = np.full((3, n_states), NEG)
+            stacked[0] = prev
+            stacked[1, 1:] = prev[:-1]
+            stacked[2, 2:] = prev[:-2]
+            stacked[2] = stacked[2] * skip_ok + skip_bias
+            m = stacked.max(axis=0, keepdims=True)
+            combined = m + np.log(np.exp(stacked - m).sum(axis=0, keepdims=True))
+            np.exp(stacked - combined, out=weights[t])
+            np.add(combined[0], emis[t], out=alphas[t])
+        last = alphas[-1, -2:]
+        m = last.max(keepdims=True)
+        tail = m + np.log(np.exp(last - m).sum(keepdims=True))
+        w_tail = np.exp(last - tail)
+    ad.check_finite(alphas, "ctc_loss lattice")
+    ad.check_finite(tail, "ctc_loss tail")
+    loss = -tail.reshape(()) * scale
 
-    emis0 = logp[0:1, ext_idx]
-    alpha = ad.add(ad.mul(emis0, start_mask), start_bias)
-    for t in range(1, t_frames):
-        shifted1 = ad.concat([pad1, alpha[:, : n_states - 1]], axis=1)
-        shifted2 = ad.concat([pad2, alpha[:, : n_states - 2]], axis=1)
-        shifted2 = ad.add(ad.mul(shifted2, skip_mask), skip_bias)
-        stacked = ad.concat([alpha, shifted1, shifted2], axis=0)
-        combined = ad.logsumexp(stacked, axis=0, keepdims=True)
-        alpha = ad.add(combined, logp[t:t + 1, ext_idx])
-    tail = ad.logsumexp(alpha[:, n_states - 2:])
-    return ad.mul(ad.neg(tail), 1.0 / len(y))
+    def bwd(g):
+        g_alpha = np.zeros(n_states)
+        g_alpha[-2:] += -(g * scale) * w_tail
+        g_emis = np.empty((t_frames, n_states))
+        for t in range(t_frames - 1, 0, -1):
+            g_emis[t] = g_alpha
+            gs = g_alpha * weights[t]
+            # The shifted rows' gradients are padded back to full width
+            # with zeros, then added, as the op-by-op tape does.
+            g_skip = np.zeros(n_states)
+            g_skip[:-2] += gs[2, 2:] * skip_ok[2:]
+            g_shift1 = np.zeros(n_states)
+            g_shift1[:-1] += gs[1, 1:]
+            g_alpha = (gs[0] + g_skip) + g_shift1
+        g_emis[0] = g_alpha * start
+        # Rows never share an entry, so one scatter over all frames adds
+        # each entry's terms in the order a per-frame scatter does.
+        g_logp = np.zeros(logp.shape)
+        np.add.at(g_logp, (slice(None), ext_idx), g_emis)
+        return (g_logp,)
+
+    return ad.record_op("ctc_loss", (logp,), np.asarray(loss), bwd)
 
 
 def ctc_brute_force(logp, y: Sequence[int]) -> float:

@@ -98,6 +98,11 @@ class ModelParams:
         return ModelParams(self.config, {
             k: ad.leaf(v.data.copy()) for k, v in self._tensors.items()})
 
+    def frozen(self) -> "ModelParams":
+        """The same arrays as constant tensors: no gradient is computed for them."""
+        return ModelParams(self.config, {
+            k: ad.constant(v.data) for k, v in self._tensors.items()})
+
     def load_values(self, other: "ModelParams") -> None:
         for k, v in other.items():
             self._tensors[k].data = v.data.copy()
@@ -339,13 +344,18 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
     emb, w_in, w_rec, _b, w_s, v, w_out, _b_out = arrays
     w_h = params["attn.w_h"].data
     dh = cfg.dec_hidden
+    param_inputs = (*(params[name] for name in _STEP_PARAMS),
+                    params["attn.w_h"], params["attn.b"])
+    # Constant parameters (an attack differentiates only its input) get
+    # none of their terms computed.
+    train = any(p.requires_grad for p in param_inputs)
 
     def bwd(g):
         # Parameter sums start at +0.0; that differs from starting at the
         # first term only for a -0.0 term, which the leaf update in
         # ``autodiff.backward`` (grad + term, grad never -0.0) erases.
         g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out = (
-            np.zeros_like(a) for a in arrays)
+            np.zeros_like(a) if train else None for a in arrays)
         g_hidden = []
         g_hproj = None
         g_s_next = None  # w_rec term of s_k, from step k+1
@@ -354,34 +364,35 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
             g_logp = np.zeros(st.logp.shape)
             g_logp[targets[k]] += g[k]
             g_logits = g_logp - np.exp(st.logp) * g_logp.sum(axis=0, keepdims=True)
-            g_b_out += g_logits
-            g_w_out += st.joint[:, None] * g_logits
             g_joint = w_out @ g_logits
             g_ctx = g_joint[dh:]
             g_hidden.append(st.attn[:, None] * g_ctx)
             g_log_attn = (h @ g_ctx) * st.attn
             g_scores = g_log_attn - st.attn * g_log_attn.sum(axis=0, keepdims=True)
-            g_v += st.tanh_att.T @ g_scores
             g_att = g_scores[:, None] * v * (1.0 - st.tanh_att * st.tanh_att)
             g_hproj = g_att if g_hproj is None else g_hproj + g_att
             g_q = g_att.sum(axis=0)
-            g_w_s += st.s[:, None] * g_q
             g_s = g_joint[:dh] if g_s_next is None else g_s_next + g_joint[:dh]
             g_s = g_s + w_s @ g_q
             g_z = g_s * (1.0 - st.s * st.s)
-            g_b += g_z
-            s_prev = steps[k - 1].s if k else np.zeros(dh)
-            g_w_rec += s_prev[:, None] * g_z
             g_s_next = w_rec @ g_z
-            g_w_in += emb[inputs[k]][:, None] * g_z
-            g_emb[inputs[k]] += w_in @ g_z
+            if train:
+                g_b_out += g_logits
+                g_w_out += st.joint[:, None] * g_logits
+                g_v += st.tanh_att.T @ g_scores
+                g_w_s += st.s[:, None] * g_q
+                g_b += g_z
+                s_prev = steps[k - 1].s if k else np.zeros(dh)
+                g_w_rec += s_prev[:, None] * g_z
+                g_w_in += emb[inputs[k]][:, None] * g_z
+                g_emb[inputs[k]] += w_in @ g_z
         g_hidden.append(g_hproj @ w_h.T)
+        g_w_h, g_attn_b = (h.T @ g_hproj, g_hproj.sum(axis=0)) if train else (None, None)
         return (g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out,
-                h.T @ g_hproj, g_hproj.sum(axis=0), *g_hidden)
+                g_w_h, g_attn_b, *g_hidden)
 
-    grad_inputs = (*(params[name] for name in _STEP_PARAMS),
-                   params["attn.w_h"], params["attn.b"], *(hidden,) * (n + 1))
-    return ad.record_op("decoder_teacher_forced", grad_inputs, picked, bwd)
+    return ad.record_op("decoder_teacher_forced",
+                        (*param_inputs, *(hidden,) * (n + 1)), picked, bwd)
 
 
 def decoder_step(params: ModelParams, hidden: Tensor,

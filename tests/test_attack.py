@@ -167,3 +167,41 @@ def test_calibrate_uses_median_norm():
     eps, alpha = calibrate(utts, ratio=0.1)
     assert eps == pytest.approx(0.1 * np.linalg.norm(np.ones((1, 4)) * 2))
     assert alpha == pytest.approx(eps / 40.0)
+
+
+BIDIR = ModelConfig(feat_dim=4, enc_hidden=5, enc_layers=2, dec_hidden=6,
+                    attn_dim=3, emb_dim=2, vocab_size=6, disc_hidden=4,
+                    seed=8, bidirectional=True)
+
+
+@pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
+@pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
+def test_pgd_differentiates_only_its_input(cfg, lam_i):
+    params = init_params(cfg)
+    rng = np.random.default_rng(13)
+    for t in params.leaves():
+        t.grad = rng.normal(size=t.shape)
+    before = {n: params[n].grad.tobytes() for n in params.names()}
+    x = rng.normal(size=(7, cfg.feat_dim))
+    target = [1, 1, 3]
+    attack_cfg = AttackConfig(epsilon=1.0, alpha=0.1, steps=4,
+                              weights=MtlWeights(1.0, 0.5, lambda_i_C=lam_i))
+    result = pgd_attack(params, x, target, attack_cfg)
+    assert {n: params[n].grad.tobytes() for n in params.names()} == before
+
+    # The same steps, differentiating requires-grad parameters as well,
+    # give byte-identical input gradients, losses and perturbation.
+    delta, trace = np.zeros_like(x), []
+    for _ in range(attack_cfg.steps):
+        grads = []
+        for p in (params, params.frozen()):
+            x_adv = ad.leaf(x + delta)
+            with ad.tape():
+                loss = adv_loss(p, x_adv, target, attack_cfg.weights)
+                ad.backward(loss)
+            grads.append(x_adv.grad.tobytes())
+        assert grads[0] == grads[1]
+        trace.append(loss.item())
+        delta, _ = l2_step(delta, x_adv.grad, attack_cfg.epsilon, attack_cfg.alpha)
+    assert result.delta.tobytes() == delta.tobytes()
+    assert result.loss_trace[:-1] == trace

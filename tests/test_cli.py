@@ -1,7 +1,8 @@
 import json
 
 from robustasr.cli import main
-from robustasr.experiments import ExperimentConfig, GridSpec
+from robustasr.data import Vocab, save_targets
+from robustasr.experiments import ExperimentConfig, GridSpec, rows_from_csv
 from robustasr.model import ModelConfig
 
 MODEL = {"enc_hidden": 6, "enc_layers": 1, "dec_hidden": 6, "attn_dim": 4,
@@ -59,3 +60,32 @@ def test_cli_pipeline_end_to_end(tmp_path):
     assert len((tmp_path / "grid" / "rows.csv").read_text().splitlines()) == 1 + 1 + 12
     for name in ("trend_check.txt", "table_all_heads.csv", "advtwer_long.csv"):
         assert (tmp_path / "report" / name).is_file()
+
+
+def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
+    # A target longer than any test utterance cannot be aligned by the CTC
+    # branch (lambda_i_C > 0), so every sample is skipped and AdvTWER is n/a.
+    data, run = tmp_path / "data", tmp_path / "run"
+    gen_cfg = _write(tmp_path / "gen.json", {
+        "n_train": 4, "n_valid": 2, "n_test": 3, "len_range": [2, 3],
+        "n_targets": 2})
+    train_cfg = _write(tmp_path / "train.json", {
+        "weights": WEIGHTS, "epochs": 1, "batch_size": 4, "model": MODEL})
+    attack_cfg = _write(tmp_path / "attack.json", {
+        "weights": WEIGHTS, "steps": 2, "n_samples": 3, "max_len": 4})
+    assert main(["gen-data", "--config", gen_cfg, "--seed", "4",
+                 "--out", str(data)]) == 0
+    assert main(["train", "--config", train_cfg, "--data", str(data),
+                 "--out", str(run)]) == 0
+    vocab = Vocab()
+    targets = tmp_path / "long_targets.txt"
+    save_targets(targets, [tuple(vocab.lorem_ids) * 20], seed=0, vocab=vocab)
+    capsys.readouterr()
+
+    assert main(["attack", "--config", attack_cfg, "--data", str(data),
+                 "--checkpoint", str(run / "checkpoint.txt"),
+                 "--targets", str(targets),
+                 "--out", str(run / "attack.csv")]) == 0
+    assert "AdvTWER=n/a (attacked 0, skipped 3" in capsys.readouterr().out
+    rows = rows_from_csv((run / "attack.csv").read_text())
+    assert [(r.adv_twer, r.n_samples, r.n_skipped) for r in rows] == [(None, 0, 3)]

@@ -28,8 +28,6 @@ def world(vocab):
 
 def test_vocabularies_disjoint(vocab):
     assert not (set(vocab.words) & set(vocab.lorem_words))
-    assert vocab.blank not in list(vocab.content_ids) + list(vocab.lorem_ids)
-    assert len({vocab.blank, vocab.sos, vocab.eos, vocab.pad}) == 4
 
 
 def test_render_deterministic(vocab, world):

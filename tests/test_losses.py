@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustasr import attack, train
 from robustasr import autodiff as ad
@@ -22,6 +24,7 @@ from robustasr.losses import (
 from robustasr.model import ModelConfig, ctc_head, encode, init_params
 from robustasr.train import sample_losses
 
+from ctc_reference import reference_ctc_loss
 from decoder_reference import reference_dec_loss
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
@@ -248,13 +251,13 @@ BIDIR = ModelConfig(feat_dim=4, enc_hidden=5, enc_layers=2, dec_hidden=6,
 TARGETS = ([], [2, 2, 2], [1, 3, 0, 3], [0])
 
 
-def _grads(cfg, run):
+def _grads(cfg, run, frames=7):
     """(loss, input grad, parameter grads) of one tape, as bytes."""
     params = init_params(cfg)
     rng = np.random.default_rng(cfg.seed)
     for t in params.leaves():
         t.data = t.data * 2.0 + rng.normal(scale=0.1, size=t.shape)
-    x = ad.leaf(rng.normal(size=(7, cfg.feat_dim)))
+    x = ad.leaf(rng.normal(size=(frames, cfg.feat_dim)))
     with ad.tape():
         loss = run(params, x)
         ad.backward(loss)
@@ -282,10 +285,11 @@ def test_training_mix_bit_identical_to_op_by_op(cfg, y, monkeypatch):
 
     fused = _grads(cfg, run)
     monkeypatch.setattr(train, "dec_loss", reference_dec_loss)
+    monkeypatch.setattr(train, "ctc_loss", reference_ctc_loss)
     assert _grads(cfg, run) == fused
 
 
-@pytest.mark.parametrize("lam_i", [0.0, 0.5])
+@pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
 def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
     weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
@@ -295,6 +299,7 @@ def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
 
     fused = _grads(BIDIR, run)
     monkeypatch.setattr(attack, "dec_loss", reference_dec_loss)
+    monkeypatch.setattr(attack, "ctc_loss", reference_ctc_loss)
     assert _grads(BIDIR, run) == fused
 
 
@@ -302,3 +307,91 @@ def test_dec_loss_records_four_ops(params, hidden):
     with ad.tape() as tp:
         dec_loss(params, hidden, [1, 2, 2, 0])
         assert len(tp) == 4
+
+
+# ---------------------------------------------------------------------------
+# the fused CTC lattice is bit-identical to the op-by-op tape
+
+CTC_TARGETS = ([2, 2, 2], [1, 3, 0, 3], [0], [1, 1, 2, 2], [3, 0, 3, 0, 3])
+CTC_IDS = ["repeat", "mixed", "one", "pairs", "alternate"]
+
+
+@pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
+@pytest.mark.parametrize("y", CTC_TARGETS, ids=CTC_IDS)
+@pytest.mark.parametrize("frames", ["min", 11])
+def test_ctc_loss_bit_identical_to_op_by_op(cfg, y, frames):
+    # Loss, input gradient and every parameter gradient through the
+    # encoder and CTC head; "min" is the shortest feasible utterance.
+    t = ctc_min_frames(y) if frames == "min" else frames
+    fused = _grads(cfg, lambda p, x: ctc_loss(ctc_head(p, encode(p, x)), y), t)
+    ref = _grads(cfg, lambda p, x: reference_ctc_loss(ctc_head(p, encode(p, x)), y), t)
+    assert fused == ref
+
+
+def _logp_grad(loss_fn, logp, y):
+    x = ad.leaf(logp)
+    with ad.tape():
+        loss = ad.mul(loss_fn(x, y), 0.3)
+        ad.backward(loss)
+    return loss.data.tobytes(), x.grad.tobytes()
+
+
+def test_ctc_logp_gradient_bit_identical_on_random_lattices():
+    # The gradient into logp itself, on sharp and flat lattices whose
+    # small weights underflow to exactly zero.
+    rng = np.random.default_rng(59)
+    for trial in range(80):
+        width = int(rng.integers(2, 7))
+        y = [int(v) for v in rng.integers(0, width - 1, size=int(rng.integers(1, 6)))]
+        t = ctc_min_frames(y) + int(rng.integers(0, 6))
+        logp = random_logp(t, width, seed=trial).data * rng.choice([0.1, 1.0, 30.0])
+        assert _logp_grad(ctc_loss, logp, y) == _logp_grad(reference_ctc_loss, logp, y)
+
+
+def test_ctc_loss_records_one_op():
+    x = ad.leaf(random_logp(9, 5, seed=3).data)
+    with ad.tape() as tp:
+        ctc_loss(x, [1, 1, 3, 0])
+        assert len(tp) == 1
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("frame", [0, 4])
+def test_ctc_loss_non_finite_logp_raises(bad, frame):
+    logp = random_logp(6, 4, seed=11).data
+    logp[frame, 1] = bad
+    with pytest.raises(ad.NonFiniteError):
+        ctc_loss(ad.leaf(logp), [1, 2])
+
+
+# Property tests on random small lattices (hypothesis draws the shape,
+# target and log-probs; every instance is small enough to enumerate).
+
+@st.composite
+def small_lattices(draw):
+    width = draw(st.integers(2, 4))
+    y = draw(st.lists(st.integers(0, width - 2), min_size=1, max_size=3))
+    t = draw(st.integers(ctc_min_frames(y), 5))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return random_logp(t, width, seed).data, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_lattices())
+def test_ctc_loss_property_matches_brute_force(case):
+    logp, y = case
+    assert abs(ctc_loss(ad.constant(logp), y).item() - ctc_brute_force(logp, y)) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_lattices())
+def test_ctc_gradient_property_matches_fd(case):
+    raw, y = case
+
+    def f(t):
+        return ctc_loss(ad.log_softmax(t, axis=1), y)
+
+    x = ad.leaf(raw)
+    with ad.tape():
+        ad.backward(f(x))
+    assert rel_err(x.grad, ad.fd_gradient(f, x).data) < 1e-6

@@ -121,3 +121,17 @@ def test_dec_only_eval_never_scores_ctc(tiny_data):
     before = CtcPrefixScorer.evaluations
     evaluate_benign(params, tiny_data.test[:3], MtlWeights(1.0, 0.5, lambda_i_C=0.0))
     assert CtcPrefixScorer.evaluations == before
+
+
+def test_training_pass_record_count_guard():
+    # Every head is a handful of fused ops. The op-by-op CTC lattice
+    # recorded about 190 entries per utterance on its own, so a head that
+    # falls back to per-frame recording breaks this bound.
+    params = init_params(ModelConfig())
+    utt = Utterance(id="u", features=np.random.default_rng(0).normal(size=(12, 16)),
+                    transcript=(3, 5, 5, 1), accent=1)
+    with ad.tape() as tp:
+        bd = sample_losses(params, utt, MtlWeights(0.7, 0.5))
+        assert len(tp) <= 40
+        ad.backward(bd.total)
+    assert all(np.isfinite(t.grad).all() for t in params.leaves())
