@@ -136,6 +136,7 @@ def pgd_attack(params: ModelParams, x: np.ndarray, target,
     targets surface as the loss's own error.
     """
     x = np.asarray(x, dtype=float)
+    params = params.frozen()  # once, not on every step
     delta = np.zeros_like(x)
     result = PerturbationResult(x_adv=x.copy(), delta=delta, loss_trace=[])
     if 0 in config.report_at:

@@ -10,12 +10,14 @@ tanh-RNN scan covers the encoder, and everything is double precision.
 A fused op runs a whole loop in numpy and records one tape entry whose
 backward is written by hand. ``tanh_rnn`` (the encoder scan) is one;
 ``record_op`` lets other modules define their own: the teacher-forced
-attention decoder in ``model`` and the CTC lattice in ``losses``. An
-input may appear in a record more than once: ``backward`` adds the
-gradients the record returns for it in list order, so a fused op can
-reproduce the summation order of the op-by-op tape it replaces. A fused
-backward skips the terms of inputs that require no gradient, such as
-model parameters held constant during an attack.
+attention decoder and the accent head in ``model``, and the CTC lattice
+in ``losses``. An input may appear in a record more than once:
+``backward`` adds the gradients the record returns for it in list order,
+so a fused op can reproduce the summation order of the op-by-op tape it
+replaces. The fused backwards and those of the binary ops (``add``,
+``sub``, ``mul``, ``matmul``) return None instead of computing the term
+of an input that requires no gradient, such as a model parameter held
+constant during an attack.
 
 The tape stack and the recording flag are plain module state, one per
 process; parallel work runs in separate processes, never in threads that
@@ -234,8 +236,10 @@ def add(a, b) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from e
     sa, sb = a.shape, b.shape
+    ra, rb = a.requires_grad, b.requires_grad
     return _emit("add", (a, b), out,
-                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+                 lambda g: (_unbroadcast(g, sa) if ra else None,
+                            _unbroadcast(g, sb) if rb else None))
 
 
 def sub(a, b) -> Tensor:
@@ -245,8 +249,10 @@ def sub(a, b) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"sub: {a.shape} vs {b.shape}") from e
     sa, sb = a.shape, b.shape
+    ra, rb = a.requires_grad, b.requires_grad
     return _emit("sub", (a, b), out,
-                 lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
+                 lambda g: (_unbroadcast(g, sa) if ra else None,
+                            _unbroadcast(-g, sb) if rb else None))
 
 
 def mul(a, b) -> Tensor:
@@ -257,8 +263,10 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}") from e
     da, db = a.data, b.data
     sa, sb = a.shape, b.shape
+    ra, rb = a.requires_grad, b.requires_grad
     return _emit("mul", (a, b), out,
-                 lambda g: (_unbroadcast(g * db, sa), _unbroadcast(g * da, sb)))
+                 lambda g: (_unbroadcast(g * db, sa) if ra else None,
+                            _unbroadcast(g * da, sb) if rb else None))
 
 
 def neg(a) -> Tensor:
@@ -278,15 +286,16 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}") from e
     da, db = a.data, b.data
     na, nb = a.ndim, b.ndim
+    ra, rb = a.requires_grad, b.requires_grad
 
     def bwd(g):
         if na == 2 and nb == 2:
-            return g @ db.T, da.T @ g
+            return (g @ db.T if ra else None), (da.T @ g if rb else None)
         if na == 1 and nb == 2:
-            return db @ g, np.outer(da, g)
+            return (db @ g if ra else None), (np.outer(da, g) if rb else None)
         if na == 2 and nb == 1:
-            return np.outer(g, db), da.T @ g
-        return g * db, g * da  # 1-D dot
+            return (np.outer(g, db) if ra else None), (da.T @ g if rb else None)
+        return (g * db if ra else None), (g * da if rb else None)  # 1-D dot
 
     return _emit("matmul", (a, b), np.asarray(out), bwd)
 

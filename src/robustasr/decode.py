@@ -12,6 +12,7 @@ Candidate indices run over words ``0..V-1`` plus ``V`` for eos.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,8 +54,38 @@ class PrefixState:
     r_b: np.ndarray  # (T,) same but blank-ending
 
 
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp`` on two Python floats, bit for bit.
+
+    The branches are those of numpy's ``npy_logaddexp``: equal arguments
+    (infinities of one sign included) give ``x + log 2``, a NaN difference
+    is returned as is, and otherwise the larger argument takes
+    ``log1p(exp(-|x - y|))``. It is about four times cheaper than the
+    ufunc on scalars.
+    """
+    if x == y:
+        return x + _LOG2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp
+
+
 class CtcPrefixScorer:
     """Incremental two-state CTC prefix probabilities over one log-prob matrix.
+
+    The work is split between the two calls of a decode step. ``extend``
+    scores every one-word extension at once but keeps no path states:
+    each candidate's prefix score is one log-sum over frames of the
+    probability of emitting it first at that frame. ``advance`` then runs
+    the two-state recursion (non-blank and blank ending) for the one
+    token the decoder kept, over Python floats. Scores are bit-identical
+    to running the recursion for every candidate.
 
     ``evaluations`` counts scoring passes across all instances; tests use
     it to prove the decoder-only path never touches CTC scoring.
@@ -67,6 +98,7 @@ class CtcPrefixScorer:
         self.n_frames, width = self.x.shape
         self.blank = width - 1
         self.n_words = width - 1
+        self._xb = self.x[:, self.blank].tolist()
 
     def initial_state(self) -> PrefixState:
         r_b = np.cumsum(self.x[:, self.blank])
@@ -76,39 +108,56 @@ class CtcPrefixScorer:
     def extend(self, state: PrefixState):
         """Score every one-word extension plus termination.
 
-        Returns ``(psi, eos_score, r_n, r_b)`` where ``psi[c]`` is the
+        Returns ``(psi, eos_score, phi, first)``. ``psi[c]`` is the
         absolute log-probability that the output begins with
-        ``state.prefix + (c,)``, ``eos_score`` the log-probability that
-        the output equals ``state.prefix`` exactly, and the r-matrices
-        are (T, V) slices of the extended hypotheses' path states.
+        ``state.prefix + (c,)`` and ``eos_score`` the log-probability
+        that the output equals ``state.prefix`` exactly. ``phi`` (T, V)
+        is, per frame and candidate, the log-probability of the prefix
+        paths that a first emission of the candidate at the next frame
+        may follow (only blank-ending paths when the candidate repeats
+        the last token), and ``first`` (V,) the log-probability of
+        emitting the candidate at frame 0. ``advance`` takes both.
         """
         type(self).evaluations += 1
-        n, v = self.n_frames, self.n_words
+        v = self.n_words
         xw = self.x[:, :v]
-        xb = self.x[:, self.blank]
         with np.errstate(invalid="ignore"):
             r_sum = np.logaddexp(state.r_b, state.r_n)
-        phi = np.repeat(r_sum[:, None], v, axis=1)
-        if state.prefix:
-            phi[:, state.prefix[-1]] = state.r_b
-        r_n = np.full((n, v), NEGINF)
-        r_b = np.full((n, v), NEGINF)
-        if not state.prefix:
-            r_n[0] = xw[0]
-        psi = r_n[0].copy()
-        with np.errstate(invalid="ignore"):
-            for t in range(1, n):
-                r_n[t] = xw[t] + np.logaddexp(r_n[t - 1], phi[t - 1])
-                r_b[t] = xb[t] + np.logaddexp(r_b[t - 1], r_n[t - 1])
-                psi = np.logaddexp(psi, phi[t - 1] + xw[t])
+            phi = np.repeat(r_sum[:, None], v, axis=1)
+            if state.prefix:
+                phi[:, state.prefix[-1]] = state.r_b
+            # rows[t, c]: log P(prefix then c, first emitted at frame t);
+            # the reduction folds the frames in order, left to right.
+            rows = np.empty_like(xw)
+            rows[0] = NEGINF if state.prefix else xw[0]
+            np.add(phi[:-1], xw[1:], out=rows[1:])
+            psi = np.logaddexp.reduce(rows, axis=0)
         eos_score = float(np.logaddexp(state.r_b[-1], state.r_n[-1]))
-        return psi, eos_score, r_n, r_b
+        return psi, eos_score, phi, rows[0]
 
-    def advance(self, state: PrefixState, token: int, psi, r_n, r_b) -> PrefixState:
+    def advance(self, state: PrefixState, token: int, psi, phi,
+                first) -> PrefixState:
+        """The state after appending ``token``, from ``extend``'s results.
+
+        Runs the recursion r_n[t] = x[t, token] + logaddexp(r_n[t-1],
+        phi[t-1, token]), r_b[t] = x[t, blank] + logaddexp(r_b[t-1],
+        r_n[t-1]) from r_n[0] = first[token], r_b[0] = -inf.
+        """
+        xw = self.x[:, token].tolist()
+        xb = self._xb
+        ph = phi[:, token].tolist()
+        rn = float(first[token])
+        rb = NEGINF
+        r_n = [rn]
+        r_b = [rb]
+        for t in range(1, self.n_frames):
+            rn, rb = (xw[t] + _logaddexp(rn, ph[t - 1]),
+                      xb[t] + _logaddexp(rb, rn))
+            r_n.append(rn)
+            r_b.append(rb)
         return PrefixState(prefix=state.prefix + (token,),
                            psi=float(psi[token]),
-                           r_n=r_n[:, token].copy(),
-                           r_b=r_b[:, token].copy())
+                           r_n=np.array(r_n), r_b=np.array(r_b))
 
 
 def ctc_prefix_score(logp, prefix: Sequence[int], candidate: int) -> float:
@@ -121,9 +170,9 @@ def ctc_prefix_score(logp, prefix: Sequence[int], candidate: int) -> float:
     scorer = CtcPrefixScorer(logp)
     state = scorer.initial_state()
     for tok in prefix:
-        psi, _eos, r_n, r_b = scorer.extend(state)
-        state = scorer.advance(state, tok, psi, r_n, r_b)
-    psi, eos_score, _rn, _rb = scorer.extend(state)
+        psi, _eos, phi, first = scorer.extend(state)
+        state = scorer.advance(state, tok, psi, phi, first)
+    psi, eos_score, _phi, _first = scorer.extend(state)
     if candidate == scorer.n_words:
         return eos_score
     return float(psi[candidate])
@@ -183,7 +232,7 @@ def joint_greedy_decode(params: ModelParams, hidden: Tensor,
         hyp: list[int] = []
         steps: list[tuple[float, float, float]] = []
         for _ in range(max_len):
-            psi, eos_score, r_n, r_b = scorer.extend(state)
+            psi, eos_score, phi, first = scorer.extend(state)
             ctc_inc = np.append(psi, eos_score) - state.psi
             if dec_state is not None:
                 dec_logp, dec_state_next = decoder_advance(
@@ -200,7 +249,7 @@ def joint_greedy_decode(params: ModelParams, hidden: Tensor,
             if c == cfg.eos:
                 break
             hyp.append(c)
-            state = scorer.advance(state, c, psi, r_n, r_b)
+            state = scorer.advance(state, c, psi, phi, first)
             dec_state = dec_state_next
             token = c
     return DecodeResult(hypothesis=tuple(hyp), per_step_scores=steps)

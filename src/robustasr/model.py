@@ -99,7 +99,12 @@ class ModelParams:
             k: ad.leaf(v.data.copy()) for k, v in self._tensors.items()})
 
     def frozen(self) -> "ModelParams":
-        """The same arrays as constant tensors: no gradient is computed for them."""
+        """The same arrays as constant tensors: no gradient is computed for them.
+
+        Parameters that are already all constant are returned as they are.
+        """
+        if not any(t.requires_grad for t in self._tensors.values()):
+            return self
         return ModelParams(self.config, {
             k: ad.constant(v.data) for k, v in self._tensors.items()})
 
@@ -411,16 +416,56 @@ def decoder_step(params: ModelParams, hidden: Tensor,
 
 
 def discriminate(params: ModelParams, hidden: Tensor) -> Tensor:
-    """Accent log-probs from the mean hidden state through the dense stack."""
+    """Accent log-probs from the mean hidden state through the dense stack.
+
+    One tape record. The forward runs in numpy: the mean over frames,
+    then per layer a matmul, the bias add and (below the top layer) a
+    ReLU, then a log-softmax. The hand-written backward makes the numpy
+    calls of the op-by-op tape of those steps, in its order, so values
+    and gradients are bit-identical to it; terms of inputs that need no
+    gradient are skipped. One finiteness check covers the mean, every
+    pre-activation and the output: a ReLU turns NaN and -inf into zero,
+    so the output alone would not show a non-finite pre-activation.
+    """
     cfg = params.config
     if hidden.ndim != 2 or hidden.shape[0] < 1:
         raise ShapeError(f"discriminate expects a nonempty (T, d), got {hidden.shape}")
-    h = ad.mean(hidden, axis=0)
-    for i in range(cfg.disc_layers):
-        h = ad.add(ad.matmul(h, params[f"dis{i}.w"]), params[f"dis{i}.b"])
-        if i < cfg.disc_layers - 1:
-            h = ad.relu(h)
-    return ad.log_softmax(h, axis=0)
+    layers = [(params[f"dis{i}.w"], params[f"dis{i}.b"])
+              for i in range(cfg.disc_layers)]
+    top = cfg.disc_layers - 1
+    with np.errstate(invalid="ignore", over="ignore"):
+        mean = hidden.data.mean(axis=0)
+        acts = [mean]  # the input of each layer
+        pre = []
+        masks = []
+        for i, (w, b) in enumerate(layers):
+            z = acts[i] @ w.data + b.data
+            pre.append(z)
+            if i < top:
+                masks.append(z > 0)
+                acts.append(np.where(masks[i], z, 0.0))
+        out = ad.log_softmax_array(pre[top], axis=0)
+    ad.check_finite(np.concatenate([mean, *pre, out]), "discriminate")
+    shape = hidden.shape
+
+    def bwd(g):
+        g_layers = []
+        g_z = g - np.exp(out) * g.sum(axis=0, keepdims=True)
+        g_in = None
+        for i in range(top, -1, -1):
+            w, b = layers[i]
+            if i or hidden.requires_grad:
+                g_in = w.data @ g_z
+            g_layers.append((np.outer(acts[i], g_z) if w.requires_grad else None,
+                             g_z if b.requires_grad else None))
+            if i:
+                g_z = g_in * masks[i - 1]
+        g_hidden = (np.broadcast_to(np.expand_dims(g_in, 0) / shape[0], shape)
+                    if hidden.requires_grad else None)
+        return (g_hidden, *(gr for pair in reversed(g_layers) for gr in pair))
+
+    return ad.record_op("discriminate",
+                        (hidden, *(t for pair in layers for t in pair)), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,16 @@
+"""The accent head recorded op by op, one tape record per numpy call.
+
+This is the reference the fused ``robustasr.model.discriminate`` is
+tested against: its output and every gradient must be bit-identical.
+"""
+
+from robustasr import autodiff as ad
+
+
+def reference_discriminate(params, hidden):
+    h = ad.mean(hidden, axis=0)
+    for i in range(params.config.disc_layers):
+        h = ad.add(ad.matmul(h, params[f"dis{i}.w"]), params[f"dis{i}.b"])
+        if i < params.config.disc_layers - 1:
+            h = ad.relu(h)
+    return ad.log_softmax(h, axis=0)

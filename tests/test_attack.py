@@ -205,3 +205,23 @@ def test_pgd_differentiates_only_its_input(cfg, lam_i):
         delta, _ = l2_step(delta, x_adv.grad, attack_cfg.epsilon, attack_cfg.alpha)
     assert result.delta.tobytes() == delta.tobytes()
     assert result.loss_trace[:-1] == trace
+
+
+def test_frozen_params_freeze_once(params):
+    f = params.frozen()
+    assert f is not params and f.frozen() is f
+    assert not any(t.requires_grad for t in f.leaves())
+    assert all(f[n].data is params[n].data for n in params.names())
+
+
+@pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
+def test_pgd_attack_same_bytes_from_frozen_params(params, lam_i):
+    x = np.random.default_rng(31).normal(size=(7, TINY.feat_dim))
+    cfg = AttackConfig(epsilon=1.0, alpha=0.1, steps=5, report_at=(0, 2, 5),
+                       weights=MtlWeights(1.0, 0.5, lambda_i_C=lam_i))
+    a = pgd_attack(params, x, [1, 3], cfg)
+    b = pgd_attack(params.frozen(), x, [1, 3], cfg)
+    assert a.delta.tobytes() == b.delta.tobytes()
+    assert a.loss_trace == b.loss_trace
+    assert {k: v.tobytes() for k, v in a.snapshots.items()} == \
+        {k: v.tobytes() for k, v in b.snapshots.items()}

@@ -285,3 +285,27 @@ def test_tanh_rnn_non_finite_raises():
         ad.tanh_rnn(x_nan, w_in, w_rec, b)
     with ad.no_grad(), pytest.raises(ad.NonFiniteError):
         ad.tanh_rnn(seq, w_in, w_rec, np.full(4, np.inf))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul"])
+@pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((3,), (3, 2)),
+                                    ((2, 3), (3,)), ((3,), (3,))],
+                         ids=["2x2", "1x2", "2x1", "1x1"])
+def test_binary_op_skips_the_term_of_a_constant_operand(op, shapes):
+    rng = np.random.default_rng(21)
+    sa, sb = shapes
+    if op != "matmul":
+        sb = sa
+    a_val, b_val = rng.normal(size=sa), rng.normal(size=sb)
+    fn = getattr(ad, op)
+    with ad.tape() as tp:
+        out = fn(ad.leaf(a_val), ad.leaf(b_val))
+        g = rng.normal(size=out.shape)
+        want = tp.records[0].backward_fn(g)
+        fn(ad.constant(a_val), ad.leaf(b_val))
+        fn(ad.leaf(a_val), ad.constant(b_val))
+        left_const = tp.records[1].backward_fn(g)
+        right_const = tp.records[2].backward_fn(g)
+    assert left_const[0] is None and right_const[1] is None
+    assert np.asarray(left_const[1]).tobytes() == np.asarray(want[1]).tobytes()
+    assert np.asarray(right_const[0]).tobytes() == np.asarray(want[0]).tobytes()

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from prefix_reference import ReferencePrefixScorer
 
 from robustasr import autodiff as ad
 from robustasr.decode import (
     CtcPrefixScorer,
     DecodeResult,
+    _logaddexp,
     ctc_prefix_score,
     greedy_attention_decode,
     greedy_ctc_decode,
@@ -133,6 +137,88 @@ def test_prefix_longer_than_frames_is_impossible():
     assert ctc_prefix_score(lp, (0,), 0) == -np.inf
 
 
+@st.composite
+def prefix_cases(draw):
+    width = draw(st.integers(2, 4))
+    t = draw(st.integers(1, 4))
+    prefix = tuple(draw(st.lists(st.integers(0, width - 2), max_size=3)))
+    candidate = draw(st.integers(0, width - 1))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return norm_logp(np.random.default_rng(seed).normal(size=(t, width))), prefix, candidate
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefix_cases())
+def test_prefix_score_property_matches_brute_force(case):
+    lp, prefix, cand = case
+    if cand == lp.shape[1] - 1:  # eos: the output equals the prefix
+        want = brute_equals(lp, prefix)
+    else:
+        want = brute_begins_with(lp, prefix + (cand,))
+    got = ctc_prefix_score(lp, prefix, cand)
+    if want == 0.0:
+        assert got == -np.inf
+    else:
+        assert abs(got - math.log(want)) < 1e-9
+
+
+# --- the lazy scorer is bit-identical to the full recursion -------------------
+
+
+def test_logaddexp_mirror_bit_identical_to_numpy():
+    rng = np.random.default_rng(17)
+    n = 100_000
+    x = rng.normal(size=n) * rng.choice([1e-3, 1.0, 30.0, 1e3], size=n)
+    y = rng.normal(size=n) * rng.choice([1e-3, 1.0, 30.0, 1e3], size=n)
+    y[:5000] = x[:5000]  # equal arguments
+    y[5000:10000] = x[5000:10000] + rng.normal(size=5000) * 1e-12
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, -745.0, 709.0]
+    pairs = list(itertools.product(special, repeat=2))
+    x = np.concatenate([x, [a for a, _ in pairs]])
+    y = np.concatenate([y, [b for _, b in pairs]])
+    with np.errstate(invalid="ignore"):
+        want = np.logaddexp(x, y)
+    got = np.array([_logaddexp(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    assert got.tobytes() == want.tobytes()
+
+
+def random_lattice(rng, kind, t, width):
+    raw = rng.normal(size=(t, width))
+    if kind == "sharp":
+        return norm_logp(raw * 30.0)
+    if kind == "flat":
+        return norm_logp(raw * 0.1)
+    lp = norm_logp(raw)
+    lp[rng.random(size=lp.shape) < 0.3] = -np.inf  # unreachable emissions
+    return lp
+
+
+@pytest.mark.parametrize("kind", ["sharp", "flat", "neginf"])
+def test_lazy_scorer_bit_identical_to_full_recursion(kind):
+    rng = np.random.default_rng({"sharp": 1, "flat": 2, "neginf": 3}[kind])
+    for trial in range(40):
+        t = 1 if trial < 5 else int(rng.integers(2, 12))
+        width = int(rng.integers(2, 7))
+        lp = random_lattice(rng, kind, t, width)
+        lazy, ref = CtcPrefixScorer(lp), ReferencePrefixScorer(lp)
+        state, ref_state = lazy.initial_state(), ref.initial_state()
+        for _step in range(t + 2):  # runs past the reachable prefixes
+            psi, eos, phi, first = lazy.extend(state)
+            ref_psi, ref_eos, r_n, r_b = ref.extend(ref_state)
+            assert psi.tobytes() == ref_psi.tobytes()
+            assert np.float64(eos).tobytes() == np.float64(ref_eos).tobytes()
+            if state.prefix and rng.random() < 0.4:
+                c = state.prefix[-1]  # a repeated token
+            else:
+                c = int(rng.integers(0, width - 1))
+            state = lazy.advance(state, c, psi, phi, first)
+            ref_state = ref.advance(ref_state, c, ref_psi, r_n, r_b)
+            assert state.prefix == ref_state.prefix
+            assert np.float64(state.psi).tobytes() == np.float64(ref_state.psi).tobytes()
+            assert state.r_n.tobytes() == ref_state.r_n.tobytes()
+            assert state.r_b.tobytes() == ref_state.r_b.tobytes()
+
+
 # --- joint decoding ----------------------------------------------------------
 
 
@@ -163,6 +249,14 @@ def test_joint_at_zero_never_scores_ctc(params):
     assert CtcPrefixScorer.evaluations == before
     joint_greedy_decode(params, h, MtlWeights(1.0, 0.5, lambda_i_C=0.5), max_len=6)
     assert CtcPrefixScorer.evaluations > before
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_joint_scores_ctc_once_per_step(params, seed):
+    h = random_hidden(params, 3 + seed, seed)
+    before = CtcPrefixScorer.evaluations
+    res = joint_greedy_decode(params, h, MtlWeights(1.0, 0.5, lambda_i_C=0.5), max_len=6)
+    assert CtcPrefixScorer.evaluations - before == len(res.per_step_scores)
 
 
 def test_joint_at_one_is_prefix_greedy_ctc():

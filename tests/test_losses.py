@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustasr import attack, train
+from robustasr import attack, losses, train
 from robustasr import autodiff as ad
 from robustasr.attack import adv_loss
 from robustasr.data import Utterance
@@ -26,6 +26,7 @@ from robustasr.train import sample_losses
 
 from ctc_reference import reference_ctc_loss
 from decoder_reference import reference_dec_loss
+from discriminator_reference import reference_discriminate
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=4, disc_hidden=4, seed=2)
@@ -286,6 +287,7 @@ def test_training_mix_bit_identical_to_op_by_op(cfg, y, monkeypatch):
     fused = _grads(cfg, run)
     monkeypatch.setattr(train, "dec_loss", reference_dec_loss)
     monkeypatch.setattr(train, "ctc_loss", reference_ctc_loss)
+    monkeypatch.setattr(losses, "discriminate", reference_discriminate)
     assert _grads(cfg, run) == fused
 
 
@@ -301,6 +303,38 @@ def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
     monkeypatch.setattr(attack, "dec_loss", reference_dec_loss)
     monkeypatch.setattr(attack, "ctc_loss", reference_ctc_loss)
     assert _grads(BIDIR, run) == fused
+
+
+@pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
+@pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
+def test_discriminator_bit_identical_to_op_by_op_in_training_mix(cfg, y, monkeypatch):
+    # The MTL (0.7, 0.5) mix with the fused CTC and decoder heads: the
+    # hidden states are a leaf here, so their gradient shows the order in
+    # which the three heads' terms are added.
+    def run():
+        params = init_params(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        for t in params.leaves():
+            t.data = t.data * 2.0 + rng.normal(scale=0.1, size=t.shape)
+        hidden = ad.leaf(rng.normal(size=(7, cfg.enc_hidden)))
+        with ad.tape():
+            out = losses.discriminate(params, hidden)
+            bd = mtl_loss(MtlWeights(0.7, 0.5), ctc_loss(ctc_head(params, hidden), y),
+                          dec_loss(params, hidden, y), dis_loss(params, hidden, 1))
+            ad.backward(bd.total)
+        dis = {n: params[n].grad.tobytes() for n in params.names()
+               if n.startswith("dis")}
+        return out.data.tobytes(), bd.total.data.tobytes(), hidden.grad.tobytes(), dis
+
+    fused = run()
+    monkeypatch.setattr(losses, "discriminate", reference_discriminate)
+    assert run() == fused
+
+
+def test_dis_loss_records_three_ops(params, hidden):
+    with ad.tape() as tp:
+        dis_loss(params, hidden, 1)
+        assert len(tp) == 3
 
 
 def test_dec_loss_records_four_ops(params, hidden):

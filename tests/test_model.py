@@ -239,6 +239,45 @@ def test_discriminate_gradient_matches_fd(params):
     assert rel_err(h.grad, fd.data) < 1e-6
 
 
+@pytest.mark.parametrize("name", ["dis0.w", "dis0.b", "dis2.w", "dis4.w", "dis4.b"])
+def test_discriminate_parameter_gradient_matches_fd(params, name):
+    rng = np.random.default_rng(12)
+    h = ad.constant(rng.normal(size=(4, TINY.enc_hidden)))
+    p = params[name]
+    p.data = p.data + rng.normal(scale=0.3, size=p.shape)  # biases start at zero
+
+    def f(t):
+        p.data = t.data
+        return ad.neg(discriminate(params, h)[1])
+
+    base = p.data.copy()
+    fd = ad.fd_gradient(f, ad.constant(base))
+    p.data = base
+    with ad.tape():
+        ad.backward(f(p))
+    assert rel_err(p.grad, fd.data) < 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_discriminate_non_finite_pre_activation_raises(params, bad):
+    # -inf and NaN leave the ReLU as zero and the output finite; the
+    # pre-activation check still catches them.
+    params["dis1.b"].data[0] = bad
+    h = ad.constant(np.random.default_rng(13).normal(size=(3, TINY.enc_hidden)))
+    with pytest.raises(ad.NonFiniteError):
+        discriminate(params, h)
+
+
+def test_discriminate_records_one_op_and_skips_constant_terms(params):
+    h = ad.leaf(np.random.default_rng(14).normal(size=(3, TINY.enc_hidden)))
+    with ad.tape() as tp:
+        discriminate(params.frozen(), h)
+        (rec,) = tp.records
+        grads = rec.backward_fn(np.array([0.0, -1.0]))
+    assert grads[0].shape == h.shape
+    assert all(g is None for g in grads[1:])
+
+
 def test_init_deterministic():
     a = init_params(ModelConfig(seed=1))
     b = init_params(ModelConfig(seed=1))
