@@ -155,7 +155,7 @@ def pgd_attack(params: ModelParams, x: np.ndarray, target,
         result.delta_norms.append(float(np.linalg.norm(delta)))
         if k in config.report_at:
             result.snapshots[k] = x + delta
-    with ad.tape(), ad.no_grad():
+    with ad.no_grad():
         final = adv_loss(params, ad.constant(x + delta), target, config.weights)
     result.loss_trace.append(final.item())
     result.delta = delta

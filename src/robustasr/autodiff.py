@@ -3,9 +3,10 @@
 Values live in numpy arrays. Every operation whose inputs require
 gradients is recorded, in execution order, on the innermost open tape;
 ``backward`` replays that tape in exact reverse order and accumulates
-gradients into leaf tensors. The op set is only what small sequence
-models need: broadcasting covers bias-add and scalar scaling, one fused
-tanh-RNN scan covers the encoder, and everything is double precision.
+gradients into leaf tensors. The op set is only what the program runs:
+``add``, ``mul``, ``neg``, ``matmul``, ``sum_``, ``take`` and
+``log_softmax`` (broadcasting covers bias-add and scalar scaling), plus
+one fused tanh-RNN scan for the encoder. Everything is double precision.
 
 A fused op runs a whole loop in numpy and records one tape entry whose
 backward is written by hand. ``tanh_rnn`` (the encoder scan) is one;
@@ -15,9 +16,9 @@ in ``losses``. An input may appear in a record more than once:
 ``backward`` adds the gradients the record returns for it in list order,
 so a fused op can reproduce the summation order of the op-by-op tape it
 replaces. The fused backwards and those of the binary ops (``add``,
-``sub``, ``mul``, ``matmul``) return None instead of computing the term
-of an input that requires no gradient, such as a model parameter held
-constant during an attack.
+``mul``, ``matmul``) return None instead of computing the term of an
+input that requires no gradient, such as a model parameter held constant
+during an attack.
 
 The tape stack and the recording flag are plain module state, one per
 process; parallel work runs in separate processes, never in threads that
@@ -84,9 +85,6 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -98,23 +96,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -242,19 +228,6 @@ def add(a, b) -> Tensor:
                             _unbroadcast(g, sb) if rb else None))
 
 
-def sub(a, b) -> Tensor:
-    a, b = _promote(a), _promote(b)
-    try:
-        out = a.data - b.data
-    except ValueError as e:
-        raise ShapeError(f"sub: {a.shape} vs {b.shape}") from e
-    sa, sb = a.shape, b.shape
-    ra, rb = a.requires_grad, b.requires_grad
-    return _emit("sub", (a, b), out,
-                 lambda g: (_unbroadcast(g, sa) if ra else None,
-                            _unbroadcast(-g, sb) if rb else None))
-
-
 def mul(a, b) -> Tensor:
     a, b = _promote(a), _promote(b)
     try:
@@ -300,77 +273,12 @@ def matmul(a, b) -> Tensor:
     return _emit("matmul", (a, b), np.asarray(out), bwd)
 
 
-def tanh(a) -> Tensor:
+def sum_(a) -> Tensor:
+    """Sum of all elements."""
     a = _promote(a)
-    out = np.tanh(a.data)
-    return _emit("tanh", (a,), out, lambda g: (g * (1.0 - out * out),),
-                 check=False)
-
-
-def relu(a) -> Tensor:
-    a = _promote(a)
-    mask = a.data > 0
-    return _emit("relu", (a,), np.where(mask, a.data, 0.0),
-                 lambda g: (g * mask,), check=False)
-
-
-def exp(a) -> Tensor:
-    a = _promote(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    return _emit("exp", (a,), out, lambda g: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = _promote(a)
-    if np.any(a.data <= 0.0):
-        raise NonFiniteError("log of non-positive value")
-    da = a.data
-    return _emit("log", (a,), np.log(da), lambda g: (g / da,))
-
-
-def sum_(a, axis: int | None = None) -> Tensor:
-    a = _promote(a)
-    out = a.data.sum(axis=axis)
     shape = a.shape
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape),)
-
-    return _emit("sum", (a,), np.asarray(out), bwd)
-
-
-def mean(a, axis: int | None = None) -> Tensor:
-    a = _promote(a)
-    out = a.data.mean(axis=axis)
-    shape = a.shape
-    count = a.data.size if axis is None else shape[axis]
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape),)
-        return (np.broadcast_to(np.expand_dims(g, axis) / count, shape),)
-
-    return _emit("mean", (a,), np.asarray(out), bwd)
-
-
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    ts = [_promote(t) for t in tensors]
-    if not ts:
-        raise ShapeError("concat of empty list")
-    try:
-        out = np.concatenate([t.data for t in ts], axis=axis)
-    except ValueError as e:
-        raise ShapeError(f"concat: {[t.shape for t in ts]}") from e
-    sizes = [t.shape[axis] for t in ts]
-    cuts = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, cuts, axis=axis))
-
-    return _emit("concat", tuple(ts), out, bwd, check=False)
+    return _emit("sum", (a,), np.asarray(a.data.sum()),
+                 lambda g: (np.broadcast_to(g, shape),))
 
 
 def take(a, key) -> Tensor:
@@ -388,52 +296,6 @@ def take(a, key) -> Tensor:
         return (z,)
 
     return _emit("take", (a,), out, bwd, check=False)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _promote(a)
-    old = a.shape
-    try:
-        out = a.data.reshape(shape)
-    except ValueError as e:
-        raise ShapeError(f"reshape {old} -> {shape}") from e
-    return _emit("reshape", (a,), out, lambda g: (g.reshape(old),),
-                 check=False)
-
-
-def embedding_lookup(table, ids) -> Tensor:
-    """Rows of ``table`` selected by an int array; repeated ids accumulate grads."""
-    table = _promote(table)
-    idx = np.asarray(ids, dtype=np.intp)
-    if table.ndim != 2:
-        raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError(f"embedding ids out of range for {table.shape[0]} rows")
-    out = table.data[idx]
-    shape = table.shape
-
-    def bwd(g):
-        z = np.zeros(shape)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _emit("embedding_lookup", (table,), out, bwd, check=False)
-
-
-def logsumexp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Overflow-safe log-sum-exp reduction."""
-    a = _promote(a)
-    da = a.data
-    m = da.max(axis=axis, keepdims=True)
-    out_k = m + np.log(np.exp(da - m).sum(axis=axis, keepdims=True))
-    out = out_k if keepdims else np.squeeze(out_k, axis=axis) if axis is not None else out_k.reshape(())
-    w = np.exp(da - out_k)  # softmax weights
-
-    def bwd(g):
-        gk = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (gk * w,)
-
-    return _emit("logsumexp", (a,), np.asarray(out), bwd)
 
 
 def log_softmax_array(x: Array, axis: int = -1) -> Array:
@@ -589,7 +451,7 @@ def fd_gradient(f: Callable[[Tensor], "Tensor | float"], x: Tensor,
     """
 
     def evaluate(values: Array) -> float:
-        with tape(), no_grad():
+        with no_grad():
             v = f(Tensor(values))
         return v.item() if isinstance(v, Tensor) else float(v)
 

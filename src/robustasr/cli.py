@@ -73,8 +73,7 @@ def cmd_train(args) -> int:
                             epochs=cfg.get("epochs", 30),
                             learning_rate=cfg.get("learning_rate", 0.05),
                             batch_size=cfg.get("batch_size", 8),
-                            seed=seed,
-                            metrics_every=cfg.get("metrics_every", 0))
+                            seed=seed)
     params, log = train_mtl(model_cfg, train_cfg, ds)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.txt"), params)

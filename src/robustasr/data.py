@@ -14,7 +14,7 @@ yields byte-identical datasets and target sets.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,10 +70,6 @@ class Vocab:
     @property
     def content_ids(self) -> range:
         return range(len(self.words))
-
-    @property
-    def lorem_ids(self) -> range:
-        return range(len(self.words), self.n_words)
 
     def word(self, token_id: int) -> str:
         if token_id < len(self.words):
@@ -259,39 +255,68 @@ def save_split(path, utts: Iterable[Utterance], feat_dim: int, seed: int,
         f.write("\n".join(lines) + "\n")
 
 
+def _read_lines(path) -> list[str]:
+    """The lines of a file ``save_*`` wrote; those end in a newline, so a
+    file that does not was cut short."""
+    with open(path) as f:
+        text = f.read()
+    if not text:
+        raise DataError(f"{path}: empty file")
+    if not text.endswith("\n"):
+        raise DataError(f"{path}: truncated (no final newline)")
+    return text.splitlines()
+
+
+def _parse(path, lines: list[str], i: int, parse):
+    """``parse(lines[i])``, failing with a DataError that names the line."""
+    try:
+        return parse(lines[i])
+    except (ValueError, KeyError, DataError) as e:
+        raise DataError(f"{path}: line {i + 1}: {type(e).__name__}: {e}") from None
+
+
+def _header(line: str, fields: dict) -> dict:
+    """The ``key=value`` fields after the format tag, each converted."""
+    meta = dict(kv.split("=", 1) for kv in line.split()[2:])
+    return {key: convert(meta[key]) for key, convert in fields.items()}
+
+
+def _feature_row(line: str, feat_dim: int) -> np.ndarray:
+    return np.array([float(v) for v in line.split()]).reshape(feat_dim)
+
+
 def load_split(path, vocab: Vocab | None = None) -> tuple[list[Utterance], dict]:
     vocab = vocab or Vocab()
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
+    lines = _read_lines(path)
     head = lines[0].split()
     if len(head) != 6 or head[0] != "toyspeech" or head[1] != "v1":
         raise DataError(f"{path}: bad header {lines[0]!r}")
-    meta = dict(kv.split("=", 1) for kv in head[2:])
+    meta = _parse(path, lines, 0, lambda l: _header(
+        l, {"F": int, "vocab": str, "seed": int, "split": str}))
     if meta["vocab"] != vocab.hash():
         raise DataError(f"{path}: vocab hash mismatch")
-    feat_dim = int(meta["F"])
+    feat_dim = meta["F"]
     utts = []
     i = 1
     while i < len(lines):
         if i + 4 > len(lines):
             raise DataError(f"{path}: truncated utterance header at line {i + 1}")
         uid = lines[i]
-        accent = int(lines[i + 1])
-        tokens = tuple(vocab.to_ids(lines[i + 2].split()))
-        n = int(lines[i + 3])
+        accent = _parse(path, lines, i + 1, int)
+        tokens = _parse(path, lines, i + 2, lambda l: tuple(vocab.to_ids(l.split())))
+        n = _parse(path, lines, i + 3, int)
         i += 4
-        if i + n > len(lines):
-            raise DataError(f"{path}: truncated features for {uid}")
-        feats = np.array([[float(v) for v in lines[i + t].split()] for t in range(n)])
-        if feats.shape != (n, feat_dim):
-            raise DataError(f"{path}: bad feature shape for {uid}")
+        if not 0 < n <= len(lines) - i:
+            raise DataError(f"{path}: line {i}: {uid} has {n} frames, "
+                            f"{len(lines) - i} lines follow")
+        feats = np.array([_parse(path, lines, i + t, lambda l: _feature_row(l, feat_dim))
+                          for t in range(n)])
         i += n
         utts.append(Utterance(id=uid, features=feats, transcript=tokens,
                               accent=accent))
-    return utts, {"feat_dim": feat_dim, "seed": int(meta["seed"]),
-                  "split": meta["split"]}
+    if not utts:
+        raise DataError(f"{path}: no utterances")
+    return utts, {"feat_dim": feat_dim, "seed": meta["seed"], "split": meta["split"]}
 
 
 def save_dataset(outdir, ds: DatasetSplit, vocab: Vocab | None = None) -> None:
@@ -328,11 +353,13 @@ def save_targets(path, targets: Sequence[tuple[int, ...]], seed: int,
 
 def load_targets(path, vocab: Vocab | None = None) -> list[tuple[int, ...]]:
     vocab = vocab or Vocab()
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or not lines[0].startswith("toyspeech-targets v1"):
+    lines = _read_lines(path)
+    if not lines[0].startswith("toyspeech-targets v1"):
         raise DataError(f"{path}: bad targets header")
-    head = dict(kv.split("=", 1) for kv in lines[0].split()[2:])
-    if head["vocab"] != vocab.hash():
+    if _parse(path, lines, 0, lambda l: _header(l, {"vocab": str}))["vocab"] != vocab.hash():
         raise DataError(f"{path}: vocab hash mismatch")
-    return [tuple(vocab.to_ids(line.split())) for line in lines[1:] if line]
+    targets = [_parse(path, lines, i, lambda l: tuple(vocab.to_ids(l.split())))
+               for i in range(1, len(lines)) if lines[i]]
+    if not targets:
+        raise DataError(f"{path}: no targets")
+    return targets

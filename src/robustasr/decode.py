@@ -1,11 +1,11 @@
-"""Greedy inference per head and step-synchronous hybrid decoding.
+"""Step-synchronous hybrid decoding with one loop for every CTC weight.
 
-The hybrid decoder mixes, in the log domain, the incremental CTC prefix
-score with the decoder's next-token log-prob at every step (beam width
-is fixed at one). At the mixing boundaries it collapses exactly onto the
-single-head decoders; with the CTC weight at zero the prefix scorer is
-never even constructed, which is the "drop the CTC head at inference"
-remedy made structural.
+The decoder mixes, in the log domain, the incremental CTC prefix score
+with the decoder's next-token log-prob at every step (beam width is
+fixed at one). Each head is run only when its weight is nonzero: with
+the CTC weight at zero the prefix scorer is never constructed, which is
+the "drop the CTC head at inference" remedy made structural, and at one
+the attention decoder never runs.
 
 Candidate indices run over words ``0..V-1`` plus ``V`` for eos.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,24 +23,6 @@ from .losses import MtlWeights
 from .model import ModelParams, ctc_head, decoder_advance, decoder_start
 
 NEGINF = -np.inf
-
-
-def _as_array(logp) -> np.ndarray:
-    return logp.data if isinstance(logp, Tensor) else np.asarray(logp, dtype=float)
-
-
-def greedy_ctc_decode(logp) -> tuple[int, ...]:
-    """Frame-wise argmax, collapse repeats, drop blanks."""
-    lp = _as_array(logp)
-    blank = lp.shape[1] - 1
-    best = lp.argmax(axis=1)
-    out = []
-    prev = None
-    for lab in best:
-        if lab != prev and lab != blank:
-            out.append(int(lab))
-        prev = lab
-    return tuple(out)
 
 
 @dataclass
@@ -94,7 +75,7 @@ class CtcPrefixScorer:
     evaluations = 0
 
     def __init__(self, logp):
-        self.x = _as_array(logp)
+        self.x = logp.data if isinstance(logp, Tensor) else np.asarray(logp, dtype=float)
         self.n_frames, width = self.x.shape
         self.blank = width - 1
         self.n_words = width - 1
@@ -160,54 +141,10 @@ class CtcPrefixScorer:
                            r_n=np.array(r_n), r_b=np.array(r_b))
 
 
-def ctc_prefix_score(logp, prefix: Sequence[int], candidate: int) -> float:
-    """Absolute CTC prefix log-probability of one extension.
-
-    For a word candidate this is log P(output begins with prefix+word);
-    for the eos index (= V) it is log P(output equals the prefix). An
-    unreachable prefix scores -inf.
-    """
-    scorer = CtcPrefixScorer(logp)
-    state = scorer.initial_state()
-    for tok in prefix:
-        psi, _eos, phi, first = scorer.extend(state)
-        state = scorer.advance(state, tok, psi, phi, first)
-    psi, eos_score, _phi, _first = scorer.extend(state)
-    if candidate == scorer.n_words:
-        return eos_score
-    return float(psi[candidate])
-
-
 @dataclass
 class DecodeResult:
     hypothesis: tuple[int, ...]
     per_step_scores: list[tuple[float, float, float]]  # (ctc, dec, combined)
-
-
-def greedy_attention_decode(params: ModelParams, hidden: Tensor,
-                            max_len: int) -> tuple[int, ...]:
-    """Argmax decoding with the attention head; stops at eos or max_len."""
-    return _attention_decode(params, hidden, max_len).hypothesis
-
-
-def _attention_decode(params: ModelParams, hidden: Tensor,
-                      max_len: int) -> DecodeResult:
-    cfg = params.config
-    hyp: list[int] = []
-    steps: list[tuple[float, float, float]] = []
-    with ad.no_grad():
-        state = decoder_start(params, hidden)
-        token = cfg.sos
-        for _ in range(max_len):
-            logp, state = decoder_advance(params, hidden, state, token)
-            c = int(np.argmax(logp.data))
-            val = float(logp.data[c])
-            steps.append((0.0, val, val))
-            if c == cfg.eos:
-                break
-            hyp.append(c)
-            token = c
-    return DecodeResult(hypothesis=tuple(hyp), per_step_scores=steps)
 
 
 def joint_greedy_decode(params: ModelParams, hidden: Tensor,
@@ -216,40 +153,40 @@ def joint_greedy_decode(params: ModelParams, hidden: Tensor,
 
     The CTC component of each step is the increment of the prefix score,
     so it is commensurable with the decoder's per-step log-prob; the
-    argmax is unaffected by that choice. ``lambda_i_C`` 0 and 1
-    reproduce the attention-only and prefix-greedy CTC decoders.
+    argmax is unaffected by that choice. At ``lambda_i_C`` 0 the combined
+    score is the decoder's row itself (argmax attention decoding) and at
+    1 it is prefix-greedy CTC decoding; the unused head's component of
+    ``per_step_scores`` reads 0.0.
     """
     lam = weights.lambda_i_C
-    if lam == 0.0:
-        return _attention_decode(params, hidden, max_len)
     cfg = params.config
+    unused = np.zeros(cfg.vocab_size + 1)
+    hyp: list[int] = []
+    steps: list[tuple[float, float, float]] = []
     with ad.no_grad():
-        logp = ctc_head(params, hidden)
-        scorer = CtcPrefixScorer(logp)
-        state = scorer.initial_state()
+        scorer = CtcPrefixScorer(ctc_head(params, hidden)) if lam > 0.0 else None
+        state = scorer.initial_state() if scorer else None
         dec_state = decoder_start(params, hidden) if lam < 1.0 else None
         token = cfg.sos
-        hyp: list[int] = []
-        steps: list[tuple[float, float, float]] = []
         for _ in range(max_len):
-            psi, eos_score, phi, first = scorer.extend(state)
-            ctc_inc = np.append(psi, eos_score) - state.psi
+            ctc_inc = dec_scores = unused
             if dec_state is not None:
-                dec_logp, dec_state_next = decoder_advance(
-                    params, hidden, dec_state, token)
+                dec_logp, dec_state = decoder_advance(params, hidden, dec_state, token)
                 dec_scores = dec_logp.data
+            if scorer is None:
+                combined = dec_scores
             else:
-                dec_state_next = None
-                dec_scores = np.zeros(cfg.vocab_size + 1)
-            with np.errstate(invalid="ignore"):
-                combined = lam * ctc_inc + (1.0 - lam) * dec_scores
+                psi, eos_score, phi, first = scorer.extend(state)
+                ctc_inc = np.append(psi, eos_score) - state.psi
+                with np.errstate(invalid="ignore"):
+                    combined = lam * ctc_inc + (1.0 - lam) * dec_scores
             c = int(np.argmax(combined))
             steps.append((float(ctc_inc[c]), float(dec_scores[c]),
                           float(combined[c])))
             if c == cfg.eos:
                 break
             hyp.append(c)
-            state = scorer.advance(state, c, psi, phi, first)
-            dec_state = dec_state_next
+            if scorer is not None:
+                state = scorer.advance(state, c, psi, phi, first)
             token = c
     return DecodeResult(hypothesis=tuple(hyp), per_step_scores=steps)

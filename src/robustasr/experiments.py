@@ -19,10 +19,8 @@ import hashlib
 import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import autodiff as ad
 from .attack import AttackConfig, calibrate, pgd_attack, target_feasible
@@ -183,7 +181,7 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
                            weights=weights, report_at=steps_sorted)
         result = pgd_attack(params, utt.features, target, cfg)
         for s in steps_sorted:
-            with ad.no_grad(), ad.tape():
+            with ad.no_grad():
                 hidden = encode(params, ad.constant(result.snapshots[s]))
                 hyp = joint_greedy_decode(params, hidden, weights,
                                           max_decode_len).hypothesis

@@ -1,4 +1,4 @@
-"""Task losses and their weighted blends, plus a brute-force CTC oracle.
+"""Task losses and their weighted blends.
 
 The CTC loss runs the standard forward recursion over the blank-extended
 label sequence entirely in log space, as one fused tape op: the lattice
@@ -17,8 +17,6 @@ scale-balanced across heads.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -169,33 +167,6 @@ def ctc_loss(logp: Tensor, y: Sequence[int]) -> Tensor:
         return (g_logp,)
 
     return ad.record_op("ctc_loss", (logp,), np.asarray(loss), bwd)
-
-
-def ctc_brute_force(logp, y: Sequence[int]) -> float:
-    """Enumerate every frame-label path and sum those collapsing to ``y``.
-
-    Test oracle only; refuses instances above a million paths. Uses the
-    same per-label normalization as ``ctc_loss``.
-    """
-    lp = logp.data if isinstance(logp, Tensor) else np.asarray(logp, dtype=float)
-    t_frames, width = lp.shape
-    if width ** t_frames > 10 ** 6:
-        raise ValueError(f"{width}^{t_frames} paths is too large to enumerate")
-    blank = width - 1
-    target = tuple(y)
-    prob = 0.0
-    for path in itertools.product(range(width), repeat=t_frames):
-        prev = None
-        collapsed = []
-        for lab in path:
-            if lab != prev and lab != blank:
-                collapsed.append(lab)
-            prev = lab
-        if tuple(collapsed) == target:
-            prob += math.exp(sum(lp[t, lab] for t, lab in enumerate(path)))
-    if prob <= 0.0:
-        raise CtcInfeasibleError(f"no path collapses to {target}")
-    return -math.log(prob) / max(1, len(target))
 
 
 def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence[int]) -> Tensor:

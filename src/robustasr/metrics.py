@@ -1,9 +1,10 @@
-"""Word error rate, targeted-attack WER, and accent accuracy.
+"""Word error rate and accent accuracy.
 
 WER follows the standard convention and may exceed 1.0 when the
 hypothesis inserts more words than the reference holds. Corpus numbers
 are pooled (total errors over total reference words), never averaged
-per utterance.
+per utterance; AdvTWER is the same edit distance measured against the
+attacker's target and pooled in ``experiments.attack_split``.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ class WerStats:
     @property
     def errors(self) -> int:
         return self.substitutions + self.deletions + self.insertions
-
-    @property
-    def wer(self) -> float:
-        return self.errors / self.ref_len
 
 
 def edit_distance_words(ref: Sequence, hyp: Sequence) -> WerStats:
@@ -63,17 +60,6 @@ def edit_distance_words(ref: Sequence, hyp: Sequence) -> WerStats:
             ins += 1
             j -= 1
     return WerStats(substitutions=s, deletions=dels, insertions=ins, ref_len=n)
-
-
-def adv_twer(target: Sequence, hyp: Sequence) -> float:
-    """WER of the prediction measured against the attacker's target.
-
-    0.0 means the attack landed exactly; higher means the model evaded
-    more of the targeted transcription.
-    """
-    if len(target) == 0:
-        raise ValueError("empty adversarial target")
-    return edit_distance_words(target, hyp).wer
 
 
 def accent_accuracy(pred_labels: Sequence[int], gold_labels: Sequence[int]) -> float:

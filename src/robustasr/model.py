@@ -67,10 +67,6 @@ class ModelConfig:
     def eos(self) -> int:
         return self.vocab_size
 
-    @property
-    def blank(self) -> int:
-        return self.vocab_size
-
 
 class ModelParams:
     """Named map of leaf tensors covering the encoder and all heads."""
@@ -81,12 +77,6 @@ class ModelParams:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
-    def names(self) -> list[str]:
-        return list(self._tensors)
 
     def items(self):
         return self._tensors.items()
@@ -107,10 +97,6 @@ class ModelParams:
             return self
         return ModelParams(self.config, {
             k: ad.constant(v.data) for k, v in self._tensors.items()})
-
-    def load_values(self, other: "ModelParams") -> None:
-        for k, v in other.items():
-            self._tensors[k].data = v.data.copy()
 
 
 _Shapes = list[tuple[str, tuple[int, ...]]]
@@ -400,21 +386,6 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
                         (*param_inputs, *(hidden,) * (n + 1)), picked, bwd)
 
 
-def decoder_step(params: ModelParams, hidden: Tensor,
-                 prefix: Sequence[int]) -> Tensor:
-    """Next-token log-probs after consuming a prefix that starts with sos."""
-    cfg = params.config
-    if not prefix:
-        raise ShapeError("decoder prefix is empty")
-    if prefix[0] != cfg.sos:
-        raise ShapeError(f"decoder prefix must start with sos (={cfg.sos})")
-    state = decoder_start(params, hidden)
-    logp = None
-    for tok in prefix:
-        logp, state = decoder_advance(params, hidden, state, tok)
-    return logp
-
-
 def discriminate(params: ModelParams, hidden: Tensor) -> Tensor:
     """Accent log-probs from the mean hidden state through the dense stack.
 
@@ -496,16 +467,19 @@ def load_checkpoint(path) -> ModelParams:
         raise CheckpointError(f"{path}: truncated (no end marker)")
     try:
         config = ModelConfig.from_json(lines[1][len("config "):])
-    except (json.JSONDecodeError, TypeError) as e:
+    except (TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: bad config: {e}") from e
     tensors: dict[str, Tensor] = {}
     i = 2
     while i < len(lines) - 1:
         head = lines[i].split()
-        if head[0] != "param" or len(head) not in (3, 4):
+        if len(head) not in (3, 4) or head[0] != "param":
             raise CheckpointError(f"{path}: bad param header at line {i + 1}")
         name = head[1]
-        shape = tuple(int(v) for v in head[2:])
+        try:
+            shape = tuple(int(v) for v in head[2:])
+        except ValueError as e:
+            raise CheckpointError(f"{path}: bad shape at line {i + 1}: {e}") from e
         n_rows = shape[0] if len(shape) == 2 else 1
         i += 1
         if i + n_rows > len(lines) - 1:

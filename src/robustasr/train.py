@@ -38,7 +38,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 8
     seed: int = 0
-    metrics_every: int = 0  # compute benign valid WER every n epochs; 0 = off
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -53,7 +52,6 @@ class TrainConfig:
 class TrainLog:
     rows: list[dict] = field(default_factory=list)
     selected_epoch: int = 0
-    valid_probes: dict[int, float] = field(default_factory=dict)
 
     COLUMNS = ("epoch",
                "train_l_ctc", "train_l_dec", "train_l_dis", "train_l_mtl",
@@ -87,8 +85,7 @@ def _mean_breakdown(params, utts, weights) -> dict:
     sums = {"l_ctc": 0.0, "l_dec": 0.0, "l_dis": 0.0, "l_mtl": 0.0}
     with ad.no_grad():
         for utt in utts:
-            with ad.tape():
-                bd = sample_losses(params, utt, weights)
+            bd = sample_losses(params, utt, weights)
             for key in sums:
                 sums[key] += getattr(bd, key)
     return {k: v / len(utts) for k, v in sums.items()}
@@ -140,9 +137,6 @@ def train_mtl(model_config: ModelConfig, train_config: TrainConfig,
             best_loss = valid["l_mtl"]
             best = params.clone()
             log.selected_epoch = epoch
-        if train_config.metrics_every and epoch % train_config.metrics_every == 0:
-            wer, _acc = evaluate_benign(params, data.valid, weights)
-            log.valid_probes[epoch] = wer
     assert best is not None
     return best, log
 
@@ -155,10 +149,9 @@ def evaluate_benign(params: ModelParams, utterances, weights: MtlWeights,
     gold_acc = []
     with ad.no_grad():
         for utt in utterances:
-            with ad.tape():
-                hidden = encode(params, ad.constant(utt.features))
-                res = joint_greedy_decode(params, hidden, weights, max_len)
-                stats.append(edit_distance_words(utt.transcript, res.hypothesis))
-                pred_acc.append(int(np.argmax(discriminate(params, hidden).data)))
-                gold_acc.append(utt.accent)
+            hidden = encode(params, ad.constant(utt.features))
+            res = joint_greedy_decode(params, hidden, weights, max_len)
+            stats.append(edit_distance_words(utt.transcript, res.hypothesis))
+            pred_acc.append(int(np.argmax(discriminate(params, hidden).data)))
+            gold_acc.append(utt.accent)
     return pooled_wer(stats), accent_accuracy(pred_acc, gold_acc)

@@ -7,6 +7,7 @@ replays the recursion.
 """
 
 import numpy as np
+import reference_ops as ro
 
 from robustasr import autodiff as ad
 from robustasr.losses import NEG
@@ -42,11 +43,11 @@ def reference_ctc_loss(logp, y):
     emis0 = logp[0:1, ext_idx]
     alpha = ad.add(ad.mul(emis0, start_mask), start_bias)
     for t in range(1, t_frames):
-        shifted1 = ad.concat([pad1, alpha[:, : n_states - 1]], axis=1)
-        shifted2 = ad.concat([pad2, alpha[:, : n_states - 2]], axis=1)
+        shifted1 = ro.concat([pad1, alpha[:, : n_states - 1]], axis=1)
+        shifted2 = ro.concat([pad2, alpha[:, : n_states - 2]], axis=1)
         shifted2 = ad.add(ad.mul(shifted2, skip_mask), skip_bias)
-        stacked = ad.concat([alpha, shifted1, shifted2], axis=0)
-        combined = ad.logsumexp(stacked, axis=0, keepdims=True)
+        stacked = ro.concat([alpha, shifted1, shifted2], axis=0)
+        combined = ro.logsumexp(stacked, axis=0, keepdims=True)
         alpha = ad.add(combined, logp[t:t + 1, ext_idx])
-    tail = ad.logsumexp(alpha[:, n_states - 2:])
+    tail = ro.logsumexp(alpha[:, n_states - 2:])
     return ad.mul(ad.neg(tail), 1.0 / len(y))

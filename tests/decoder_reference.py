@@ -6,6 +6,7 @@ teacher-forced op bit-identical losses and gradients.
 """
 
 import numpy as np
+import reference_ops as ro
 
 from robustasr import autodiff as ad
 from robustasr.model import DecoderState
@@ -18,17 +19,17 @@ def reference_start(params, hidden):
 
 def reference_advance(params, hidden, state, token):
     cfg = params.config
-    emb = ad.reshape(ad.embedding_lookup(params["dec.emb"], [token]),
+    emb = ro.reshape(ro.embedding_lookup(params["dec.emb"], [token]),
                      (cfg.emb_dim,))
-    s = ad.tanh(ad.add(ad.add(ad.matmul(emb, params["dec.w_in"]),
+    s = ro.tanh(ad.add(ad.add(ad.matmul(emb, params["dec.w_in"]),
                               ad.matmul(state.s, params["dec.w_rec"])),
                        params["dec.b"]))
-    scores = ad.matmul(ad.tanh(ad.add(state.hproj,
+    scores = ad.matmul(ro.tanh(ad.add(state.hproj,
                                       ad.matmul(s, params["attn.w_s"]))),
                        params["attn.v"])
-    weights = ad.exp(ad.log_softmax(scores, axis=0))
+    weights = ro.exp(ad.log_softmax(scores, axis=0))
     context = ad.matmul(weights, hidden)
-    logits = ad.add(ad.matmul(ad.concat([s, context]), params["dec.w_out"]),
+    logits = ad.add(ad.matmul(ro.concat([s, context]), params["dec.w_out"]),
                     params["dec.b_out"])
     return ad.log_softmax(logits, axis=0), DecoderState(s, state.hproj)
 
@@ -42,6 +43,6 @@ def reference_dec_loss(params, hidden, y):
     picked = []
     for tok_in, tgt in zip(inputs, targets):
         logp, state = reference_advance(params, hidden, state, tok_in)
-        picked.append(ad.reshape(logp[tgt], (1,)))
-    total = ad.sum_(ad.concat(picked))
+        picked.append(ro.reshape(logp[tgt], (1,)))
+    total = ad.sum_(ro.concat(picked))
     return ad.mul(ad.neg(total), 1.0 / len(targets))

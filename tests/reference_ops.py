@@ -1,0 +1,121 @@
+"""Generic autodiff ops that only the op-by-op reference tapes use.
+
+The program runs fused ops (``autodiff.tanh_rnn``, the decoder, the CTC
+lattice and the accent head). The ``tests/*_reference.py`` tapes rebuild
+each of them from these generic ops, one tape record per numpy call, and
+the fused ops are checked against them byte for byte. Each op is built
+on ``autodiff.record_op``; the ones whose output can overflow (``exp``,
+``mean``, ``logsumexp``) check it first with ``autodiff.check_finite``.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from robustasr import autodiff as ad
+from robustasr.autodiff import ShapeError, Tensor
+
+
+def _promote(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _checked(op, inputs, out, backward_fn) -> Tensor:
+    ad.check_finite(out, op)
+    return ad.record_op(op, inputs, out, backward_fn)
+
+
+def tanh(a) -> Tensor:
+    a = _promote(a)
+    out = np.tanh(a.data)
+    return ad.record_op("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
+
+
+def relu(a) -> Tensor:
+    a = _promote(a)
+    mask = a.data > 0
+    return ad.record_op("relu", (a,), np.where(mask, a.data, 0.0),
+                        lambda g: (g * mask,))
+
+
+def exp(a) -> Tensor:
+    a = _promote(a)
+    with np.errstate(over="ignore"):
+        out = np.exp(a.data)
+    return _checked("exp", (a,), out, lambda g: (g * out,))
+
+
+def mean(a, axis: int | None = None) -> Tensor:
+    a = _promote(a)
+    out = a.data.mean(axis=axis)
+    shape = a.shape
+    count = a.data.size if axis is None else shape[axis]
+
+    def bwd(g):
+        if axis is None:
+            return (np.broadcast_to(g / count, shape),)
+        return (np.broadcast_to(np.expand_dims(g, axis) / count, shape),)
+
+    return _checked("mean", (a,), np.asarray(out), bwd)
+
+
+def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+    ts = [_promote(t) for t in tensors]
+    if not ts:
+        raise ShapeError("concat of empty list")
+    try:
+        out = np.concatenate([t.data for t in ts], axis=axis)
+    except ValueError as e:
+        raise ShapeError(f"concat: {[t.shape for t in ts]}") from e
+    sizes = [t.shape[axis] for t in ts]
+    cuts = np.cumsum(sizes)[:-1]
+
+    def bwd(g):
+        return tuple(np.split(g, cuts, axis=axis))
+
+    return ad.record_op("concat", tuple(ts), out, bwd)
+
+
+def reshape(a, shape) -> Tensor:
+    a = _promote(a)
+    old = a.shape
+    try:
+        out = a.data.reshape(shape)
+    except ValueError as e:
+        raise ShapeError(f"reshape {old} -> {shape}") from e
+    return ad.record_op("reshape", (a,), out, lambda g: (g.reshape(old),))
+
+
+def embedding_lookup(table, ids) -> Tensor:
+    """Rows of ``table`` selected by an int array; repeated ids accumulate grads."""
+    table = _promote(table)
+    idx = np.asarray(ids, dtype=np.intp)
+    if table.ndim != 2:
+        raise ShapeError(f"embedding table must be 2-D, got {table.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeError(f"embedding ids out of range for {table.shape[0]} rows")
+    out = table.data[idx]
+    shape = table.shape
+
+    def bwd(g):
+        z = np.zeros(shape)
+        np.add.at(z, idx, g)
+        return (z,)
+
+    return ad.record_op("embedding_lookup", (table,), out, bwd)
+
+
+def logsumexp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Overflow-safe log-sum-exp reduction."""
+    a = _promote(a)
+    da = a.data
+    m = da.max(axis=axis, keepdims=True)
+    out_k = m + np.log(np.exp(da - m).sum(axis=axis, keepdims=True))
+    out = out_k if keepdims else np.squeeze(out_k, axis=axis) if axis is not None else out_k.reshape(())
+    w = np.exp(da - out_k)  # softmax weights
+
+    def bwd(g):
+        gk = g if keepdims or axis is None else np.expand_dims(g, axis)
+        return (gk * w,)
+
+    return _checked("logsumexp", (a,), np.asarray(out), bwd)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robustasr import autodiff as ad
 from robustasr.attack import (
@@ -135,27 +137,44 @@ def test_pgd_attack_zero_steps_is_identity(params):
     assert len(res.loss_trace) == 1 and np.isfinite(res.loss_trace[0])
 
 
-def test_pgd_attack_invariants_and_determinism(params):
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(7, TINY.feat_dim))
-    cfg = AttackConfig(epsilon=0.3, alpha=0.05, steps=25,
-                       weights=MtlWeights(1.0, 0.5), report_at=(0, 10, 25))
+@st.composite
+def pgd_cases(draw):
+    epsilon = draw(st.floats(1e-3, 3.0))
+    alpha = epsilon * draw(st.floats(1e-3, 1.0))
+    return epsilon, alpha, draw(st.integers(1, 15)), draw(st.sampled_from([0.0, 0.5, 1.0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pgd_cases())
+@example((0.3, 0.05, 25, 0.5))
+def test_pgd_attack_invariants_and_determinism(case):
+    epsilon, alpha, steps, lam = case
+    params = init_params(TINY)
+    x = np.random.default_rng(5).normal(size=(7, TINY.feat_dim))
+    report_at = (0, min(10, steps), steps)
+    cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=steps,
+                       weights=MtlWeights(1.0, 0.5, lambda_i_C=lam), report_at=report_at)
 
     def run():
         return pgd_attack(params, x, [0, 2], cfg)
 
     res = run()
+    taken = steps if res.converged_at is None else res.converged_at
+    assert len(res.step_norms) == len(res.delta_norms) == taken
+    assert len(res.loss_trace) == taken + 1 + (res.converged_at is not None)
     assert all(np.isfinite(v) for v in res.loss_trace)
-    assert len(res.loss_trace) == cfg.steps + 1
-    assert all(n <= cfg.epsilon + 1e-9 for n in res.delta_norms)
-    assert all(abs(s - cfg.alpha) < 1e-12 for s in res.step_norms)
-    assert np.linalg.norm(res.x_adv - x) <= cfg.epsilon + 1e-9
+    assert all(n <= epsilon * (1.0 + 1e-12) for n in res.delta_norms)
+    assert all(abs(s - alpha) <= 1e-12 * alpha for s in res.step_norms)
     assert np.array_equal(res.x_adv, x + res.delta)
-    assert set(res.snapshots) == {0, 10, 25}
+    assert set(res.snapshots) == set(report_at)
     assert np.array_equal(res.snapshots[0], x)
     res2 = run()
-    assert np.array_equal(res.x_adv, res2.x_adv)
-    assert res.loss_trace == res2.loss_trace
+    for a, b in ((res.x_adv, res2.x_adv), (res.delta, res2.delta),
+                 (res.loss_trace, res2.loss_trace), (res.delta_norms, res2.delta_norms),
+                 (res.step_norms, res2.step_norms)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert all(res.snapshots[r].tobytes() == res2.snapshots[r].tobytes()
+               for r in report_at)
 
 
 def test_calibrate_uses_median_norm():
@@ -181,13 +200,13 @@ def test_pgd_differentiates_only_its_input(cfg, lam_i):
     rng = np.random.default_rng(13)
     for t in params.leaves():
         t.grad = rng.normal(size=t.shape)
-    before = {n: params[n].grad.tobytes() for n in params.names()}
+    before = {n: t.grad.tobytes() for n, t in params.items()}
     x = rng.normal(size=(7, cfg.feat_dim))
     target = [1, 1, 3]
     attack_cfg = AttackConfig(epsilon=1.0, alpha=0.1, steps=4,
                               weights=MtlWeights(1.0, 0.5, lambda_i_C=lam_i))
     result = pgd_attack(params, x, target, attack_cfg)
-    assert {n: params[n].grad.tobytes() for n in params.names()} == before
+    assert {n: t.grad.tobytes() for n, t in params.items()} == before
 
     # The same steps, differentiating requires-grad parameters as well,
     # give byte-identical input gradients, losses and perturbation.
@@ -211,7 +230,7 @@ def test_frozen_params_freeze_once(params):
     f = params.frozen()
     assert f is not params and f.frozen() is f
     assert not any(t.requires_grad for t in f.leaves())
-    assert all(f[n].data is params[n].data for n in params.names())
+    assert all(f[n].data is t.data for n, t in params.items())
 
 
 @pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])

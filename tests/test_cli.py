@@ -79,7 +79,7 @@ def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
                  "--out", str(run)]) == 0
     vocab = Vocab()
     targets = tmp_path / "long_targets.txt"
-    save_targets(targets, [tuple(vocab.lorem_ids) * 20], seed=0, vocab=vocab)
+    save_targets(targets, [tuple(range(len(vocab.words), vocab.n_words)) * 20], seed=0, vocab=vocab)
     capsys.readouterr()
 
     assert main(["attack", "--config", attack_cfg, "--data", str(data),

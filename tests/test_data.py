@@ -8,6 +8,7 @@ from robustasr.data import (
     gen_adv_targets,
     gen_dataset,
     load_dataset,
+    load_split,
     load_targets,
     render_utterance,
     save_dataset,
@@ -47,7 +48,7 @@ def test_render_accents_differ_without_noise(vocab, world):
 
 def test_render_rejects_non_content_tokens(vocab, world):
     with pytest.raises(DataError):
-        render_utterance((vocab.lorem_ids[0],), 0, np.random.default_rng(0), world, vocab)
+        render_utterance((len(vocab.words),), 0, np.random.default_rng(0), world, vocab)
     with pytest.raises(DataError):
         render_utterance((), 0, np.random.default_rng(0), world, vocab)
 
@@ -101,7 +102,7 @@ def test_gen_dataset_accent_balance_and_disjoint_ids():
 def test_gen_adv_targets_properties(vocab):
     len_range = (2, 6)
     targets = gen_adv_targets(9, count=12, len_range=len_range, vocab=vocab)
-    lorem = set(vocab.lorem_ids)
+    lorem = set(range(len(vocab.words), vocab.n_words))
     assert all(t in lorem for tgt in targets for t in tgt)
     lengths = {len(t) for t in targets}
     assert lengths >= set(range(len_range[0], len_range[1] + 1))
@@ -154,11 +155,55 @@ def test_targets_round_trip(tmp_path, vocab):
     assert p.read_bytes() == raw
 
 
+def _cuts(path):
+    """Every prefix of the file at ``path``, written back in turn."""
+    raw = path.read_bytes()
+    for end in range(len(raw)):
+        path.write_bytes(raw[:end])
+        yield
+    path.write_bytes(raw)
+
+
 def test_load_truncated_split_fails(tmp_path, vocab):
-    ds = gen_dataset(5, n_train=2, n_valid=1, n_test=1)
+    ds = gen_dataset(5, n_train=2, n_valid=1, n_test=1, len_range=(2, 2), feat_dim=3)
     save_dataset(tmp_path, ds, vocab)
     path = tmp_path / "train.txt"
+    loaded = []
+    for _ in _cuts(path):
+        try:
+            utts, _meta = load_split(path, vocab)
+        except DataError:
+            continue
+        # only a cut at an utterance boundary loads, and only whole utterances
+        loaded.append(len(utts))
+        for ua, ub in zip(ds.train, utts):
+            assert ua.id == ub.id and ua.transcript == ub.transcript
+            assert np.array_equal(ua.features, ub.features)
+    assert loaded == [1]
+
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(DataError):
+    malformed = [(0, lines[0].replace("vocab=", "hash=")),  # header field
+                 (2, "one"),  # accent
+                 (4, "0"),  # frame count
+                 (5, " ".join(lines[5].split()[:-1]))]  # ragged feature row
+    for i, bad in malformed:
+        path.write_text("\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n")
+        with pytest.raises(DataError, match=f"line {i + 1}"):
+            load_split(path, vocab)
+    path.write_text(lines[0] + "\n")
+    with pytest.raises(DataError, match="no utterances"):
         load_dataset(tmp_path, vocab)
+
+    targets = tmp_path / "targets.txt"
+    save_targets(targets, [(24, 25), (26, 27, 28)], 0, vocab)
+    loaded = []
+    for _ in _cuts(targets):
+        try:
+            loaded.append(load_targets(targets, vocab))
+        except DataError:
+            pass
+    assert loaded == [[(24, 25)]]
+    header = targets.read_text().splitlines()[0]
+    targets.write_text(header.replace("vocab=", "hash=") + "\nlorem ipsum\n")
+    with pytest.raises(DataError, match="line 1"):
+        load_targets(targets, vocab)

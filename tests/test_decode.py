@@ -5,16 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import argmax_attention_decode, ctc_prefix_score
 from prefix_reference import ReferencePrefixScorer
 
 from robustasr import autodiff as ad
 from robustasr.decode import (
     CtcPrefixScorer,
-    DecodeResult,
     _logaddexp,
-    ctc_prefix_score,
-    greedy_attention_decode,
-    greedy_ctc_decode,
     joint_greedy_decode,
 )
 from robustasr.losses import MtlWeights
@@ -35,25 +32,6 @@ def peaked_logp(frame_peaks, width, strength=8.0):
     for t, lab in enumerate(frame_peaks):
         raw[t, lab] = strength
     return norm_logp(raw)
-
-
-# --- frame-greedy CTC -------------------------------------------------------
-
-
-def test_greedy_ctc_collapse():
-    # blank is the last column (index 2 for one word pair a=0, b=1)
-    lp = peaked_logp([2, 0, 0, 2, 1], 3)
-    assert greedy_ctc_decode(lp) == (0, 1)
-
-
-def test_greedy_ctc_all_blank_empty():
-    lp = peaked_logp([2, 2, 2], 3)
-    assert greedy_ctc_decode(lp) == ()
-
-
-def test_greedy_ctc_blank_separates_repeats():
-    lp = peaked_logp([0, 2, 0], 3)
-    assert greedy_ctc_decode(lp) == (0, 0)
 
 
 # --- CTC prefix scoring ------------------------------------------------------
@@ -233,13 +211,19 @@ def random_hidden(params, t, seed):
     return encode(params, x)
 
 
+def decode_at_zero(params, h, max_len):
+    return joint_greedy_decode(params, h, MtlWeights(1.0, 0.5, lambda_i_C=0.0),
+                               max_len)
+
+
 def test_joint_at_zero_matches_attention_decode(params):
     for seed in range(20):
         h = random_hidden(params, 4 + seed % 5, seed)
-        w = MtlWeights(1.0, 0.5, lambda_i_C=0.0)
-        joint = joint_greedy_decode(params, h, w, max_len=6)
-        att = greedy_attention_decode(params, h, max_len=6)
-        assert joint.hypothesis == att
+        joint = decode_at_zero(params, h, max_len=6)
+        att = argmax_attention_decode(params, h, max_len=6)
+        assert joint.hypothesis == att.hypothesis
+        assert (np.array(joint.per_step_scores).tobytes()
+                == np.array(att.per_step_scores).tobytes())
 
 
 def test_joint_at_zero_never_scores_ctc(params):
@@ -260,33 +244,31 @@ def test_joint_scores_ctc_once_per_step(params, seed):
 
 
 def test_joint_at_one_is_prefix_greedy_ctc():
-    # encoder hidden = identity rows, ctc weights = the target logits, so the
-    # CTC head reproduces a hand-chosen peaked matrix exactly
+    # the CTC head's weights are the identity, so its log-probs are the
+    # hidden rows: hand-chosen peaked matrices (words a=0, b=1, blank=2)
     cfg = ModelConfig(feat_dim=3, enc_hidden=3, enc_layers=1, dec_hidden=4,
                       attn_dim=3, emb_dim=3, vocab_size=2, disc_hidden=4, seed=4)
     params = init_params(cfg)
-    raw = np.zeros((3, 3))
-    raw[0, 0] = 8.0   # frame 0 peaks at word a
-    raw[1, 2] = 8.0   # frame 1 peaks at blank
-    raw[2, 1] = 8.0   # frame 2 peaks at word b
-    params["ctc.w"].data = raw.T.copy()
+    params["ctc.w"].data = np.eye(3)
     params["ctc.b"].data[...] = 0.0
-    hidden = ad.constant(np.eye(3))
-    lp = norm_logp(raw)
-
-    # oracle: greedy over brute-force prefix probabilities
-    prefix: tuple[int, ...] = ()
-    for _ in range(5):
-        scores = [brute_begins_with(lp, prefix + (c,)) for c in range(2)]
-        scores.append(brute_equals(lp, prefix))
-        best = int(np.argmax(scores))
-        if best == 2:
-            break
-        prefix = prefix + (best,)
-
     w = MtlWeights(1.0, 1.0, lambda_i_C=1.0)
-    res = joint_greedy_decode(params, hidden, w, max_len=5)
-    assert res.hypothesis == prefix == (0, 1)
+    cases = [([0, 2, 1], (0, 1)),
+             ([2, 0, 0, 2, 1], (0, 1)),  # repeats collapse
+             ([2, 2, 2], ()),  # all blank
+             ([0, 2, 0], (0, 0))]  # a blank separates repeats
+    for peaks, want in cases:
+        lp = peaked_logp(peaks, 3)
+        # oracle: greedy over brute-force prefix probabilities
+        prefix: tuple[int, ...] = ()
+        for _ in range(5):
+            scores = [brute_begins_with(lp, prefix + (c,)) for c in range(2)]
+            scores.append(brute_equals(lp, prefix))
+            best = int(np.argmax(scores))
+            if best == 2:
+                break
+            prefix = prefix + (best,)
+        res = joint_greedy_decode(params, ad.constant(lp), w, max_len=5)
+        assert res.hypothesis == prefix == want, peaks
 
 
 def test_per_step_combined_identity(params):
@@ -305,7 +287,7 @@ def test_attention_decode_eos_immediately(params):
     params["dec.b_out"].data[...] = 0.0
     params["dec.b_out"].data[TINY.eos] = 50.0
     h = random_hidden(params, 4, 7)
-    assert greedy_attention_decode(params, h, max_len=5) == ()
+    assert decode_at_zero(params, h, max_len=5).hypothesis == ()
 
 
 def test_attention_decode_max_len_cap(params):
@@ -313,12 +295,11 @@ def test_attention_decode_max_len_cap(params):
     params["dec.b_out"].data[...] = 0.0
     params["dec.b_out"].data[1] = 50.0  # always emit word 1, never eos
     h = random_hidden(params, 4, 8)
-    hyp = greedy_attention_decode(params, h, max_len=3)
-    assert hyp == (1, 1, 1)
+    assert decode_at_zero(params, h, max_len=3).hypothesis == (1, 1, 1)
 
 
 def test_attention_decode_deterministic(params):
     h = random_hidden(params, 5, 11)
-    a = greedy_attention_decode(params, h, max_len=6)
-    b = greedy_attention_decode(params, h, max_len=6)
+    a = decode_at_zero(params, h, max_len=6)
+    b = decode_at_zero(params, h, max_len=6)
     assert a == b

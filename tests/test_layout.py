@@ -1,0 +1,58 @@
+"""Dead-helper guard: every public name in ``src/robustasr`` has a caller.
+
+A top-level public function or class, or a public method or property,
+defined in the package must be named somewhere in the package or in
+``perfbench/`` other than its own definition. Tests do not count: a
+helper only tests call belongs in ``tests/``. ``fd_gradient`` is the one
+exception, the finite-difference oracle kept beside the tape it checks.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "robustasr"
+ALLOWED = {"fd_gradient"}
+
+
+def _public_definitions(tree):
+    """(name, is_member) of each public top-level definition and member."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", True
+
+
+def _names_used(tree):
+    """(bare names and imported names, attribute names) in ``tree``."""
+    names, attrs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+    return names, attrs
+
+
+def test_every_public_helper_has_a_caller_outside_tests():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    names, attrs = set(ALLOWED), set()
+    defined = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used_names, used_attrs = _names_used(tree)
+        names |= used_names
+        attrs |= used_attrs
+        if path.parent == PACKAGE:
+            defined += [(path.name, name, member)
+                        for name, member in _public_definitions(tree)]
+    # A member is reached through an attribute; a top-level name directly,
+    # by import, or as an attribute of its module.
+    unused = [f"{module}: {name}" for module, name, member in defined
+              if name.rsplit(".", 1)[-1] not in (attrs if member else names | attrs)]
+    assert not unused, "public names without a caller:\n" + "\n".join(unused)

@@ -14,7 +14,6 @@ from robustasr.losses import (
     LossBreakdown,
     MtlWeights,
     asr_loss,
-    ctc_brute_force,
     ctc_loss,
     ctc_min_frames,
     dec_loss,
@@ -27,6 +26,7 @@ from robustasr.train import sample_losses
 from ctc_reference import reference_ctc_loss
 from decoder_reference import reference_dec_loss
 from discriminator_reference import reference_discriminate
+from oracles import ctc_brute_force
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=4, disc_hidden=4, seed=2)
@@ -263,7 +263,7 @@ def _grads(cfg, run, frames=7):
         loss = run(params, x)
         ad.backward(loss)
     return (loss.data.tobytes(), x.grad.tobytes(),
-            {n: params[n].grad.tobytes() for n in params.names()})
+            {n: t.grad.tobytes() for n, t in params.items()})
 
 
 @pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
@@ -322,7 +322,7 @@ def test_discriminator_bit_identical_to_op_by_op_in_training_mix(cfg, y, monkeyp
             bd = mtl_loss(MtlWeights(0.7, 0.5), ctc_loss(ctc_head(params, hidden), y),
                           dec_loss(params, hidden, y), dis_loss(params, hidden, 1))
             ad.backward(bd.total)
-        dis = {n: params[n].grad.tobytes() for n in params.names()
+        dis = {n: t.grad.tobytes() for n, t in params.items()
                if n.startswith("dis")}
         return out.data.tobytes(), bd.total.data.tobytes(), hidden.grad.tobytes(), dis
 

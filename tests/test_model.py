@@ -7,7 +7,6 @@ from robustasr import autodiff as ad
 from robustasr.model import (
     CheckpointError,
     ModelConfig,
-    decoder_step,
     ctc_head,
     decoder_advance,
     decoder_start,
@@ -19,6 +18,7 @@ from robustasr.model import (
     save_checkpoint,
 )
 
+import reference_ops as ro
 from decoder_reference import reference_advance, reference_start
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=2, dec_hidden=4,
@@ -84,9 +84,9 @@ def _reference_scan(seq, w_in, w_rec, b, d, reverse):
     h = ad.constant(np.zeros(d))
     rows = [None] * n
     for t in order:
-        h = ad.tanh(ad.add(ad.add(pre[t], ad.matmul(h, w_rec)), b))
-        rows[t] = ad.reshape(h, (1, d))
-    return ad.concat(rows, axis=0)
+        h = ro.tanh(ad.add(ad.add(pre[t], ad.matmul(h, w_rec)), b))
+        rows[t] = ro.reshape(h, (1, d))
+    return ro.concat(rows, axis=0)
 
 
 def _reference_encode(params, x):
@@ -114,14 +114,14 @@ def test_encode_bit_identical_to_op_by_op_scan(bidirectional):
     results = []
     for enc in (encode, _reference_encode):
         params = init_params(cfg)
-        for name in params.names():
+        for name, _t in params.items():
             if name.startswith("enc"):
                 params[name].data = 2.0 * params[name].data + 0.3
         x = ad.leaf(x0)
         with ad.tape():
             h = enc(params, x)
             ad.backward(ad.sum_(ad.mul(h, weight)))
-        results.append((h.data, x.grad, {n: params[n].grad for n in params.names()}))
+        results.append((h.data, x.grad, {n: t.grad for n, t in params.items()}))
     (h1, gx1, gp1), (h2, gx2, gp2) = results
     assert np.array_equal(h1, h2)
     assert np.array_equal(gx1, gx2)
@@ -182,20 +182,17 @@ _W_CTC = np.random.default_rng(60).normal(size=(2, TINY.vocab_size + 1))
 def test_decoder_step_normalized_and_deterministic(params):
     rng = np.random.default_rng(7)
     h = ad.constant(rng.normal(size=(5, TINY.enc_hidden)))
-    prefix = [TINY.sos, 1, 3]
-    a = decoder_step(params, h, prefix)
-    b = decoder_step(params, h, prefix)
+
+    def run():
+        state = decoder_start(params, h)
+        for tok in (TINY.sos, 1, 3):
+            logp, state = decoder_advance(params, h, state, tok)
+        return logp
+
+    a, b = run(), run()
     assert a.shape == (TINY.vocab_size + 1,)
     assert abs(np.log(np.exp(a.data).sum())) < 1e-9
     assert np.array_equal(a.data, b.data)
-
-
-def test_decoder_step_requires_sos(params):
-    h = ad.constant(np.zeros((2, TINY.enc_hidden)))
-    with pytest.raises(ad.ShapeError):
-        decoder_step(params, h, [])
-    with pytest.raises(ad.ShapeError):
-        decoder_step(params, h, [1, 2])
 
 
 def test_attention_weights_sum_to_one(params):
@@ -282,9 +279,9 @@ def test_init_deterministic():
     a = init_params(ModelConfig(seed=1))
     b = init_params(ModelConfig(seed=1))
     c = init_params(ModelConfig(seed=2))
-    assert a.names() == b.names()
-    assert all(np.array_equal(a[n].data, b[n].data) for n in a.names())
-    assert any(not np.array_equal(a[n].data, c[n].data) for n in a.names())
+    assert [n for n, _t in a.items()] == [n for n, _t in b.items()]
+    assert all(np.array_equal(a[n].data, b[n].data) for n, _t in a.items())
+    assert any(not np.array_equal(a[n].data, c[n].data) for n, _t in a.items())
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, params):
@@ -292,8 +289,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, params):
     save_checkpoint(p, params)
     loaded = load_checkpoint(p)
     assert loaded.config == params.config
-    assert loaded.names() == params.names()
-    for n in params.names():
+    assert [n for n, _t in loaded.items()] == [n for n, _t in params.items()]
+    for n, _t in params.items():
         assert np.array_equal(loaded[n].data, params[n].data)
     # save -> load -> save is byte identical
     p2 = tmp_path / "model2.ckpt"
@@ -304,10 +301,17 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, params):
 def test_checkpoint_truncated_fails(tmp_path, params):
     p = tmp_path / "model.ckpt"
     save_checkpoint(p, params)
-    lines = p.read_text().splitlines()
-    p.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-    with pytest.raises(CheckpointError):
-        load_checkpoint(p)
+    raw = p.read_bytes()
+    for end in range(0, len(raw) - 1, 3):
+        p.write_bytes(raw[:end])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(p)
+    lines = raw.decode().splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith("param ctc.b"))
+    for bad in ("", f"param ctc.b x{TINY.vocab_size + 1}"):
+        p.write_text("\n".join(lines[:idx] + [bad] + lines[idx + 1:]) + "\n")
+        with pytest.raises(CheckpointError, match=f"line {idx + 1}"):
+            load_checkpoint(p)
 
 
 def test_checkpoint_missing_param_fails(tmp_path, params):

@@ -58,7 +58,7 @@ def test_training_reproducible(tiny_data):
     p2, log2 = train_mtl(SMALL_MODEL, cfg, tiny_data)
     assert log1.rows == log2.rows
     assert log1.selected_epoch == log2.selected_epoch
-    for name in p1.names():
+    for name, _t in p1.items():
         assert np.array_equal(p1[name].data, p2[name].data)
 
 
