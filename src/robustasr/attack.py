@@ -10,6 +10,7 @@ deterministic.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,8 +168,6 @@ def calibrate(test_utterances, ratio: float = 0.10,
               alpha_fraction: float = 1.0 / 40.0) -> tuple[float, float]:
     """Scale the ball to the data: epsilon is a fixed fraction of the
     median test-sample feature norm, alpha a fixed fraction of epsilon."""
-    norms = sorted(float(np.linalg.norm(u.features)) for u in test_utterances)
-    median = norms[len(norms) // 2] if len(norms) % 2 else \
-        0.5 * (norms[len(norms) // 2 - 1] + norms[len(norms) // 2])
-    epsilon = ratio * median
+    epsilon = ratio * statistics.median(
+        float(np.linalg.norm(u.features)) for u in test_utterances)
     return epsilon, epsilon * alpha_fraction

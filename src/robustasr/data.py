@@ -14,6 +14,7 @@ yields byte-identical datasets and target sets.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -36,6 +37,8 @@ DEFAULT_FEAT_DIM = 16
 NOISE_SIGMA = 0.05
 FRAMES_PER_WORD = (3, 6)  # inclusive range
 _WORLD_SEED = 20240917  # fixes prototypes and accent maps across datasets
+SPLIT_TAG = "toyspeech v2"  # v2: a final "end" line
+TARGETS_TAG = "toyspeech-targets v2"
 
 
 class DataError(Exception):
@@ -145,9 +148,6 @@ class DatasetSplit:
     seed: int
     feat_dim: int = DEFAULT_FEAT_DIM
 
-    def split(self, name: str) -> list[Utterance]:
-        return {"train": self.train, "valid": self.valid, "test": self.test}[name]
-
 
 def render_utterance(tokens: Sequence[int], accent: int, rng: np.random.Generator,
                      world: FeatureWorld, vocab: Vocab,
@@ -243,7 +243,7 @@ def _fmt(x: float) -> str:
 
 def save_split(path, utts: Iterable[Utterance], feat_dim: int, seed: int,
                vocab: Vocab, split_name: str) -> None:
-    lines = [f"toyspeech v1 F={feat_dim} vocab={vocab.hash()} seed={seed} split={split_name}"]
+    lines = [f"{SPLIT_TAG} F={feat_dim} vocab={vocab.hash()} seed={seed} split={split_name}"]
     for u in utts:
         lines.append(u.id)
         lines.append(str(u.accent))
@@ -251,20 +251,31 @@ def save_split(path, utts: Iterable[Utterance], feat_dim: int, seed: int,
         lines.append(str(u.n_frames))
         for row in u.features:
             lines.append(" ".join(_fmt(v) for v in row))
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines: list[str]) -> None:
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join(lines + ["end"]) + "\n")
 
 
-def _read_lines(path) -> list[str]:
-    """The lines of a file ``save_*`` wrote; those end in a newline, so a
-    file that does not was cut short."""
+def _read_lines(path, tag: str) -> list[str]:
+    """The header and records of a file ``save_*`` wrote under ``tag``.
+    Those files end in an ``end`` line and a newline, so a file that does
+    not was cut short, even at a record boundary."""
     with open(path) as f:
         text = f.read()
     if not text:
         raise DataError(f"{path}: empty file")
-    if not text.endswith("\n"):
-        raise DataError(f"{path}: truncated (no final newline)")
-    return text.splitlines()
+    lines = text.splitlines()
+    head = lines[0].split()[:2]
+    if head != tag.split():
+        raise DataError(f"{path}: format {' '.join(head)} is not read, only "
+                        f"{tag}; regenerate the file" if head[:1] == tag.split()[:1]
+                        else f"{path}: bad header {lines[0]!r}")
+    if lines[-1] != "end" or not text.endswith("\n"):
+        raise DataError(f"{path}: truncated (no end line)")
+    return lines[:-1]
 
 
 def _parse(path, lines: list[str], i: int, parse):
@@ -285,12 +296,25 @@ def _feature_row(line: str, feat_dim: int) -> np.ndarray:
     return np.array([float(v) for v in line.split()]).reshape(feat_dim)
 
 
+def _accent(line: str) -> int:
+    if line not in ("0", "1"):
+        raise DataError(f"accent must be 0 or 1, got {line!r}")
+    return int(line)
+
+
+def _words(line: str, vocab: Vocab, allowed: range) -> tuple[int, ...]:
+    """A nonempty transcript of words whose ids lie in ``allowed``."""
+    tokens = tuple(vocab.to_ids(line.split()))
+    if not tokens:
+        raise DataError("empty transcript")
+    if any(t not in allowed for t in tokens):
+        raise DataError(f"{line!r} holds a word outside ids {allowed}")
+    return tokens
+
+
 def load_split(path, vocab: Vocab | None = None) -> tuple[list[Utterance], dict]:
     vocab = vocab or Vocab()
-    lines = _read_lines(path)
-    head = lines[0].split()
-    if len(head) != 6 or head[0] != "toyspeech" or head[1] != "v1":
-        raise DataError(f"{path}: bad header {lines[0]!r}")
+    lines = _read_lines(path, SPLIT_TAG)
     meta = _parse(path, lines, 0, lambda l: _header(
         l, {"F": int, "vocab": str, "seed": int, "split": str}))
     if meta["vocab"] != vocab.hash():
@@ -302,8 +326,9 @@ def load_split(path, vocab: Vocab | None = None) -> tuple[list[Utterance], dict]
         if i + 4 > len(lines):
             raise DataError(f"{path}: truncated utterance header at line {i + 1}")
         uid = lines[i]
-        accent = _parse(path, lines, i + 1, int)
-        tokens = _parse(path, lines, i + 2, lambda l: tuple(vocab.to_ids(l.split())))
+        accent = _parse(path, lines, i + 1, _accent)
+        tokens = _parse(path, lines, i + 2,
+                        lambda l: _words(l, vocab, vocab.content_ids))
         n = _parse(path, lines, i + 3, int)
         i += 4
         if not 0 < n <= len(lines) - i:
@@ -320,18 +345,14 @@ def load_split(path, vocab: Vocab | None = None) -> tuple[list[Utterance], dict]
 
 
 def save_dataset(outdir, ds: DatasetSplit, vocab: Vocab | None = None) -> None:
-    import os
-
     vocab = vocab or Vocab()
     os.makedirs(outdir, exist_ok=True)
     for name in ("train", "valid", "test"):
-        save_split(os.path.join(outdir, f"{name}.txt"), ds.split(name),
+        save_split(os.path.join(outdir, f"{name}.txt"), getattr(ds, name),
                    ds.feat_dim, ds.seed, vocab, name)
 
 
 def load_dataset(outdir, vocab: Vocab | None = None) -> DatasetSplit:
-    import os
-
     vocab = vocab or Vocab()
     parts = {}
     meta = None
@@ -344,22 +365,19 @@ def load_dataset(outdir, vocab: Vocab | None = None) -> DatasetSplit:
 
 def save_targets(path, targets: Sequence[tuple[int, ...]], seed: int,
                  vocab: Vocab) -> None:
-    lines = [f"toyspeech-targets v1 vocab={vocab.hash()} seed={seed}"]
+    lines = [f"{TARGETS_TAG} vocab={vocab.hash()} seed={seed}"]
     for t in targets:
         lines.append(" ".join(vocab.to_words(t)))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def load_targets(path, vocab: Vocab | None = None) -> list[tuple[int, ...]]:
     vocab = vocab or Vocab()
-    lines = _read_lines(path)
-    if not lines[0].startswith("toyspeech-targets v1"):
-        raise DataError(f"{path}: bad targets header")
+    lines = _read_lines(path, TARGETS_TAG)
     if _parse(path, lines, 0, lambda l: _header(l, {"vocab": str}))["vocab"] != vocab.hash():
         raise DataError(f"{path}: vocab hash mismatch")
-    targets = [_parse(path, lines, i, lambda l: tuple(vocab.to_ids(l.split())))
-               for i in range(1, len(lines)) if lines[i]]
+    targets = [_parse(path, lines, i, lambda l: _words(l, vocab, range(vocab.n_words)))
+               for i in range(1, len(lines))]
     if not targets:
         raise DataError(f"{path}: no targets")
     return targets

@@ -16,20 +16,23 @@ here.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields, replace
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import autodiff as ad
 from .attack import AttackConfig, calibrate, pgd_attack, target_feasible
-from .data import gen_adv_targets, gen_dataset, select_adv_target
+from .data import DatasetSplit, gen_adv_targets, gen_dataset, select_adv_target
 from .decode import joint_greedy_decode
 from .losses import MtlWeights
-from .metrics import WerStats, edit_distance_words
+from .metrics import WerStats, edit_distance_words, pooled_wer
 from .model import ModelConfig, ModelParams, encode
-from .train import TrainConfig, evaluate_benign, train_mtl
+from .train import TrainConfig, TrainLog, evaluate_benign, train_mtl
 
 ROWS_VERSION = "robustasr-rows v1"
 ROW_COLUMNS = ("lambda_t_A", "lambda_t_C", "lambda_i_C", "seed", "attack_steps",
@@ -38,6 +41,19 @@ ROW_COLUMNS = ("lambda_t_A", "lambda_t_C", "lambda_i_C", "seed", "attack_steps",
 
 class MissingCellsError(Exception):
     pass
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def _build(cls, d: dict, where: str = ""):
+    """``cls(**d)``, refusing a key that is not a field of ``cls``."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError("unknown config key " +
+                          ", ".join(repr(where + k) for k in unknown))
+    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -78,21 +94,24 @@ class ExperimentConfig:
     model: ModelConfig = ModelConfig()
 
     def to_json(self) -> str:
-        d = asdict(self)
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
+    def from_dict(cls, d: dict) -> "ExperimentConfig":
+        d = dict(d)
         if "grid" in d:
             g = {k: tuple(v) if isinstance(v, list) else v
                  for k, v in d["grid"].items()}
-            d["grid"] = GridSpec(**g)
+            d["grid"] = _build(GridSpec, g, "grid.")
         if "model" in d:
-            d["model"] = ModelConfig(**d["model"])
+            d["model"] = _build(ModelConfig, d["model"], "model.")
         if "len_range" in d:
             d["len_range"] = tuple(d["len_range"])
-        return cls(**d)
+        return _build(cls, d)
+
+    @classmethod
+    def from_json(cls, text: str) -> "ExperimentConfig":
+        return cls.from_dict(json.loads(text))
 
     def hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
@@ -119,40 +138,24 @@ class ReportRow:
 def rows_to_csv(rows: Sequence[ReportRow], config_hash: str) -> str:
     lines = [f"# {ROWS_VERSION} config={config_hash}", ",".join(ROW_COLUMNS)]
     for r in sorted(rows, key=ReportRow.sort_key):
-        vals = []
-        for c in ROW_COLUMNS:
-            v = getattr(r, c)
-            if v is None:
-                vals.append("")
-            elif isinstance(v, float):
-                vals.append(repr(v))
-            else:
-                vals.append(str(v))
-        lines.append(",".join(vals))
+        vals = (getattr(r, c) for c in ROW_COLUMNS)
+        lines.append(",".join("" if v is None else repr(v) if isinstance(v, float)
+                              else str(v) for v in vals))
     return "\n".join(lines) + "\n"
+
+
+def _cell(column: str, text: str):
+    if column in ("seed", "attack_steps", "n_samples", "n_skipped"):
+        return int(text)
+    return None if column == "adv_twer" and not text else float(text)
 
 
 def rows_from_csv(text: str) -> list[ReportRow]:
     lines = [l for l in text.splitlines() if l and not l.startswith("#")]
     if not lines or lines[0] != ",".join(ROW_COLUMNS):
         raise ValueError("unrecognized rows CSV header")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        rec = dict(zip(ROW_COLUMNS, parts))
-        rows.append(ReportRow(
-            lambda_t_A=float(rec["lambda_t_A"]),
-            lambda_t_C=float(rec["lambda_t_C"]),
-            lambda_i_C=float(rec["lambda_i_C"]),
-            seed=int(rec["seed"]),
-            attack_steps=int(rec["attack_steps"]),
-            benign_wer=float(rec["benign_wer"]),
-            accent_acc=float(rec["accent_acc"]),
-            adv_twer=float(rec["adv_twer"]) if rec["adv_twer"] else None,
-            n_samples=int(rec["n_samples"]),
-            n_skipped=int(rec["n_skipped"]),
-        ))
-    return rows
+    return [ReportRow(*(_cell(c, v) for c, v in zip(ROW_COLUMNS, line.split(","))))
+            for line in lines[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +172,8 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
     silently downgraded to a decoder-only loss.
     """
     steps_sorted = tuple(sorted(set(report_steps)))
-    max_steps = steps_sorted[-1]
+    cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=steps_sorted[-1],
+                       weights=weights, report_at=steps_sorted)
     per_step: dict[int, list[WerStats]] = {s: [] for s in steps_sorted}
     skipped = 0
     for utt in utterances:
@@ -177,8 +181,6 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
         if not target_feasible(utt.features, target, weights):
             skipped += 1
             continue
-        cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=max_steps,
-                           weights=weights, report_at=steps_sorted)
         result = pgd_attack(params, utt.features, target, cfg)
         for s in steps_sorted:
             with ad.no_grad():
@@ -186,83 +188,99 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
                 hyp = joint_greedy_decode(params, hidden, weights,
                                           max_decode_len).hypothesis
             per_step[s].append(edit_distance_words(target, hyp))
-    pooled = {}
-    for s in steps_sorted:
-        stats = per_step[s]
-        total_ref = sum(st.ref_len for st in stats)
-        pooled[s] = (sum(st.errors for st in stats) / total_ref) if total_ref else None
+    pooled = {s: pooled_wer(stats) if stats else None
+              for s, stats in per_step.items()}
     return pooled, len(utterances) - skipped, skipped
 
 
-def _mode_weights(lam_a: float, lam_c: float, mode: str) -> MtlWeights:
-    lam_i = lam_c if mode == "match" else 0.0
-    return MtlWeights(lam_a, lam_c, lambda_i_C=lam_i)
+def load_config(path=None, seed: int | None = None, run_keys: bool = True
+                ) -> tuple[ExperimentConfig, int, MtlWeights]:
+    """A config file: ExperimentConfig fields plus the run keys a grid
+    sets per cell, ``seed`` (default 0, overridden by the argument) and
+    ``weights`` (MtlWeights fields), which ``run_keys=False`` refuses."""
+    d = json.loads(Path(path).read_text()) if path else {}
+    if not run_keys and {"seed", "weights"} & d.keys():
+        raise ConfigError(f"{path}: a grid sets seed and weights itself, "
+                          "from grid.seeds and the lambda grids")
+    weights = _build(MtlWeights, d.pop("weights", {}), "weights.")
+    file_seed = d.pop("seed", 0)
+    return ExperimentConfig.from_dict(d), file_seed if seed is None else seed, weights
 
 
-def run_cell(config: ExperimentConfig, lam_a: float, lam_c: float,
-             seed: int) -> list[ReportRow]:
-    """Train one model and evaluate it under every inference mode."""
+def make_data(config: ExperimentConfig,
+              seed: int) -> tuple[DatasetSplit, list[tuple[int, ...]]]:
+    """The seed's three splits and attack targets."""
     ds = gen_dataset(seed, n_train=config.n_train, n_valid=config.n_valid,
                      n_test=config.n_test, len_range=config.len_range,
                      feat_dim=config.model.feat_dim)
     targets = gen_adv_targets(seed, count=config.n_targets,
                               len_range=config.len_range)
-    model_cfg = replace(config.model, seed=seed)
-    train_cfg = TrainConfig(weights=MtlWeights(lam_a, lam_c),
-                            epochs=config.epochs,
+    return ds, targets
+
+
+def train_model(config: ExperimentConfig, weights: MtlWeights, seed: int,
+                ds: DatasetSplit) -> tuple[ModelParams, TrainLog]:
+    """Train one model on ``ds`` with the training mix of ``weights``."""
+    if ds.feat_dim != config.model.feat_dim:
+        raise ConfigError(f"data has feat_dim {ds.feat_dim}, "
+                          f"model.feat_dim is {config.model.feat_dim}")
+    train_cfg = TrainConfig(weights=weights, epochs=config.epochs,
                             learning_rate=config.learning_rate,
                             batch_size=config.batch_size, seed=seed)
-    params, _log = train_mtl(model_cfg, train_cfg, ds)
-    epsilon, alpha = calibrate(ds.test, ratio=config.epsilon_ratio,
+    return train_mtl(replace(config.model, seed=seed), train_cfg, ds)
+
+
+def evaluate_model(config: ExperimentConfig, params: ModelParams, test,
+                   targets, weights: MtlWeights) -> list[ReportRow]:
+    """Benign WER on ``test[:n_eval]`` and AdvTWER on ``test[:n_attack]``
+    at the inference weight of ``weights``, one row per report step; the
+    attack ball is calibrated on all of ``test``."""
+    epsilon, alpha = calibrate(test, ratio=config.epsilon_ratio,
                                alpha_fraction=config.alpha_fraction)
+    benign_wer, accent_acc = evaluate_benign(
+        params, test[:config.n_eval], weights, max_len=config.max_decode_len)
+    pooled, n_attacked, n_skipped = attack_split(
+        params, test[:config.n_attack], targets, weights, epsilon, alpha,
+        config.grid.report_steps, max_decode_len=config.max_decode_len)
+    return [ReportRow(lambda_t_A=weights.lambda_t_A, lambda_t_C=weights.lambda_t_C,
+                      lambda_i_C=weights.lambda_i_C, seed=params.config.seed,
+                      attack_steps=step, benign_wer=benign_wer, accent_acc=accent_acc,
+                      adv_twer=pooled[step], n_samples=n_attacked, n_skipped=n_skipped)
+            for step in sorted(pooled)]
+
+
+def run_cell(config: ExperimentConfig, lam_a: float, lam_c: float,
+             seed: int) -> list[ReportRow]:
+    """Train one model and evaluate it under every inference mode."""
+    ds, targets = make_data(config, seed)
+    params, _log = train_model(config, MtlWeights(lam_a, lam_c), seed, ds)
     rows: list[ReportRow] = []
     # At lambda_t_C=0 both modes infer with lambda_i_C=0: evaluate and
     # attack that model once and emit the rows under each mode.
-    done: dict[MtlWeights, tuple] = {}
+    done: dict[MtlWeights, list[ReportRow]] = {}
     for mode in config.grid.modes:
-        weights = _mode_weights(lam_a, lam_c, mode)
+        weights = MtlWeights(lam_a, lam_c, lam_c if mode == "match" else 0.0)
         if weights not in done:
-            done[weights] = (
-                evaluate_benign(params, ds.test[:config.n_eval], weights,
-                                max_len=config.max_decode_len),
-                attack_split(params, ds.test[:config.n_attack], targets,
-                             weights, epsilon, alpha, config.grid.report_steps,
-                             max_decode_len=config.max_decode_len))
-        (benign_wer, accent_acc), (pooled, n_attacked, n_skipped) = done[weights]
-        for step in sorted(pooled):
-            rows.append(ReportRow(
-                lambda_t_A=lam_a, lambda_t_C=lam_c,
-                lambda_i_C=weights.lambda_i_C, seed=seed, attack_steps=step,
-                benign_wer=benign_wer, accent_acc=accent_acc,
-                adv_twer=pooled[step], n_samples=n_attacked,
-                n_skipped=n_skipped))
+            done[weights] = evaluate_model(config, params, ds.test, targets,
+                                           weights)
+        rows += done[weights]
     return rows
-
-
-def _run_cell_packed(args) -> list[ReportRow]:
-    config_json, lam_a, lam_c, seed = args
-    return run_cell(ExperimentConfig.from_json(config_json), lam_a, lam_c, seed)
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1,
              progress=None) -> list[ReportRow]:
     """Cross product of the weight grids and seeds, one training per cell."""
-    cells = [(config.to_json(), lam_a, lam_c, seed)
-             for lam_a in config.grid.lambda_t_A_values
-             for lam_c in config.grid.lambda_t_C_values
-             for seed in config.grid.seeds]
+    g = config.grid
+    cells = list(itertools.product(g.lambda_t_A_values, g.lambda_t_C_values,
+                                   g.seeds))
     rows: list[ReportRow] = []
-    if workers <= 1:
-        for i, cell in enumerate(cells):
-            rows.extend(_run_cell_packed(cell))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(
+            run_cell, itertools.repeat(config), *zip(*cells))
+        for i, cell_rows in enumerate(results, 1):
+            rows += cell_rows
             if progress:
-                progress(i + 1, len(cells))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for i, cell_rows in enumerate(pool.map(_run_cell_packed, cells)):
-                rows.extend(cell_rows)
-                if progress:
-                    progress(i + 1, len(cells))
+                progress(i, len(cells))
     rows.sort(key=ReportRow.sort_key)
     return rows
 
@@ -282,10 +300,6 @@ def _median_twer(rows: Iterable[ReportRow], lam_a: float, lam_c: float,
             f"no rows for lambda_t_A={lam_a} lambda_t_C={lam_c} "
             f"lambda_i_C={lam_i} steps={step}")
     return statistics.median(vals)
-
-
-def _configs_present(rows: Iterable[ReportRow]) -> list[tuple[float, float, float]]:
-    return sorted({(r.lambda_t_A, r.lambda_t_C, r.lambda_i_C) for r in rows})
 
 
 @dataclass
@@ -320,7 +334,7 @@ def trend_check(rows: Sequence[ReportRow],
     checks_b = []
     checks_c = []
     checks_d = []
-    others = [c for c in _configs_present(rows) if c != ALL3_DROP]
+    others = {(r.lambda_t_A, r.lambda_t_C, r.lambda_i_C) for r in rows} - {ALL3_DROP}
     for step in steps:
         stl_ctc = med(STL_CTC, step)
         stl_dec = med(STL_DEC, step)

@@ -34,8 +34,8 @@ class TrainingDiverged(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     weights: MtlWeights
+    learning_rate: float
     epochs: int = 30
-    learning_rate: float = 1e-3
     batch_size: int = 8
     seed: int = 0
 
@@ -113,13 +113,12 @@ def train_mtl(model_config: ModelConfig, train_config: TrainConfig,
                     bd = sample_losses(params, utt, weights)
                     if isinstance(bd.total, ad.Tensor):
                         ad.backward(bd.total)
+                if not math.isfinite(bd.l_mtl):
+                    raise NonFiniteError(f"l_mtl = {bd.l_mtl}")
             except NonFiniteError as e:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {i // train_config.batch_size}"
                 ) from e
-            if not math.isfinite(bd.l_mtl):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {i // train_config.batch_size}")
             for key in sums:
                 sums[key] += getattr(bd, key)
             pending += 1

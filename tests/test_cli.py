@@ -1,9 +1,16 @@
 import json
+from pathlib import Path
 
-from robustasr.cli import main
+import pytest
+
+from robustasr.cli import load_config, main
 from robustasr.data import Vocab, save_targets
-from robustasr.experiments import ExperimentConfig, GridSpec, rows_from_csv
+from robustasr.experiments import (ConfigError, ExperimentConfig, GridSpec,
+                                   rows_from_csv, rows_to_csv, run_cell)
+from robustasr.losses import MtlWeights
 from robustasr.model import ModelConfig
+
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
 
 MODEL = {"enc_hidden": 6, "enc_layers": 1, "dec_hidden": 6, "attn_dim": 4,
          "emb_dim": 4, "disc_layers": 2, "disc_hidden": 4}
@@ -18,15 +25,15 @@ def _write(path, obj):
 def test_cli_pipeline_end_to_end(tmp_path):
     data, run = tmp_path / "data", tmp_path / "run"
     gen_cfg = _write(tmp_path / "gen.json", {
-        "n_train": 8, "n_valid": 3, "n_test": 4, "len_range": [2, 3],
+        "seed": 1, "n_train": 8, "n_valid": 3, "n_test": 4, "len_range": [2, 3],
         "n_targets": 4})
     train_cfg = _write(tmp_path / "train.json", {
         "weights": WEIGHTS, "epochs": 1, "batch_size": 4, "model": MODEL})
     eval_cfg = _write(tmp_path / "eval.json", {
-        "weights": WEIGHTS, "n_samples": 2, "max_len": 4})
+        "weights": WEIGHTS, "n_eval": 2, "max_decode_len": 4})
     attack_cfg = _write(tmp_path / "attack.json", {
-        "weights": WEIGHTS, "steps": 2, "report_at": [1], "n_samples": 2,
-        "max_len": 4})
+        "weights": WEIGHTS, "grid": {"report_steps": [1, 2]}, "n_attack": 2,
+        "n_eval": 2, "max_decode_len": 4})
     # the smallest grid holding every configuration the trend checks read
     grid_cfg = _write(tmp_path / "grid.json", ExperimentConfig(
         grid=GridSpec(lambda_t_A_values=(1.0, 0.7),
@@ -52,9 +59,10 @@ def test_cli_pipeline_end_to_end(tmp_path):
 
     for name in ("train.txt", "valid.txt", "test.txt", "targets.txt"):
         assert (data / name).is_file()
+    assert " seed=3 " in (data / "train.txt").read_text().splitlines()[0]
     for name in ("checkpoint.txt", "trainlog.csv", "eval.csv", "attack.csv"):
         assert (run / name).is_file()
-    # attack rows at the requested step and at the final one
+    # one attack row per grid.report_steps entry
     assert len((run / "attack.csv").read_text().splitlines()) == 1 + 1 + 2
     # 6 cells x 2 modes x 1 step
     assert len((tmp_path / "grid" / "rows.csv").read_text().splitlines()) == 1 + 1 + 12
@@ -72,7 +80,8 @@ def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
     train_cfg = _write(tmp_path / "train.json", {
         "weights": WEIGHTS, "epochs": 1, "batch_size": 4, "model": MODEL})
     attack_cfg = _write(tmp_path / "attack.json", {
-        "weights": WEIGHTS, "steps": 2, "n_samples": 3, "max_len": 4})
+        "weights": WEIGHTS, "grid": {"report_steps": [2]}, "n_attack": 3,
+        "max_decode_len": 4})
     assert main(["gen-data", "--config", gen_cfg, "--seed", "4",
                  "--out", str(data)]) == 0
     assert main(["train", "--config", train_cfg, "--data", str(data),
@@ -89,3 +98,76 @@ def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
     assert "AdvTWER=n/a (attacked 0, skipped 3" in capsys.readouterr().out
     rows = rows_from_csv((run / "attack.csv").read_text())
     assert [(r.adv_twer, r.n_samples, r.n_skipped) for r in rows] == [(None, 0, 3)]
+
+
+def test_cli_stages_write_the_rows_of_run_cell(tmp_path):
+    # gen-data -> train -> attack on one config give the rows run_cell
+    # gives for the same cell in match mode, byte for byte
+    config = ExperimentConfig(
+        grid=GridSpec(lambda_t_A_values=(0.7,), lambda_t_C_values=(0.5,),
+                      modes=("match",), report_steps=(1, 3), seeds=(2,)),
+        n_train=8, n_valid=3, n_test=5, len_range=(2, 3), n_targets=4,
+        epochs=2, learning_rate=0.02, batch_size=4, n_attack=3, n_eval=4,
+        max_decode_len=4, model=ModelConfig(**MODEL))
+    cfg = _write(tmp_path / "cell.json", {
+        **json.loads(config.to_json()), "seed": 2, "weights": WEIGHTS})
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    assert main(["train", "--config", cfg, "--data", str(data),
+                 "--out", str(run)]) == 0
+    assert main(["attack", "--config", cfg, "--data", str(data),
+                 "--checkpoint", str(run / "checkpoint.txt"),
+                 "--out", str(run / "attack.csv")]) == 0
+    expected = rows_to_csv(run_cell(config, 0.7, 0.5, 2), config.hash())
+    assert (run / "attack.csv").read_text() == expected
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"lerning_rate": 0.1}, "'lerning_rate'"),
+    ({"model": {"enc_hiden": 4}}, "'model.enc_hiden'"),
+    ({"grid": {"seed": [0]}}, "'grid.seed'"),
+    ({"weights": {"lambda_i": 0.0}}, "'weights.lambda_i'"),
+])
+def test_config_unknown_key_fails_naming_it(tmp_path, bad, key):
+    cfg = _write(tmp_path / "bad.json", bad)
+    with pytest.raises(ConfigError, match=key):
+        main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data")])
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("run_key", [{"seed": 0}, {"weights": WEIGHTS}])
+def test_grid_refuses_run_keys(tmp_path, run_key):
+    cfg = _write(tmp_path / "grid.json", run_key)
+    with pytest.raises(ConfigError, match="grid sets seed and weights"):
+        main(["grid", "--config", cfg, "--out", str(tmp_path / "grid")])
+
+
+def test_train_refuses_data_of_another_feat_dim(tmp_path):
+    gen_cfg = _write(tmp_path / "gen.json", {
+        "n_train": 2, "n_valid": 1, "n_test": 1, "model": {"feat_dim": 8}})
+    assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path / "data")]) == 0
+    with pytest.raises(ConfigError, match="data has feat_dim 8, model.feat_dim is 16"):
+        main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")])
+
+
+def test_load_config_defaults_and_seed_override(tmp_path):
+    config, seed, weights = load_config(None)
+    assert (config, seed, weights) == (ExperimentConfig(), 0, MtlWeights())
+    cfg = _write(tmp_path / "c.json", {"seed": 4, "weights": {"lambda_i_C": 0.0}})
+    assert load_config(cfg)[1:] == (4, MtlWeights(1.0, 0.5, 0.0))
+    assert load_config(cfg, seed=9)[1] == 9
+
+
+def test_perfbench_fixture_configs_hold_the_recorded_recipe():
+    # the recipe fixture.json and perfbench/README.md record for the
+    # checkpoint that make_fixture.py trains with these two files
+    data_cfg, data_seed, _ = load_config(FIXTURE / "data.json")
+    train_cfg, train_seed, weights = load_config(FIXTURE / "train.json")
+    assert data_seed == train_seed == 0
+    assert (data_cfg.n_train, data_cfg.n_valid, data_cfg.n_test) == (1000, 200, 200)
+    assert data_cfg.model.feat_dim == train_cfg.model.feat_dim
+    assert (weights.lambda_t_A, weights.lambda_t_C) == (0.7, 0.5)
+    assert (train_cfg.epochs, train_cfg.learning_rate) == (30, 0.02)
+    recorded = json.loads((FIXTURE / "fixture.json").read_text())
+    assert recorded["weights"] == {"lambda_t_A": 0.7, "lambda_t_C": 0.5}
+    assert recorded["n_test"] == data_cfg.n_test

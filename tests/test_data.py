@@ -174,23 +174,23 @@ def test_load_truncated_split_fails(tmp_path, vocab):
             utts, _meta = load_split(path, vocab)
         except DataError:
             continue
-        # only a cut at an utterance boundary loads, and only whole utterances
         loaded.append(len(utts))
-        for ua, ub in zip(ds.train, utts):
-            assert ua.id == ub.id and ua.transcript == ub.transcript
-            assert np.array_equal(ua.features, ub.features)
-    assert loaded == [1]
+    # no cut loads, not even one at an utterance boundary: the end line is gone
+    assert loaded == []
 
     lines = path.read_text().splitlines()
     malformed = [(0, lines[0].replace("vocab=", "hash=")),  # header field
                  (2, "one"),  # accent
+                 (2, "5"),  # accent out of range
+                 (3, ""),  # empty transcript
+                 (3, lines[3] + " lorem"),  # transcript with a lorem word
                  (4, "0"),  # frame count
                  (5, " ".join(lines[5].split()[:-1]))]  # ragged feature row
     for i, bad in malformed:
         path.write_text("\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n")
         with pytest.raises(DataError, match=f"line {i + 1}"):
             load_split(path, vocab)
-    path.write_text(lines[0] + "\n")
+    path.write_text(lines[0] + "\nend\n")
     with pytest.raises(DataError, match="no utterances"):
         load_dataset(tmp_path, vocab)
 
@@ -202,8 +202,18 @@ def test_load_truncated_split_fails(tmp_path, vocab):
             loaded.append(load_targets(targets, vocab))
         except DataError:
             pass
-    assert loaded == [[(24, 25)]]
+    assert loaded == []
     header = targets.read_text().splitlines()[0]
-    targets.write_text(header.replace("vocab=", "hash=") + "\nlorem ipsum\n")
+    targets.write_text(header.replace("vocab=", "hash=") + "\nlorem ipsum\nend\n")
     with pytest.raises(DataError, match="line 1"):
         load_targets(targets, vocab)
+    targets.write_text(header + "\nlorem ipsum\n\nend\n")  # empty target
+    with pytest.raises(DataError, match="line 3: DataError: empty"):
+        load_targets(targets, vocab)
+    # a file of the previous format is refused by its tag, not as truncated
+    targets.write_text(header.replace(" v2 ", " v1 ") + "\nlorem ipsum\n")
+    with pytest.raises(DataError, match="format toyspeech-targets v1 is not read"):
+        load_targets(targets, vocab)
+    path.write_text(lines[0].replace(" v2 ", " v1 ") + "\n" + "\n".join(lines[1:-1]) + "\n")
+    with pytest.raises(DataError, match="format toyspeech v1 is not read"):
+        load_split(path, vocab)

@@ -142,6 +142,11 @@ def test_run_grid_row_count_and_determinism():
         assert r.adv_twer is not None
 
 
+def test_run_grid_process_pool_gives_the_serial_rows():
+    serial = rows_to_csv(run_grid(TINY_GRID, workers=1), TINY_GRID.hash())
+    assert rows_to_csv(run_grid(TINY_GRID, workers=2), TINY_GRID.hash()) == serial
+
+
 def test_make_tables_shapes():
     rows = synthetic_rows(GOOD_LEVELS)
     tables = make_tables(rows, steps=(100, 200))
