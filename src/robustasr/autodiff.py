@@ -4,20 +4,20 @@ Values live in numpy arrays. Every operation whose inputs require
 gradients is recorded, in execution order, on the innermost open tape;
 ``backward`` replays that tape in exact reverse order and accumulates
 gradients into leaf tensors. The op set is only what the program runs:
-``add``, ``mul``, ``neg``, ``matmul``, ``sum_``, ``take`` and
-``log_softmax`` (broadcasting covers bias-add and scalar scaling), plus
-one fused tanh-RNN scan for the encoder. Everything is double precision.
+``add``, ``mul``, ``neg``, ``sum_``, ``take`` and ``stack`` (broadcasting
+covers scalar scaling), plus one fused tanh-RNN scan for the encoder.
+Everything is double precision.
 
 A fused op runs a whole loop in numpy and records one tape entry whose
 backward is written by hand. ``tanh_rnn`` (the encoder scan) is one;
-``record_op`` lets other modules define their own: the teacher-forced
-attention decoder and the accent head in ``model``, and the CTC lattice
-in ``losses``. An input may appear in a record more than once:
-``backward`` adds the gradients the record returns for it in list order,
-so a fused op can reproduce the summation order of the op-by-op tape it
-replaces. The fused backwards and those of the binary ops (``add``,
-``mul``, ``matmul``) return None instead of computing the term of an
-input that requires no gradient, such as a model parameter held constant
+``record_op`` lets other modules define their own: the CTC head, the
+teacher-forced attention decoder and the accent head in ``model``, and
+the CTC lattice in ``losses``. An input may appear in a record more than
+once: ``backward`` adds the gradients the record returns for it in list
+order, so a fused op can reproduce the summation order of the op-by-op
+tape it replaces. The fused backwards and those of the binary ops
+(``add``, ``mul``) return None instead of computing the term of an input
+that requires no gradient, such as a model parameter held constant
 during an attack.
 
 The tape stack and the recording flag are plain module state, one per
@@ -178,9 +178,11 @@ def record_op(op: str, inputs: Sequence[Tensor], out: Array,
     """Wrap ``out`` as the result of a fused op defined outside this module.
 
     ``backward_fn`` maps the output gradient to one gradient (or None) per
-    entry of ``inputs``. Nothing is recorded under ``no_grad`` or when no
-    input requires gradients. The caller checks finiteness itself, with
-    ``check_finite``.
+    entry of ``inputs``, as a sequence or an iterator: ``backward`` takes
+    the gradients in order, so an iterator can make the terms of a
+    repeated input one at a time. Nothing is recorded under ``no_grad``
+    or when no input requires gradients. The caller checks finiteness
+    itself, with ``check_finite``.
     """
     return _emit(op, inputs, out, backward_fn, check=False)
 
@@ -247,38 +249,15 @@ def neg(a) -> Tensor:
     return _emit("neg", (a,), -a.data, lambda g: (-g,), check=False)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product for 1-D/2-D operands with numpy semantics."""
-    a, b = _promote(a), _promote(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul supports 1-D/2-D, got {a.shape} @ {b.shape}")
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = a.data @ b.data
-    except ValueError as e:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}") from e
-    da, db = a.data, b.data
-    na, nb = a.ndim, b.ndim
-    ra, rb = a.requires_grad, b.requires_grad
-
-    def bwd(g):
-        if na == 2 and nb == 2:
-            return (g @ db.T if ra else None), (da.T @ g if rb else None)
-        if na == 1 and nb == 2:
-            return (db @ g if ra else None), (np.outer(da, g) if rb else None)
-        if na == 2 and nb == 1:
-            return (np.outer(g, db) if ra else None), (da.T @ g if rb else None)
-        return (g * db if ra else None), (g * da if rb else None)  # 1-D dot
-
-    return _emit("matmul", (a, b), np.asarray(out), bwd)
-
-
-def sum_(a) -> Tensor:
-    """Sum of all elements."""
+def sum_(a, axis: int | None = None) -> Tensor:
+    """Sum of all elements, or over one axis."""
     a = _promote(a)
     shape = a.shape
-    return _emit("sum", (a,), np.asarray(a.data.sum()),
-                 lambda g: (np.broadcast_to(g, shape),))
+    if axis is None:
+        return _emit("sum", (a,), np.asarray(a.data.sum()),
+                     lambda g: (np.broadcast_to(g, shape),))
+    return _emit("sum", (a,), a.data.sum(axis=axis),
+                 lambda g: (np.broadcast_to(np.expand_dims(g, axis), shape),))
 
 
 def take(a, key) -> Tensor:
@@ -289,13 +268,31 @@ def take(a, key) -> Tensor:
     except IndexError as e:
         raise ShapeError(f"take: bad index for shape {a.shape}") from e
     shape = a.shape
+    # Basic indexing (ints, slices) selects each entry at most once, so an
+    # in-place add gives np.add.at's sums, several times faster.
+    basic = all(k is None or k is Ellipsis or isinstance(k, slice)
+                or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+                for k in (key if isinstance(key, tuple) else (key,)))
 
     def bwd(g):
         z = np.zeros(shape)
-        np.add.at(z, key, g)
+        if basic:
+            z[key] += g
+        else:
+            np.add.at(z, key, g)
         return (z,)
 
     return _emit("take", (a,), out, bwd, check=False)
+
+
+def stack(tensors: Sequence) -> Tensor:
+    """Same-shape tensors stacked along a new leading axis."""
+    ts = [_promote(t) for t in tensors]
+    try:
+        out = np.stack([t.data for t in ts])
+    except ValueError as e:
+        raise ShapeError(f"stack: {[t.shape for t in ts]}") from e
+    return _emit("stack", ts, out, lambda g: tuple(g), check=False)
 
 
 def log_softmax_array(x: Array, axis: int = -1) -> Array:
@@ -304,64 +301,108 @@ def log_softmax_array(x: Array, axis: int = -1) -> Array:
     return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _promote(a)
-    out = log_softmax_array(a.data, axis)
-    p = np.exp(out)
+def padding_mask(lengths, rows: int, frames: int) -> Array | None:
+    """(rows, frames) mask of the frames past each row's length.
 
-    def bwd(g):
-        return (g - p * g.sum(axis=axis, keepdims=True),)
+    ``lengths`` holds one frame count per row, each in 1..frames; None
+    means every row is ``frames`` long. Returns None when no frame is
+    padded.
+    """
+    if lengths is None:
+        return None
+    shortest = min(lengths, default=0)
+    if len(lengths) != rows or shortest < 1 or max(lengths) > frames:
+        raise ShapeError(f"lengths {list(lengths)} do not fit {rows} rows "
+                         f"of {frames} frames")
+    if shortest == frames:
+        return None
+    return np.arange(frames) >= np.asarray(lengths)[:, None]
 
-    return _emit("log_softmax", (a,), out, bwd)
 
-
-def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False) -> Tensor:
+def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor:
     """Elman scan h_t = tanh(x_t W_in + h_prev W_rec + b) as one tape record.
 
-    ``seq`` is (T, F) with T >= 1; the output is (T, d) with row t the
-    state after frame t. h_prev starts at zero before the first frame
-    (frame 0, or frame T-1 when ``reverse``). The backward pass is
-    backpropagation through time. Forward and backward make the numpy
-    calls an op-by-op scan (matmul, take, matmul, add, add, tanh per
-    frame) would make, in the order its tape would make them, so results
-    are bit-identical to recording that scan.
+    ``seq`` is one sequence (T, F) or a padded batch (B, T, F), T >= 1;
+    the output is (T, d) or (B, T, d), frame t holding the state after
+    frame t. h_prev starts at zero before the first frame (frame 0, or
+    the row's last frame when ``reverse``). The backward pass is
+    backpropagation through time.
+
+    Batch contract. ``lengths`` holds each row's frame count (default:
+    all T). Frames past a row's length keep a zero state, so a reverse
+    scan starts at each row's own last frame, and they get exactly zero
+    gradient. A single sequence runs as a batch of one. At B=1 forward
+    and backward make the numpy calls an op-by-op scan (matmul, take,
+    matmul, add, add, tanh per frame) would make, in the order its tape
+    would make them, so results are bit-identical to recording that
+    scan. At B > 1 a (B, d) @ (d, d) product rounds differently from B
+    vector products: each row agrees with its B=1 scan to about 1e-12
+    relative. Parameter gradients exist only at B=1; a batch refuses
+    weights that require gradients.
     """
     seq, w_in, w_rec, b = (_promote(v) for v in (seq, w_in, w_rec, b))
-    if seq.ndim != 2 or seq.shape[0] == 0:
-        raise ShapeError(f"tanh_rnn expects a nonempty (T, F) sequence, got {seq.shape}")
-    if w_in.ndim != 2 or w_in.shape[0] != seq.shape[1]:
+    batched = seq.ndim == 3
+    if seq.ndim not in (2, 3) or 0 in seq.shape[:-1]:
+        raise ShapeError(f"tanh_rnn expects a nonempty (T, F) sequence or "
+                         f"(B, T, F) batch, got {seq.shape}")
+    if w_in.ndim != 2 or w_in.shape[0] != seq.shape[-1]:
         raise ShapeError(f"tanh_rnn: w_in {w_in.shape} does not fit input {seq.shape}")
     d = w_in.shape[1]
     if w_rec.shape != (d, d) or b.shape != (d,):
         raise ShapeError(f"tanh_rnn: w_rec {w_rec.shape} and b {b.shape} "
                          f"must be ({d}, {d}) and ({d},)")
-    x, wi, wr, bias = seq.data, w_in.data, w_rec.data, b.data
-    n = x.shape[0]
+    x = seq.data
+    rows, n = (x.shape[0], x.shape[1]) if batched else (1, x.shape[0])
+    if rows > 1 and (w_in.requires_grad or w_rec.requires_grad or b.requires_grad):
+        raise ShapeError(f"tanh_rnn: no parameter gradients for a batch of {rows}; "
+                         f"pass weights that require none")
+    dead = padding_mask(lengths, rows, n)
+    wi, wr = w_in.data, w_rec.data
     order = range(n - 1, -1, -1) if reverse else range(n)
+    # The scan runs time-major: frame t of every row is one (B, d) block.
+    # One row runs on (T, d) arrays, whose (d,) frames numpy handles
+    # faster than (1, d) blocks; for many rows the bias is a (1, d) row
+    # for the same reason.
+    row = 0 if rows == 1 else slice(None)
+    block = (d,) if rows == 1 else (rows, d)
+    bias = b.data if rows == 1 else b.data[None]
+    if dead is not None:
+        dead = dead.T[:, row]
     with np.errstate(invalid="ignore", over="ignore"):
         pre = x @ wi
         check_finite(pre, "tanh_rnn input projection")
-        z = np.empty((n, d))
-        out = np.empty((n, d))
-        h = np.zeros(d)
+        if batched:
+            pre = pre.transpose(1, 0, 2)[:, row]
+        z = np.empty((n, *block))
+        out = np.empty((n, *block))
+        h = np.zeros(block)
         for t in order:
             zt = z[t]
             np.add(pre[t], h @ wr, out=zt)
             zt += bias
             h = np.tanh(zt, out=out[t])
+            if dead is not None:
+                h[dead[t]] = 0.0
     check_finite(z, "tanh_rnn pre-activation")
 
     def bwd(g):
         # Frames in reverse of the forward order: dh = W_rec dz_next + g_t,
-        # dz = dh (1 - h^2).
+        # dz = dh (1 - h^2), which is zero on padded frames. A batch's
+        # gradient is copied time-major, contiguous.
+        if batched:
+            g = np.ascontiguousarray(g.transpose(1, 0, 2))[:, row]
         deriv = 1.0 - out * out
-        dpre = np.empty((n, d))
+        if dead is not None:
+            deriv[dead] = 0.0
+        wr_t = wr.T
+        dpre = np.empty((n, *block))
         dz = None
         for t in reversed(order):
-            dh = g[t] if dz is None else wr @ dz + g[t]
+            dh = g[t] if dz is None else dz @ wr_t + g[t]
             dz = dpre[t] = dh * deriv[t]
         # Terms for inputs that take no gradient (a constant input, or
-        # constant weights under attack) are skipped.
+        # constant weights under attack) are skipped. Weights that take
+        # one imply B=1, so dpre and out are (T, d) there.
         dwr = db = None
         if w_rec.requires_grad or b.requires_grad:
             # The state each frame read: zero for the first, else the one
@@ -380,10 +421,19 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False) -> Tensor:
             for t in back:
                 dwr += outer[t]
                 db += dpre[t]
-        return (dpre @ wi.T if seq.requires_grad else None,
-                x.T @ dpre if w_in.requires_grad else None, dwr, db)
+        g_seq = None
+        if seq.requires_grad:
+            g_seq = dpre @ wi.T
+            if batched:
+                g_seq = g_seq.reshape(n, rows, -1).transpose(1, 0, 2)
+        dwi = None
+        if w_in.requires_grad:
+            dwi = (x[0] if batched else x).T @ dpre
+        return (g_seq, dwi, dwr, db)
 
-    return _emit("tanh_rnn", (seq, w_in, w_rec, b), out, bwd, check=False)
+    return _emit("tanh_rnn", (seq, w_in, w_rec, b),
+                 out.reshape(n, rows, d).transpose(1, 0, 2) if batched else out,
+                 bwd, check=False)
 
 
 # ---------------------------------------------------------------------------

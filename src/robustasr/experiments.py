@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import autodiff as ad
-from .attack import AttackConfig, calibrate, pgd_attack, target_feasible
+from .attack import AttackConfig, calibrate, pgd_attack_batch, target_feasible
 from .data import DatasetSplit, gen_adv_targets, gen_dataset, select_adv_target
 from .decode import joint_greedy_decode
 from .losses import MtlWeights
@@ -109,10 +109,6 @@ class ExperimentConfig:
             d["len_range"] = tuple(d["len_range"])
         return _build(cls, d)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
-
     def hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
@@ -165,7 +161,8 @@ def rows_from_csv(text: str) -> list[ReportRow]:
 def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
                  epsilon: float, alpha: float, report_steps: Sequence[int],
                  max_decode_len: int = 10):
-    """Attack each utterance, decode the snapshots, pool AdvTWER per step.
+    """Attack the utterances as one batch, decode the snapshots, pool
+    AdvTWER per step.
 
     Returns (pooled AdvTWER per step, attacked count, skipped count).
     Samples whose CTC branch cannot align the target are skipped, never
@@ -175,13 +172,14 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
     cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=steps_sorted[-1],
                        weights=weights, report_at=steps_sorted)
     per_step: dict[int, list[WerStats]] = {s: [] for s in steps_sorted}
-    skipped = 0
+    attacked = []
     for utt in utterances:
         target = select_adv_target(utt.transcript, targets)
-        if not target_feasible(utt.features, target, weights):
-            skipped += 1
-            continue
-        result = pgd_attack(params, utt.features, target, cfg)
+        if target_feasible(utt.features, target, weights):
+            attacked.append((utt.features, target))
+    results = pgd_attack_batch(params, [x for x, _ in attacked],
+                               [t for _, t in attacked], cfg)
+    for (_x, target), result in zip(attacked, results):
         for s in steps_sorted:
             with ad.no_grad():
                 hidden = encode(params, ad.constant(result.snapshots[s]))
@@ -190,7 +188,7 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
             per_step[s].append(edit_distance_words(target, hyp))
     pooled = {s: pooled_wer(stats) if stats else None
               for s, stats in per_step.items()}
-    return pooled, len(utterances) - skipped, skipped
+    return pooled, len(attacked), len(utterances) - len(attacked)
 
 
 def load_config(path=None, seed: int | None = None, run_keys: bool = True

@@ -169,20 +169,31 @@ def ctc_loss(logp: Tensor, y: Sequence[int]) -> Tensor:
     return ad.record_op("ctc_loss", (logp,), np.asarray(loss), bwd)
 
 
-def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence[int]) -> Tensor:
+def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence,
+             lengths=None) -> Tensor:
     """Teacher-forced decoder negative log-likelihood, averaged per step.
 
     An empty ``y`` is legal and means "predict eos immediately". The
     decoder runs as one fused op (``model.decoder_teacher_forced``), so
     the loss records four tape entries whatever the length of ``y``.
+    A padded batch ``hidden`` (B, T, d) with per-row frame counts
+    ``lengths`` takes one target per row in ``y`` and gives the (B,)
+    per-row losses.
     """
     cfg = params.config
-    y = list(y)
-    if any(tok < 0 or tok >= cfg.vocab_size for tok in y):
+    batched = hidden.ndim == 3
+    rows = [list(r) for r in y] if batched else [list(y)]
+    if any(tok < 0 or tok >= cfg.vocab_size for row in rows for tok in row):
         raise ValueError("decoder targets must be word ids (no special tokens)")
-    targets = y + [cfg.eos]
-    picked = decoder_teacher_forced(params, hidden, [cfg.sos] + y, targets)
-    return ad.mul(ad.neg(ad.sum_(picked)), 1.0 / len(targets))
+    inputs = [[cfg.sos] + row for row in rows]
+    targets = [row + [cfg.eos] for row in rows]
+    if batched:
+        picked = decoder_teacher_forced(params, hidden, inputs, targets, lengths)
+        scale = 1.0 / np.array([len(t) for t in targets])
+    else:
+        picked = decoder_teacher_forced(params, hidden, inputs[0], targets[0])
+        scale = 1.0 / len(targets[0])
+    return ad.mul(ad.neg(ad.sum_(picked, axis=-1)), scale)
 
 
 def dis_loss(params: ModelParams, hidden: Tensor, accent: int) -> Tensor:

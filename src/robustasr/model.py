@@ -7,15 +7,20 @@ CTC head, the eos column of the decoder head, and the sos row of the
 decoder embedding table. ``V`` counts all word tokens, content and
 lorem alike, so adversarial targets are expressible.
 
-The attention decoder has one numpy step kernel, ``_decoder_step``, and
-two paths through it: ``decoder_teacher_forced`` loops it over a target
-sequence and records one tape entry with a hand-written backward (the
-decoder loss, in training and attacks), and ``decoder_advance`` runs one
-step for inference and records nothing.
+The attention decoder's step is two numpy kernels, ``_recur`` (feed a
+token to the recurrent state) and ``_attend`` (attend and predict from
+any number of states), over a batch of rows, with two paths through
+them: ``decoder_teacher_forced`` runs them over target sequences and
+records one tape entry with a hand-written backward (the decoder loss,
+in training and attacks), and ``decoder_advance`` runs one step of one
+row for inference and records nothing. ``encode`` and
+``decoder_teacher_forced`` take a padded batch of utterances as well as
+a single one, which runs as a batch of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
@@ -152,20 +157,27 @@ def init_params(config: ModelConfig) -> ModelParams:
 # forward surfaces
 
 
-def encode(params: ModelParams, x: Tensor) -> Tensor:
-    """Map a (T, F) feature matrix to (T, d) hidden states; T is preserved."""
+def encode(params: ModelParams, x: Tensor, lengths=None) -> Tensor:
+    """Map a (T, F) feature matrix to (T, d) hidden states; T is preserved.
+
+    A padded batch (B, T, F) with per-row frame counts ``lengths`` maps
+    to (B, T, d), zero past each row's length (see ``autodiff.tanh_rnn``
+    for the batch contract).
+    """
     cfg = params.config
-    if x.ndim != 2 or x.shape[1] != cfg.feat_dim:
-        raise ShapeError(f"encode expects (T, {cfg.feat_dim}), got {x.shape}")
+    if x.ndim not in (2, 3) or x.shape[-1] != cfg.feat_dim:
+        raise ShapeError(f"encode expects (T, {cfg.feat_dim}) or "
+                         f"(B, T, {cfg.feat_dim}), got {x.shape}")
     seq = x
     for layer in range(cfg.enc_layers):
         seq_fwd = ad.tanh_rnn(seq, params[f"enc{layer}.w_in"],
                               params[f"enc{layer}.w_rec"],
-                              params[f"enc{layer}.b"])
+                              params[f"enc{layer}.b"], lengths=lengths)
         if cfg.bidirectional:
             seq_bwd = ad.tanh_rnn(seq, params[f"enc{layer}.w_in_r"],
                                   params[f"enc{layer}.w_rec_r"],
-                                  params[f"enc{layer}.b_r"], reverse=True)
+                                  params[f"enc{layer}.b_r"], reverse=True,
+                                  lengths=lengths)
             seq = ad.add(seq_fwd, seq_bwd)
         else:
             seq = seq_fwd
@@ -173,12 +185,30 @@ def encode(params: ModelParams, x: Tensor) -> Tensor:
 
 
 def ctc_head(params: ModelParams, hidden: Tensor) -> Tensor:
-    """(T, V+1) normalized log-probs; the last column is blank."""
+    """(T, V+1) normalized log-probs; the last column is blank.
+
+    One tape record. The forward makes the numpy calls of the op-by-op
+    head (matmul, bias add, log-softmax over classes) and checks the
+    output once: a non-finite product or logit leaves a non-finite
+    log-prob. The hand-written backward makes the calls of that tape's
+    backward, so values and gradients are bit-identical to it; terms of
+    inputs that need no gradient are skipped.
+    """
     cfg = params.config
     if hidden.ndim != 2 or hidden.shape[1] != cfg.enc_hidden:
         raise ShapeError(f"ctc_head expects (T, {cfg.enc_hidden}), got {hidden.shape}")
-    logits = ad.add(ad.matmul(hidden, params["ctc.w"]), params["ctc.b"])
-    return ad.log_softmax(logits, axis=1)
+    w, b = params["ctc.w"], params["ctc.b"]
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = ad.log_softmax_array(hidden.data @ w.data + b.data, axis=1)
+    ad.check_finite(out, "ctc_head")
+
+    def bwd(g):
+        g_logits = g - np.exp(out) * g.sum(axis=1, keepdims=True)
+        return (g_logits @ w.data.T if hidden.requires_grad else None,
+                hidden.data.T @ g_logits if w.requires_grad else None,
+                g_logits.sum(axis=0) if b.requires_grad else None)
+
+    return ad.record_op("ctc_head", (hidden, w, b), out, bwd)
 
 
 class DecoderState:
@@ -191,13 +221,14 @@ class DecoderState:
         self.hproj = hproj
 
 
-# Decoder parameters in the order ``_decoder_step`` unpacks them.
+# Decoder parameters in the order the step kernels unpack them.
 _STEP_PARAMS = ("dec.emb", "dec.w_in", "dec.w_rec", "dec.b",
                 "attn.w_s", "attn.v", "dec.w_out", "dec.b_out")
 
 
-class _Step(NamedTuple):
-    """Arrays of one decoder step.
+class _Steps(NamedTuple):
+    """Arrays of decoder steps, with leading axes: none for one step of
+    one row, (N, B) for N steps of B rows.
 
     The backward reads s, tanh_att, attn, joint and logp; z, q and
     log_attn are kept for the finiteness check.
@@ -213,39 +244,66 @@ class _Step(NamedTuple):
     logp: np.ndarray  # next-token log-probs, eos last
 
 
-def _decoder_step(arrays, s_prev: np.ndarray, hproj: np.ndarray,
-                  hidden: np.ndarray, token: int) -> _Step:
-    """One decoder step in numpy: feed ``token``, attend, predict.
+# Attention score of a padded frame: exp(_PAD_SCORE - x) == 0.0 for any
+# sane score x, so padded frames get exactly zero attention while every
+# array stays finite.
+_PAD_SCORE = -1.0e9
 
-    ``arrays`` holds the parameter arrays named in ``_STEP_PARAMS``. The
-    numpy calls are those of the step recorded op by op (embedding row,
-    two matmuls, two adds, tanh, query, additive attention, softmax,
-    context, output layer, log-softmax), in that order, so values are
-    bit-identical to it. The caller validates ``token`` and checks the
-    result with ``_check_steps``.
+# The decoder step is split in two numpy kernels: ``_recur`` feeds one
+# token per row to the recurrent state, and ``_attend`` attends and
+# predicts from any number of states at once. Inference runs them one
+# step of one row at a time, on vectors; teacher forcing runs the
+# recurrence step by step, then ``_attend`` once over all steps, which
+# takes the attention's per-step Python work out of the loop. At B=1
+# their numpy calls make the arithmetic of the step recorded op by op
+# (embedding row, two matmuls, two adds, tanh, query, additive
+# attention, softmax, context, output layer, log-softmax), in that
+# order, so values are bit-identical to it: a stacked matmul makes one
+# vector product per step and row. The caller validates the tokens and
+# checks the result with ``_check_steps``.
+
+
+def _recur(arrays, s_prev: np.ndarray, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """(z, s) after feeding ``tokens`` (...) to the states ``s_prev`` (..., dec_hidden)."""
+    emb, w_in, w_rec, b = arrays[:4]
+    z = (emb[tokens] @ w_in + s_prev @ w_rec) + b
+    return z, np.tanh(z)
+
+
+def _attend(arrays, z: np.ndarray, s: np.ndarray, hproj: np.ndarray,
+            hidden: np.ndarray, pad: np.ndarray | None) -> _Steps:
+    """Attention and next-token log-probs of the states ``s`` (..., dec_hidden).
+
+    ``hproj`` (..., T, attn_dim) and ``hidden`` (..., T, d) broadcast
+    against the leading axes of ``s``; ``pad`` is a mask of padded frames
+    shaped like the scores' trailing axes, or None.
     """
-    emb, w_in, w_rec, b, w_s, v, w_out, b_out = arrays
-    z = (emb[token] @ w_in + s_prev @ w_rec) + b
-    s = np.tanh(z)
+    w_s, v, w_out, b_out = arrays[4:]
     q = s @ w_s
-    tanh_att = np.tanh(hproj + q)
-    log_attn = ad.log_softmax_array(tanh_att @ v, axis=0)
+    tanh_att = hproj + q[..., None, :]
+    np.tanh(tanh_att, out=tanh_att)
+    scores = tanh_att @ v
+    if pad is not None:
+        scores[..., pad] = _PAD_SCORE
+    log_attn = ad.log_softmax_array(scores, axis=-1)
     attn = np.exp(log_attn)
-    joint = np.concatenate([s, attn @ hidden])
-    logp = ad.log_softmax_array(joint @ w_out + b_out, axis=0)
-    return _Step(z, s, q, tanh_att, log_attn, attn, joint, logp)
+    # One step of one row is a vector-matrix product; stacked rows
+    # attend through (..., 1, T) @ (..., T, d).
+    context = attn @ hidden if attn.ndim == 1 else (attn[..., None, :] @ hidden)[..., 0, :]
+    joint = np.concatenate([s, context], axis=-1)
+    logp = ad.log_softmax_array(joint @ w_out + b_out, axis=-1)
+    return _Steps(z, s, q, tanh_att, log_attn, attn, joint, logp)
 
 
 # Step arrays whose finiteness implies that of every other step array.
 _CHECKED = ("z", "q", "log_attn", "joint", "logp")
 
 
-def _check_steps(steps: Sequence[_Step]) -> None:
+def _check_steps(st: _Steps) -> None:
     """Raise NonFiniteError where the op-by-op step would have raised."""
-    arrays = [getattr(st, name) for st in steps for name in _CHECKED]
+    arrays = [getattr(st, name).ravel() for name in _CHECKED]
     if not np.isfinite(np.concatenate(arrays)).all():
-        bad = next(name for name in _CHECKED for st in steps
-                   if not np.isfinite(getattr(st, name)).all())
+        bad = next(name for name in _CHECKED if not np.isfinite(getattr(st, name)).all())
         raise ad.NonFiniteError(f"non-finite values in the decoder step ({bad})")
 
 
@@ -255,11 +313,13 @@ def _check_token(cfg: ModelConfig, token: int) -> None:
 
 
 def _attention_keys(params: ModelParams, hidden: Tensor) -> np.ndarray:
-    """hidden @ attn.w_h + attn.b: the (T, attn_dim) projection every step reads."""
+    """hidden @ attn.w_h + attn.b: the (..., T, attn_dim) projection every step reads."""
     cfg = params.config
-    if hidden.ndim != 2 or hidden.shape[0] < 1 or hidden.shape[1] != cfg.enc_hidden:
+    if hidden.ndim not in (2, 3) or 0 in hidden.shape[:-1] \
+            or hidden.shape[-1] != cfg.enc_hidden:
         raise ShapeError(f"decoder expects a nonempty (T, {cfg.enc_hidden}) "
-                         f"hidden sequence, got {hidden.shape}")
+                         f"hidden sequence or (B, T, {cfg.enc_hidden}) batch, "
+                         f"got {hidden.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
         hproj = hidden.data @ params["attn.w_h"].data + params["attn.b"].data
     ad.check_finite(hproj, "attention projection")
@@ -279,30 +339,41 @@ def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
     Attention is additive over the encoder states, conditioned on the
     updated recurrent state. The last output column is eos.
 
-    Inference only: the step runs in numpy (``_decoder_step``, the kernel
-    the teacher-forced loss also runs) and the results are constant
-    tensors, so nothing is recorded on the tape and no gradient flows
-    back. Training and attacks differentiate the decoder through
-    ``decoder_teacher_forced``.
+    Inference only: the step runs in numpy (``_recur`` and ``_attend`` on
+    vectors, the kernels the teacher-forced loss also runs) and the results
+    are constant tensors, so nothing is recorded on the tape and no
+    gradient flows back. Training and attacks differentiate the decoder
+    through ``decoder_teacher_forced``.
     """
     _check_token(params.config, token)
     arrays = tuple(params[name].data for name in _STEP_PARAMS)
     with np.errstate(invalid="ignore", over="ignore"):
-        step = _decoder_step(arrays, state.s.data, state.hproj.data,
-                             hidden.data, token)
-    _check_steps([step])
-    return ad.constant(step.logp), DecoderState(ad.constant(step.s), state.hproj)
+        z, s = _recur(arrays, state.s.data, token)
+        step = _attend(arrays, z, s, state.hproj.data, hidden.data, None)
+    _check_steps(step)
+    return ad.constant(step.logp), DecoderState(ad.constant(s), state.hproj)
 
 
 def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
-                           inputs: Sequence[int],
-                           targets: Sequence[int]) -> Tensor:
+                           inputs: Sequence, targets: Sequence,
+                           lengths=None) -> Tensor:
     """(N,) log-probs of ``targets[k]`` after feeding ``inputs[:k + 1]``.
 
-    Runs ``_decoder_step`` N times in numpy and records one tape entry.
-    Its hand-written backward walks the steps last first and adds every
-    gradient term in the order the op-by-op tape of the same steps adds
-    it, so values and gradients are bit-identical to that tape:
+    Runs the recurrence N times and the attention and output layer once
+    over all N states, in numpy, and records one tape entry.
+
+    Batch contract. ``hidden`` may be a padded batch (B, T, d) with
+    per-row frame counts ``lengths`` (default: all T); ``inputs`` and
+    ``targets`` then hold one token sequence per row, of N_b >= 1 tokens,
+    and the output is (B, max N_b), zero past each row's N_b. Attention
+    gives padded frames exactly zero weight, and padded frames and steps
+    get exactly zero gradient. A single sequence runs as a batch of one.
+    At B > 1 each row agrees with its B=1 run to about 1e-12 relative,
+    and parameter gradients are refused (pass frozen parameters).
+
+    At B=1 the hand-written backward adds every gradient term in the
+    order the op-by-op tape of the same steps adds it, so values and
+    gradients are bit-identical to that tape:
 
     - state s_k takes the w_rec term of step k+1, then its part of the
       output layer's input, then the attention-query term;
@@ -312,78 +383,133 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
       attention-projection term. ``autodiff.backward`` adds them one by
       one after whatever other heads contributed before, as the
       op-by-op tape did; a single pre-summed term would round differently.
+
+    Every term outside the state recurrence and the parameter sums is
+    computed for all steps at once.
     """
     cfg = params.config
-    n = len(inputs)
-    if n == 0 or len(targets) != n:
-        raise ShapeError(f"teacher forcing needs as many inputs as targets, "
-                         f"got {n} and {len(targets)}")
-    for tok in (*inputs, *targets):
-        _check_token(cfg, tok)
+    batched = hidden.ndim == 3
+    rows_in = [list(r) for r in inputs] if batched else [list(inputs)]
+    rows_tgt = [list(r) for r in targets] if batched else [list(targets)]
+    counts = [len(r) for r in rows_in]
+    if (len(rows_tgt) != len(rows_in) or [len(r) for r in rows_tgt] != counts
+            or min(counts, default=0) == 0):
+        raise ShapeError(f"teacher forcing needs as many inputs as targets in "
+                         f"every row, got {counts} and {[len(r) for r in rows_tgt]}")
+    for row in (*rows_in, *rows_tgt):
+        for tok in row:
+            _check_token(cfg, tok)
     hproj = _attention_keys(params, hidden)
-    arrays = tuple(params[name].data for name in _STEP_PARAMS)
-    h = hidden.data
-    s_prev = np.zeros(cfg.dec_hidden)
-    steps = []
-    with np.errstate(invalid="ignore", over="ignore"):
-        for tok in inputs:
-            step = _decoder_step(arrays, s_prev, hproj, h, tok)
-            steps.append(step)
-            s_prev = step.s
-    _check_steps(steps)
-    picked = np.array([st.logp[tgt] for st, tgt in zip(steps, targets)])
-    emb, w_in, w_rec, _b, w_s, v, w_out, _b_out = arrays
-    w_h = params["attn.w_h"].data
-    dh = cfg.dec_hidden
+    h = hidden.data if batched else hidden.data[None]
+    if not batched:
+        hproj = hproj[None]
+    n_rows, n_frames = h.shape[:2]
+    if len(counts) != n_rows:
+        raise ShapeError(f"{len(counts)} token rows for a batch of {n_rows}")
+    pad = ad.padding_mask(lengths, n_rows, n_frames)
     param_inputs = (*(params[name] for name in _STEP_PARAMS),
                     params["attn.w_h"], params["attn.b"])
     # Constant parameters (an attack differentiates only its input) get
     # none of their terms computed.
     train = any(p.requires_grad for p in param_inputs)
+    if train and n_rows > 1:
+        raise ShapeError(f"decoder: no parameter gradients for a batch of "
+                         f"{n_rows}; pass frozen parameters")
+    n = max(counts)
+    # Step-major tokens. Rows shorter than n feed eos and pick column 0
+    # on their padded steps; the picks are zeroed and take no gradient.
+    tok_in = np.full((n, n_rows), cfg.eos)
+    tok_tgt = np.zeros((n, n_rows), dtype=int)
+    for r, (row_in, row_tgt) in enumerate(zip(rows_in, rows_tgt)):
+        tok_in[:counts[r], r] = row_in
+        tok_tgt[:counts[r], r] = row_tgt
+    late = np.arange(n)[:, None] >= np.array(counts) if min(counts) < n else None
+    arrays = tuple(params[name].data for name in _STEP_PARAMS)
+    z = np.empty((n, n_rows, cfg.dec_hidden))
+    s = np.empty((n, n_rows, cfg.dec_hidden))
+    s_prev = np.zeros((n_rows, cfg.dec_hidden))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k in range(n):
+            z[k], s[k] = _recur(arrays, s_prev, tok_in[k])
+            s_prev = s[k]
+        st = _attend(arrays, z, s, hproj, h, pad)
+    _check_steps(st)
+    row_idx = np.arange(n_rows)
+    step_idx = np.arange(n)[:, None]
+    picked = st.logp[step_idx, row_idx, tok_tgt]
+    if late is not None:
+        picked[late] = 0.0
+    emb, w_in, w_rec, _b, w_s, v, w_out, _b_out = arrays
+    w_h = params["attn.w_h"].data
+    dh = cfg.dec_hidden
 
     def bwd(g):
-        # Parameter sums start at +0.0; that differs from starting at the
-        # first term only for a -0.0 term, which the leaf update in
+        g = g.T if batched else g[:, None]
+        if late is not None:
+            g = np.where(late, 0.0, g)
+        # Terms of one step that do not depend on the state recurrence are
+        # computed for all steps at once, except the (B, T, attn_dim)
+        # blocks: an (N, B, T, ...) array of them is the largest of a
+        # batched step, so those are made one step at a time.
+        g_logp = np.zeros(st.logp.shape)
+        g_logp[step_idx, row_idx, tok_tgt] += g
+        g_logits = g_logp - np.exp(st.logp) * g_logp.sum(axis=2, keepdims=True)
+        g_joint = (w_out @ g_logits[..., None])[..., 0]
+        g_ctx = g_joint[..., dh:]
+        g_log_attn = (h @ g_ctx[..., None])[..., 0] * st.attn
+        g_scores = g_log_attn - st.attn * g_log_attn.sum(axis=2, keepdims=True)
+        deriv = 1.0 - st.s * st.s
+        # Steps last first: state s_k takes the w_rec term of step k+1,
+        # then its part of the output layer's input, then the query term.
+        g_z = np.empty(st.s.shape)
+        g_q = np.empty(st.q.shape)
+        g_hproj = None
+        for k in range(n - 1, -1, -1):
+            g_att = g_scores[k, ..., None] * v
+            deriv_att = st.tanh_att[k] * st.tanh_att[k]
+            np.subtract(1.0, deriv_att, out=deriv_att)
+            g_att *= deriv_att
+            g_hproj = g_att if g_hproj is None else g_hproj + g_att
+            g_q[k] = g_att.sum(axis=1)
+            g_s = g_joint[k, :, :dh] if k == n - 1 else g_z[k + 1] @ w_rec.T + g_joint[k, :, :dh]
+            g_z[k] = (g_s + g_q[k] @ w_s.T) * deriv[k]
+        # The context term of each step, then the projection term, made
+        # one at a time as ``autodiff.backward`` adds them.
+        g_hidden = (term if batched else term[0] for term in itertools.chain(
+            (st.attn[k, ..., None] * g_ctx[k, :, None] for k in range(n - 1, -1, -1)),
+            [g_hproj @ w_h.T]))
+        if not train:
+            return itertools.chain((None,) * 10, g_hidden)
+        # B=1. Parameter sums start at +0.0; that differs from starting at
+        # the first term only for a -0.0 term, which the leaf update in
         # ``autodiff.backward`` (grad + term, grad never -0.0) erases.
         g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out = (
-            np.zeros_like(a) if train else None for a in arrays)
-        g_hidden = []
-        g_hproj = None
-        g_s_next = None  # w_rec term of s_k, from step k+1
+            np.zeros_like(params[name].data) for name in _STEP_PARAMS)
+        gl, gz, s0, toks = g_logits[:, 0], g_z[:, 0], st.s[:, 0], tok_in[:, 0]
+        s_before = np.concatenate([np.zeros((1, dh)), s0[:-1]])
+        w_out_terms = st.joint[:, 0, :, None] * gl[:, None]
+        v_terms = (st.tanh_att[:, 0].transpose(0, 2, 1) @ g_scores[:, 0, :, None])[..., 0]
+        w_s_terms = s0[:, :, None] * g_q[:, 0, None]
+        w_rec_terms = s_before[:, :, None] * gz[:, None]
+        w_in_terms = emb[toks][:, :, None] * gz[:, None]
+        emb_terms = (w_in @ gz[..., None])[..., 0]
+        # Each parameter takes its per-step terms from step n-1 down to 0.
         for k in range(n - 1, -1, -1):
-            st = steps[k]
-            g_logp = np.zeros(st.logp.shape)
-            g_logp[targets[k]] += g[k]
-            g_logits = g_logp - np.exp(st.logp) * g_logp.sum(axis=0, keepdims=True)
-            g_joint = w_out @ g_logits
-            g_ctx = g_joint[dh:]
-            g_hidden.append(st.attn[:, None] * g_ctx)
-            g_log_attn = (h @ g_ctx) * st.attn
-            g_scores = g_log_attn - st.attn * g_log_attn.sum(axis=0, keepdims=True)
-            g_att = g_scores[:, None] * v * (1.0 - st.tanh_att * st.tanh_att)
-            g_hproj = g_att if g_hproj is None else g_hproj + g_att
-            g_q = g_att.sum(axis=0)
-            g_s = g_joint[:dh] if g_s_next is None else g_s_next + g_joint[:dh]
-            g_s = g_s + w_s @ g_q
-            g_z = g_s * (1.0 - st.s * st.s)
-            g_s_next = w_rec @ g_z
-            if train:
-                g_b_out += g_logits
-                g_w_out += st.joint[:, None] * g_logits
-                g_v += st.tanh_att.T @ g_scores
-                g_w_s += st.s[:, None] * g_q
-                g_b += g_z
-                s_prev = steps[k - 1].s if k else np.zeros(dh)
-                g_w_rec += s_prev[:, None] * g_z
-                g_w_in += emb[inputs[k]][:, None] * g_z
-                g_emb[inputs[k]] += w_in @ g_z
-        g_hidden.append(g_hproj @ w_h.T)
-        g_w_h, g_attn_b = (h.T @ g_hproj, g_hproj.sum(axis=0)) if train else (None, None)
-        return (g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out,
-                g_w_h, g_attn_b, *g_hidden)
+            g_b_out += gl[k]
+            g_w_out += w_out_terms[k]
+            g_v += v_terms[k]
+            g_w_s += w_s_terms[k]
+            g_b += gz[k]
+            g_w_rec += w_rec_terms[k]
+            g_w_in += w_in_terms[k]
+            g_emb[toks[k]] += emb_terms[k]
+        return itertools.chain(
+            (g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out,
+             h[0].T @ g_hproj[0], g_hproj[0].sum(axis=0)), g_hidden)
 
     return ad.record_op("decoder_teacher_forced",
-                        (*param_inputs, *(hidden,) * (n + 1)), picked, bwd)
+                        (*param_inputs, *(hidden,) * (n + 1)),
+                        picked.T if batched else picked[:, 0], bwd)
 
 
 def discriminate(params: ModelParams, hidden: Tensor) -> Tensor:

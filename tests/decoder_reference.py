@@ -13,7 +13,7 @@ from robustasr.model import DecoderState
 
 
 def reference_start(params, hidden):
-    hproj = ad.add(ad.matmul(hidden, params["attn.w_h"]), params["attn.b"])
+    hproj = ad.add(ro.matmul(hidden, params["attn.w_h"]), params["attn.b"])
     return DecoderState(ad.constant(np.zeros(params.config.dec_hidden)), hproj)
 
 
@@ -21,17 +21,17 @@ def reference_advance(params, hidden, state, token):
     cfg = params.config
     emb = ro.reshape(ro.embedding_lookup(params["dec.emb"], [token]),
                      (cfg.emb_dim,))
-    s = ro.tanh(ad.add(ad.add(ad.matmul(emb, params["dec.w_in"]),
-                              ad.matmul(state.s, params["dec.w_rec"])),
+    s = ro.tanh(ad.add(ad.add(ro.matmul(emb, params["dec.w_in"]),
+                              ro.matmul(state.s, params["dec.w_rec"])),
                        params["dec.b"]))
-    scores = ad.matmul(ro.tanh(ad.add(state.hproj,
-                                      ad.matmul(s, params["attn.w_s"]))),
+    scores = ro.matmul(ro.tanh(ad.add(state.hproj,
+                                      ro.matmul(s, params["attn.w_s"]))),
                        params["attn.v"])
-    weights = ro.exp(ad.log_softmax(scores, axis=0))
-    context = ad.matmul(weights, hidden)
-    logits = ad.add(ad.matmul(ro.concat([s, context]), params["dec.w_out"]),
+    weights = ro.exp(ro.log_softmax(scores, axis=0))
+    context = ro.matmul(weights, hidden)
+    logits = ad.add(ro.matmul(ro.concat([s, context]), params["dec.w_out"]),
                     params["dec.b_out"])
-    return ad.log_softmax(logits, axis=0), DecoderState(s, state.hproj)
+    return ro.log_softmax(logits, axis=0), DecoderState(s, state.hproj)
 
 
 def reference_dec_loss(params, hidden, y):

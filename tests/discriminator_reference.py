@@ -12,7 +12,7 @@ from robustasr import autodiff as ad
 def reference_discriminate(params, hidden):
     h = ro.mean(hidden, axis=0)
     for i in range(params.config.disc_layers):
-        h = ad.add(ad.matmul(h, params[f"dis{i}.w"]), params[f"dis{i}.b"])
+        h = ad.add(ro.matmul(h, params[f"dis{i}.w"]), params[f"dis{i}.b"])
         if i < params.config.disc_layers - 1:
             h = ro.relu(h)
-    return ad.log_softmax(h, axis=0)
+    return ro.log_softmax(h, axis=0)

@@ -1,11 +1,15 @@
 """Generic autodiff ops that only the op-by-op reference tapes use.
 
-The program runs fused ops (``autodiff.tanh_rnn``, the decoder, the CTC
-lattice and the accent head). The ``tests/*_reference.py`` tapes rebuild
-each of them from these generic ops, one tape record per numpy call, and
-the fused ops are checked against them byte for byte. Each op is built
-on ``autodiff.record_op``; the ones whose output can overflow (``exp``,
-``mean``, ``logsumexp``) check it first with ``autodiff.check_finite``.
+The program runs fused ops (``autodiff.tanh_rnn``, the CTC head, the
+decoder, the CTC lattice and the accent head). The op-by-op reference
+tapes (``tests/*_reference.py``, ``ctc_head`` below) rebuild each of them
+from these generic ops, one tape record per numpy call, and the fused
+ops are checked against them byte for byte. Each op is built on
+``autodiff.record_op``; the ones whose output can overflow (``matmul``,
+``exp``, ``mean``, ``log_softmax``, ``logsumexp``) check it first with
+``autodiff.check_finite``. The binary ``matmul`` returns None for the
+term of an operand that requires no gradient, as ``autodiff.add`` and
+``autodiff.mul`` do.
 """
 
 from typing import Sequence
@@ -23,6 +27,49 @@ def _promote(x) -> Tensor:
 def _checked(op, inputs, out, backward_fn) -> Tensor:
     ad.check_finite(out, op)
     return ad.record_op(op, inputs, out, backward_fn)
+
+
+def matmul(a, b) -> Tensor:
+    """Matrix product for 1-D/2-D operands with numpy semantics."""
+    a, b = _promote(a), _promote(b)
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        raise ShapeError(f"matmul supports 1-D/2-D, got {a.shape} @ {b.shape}")
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = a.data @ b.data
+    except ValueError as e:
+        raise ShapeError(f"matmul: {a.shape} @ {b.shape}") from e
+    da, db = a.data, b.data
+    na, nb = a.ndim, b.ndim
+    ra, rb = a.requires_grad, b.requires_grad
+
+    def bwd(g):
+        if na == 2 and nb == 2:
+            return (g @ db.T if ra else None), (da.T @ g if rb else None)
+        if na == 1 and nb == 2:
+            return (db @ g if ra else None), (np.outer(da, g) if rb else None)
+        if na == 2 and nb == 1:
+            return (np.outer(g, db) if ra else None), (da.T @ g if rb else None)
+        return (g * db if ra else None), (g * da if rb else None)  # 1-D dot
+
+    return _checked("matmul", (a, b), np.asarray(out), bwd)
+
+
+def log_softmax(a, axis: int = -1) -> Tensor:
+    a = _promote(a)
+    out = ad.log_softmax_array(a.data, axis)
+    p = np.exp(out)
+
+    def bwd(g):
+        return (g - p * g.sum(axis=axis, keepdims=True),)
+
+    return _checked("log_softmax", (a,), out, bwd)
+
+
+def ctc_head(params, hidden) -> Tensor:
+    """The CTC head op by op: matmul, bias add, log-softmax over classes."""
+    logits = ad.add(matmul(hidden, params["ctc.w"]), params["ctc.b"])
+    return log_softmax(logits, axis=1)
 
 
 def tanh(a) -> Tensor:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +13,15 @@ from robustasr.attack import (
     calibrate,
     l2_step,
     pgd_attack,
+    pgd_attack_batch,
     pgd_step,
     project_l2,
     target_feasible,
 )
-from robustasr.losses import CtcInfeasibleError, MtlWeights, ctc_loss, dec_loss
-from robustasr.model import ModelConfig, ctc_head, encode, init_params
+from robustasr.data import gen_adv_targets, gen_dataset, select_adv_target
+from robustasr.decode import joint_greedy_decode
+from robustasr.losses import CtcInfeasibleError, MtlWeights, ctc_loss, ctc_min_frames, dec_loss
+from robustasr.model import ModelConfig, ctc_head, encode, init_params, load_checkpoint
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=4, disc_hidden=4, seed=5)
@@ -137,44 +142,84 @@ def test_pgd_attack_zero_steps_is_identity(params):
     assert len(res.loss_trace) == 1 and np.isfinite(res.loss_trace[0])
 
 
+# Row r of a ragged batch attacks ROW_TARGETS[r]; a single row is the
+# one-utterance attack.
+ROW_TARGETS = ([0, 2], [1], [3, 3], [2, 0, 1])
+
+
 @st.composite
 def pgd_cases(draw):
     epsilon = draw(st.floats(1e-3, 3.0))
     alpha = epsilon * draw(st.floats(1e-3, 1.0))
-    return epsilon, alpha, draw(st.integers(1, 15)), draw(st.sampled_from([0.0, 0.5, 1.0]))
+    lengths = draw(st.one_of(st.just((7,)), st.lists(st.integers(4, 9), min_size=2,
+                                                     max_size=4).map(tuple)))
+    return (epsilon, alpha, draw(st.integers(1, 15)),
+            draw(st.sampled_from([0.0, 0.5, 1.0])), lengths)
 
 
 @settings(max_examples=25, deadline=None)
 @given(pgd_cases())
-@example((0.3, 0.05, 25, 0.5))
+@example((0.3, 0.05, 25, 0.5, (7,)))
+@example((0.3, 0.05, 25, 0.5, (7, 4, 9)))
+@example((1e-3, 1e-3, 12, 0.0, (5, 9, 4, 6)))
 def test_pgd_attack_invariants_and_determinism(case):
-    epsilon, alpha, steps, lam = case
+    epsilon, alpha, steps, lam, lengths = case
     params = init_params(TINY)
-    x = np.random.default_rng(5).normal(size=(7, TINY.feat_dim))
+    rng = np.random.default_rng(5)
+    xs = [rng.normal(size=(n, TINY.feat_dim)) for n in lengths]
+    targets = ROW_TARGETS[:len(xs)]
     report_at = (0, min(10, steps), steps)
     cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=steps,
                        weights=MtlWeights(1.0, 0.5, lambda_i_C=lam), report_at=report_at)
 
     def run():
-        return pgd_attack(params, x, [0, 2], cfg)
+        if len(xs) == 1:
+            return [pgd_attack(params, xs[0], targets[0], cfg)]
+        return pgd_attack_batch(params, xs, targets, cfg)
 
-    res = run()
-    taken = steps if res.converged_at is None else res.converged_at
-    assert len(res.step_norms) == len(res.delta_norms) == taken
-    assert len(res.loss_trace) == taken + 1 + (res.converged_at is not None)
-    assert all(np.isfinite(v) for v in res.loss_trace)
-    assert all(n <= epsilon * (1.0 + 1e-12) for n in res.delta_norms)
-    assert all(abs(s - alpha) <= 1e-12 * alpha for s in res.step_norms)
-    assert np.array_equal(res.x_adv, x + res.delta)
-    assert set(res.snapshots) == set(report_at)
-    assert np.array_equal(res.snapshots[0], x)
-    res2 = run()
-    for a, b in ((res.x_adv, res2.x_adv), (res.delta, res2.delta),
-                 (res.loss_trace, res2.loss_trace), (res.delta_norms, res2.delta_norms),
-                 (res.step_norms, res2.step_norms)):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    assert all(res.snapshots[r].tobytes() == res2.snapshots[r].tobytes()
-               for r in report_at)
+    results = run()
+    assert len(results) == len(xs)
+    for x, res in zip(xs, results):
+        taken = steps if res.converged_at is None else res.converged_at
+        assert len(res.step_norms) == len(res.delta_norms) == taken
+        assert len(res.loss_trace) == taken + 1 + (res.converged_at is not None)
+        assert all(np.isfinite(v) for v in res.loss_trace)
+        assert all(n <= epsilon * (1.0 + 1e-12) for n in res.delta_norms)
+        assert all(abs(s - alpha) <= 1e-12 * alpha for s in res.step_norms)
+        assert res.delta.shape == x.shape
+        assert np.array_equal(res.x_adv, x + res.delta)
+        assert set(res.snapshots) == set(report_at)
+        assert np.array_equal(res.snapshots[0], x)
+        if res.converged_at is not None:
+            assert all(np.array_equal(res.snapshots[r], res.x_adv)
+                       for r in report_at if r > res.converged_at)
+    for res, res2 in zip(results, run()):
+        for a, b in ((res.x_adv, res2.x_adv), (res.delta, res2.delta),
+                     (res.loss_trace, res2.loss_trace), (res.delta_norms, res2.delta_norms),
+                     (res.step_norms, res2.step_norms)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert res.converged_at == res2.converged_at
+        assert all(res.snapshots[r].tobytes() == res2.snapshots[r].tobytes()
+                   for r in report_at)
+
+
+def test_pgd_batch_row_stops_on_zero_gradient_while_others_step():
+    # Huge features saturate the encoder's tanh, so row 1's input gradient
+    # is exactly zero: it stops at step 0 while row 0 steps on alone, as
+    # its own one-utterance attack does.
+    params = init_params(TINY)
+    rng = np.random.default_rng(17)
+    xs = [rng.normal(size=(6, TINY.feat_dim)), 1e8 * rng.normal(size=(4, TINY.feat_dim))]
+    cfg = AttackConfig(epsilon=1.0, alpha=0.1, steps=5, report_at=(0, 3, 5),
+                       weights=MtlWeights(1.0, 0.5, lambda_i_C=0.0))
+    moving, stopped = pgd_attack_batch(params, xs, [[1], [2, 0]], cfg)
+    assert stopped.converged_at == 0
+    assert stopped.step_norms == [] and len(stopped.loss_trace) == 2
+    assert all(np.array_equal(stopped.snapshots[r], xs[1]) for r in (0, 3, 5))
+    alone = pgd_attack(params, xs[0], [1], cfg)
+    assert moving.converged_at is None and len(moving.step_norms) == 5
+    assert rel_err(moving.delta, alone.delta) < 1e-12
+    assert rel_err(moving.loss_trace, alone.loss_trace) < 1e-12
 
 
 def test_calibrate_uses_median_norm():
@@ -244,3 +289,119 @@ def test_pgd_attack_same_bytes_from_frozen_params(params, lam_i):
     assert a.loss_trace == b.loss_trace
     assert {k: v.tobytes() for k, v in a.snapshots.items()} == \
         {k: v.tobytes() for k, v in b.snapshots.items()}
+
+
+# ---------------------------------------------------------------------------
+# batches against batches of one
+
+
+def _pad(xs):
+    """(B, T_max, F) zero-padded batch of ragged (T, F) inputs."""
+    out = np.zeros((len(xs), max(len(x) for x in xs), xs[0].shape[1]))
+    for r, x in enumerate(xs):
+        out[r, :len(x)] = x
+    return out
+
+
+def _close(a, b, tol):
+    """Max difference within tol times the reference's largest magnitude."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return float(np.max(np.abs(a - b))) <= tol * float(np.max(np.abs(b)))
+
+
+@st.composite
+def ragged_batches(draw):
+    cfg = draw(st.sampled_from([TINY, BIDIR]))
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    targets = draw(st.lists(st.lists(st.integers(0, cfg.vocab_size - 1), max_size=3),
+                            min_size=1, max_size=5))
+    lengths = [draw(st.integers(max(1, ctc_min_frames(t)), 8)) for t in targets]
+    return cfg, lam, targets, lengths, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_batches())
+@example((BIDIR, 0.5, [[], [1, 1, 3], [2]], [5, 8, 2], 0))
+@example((TINY, 1.0, [[3], []], [1, 3], 1))
+def test_batched_adv_loss_matches_batch_of_one(case):
+    cfg, lam, targets, lengths, seed = case
+    params = init_params(cfg).frozen()
+    rng = np.random.default_rng(seed)
+    xs = [rng.normal(size=(n, cfg.feat_dim)) for n in lengths]
+    weights = MtlWeights(1.0, 0.5, lambda_i_C=lam)
+    x = ad.leaf(_pad(xs))
+    with ad.tape():
+        losses = adv_loss(params, x, targets, weights, lengths)
+        ad.backward(ad.sum_(losses))
+    assert losses.shape == (len(xs),)
+    for r, (x_r, target, n) in enumerate(zip(xs, targets, lengths)):
+        one = ad.leaf(x_r)
+        with ad.tape():
+            loss = adv_loss(params, one, target, weights)
+            ad.backward(loss)
+        assert _close(losses.data[r], loss.item(), 1e-12)
+        assert _close(x.grad[r, :n], one.grad, 1e-12)
+        assert np.all(x.grad[r, n:] == 0.0)  # padded frames
+
+
+@pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
+def test_batched_row_gradient_matches_fd(lam_i):
+    # Row 1 is padded; its loss's finite differences over its whole
+    # padded input, padded frames included, match the batched gradient.
+    params = init_params(BIDIR).frozen()
+    rng = np.random.default_rng(23)
+    lengths = [7, 4, 6]
+    targets = [[1, 1, 3], [2, 0], []]
+    x_pad = _pad([rng.normal(size=(n, BIDIR.feat_dim)) for n in lengths])
+    weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
+
+    def row_loss(t):
+        batch = x_pad.copy()
+        batch[1] = t.data
+        return float(adv_loss(params, ad.constant(batch), targets, weights, lengths).data[1])
+
+    x = ad.leaf(x_pad)
+    with ad.tape():
+        ad.backward(ad.sum_(adv_loss(params, x, targets, weights, lengths)))
+    fd = ad.fd_gradient(row_loss, ad.constant(x_pad[1]))
+    assert rel_err(x.grad[1], fd.data) < 1e-6
+    assert np.all(x.grad[1, 4:] == 0.0)
+
+
+def test_batch_refuses_parameter_gradients():
+    params = init_params(BIDIR)
+    x = ad.constant(np.ones((2, 5, BIDIR.feat_dim)))
+    with pytest.raises(ad.ShapeError):
+        encode(params, x, [5, 3])
+    hidden = encode(params.frozen(), x, [5, 3])
+    with pytest.raises(ad.ShapeError):
+        dec_loss(params, hidden, [[1], [2, 3]], [5, 3])
+    assert dec_loss(params.frozen(), hidden, [[1], [2, 3]], [5, 3]).shape == (2,)
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "checkpoint.txt"
+
+
+def test_batched_attack_follows_single_trajectories_on_the_fixture():
+    # The drop-CTC attack of ten test utterances for 200 steps, batched
+    # and one utterance at a time, on the trained fixture checkpoint.
+    params = load_checkpoint(FIXTURE)
+    test = gen_dataset(3, n_train=1, n_valid=1, n_test=10).test
+    targets = [select_adv_target(u.transcript, gen_adv_targets(3)) for u in test]
+    epsilon, alpha = calibrate(test)
+    weights = MtlWeights(0.7, 0.5, lambda_i_C=0.0)
+    cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=200, weights=weights,
+                       report_at=(10, 50, 100, 200))
+    batched = pgd_attack_batch(params, [u.features for u in test], targets, cfg)
+
+    def hypothesis(x):
+        with ad.no_grad():
+            return joint_greedy_decode(params, encode(params, ad.constant(x)),
+                                       weights, 10).hypothesis
+
+    for utt, target, res in zip(test, targets, batched):
+        alone = pgd_attack(params, utt.features, target, cfg)
+        assert _close(res.delta, alone.delta, 1e-9)
+        assert res.converged_at == alone.converged_at
+        for r in cfg.report_at:
+            assert hypothesis(res.snapshots[r]) == hypothesis(alone.snapshots[r])

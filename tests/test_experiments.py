@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,7 @@ def test_experiment_config_json_round_trip():
                       modes=("match",), report_steps=(5,), seeds=(0,)),
         n_train=10, n_valid=4, n_test=4, epochs=2,
         model=ModelConfig(enc_hidden=8))
-    again = ExperimentConfig.from_json(cfg.to_json())
+    again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
     assert again == cfg
     assert again.hash() == cfg.hash()
 

@@ -23,6 +23,7 @@ from robustasr.losses import (
 from robustasr.model import ModelConfig, ctc_head, encode, init_params
 from robustasr.train import sample_losses
 
+import reference_ops as ro
 from ctc_reference import reference_ctc_loss
 from decoder_reference import reference_dec_loss
 from discriminator_reference import reference_discriminate
@@ -104,7 +105,7 @@ def test_ctc_gradient_matches_fd():
     raw = rng.normal(size=(5, 4))
 
     def f(t):
-        return ctc_loss(ad.log_softmax(t, axis=1), [0, 2])
+        return ctc_loss(ro.log_softmax(t, axis=1), [0, 2])
 
     x = ad.leaf(raw)
     with ad.tape():
@@ -291,6 +292,20 @@ def test_training_mix_bit_identical_to_op_by_op(cfg, y, monkeypatch):
     assert _grads(cfg, run) == fused
 
 
+@pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
+@pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
+def test_training_mix_with_op_by_op_ctc_head_bit_identical(cfg, y, monkeypatch):
+    # The fused CTC head inside MTL-3: hidden's gradient takes the head's
+    # term where the op-by-op head's matmul added it.
+    def run(p, x):
+        utt = Utterance(id="u", features=x.data, transcript=tuple(y), accent=1)
+        return sample_losses(p, utt, MtlWeights(0.7, 0.5)).total
+
+    fused = _grads(cfg, run)
+    monkeypatch.setattr(train, "ctc_head", ro.ctc_head)
+    assert _grads(cfg, run) == fused
+
+
 @pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
 def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
@@ -423,7 +438,7 @@ def test_ctc_gradient_property_matches_fd(case):
     raw, y = case
 
     def f(t):
-        return ctc_loss(ad.log_softmax(t, axis=1), y)
+        return ctc_loss(ro.log_softmax(t, axis=1), y)
 
     x = ad.leaf(raw)
     with ad.tape():

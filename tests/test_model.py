@@ -78,13 +78,13 @@ def test_encode_input_gradient_matches_fd(params):
 
 def _reference_scan(seq, w_in, w_rec, b, d, reverse):
     """The encoder scan recorded op by op, one tape record per numpy call."""
-    pre = ad.matmul(seq, w_in)
+    pre = ro.matmul(seq, w_in)
     n = seq.shape[0]
     order = range(n - 1, -1, -1) if reverse else range(n)
     h = ad.constant(np.zeros(d))
     rows = [None] * n
     for t in order:
-        h = ro.tanh(ad.add(ad.add(pre[t], ad.matmul(h, w_rec)), b))
+        h = ro.tanh(ad.add(ad.add(pre[t], ro.matmul(h, w_rec)), b))
         rows[t] = ro.reshape(h, (1, d))
     return ro.concat(rows, axis=0)
 
@@ -177,6 +177,53 @@ def test_ctc_head_gradient_matches_fd(params):
 
 
 _W_CTC = np.random.default_rng(60).normal(size=(2, TINY.vocab_size + 1))
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_ctc_head_bit_identical_to_op_by_op(bidirectional):
+    # The fused head against matmul, bias add and log-softmax recorded
+    # one by one: output, input gradient and every parameter gradient
+    # through the encoder.
+    cfg = replace(TINY, bidirectional=bidirectional)
+    rng = np.random.default_rng(61)
+    x0 = rng.normal(size=(7, cfg.feat_dim))
+    bias = rng.normal(size=cfg.vocab_size + 1)
+    weight = ad.constant(rng.normal(size=(7, cfg.vocab_size + 1)))
+    results = []
+    for head in (ctc_head, ro.ctc_head):
+        params = init_params(cfg)
+        params["ctc.b"].data = bias.copy()
+        x = ad.leaf(x0)
+        with ad.tape():
+            out = head(params, encode(params, x))
+            ad.backward(ad.sum_(ad.mul(out, weight)))
+        results.append((out.data.tobytes(), x.grad.tobytes(),
+                        {n: t.grad.tobytes() for n, t in params.items()}))
+    assert results[0] == results[1]
+
+
+def test_ctc_head_records_one_op_and_skips_constant_terms(params):
+    h = ad.leaf(np.random.default_rng(62).normal(size=(5, TINY.enc_hidden)))
+    with ad.tape() as tp:
+        ctc_head(params, h)
+        assert len(tp) == 1
+        g = np.ones((5, TINY.vocab_size + 1))
+        assert all(t is not None for t in tp.records[0].backward_fn(g))
+        ctc_head(params.frozen(), ad.constant(h.data))
+        assert len(tp) == 1  # nothing to differentiate: not recorded
+        ctc_head(params.frozen(), h)
+        assert tp.records[1].backward_fn(g)[1:] == (None, None)
+
+
+@pytest.mark.parametrize("where", ["hidden", "ctc.w", "ctc.b"])
+def test_ctc_head_non_finite_raises(params, where):
+    h = np.random.default_rng(63).normal(size=(4, TINY.enc_hidden))
+    if where == "hidden":
+        h[2, 1] = np.nan
+    else:
+        params[where].data.flat[3] = np.inf
+    with pytest.raises(ad.NonFiniteError):
+        ctc_head(params, ad.constant(h))
 
 
 def test_decoder_step_normalized_and_deterministic(params):
