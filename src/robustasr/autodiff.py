@@ -178,11 +178,9 @@ def record_op(op: str, inputs: Sequence[Tensor], out: Array,
     """Wrap ``out`` as the result of a fused op defined outside this module.
 
     ``backward_fn`` maps the output gradient to one gradient (or None) per
-    entry of ``inputs``, as a sequence or an iterator: ``backward`` takes
-    the gradients in order, so an iterator can make the terms of a
-    repeated input one at a time. Nothing is recorded under ``no_grad``
-    or when no input requires gradients. The caller checks finiteness
-    itself, with ``check_finite``.
+    entry of ``inputs``. Nothing is recorded under ``no_grad`` or when no
+    input requires gradients. The caller checks finiteness itself, with
+    ``check_finite``.
     """
     return _emit(op, inputs, out, backward_fn, check=False)
 
@@ -268,18 +266,10 @@ def take(a, key) -> Tensor:
     except IndexError as e:
         raise ShapeError(f"take: bad index for shape {a.shape}") from e
     shape = a.shape
-    # Basic indexing (ints, slices) selects each entry at most once, so an
-    # in-place add gives np.add.at's sums, several times faster.
-    basic = all(k is None or k is Ellipsis or isinstance(k, slice)
-                or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-                for k in (key if isinstance(key, tuple) else (key,)))
 
     def bwd(g):
         z = np.zeros(shape)
-        if basic:
-            z[key] += g
-        else:
-            np.add.at(z, key, g)
+        np.add.at(z, key, g)
         return (z,)
 
     return _emit("take", (a,), out, bwd, check=False)
@@ -360,22 +350,18 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
     wi, wr = w_in.data, w_rec.data
     order = range(n - 1, -1, -1) if reverse else range(n)
     # The scan runs time-major: frame t of every row is one (B, d) block.
-    # One row runs on (T, d) arrays, whose (d,) frames numpy handles
-    # faster than (1, d) blocks; for many rows the bias is a (1, d) row
-    # for the same reason.
-    row = 0 if rows == 1 else slice(None)
-    block = (d,) if rows == 1 else (rows, d)
-    bias = b.data if rows == 1 else b.data[None]
+    # The bias is added as a (1, d) row: numpy broadcasts it into a block
+    # in place about twice as fast as a (d,) vector.
+    bias = b.data[None]
     if dead is not None:
-        dead = dead.T[:, row]
+        dead = dead.T
     with np.errstate(invalid="ignore", over="ignore"):
         pre = x @ wi
         check_finite(pre, "tanh_rnn input projection")
-        if batched:
-            pre = pre.transpose(1, 0, 2)[:, row]
-        z = np.empty((n, *block))
-        out = np.empty((n, *block))
-        h = np.zeros(block)
+        pre = pre.transpose(1, 0, 2) if batched else pre[:, None]
+        z = np.empty((n, rows, d))
+        out = np.empty((n, rows, d))
+        h = np.zeros((rows, d))
         for t in order:
             zt = z[t]
             np.add(pre[t], h @ wr, out=zt)
@@ -389,50 +375,49 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         # Frames in reverse of the forward order: dh = W_rec dz_next + g_t,
         # dz = dh (1 - h^2), which is zero on padded frames. A batch's
         # gradient is copied time-major, contiguous.
-        if batched:
-            g = np.ascontiguousarray(g.transpose(1, 0, 2))[:, row]
+        g = np.ascontiguousarray(g.transpose(1, 0, 2)) if batched else g[:, None]
         deriv = 1.0 - out * out
         if dead is not None:
             deriv[dead] = 0.0
         wr_t = wr.T
-        dpre = np.empty((n, *block))
+        dpre = np.empty((n, rows, d))
         dz = None
         for t in reversed(order):
             dh = g[t] if dz is None else dz @ wr_t + g[t]
             dz = dpre[t] = dh * deriv[t]
         # Terms for inputs that take no gradient (a constant input, or
         # constant weights under attack) are skipped. Weights that take
-        # one imply B=1, so dpre and out are (T, d) there.
+        # one imply B=1, so row 0 is the whole batch there.
         dwr = db = None
         if w_rec.requires_grad or b.requires_grad:
             # The state each frame read: zero for the first, else the one
             # before.
             h_prev = np.zeros((n, d))
             if reverse:
-                h_prev[:-1] = out[1:]
+                h_prev[:-1] = out[1:, 0]
             else:
-                h_prev[1:] = out[:-1]
-            outer = h_prev[:, :, None] * dpre[:, None, :]
+                h_prev[1:] = out[:-1, 0]
+            outer = h_prev[:, :, None] * dpre[:, 0, None, :]
             # Per-frame W_rec and b terms are summed one frame at a time,
             # last frame first, as the op-by-op tape adds them.
             back = reversed(order)
             first = next(back)
-            dwr, db = outer[first].copy(), dpre[first].copy()
+            dwr, db = outer[first].copy(), dpre[first, 0].copy()
             for t in back:
                 dwr += outer[t]
-                db += dpre[t]
+                db += dpre[t, 0]
         g_seq = None
         if seq.requires_grad:
-            g_seq = dpre @ wi.T
+            g_seq = dpre.reshape(n * rows, d) @ wi.T
             if batched:
                 g_seq = g_seq.reshape(n, rows, -1).transpose(1, 0, 2)
         dwi = None
         if w_in.requires_grad:
-            dwi = (x[0] if batched else x).T @ dpre
+            dwi = (x[0] if batched else x).T @ dpre[:, 0]
         return (g_seq, dwi, dwr, db)
 
     return _emit("tanh_rnn", (seq, w_in, w_rec, b),
-                 out.reshape(n, rows, d).transpose(1, 0, 2) if batched else out,
+                 out.transpose(1, 0, 2) if batched else out[:, 0],
                  bwd, check=False)
 
 

@@ -20,7 +20,6 @@ a single one, which runs as a batch of one.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
@@ -473,13 +472,14 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
             g_q[k] = g_att.sum(axis=1)
             g_s = g_joint[k, :, :dh] if k == n - 1 else g_z[k + 1] @ w_rec.T + g_joint[k, :, :dh]
             g_z[k] = (g_s + g_q[k] @ w_s.T) * deriv[k]
-        # The context term of each step, then the projection term, made
-        # one at a time as ``autodiff.backward`` adds them.
-        g_hidden = (term if batched else term[0] for term in itertools.chain(
-            (st.attn[k, ..., None] * g_ctx[k, :, None] for k in range(n - 1, -1, -1)),
-            [g_hproj @ w_h.T]))
+        # The context term of each step, then the projection term, in the
+        # order ``autodiff.backward`` adds them.
+        g_hidden = [st.attn[k, ..., None] * g_ctx[k, :, None] for k in range(n - 1, -1, -1)]
+        g_hidden.append(g_hproj @ w_h.T)
+        if not batched:
+            g_hidden = [term[0] for term in g_hidden]
         if not train:
-            return itertools.chain((None,) * 10, g_hidden)
+            return [None] * 10 + g_hidden
         # B=1. Parameter sums start at +0.0; that differs from starting at
         # the first term only for a -0.0 term, which the leaf update in
         # ``autodiff.backward`` (grad + term, grad never -0.0) erases.
@@ -503,9 +503,8 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
             g_w_rec += w_rec_terms[k]
             g_w_in += w_in_terms[k]
             g_emb[toks[k]] += emb_terms[k]
-        return itertools.chain(
-            (g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out,
-             h[0].T @ g_hproj[0], g_hproj[0].sum(axis=0)), g_hidden)
+        return [g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out,
+                h[0].T @ g_hproj[0], g_hproj[0].sum(axis=0), *g_hidden]
 
     return ad.record_op("decoder_teacher_forced",
                         (*param_inputs, *(hidden,) * (n + 1)),

@@ -348,18 +348,3 @@ def test_tanh_rnn_batch_refuses_bad_lengths_and_weight_gradients():
                         ad.constant(b.data), lengths=lengths)
     with pytest.raises(ad.ShapeError):
         ad.tanh_rnn(batch, w_in, w_rec, b, lengths=[5, 3])
-
-
-@pytest.mark.parametrize("key", [1, (slice(None), 2), (0, slice(1, 3)), np.array([2, 0, 2]),
-                                 (np.array([1, 1]), slice(None))],
-                         ids=["int", "column", "row-slice", "repeats", "repeated-rows"])
-def test_take_gradient_scatters_and_adds_repeats(key):
-    rng = np.random.default_rng(33)
-    a = ad.leaf(rng.normal(size=(3, 4)))
-    with ad.tape():
-        out = a[key]
-        g = rng.normal(size=out.shape)
-        ad.backward(ad.sum_(ad.mul(out, g)))
-    expect = np.zeros((3, 4))
-    np.add.at(expect, key, g)
-    assert a.grad.tobytes() == expect.tobytes()
