@@ -476,27 +476,3 @@ def zero_grad(params) -> None:
         else:
             t.grad[...] = 0.0
 
-
-def fd_gradient(f: Callable[[Tensor], "Tensor | float"], x: Tensor,
-                h: float = 1e-5) -> Tensor:
-    """Central finite differences of a scalar function, one coordinate at a time.
-
-    This is the independent oracle the analytic gradients are tested
-    against; it never touches the tape.
-    """
-
-    def evaluate(values: Array) -> float:
-        with no_grad():
-            v = f(Tensor(values))
-        return v.item() if isinstance(v, Tensor) else float(v)
-
-    g = np.zeros_like(x.data)
-    flat = g.ravel()
-    base = x.data
-    for i in range(base.size):
-        up = base.copy()
-        down = base.copy()
-        up.flat[i] += h
-        down.flat[i] -= h
-        flat[i] = (evaluate(up) - evaluate(down)) / (2.0 * h)
-    return Tensor(g)

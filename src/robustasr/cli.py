@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 
-from .data import Vocab, load_dataset, load_targets, save_dataset, save_targets
+from .data import load_dataset, load_targets, save_dataset, save_targets
 from .experiments import (ReportRow, evaluate_model, load_config, make_data,
                           make_tables, rows_from_csv, rows_to_csv, run_grid,
                           train_model, trend_check, trend_report)
@@ -29,7 +29,7 @@ def cmd_gen_data(args) -> int:
     config, seed, _weights = load_config(args.config, args.seed)
     ds, targets = make_data(config, seed)
     save_dataset(args.out, ds)
-    save_targets(os.path.join(args.out, "targets.txt"), targets, seed, Vocab())
+    save_targets(os.path.join(args.out, "targets.txt"), targets, seed)
     print(f"wrote {args.out}/{{train,valid,test,targets}}.txt "
           f"(seed={seed}, {len(ds.train)}/{len(ds.valid)}/{len(ds.test)} utterances)")
     return 0

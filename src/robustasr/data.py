@@ -1,11 +1,17 @@
 """Deterministic synthetic accented-speech features and attack targets.
 
+The vocabulary is fixed and lives here: ``WORDS`` is the content words,
+then the lorem words, and a token id is a word's index in it. The model
+has one output per word (``ModelConfig.vocab_size`` must equal
+``N_WORDS``), and every data file carries ``VOCAB_HASH`` so that files
+written under another vocabulary are refused.
+
 Each content word owns a fixed unit-norm prototype vector; an utterance
 renders every word as a short run of frames, rotates them through the
-accent's fixed linear map, and adds a little Gaussian noise. Attack
-target transcriptions come from a separate lorem-ipsum vocabulary that
-shares no words with the content vocabulary, so a targeted attack is
-never accidentally "correct".
+accent's fixed linear map, and adds a little Gaussian noise. Training
+transcripts use content words only. Attack target transcriptions come
+from the lorem words, which share no word with the content words, so a
+targeted attack is never accidentally "correct".
 
 Everything is pure and seed-driven: the same (seed, config) always
 yields byte-identical datasets and target sets.
@@ -13,6 +19,7 @@ yields byte-identical datasets and target sets.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -33,6 +40,13 @@ LOREM_WORDS = (
     "aliqua", "veniam",
 )
 
+WORDS = CONTENT_WORDS + LOREM_WORDS
+N_WORDS = len(WORDS)
+CONTENT_IDS = range(len(CONTENT_WORDS))
+VOCAB_HASH = hashlib.sha256(("\x1f".join(CONTENT_WORDS) + "\x1e" +
+                             "\x1f".join(LOREM_WORDS)).encode()).hexdigest()[:12]
+_IDS = {w: i for i, w in enumerate(WORDS)}
+
 DEFAULT_FEAT_DIM = 16
 NOISE_SIGMA = 0.05
 FRAMES_PER_WORD = (3, 6)  # inclusive range
@@ -45,87 +59,37 @@ class DataError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Vocab:
-    """Word inventory shared by the generator and the model.
-
-    Token ids: content words first, then lorem words; ``n_words`` counts
-    both and is the model's ``vocab_size``. The vocabulary holds words
-    only: the model's special tokens (CTC blank, decoder sos and eos)
-    all take the one index past the words, each on its own head (see
-    ``model``). Both word groups are model outputs (the attacker's
-    targets must be expressible), but training transcripts only ever use
-    content words, which keeps the overlap between benign and
-    adversarial text exactly zero.
-    """
-
-    words: tuple[str, ...] = CONTENT_WORDS
-    lorem_words: tuple[str, ...] = LOREM_WORDS
-
-    def __post_init__(self):
-        if set(self.words) & set(self.lorem_words):
-            raise DataError("content and lorem vocabularies must be disjoint")
-
-    @property
-    def n_words(self) -> int:
-        return len(self.words) + len(self.lorem_words)
-
-    @property
-    def content_ids(self) -> range:
-        return range(len(self.words))
-
-    def word(self, token_id: int) -> str:
-        if token_id < len(self.words):
-            return self.words[token_id]
-        if token_id < self.n_words:
-            return self.lorem_words[token_id - len(self.words)]
-        raise DataError(f"token id {token_id} is not a word")
-
-    def token_id(self, word: str) -> int:
-        try:
-            return self.words.index(word)
-        except ValueError:
-            pass
-        try:
-            return len(self.words) + self.lorem_words.index(word)
-        except ValueError:
-            raise DataError(f"unknown word {word!r}") from None
-
-    def to_words(self, tokens: Sequence[int]) -> list[str]:
-        return [self.word(t) for t in tokens]
-
-    def to_ids(self, words: Sequence[str]) -> list[int]:
-        return [self.token_id(w) for w in words]
-
-    def hash(self) -> str:
-        payload = "\x1f".join(self.words) + "\x1e" + "\x1f".join(self.lorem_words)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+def to_ids(words: Sequence[str]) -> list[int]:
+    try:
+        return [_IDS[w] for w in words]
+    except KeyError as e:
+        raise DataError(f"unknown word {e.args[0]!r}") from None
 
 
-@dataclass(frozen=True)
-class FeatureWorld:
-    """Fixed geometry of the feature space: prototypes and accent maps."""
+def to_words(tokens: Sequence[int]) -> list[str]:
+    for t in tokens:
+        if t not in range(N_WORDS):
+            raise DataError(f"token id {t} is not a word")
+    return [WORDS[t] for t in tokens]
 
-    feat_dim: int
-    prototypes: np.ndarray  # (n_content_words, F), unit rows
-    accent_maps: np.ndarray  # (2, F, F), orthogonal
 
-    @classmethod
-    def default(cls, vocab: Vocab, feat_dim: int = DEFAULT_FEAT_DIM) -> "FeatureWorld":
-        rng = np.random.default_rng([_WORLD_SEED, feat_dim])
-        # prototypes share a strong common direction so the two accent
-        # rotations displace every utterance consistently; the residual
-        # word-specific parts keep the words themselves distinguishable
-        common = rng.normal(size=feat_dim)
-        common /= np.linalg.norm(common)
-        protos = 1.5 * common + rng.normal(size=(len(vocab.words), feat_dim))
-        protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-        maps = []
-        for _ in range(2):
-            q, _r = np.linalg.qr(rng.normal(size=(feat_dim, feat_dim)))
-            maps.append(q)
-        return cls(feat_dim=feat_dim, prototypes=protos,
-                   accent_maps=np.stack(maps))
+@functools.cache
+def _world(feat_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed geometry of the feature space: the content words'
+    prototypes (n_content, F), unit rows, and the two accents' orthogonal
+    maps (2, F, F). Built once per ``feat_dim``; read-only."""
+    rng = np.random.default_rng([_WORLD_SEED, feat_dim])
+    # prototypes share a strong common direction so the two accent
+    # rotations displace every utterance consistently; the residual
+    # word-specific parts keep the words themselves distinguishable
+    common = rng.normal(size=feat_dim)
+    common /= np.linalg.norm(common)
+    protos = 1.5 * common + rng.normal(size=(len(CONTENT_WORDS), feat_dim))
+    protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+    maps = np.stack([np.linalg.qr(rng.normal(size=(feat_dim, feat_dim)))[0]
+                     for _ in range(2)])
+    protos.flags.writeable = maps.flags.writeable = False
+    return protos, maps
 
 
 @dataclass(frozen=True)
@@ -150,35 +114,35 @@ class DatasetSplit:
 
 
 def render_utterance(tokens: Sequence[int], accent: int, rng: np.random.Generator,
-                     world: FeatureWorld, vocab: Vocab,
+                     feat_dim: int = DEFAULT_FEAT_DIM,
                      noise_sigma: float = NOISE_SIGMA) -> np.ndarray:
     """Emit 3..6 frames per word: accent-rotated prototype plus noise."""
     if not tokens:
         raise DataError("empty transcript")
     if accent not in (0, 1):
         raise DataError(f"accent must be 0 or 1, got {accent}")
-    amap = world.accent_maps[accent]
+    prototypes, accent_maps = _world(feat_dim)
     frames = []
     for tok in tokens:
-        if tok not in vocab.content_ids:
+        if tok not in CONTENT_IDS:
             raise DataError(f"token id {tok} is not a content word")
         n = int(rng.integers(FRAMES_PER_WORD[0], FRAMES_PER_WORD[1] + 1))
-        base = world.prototypes[tok] @ amap
-        noise = rng.normal(scale=noise_sigma, size=(n, world.feat_dim)) if noise_sigma > 0 else 0.0
-        frames.append(np.broadcast_to(base, (n, world.feat_dim)) + noise)
+        base = prototypes[tok] @ accent_maps[accent]
+        noise = rng.normal(scale=noise_sigma, size=(n, feat_dim)) if noise_sigma > 0 else 0.0
+        frames.append(np.broadcast_to(base, (n, feat_dim)) + noise)
     return np.concatenate(frames, axis=0)
 
 
 def _gen_split(name: str, n: int, len_range: tuple[int, int], seed: int,
-               world: FeatureWorld, vocab: Vocab) -> list[Utterance]:
+               feat_dim: int) -> list[Utterance]:
     rng = np.random.default_rng([seed, {"train": 1, "valid": 2, "test": 3}[name]])
     accents = np.array([i % 2 for i in range(n)])
     rng.shuffle(accents)
     utts = []
     for i in range(n):
         length = int(rng.integers(len_range[0], len_range[1] + 1))
-        tokens = tuple(int(t) for t in rng.integers(0, len(vocab.words), size=length))
-        feats = render_utterance(tokens, int(accents[i]), rng, world, vocab)
+        tokens = tuple(int(t) for t in rng.integers(0, len(CONTENT_WORDS), size=length))
+        feats = render_utterance(tokens, int(accents[i]), rng, feat_dim)
         utts.append(Utterance(id=f"{name}-{i:05d}", features=feats,
                               transcript=tokens, accent=int(accents[i])))
     return utts
@@ -186,38 +150,31 @@ def _gen_split(name: str, n: int, len_range: tuple[int, int], seed: int,
 
 def gen_dataset(seed: int, n_train: int = 2000, n_valid: int = 200,
                 n_test: int = 200, len_range: tuple[int, int] = (2, 6),
-                feat_dim: int = DEFAULT_FEAT_DIM,
-                vocab: Vocab | None = None) -> DatasetSplit:
+                feat_dim: int = DEFAULT_FEAT_DIM) -> DatasetSplit:
     """Three disjoint splits with balanced accents, deterministic per seed."""
     if min(n_train, n_valid, n_test) < 1:
         raise DataError("split sizes must be >= 1")
-    vocab = vocab or Vocab()
-    world = FeatureWorld.default(vocab, feat_dim)
     return DatasetSplit(
-        train=_gen_split("train", n_train, len_range, seed, world, vocab),
-        valid=_gen_split("valid", n_valid, len_range, seed, world, vocab),
-        test=_gen_split("test", n_test, len_range, seed, world, vocab),
+        train=_gen_split("train", n_train, len_range, seed, feat_dim),
+        valid=_gen_split("valid", n_valid, len_range, seed, feat_dim),
+        test=_gen_split("test", n_test, len_range, seed, feat_dim),
         seed=seed,
         feat_dim=feat_dim,
     )
 
 
 def gen_adv_targets(seed: int, count: int = 12,
-                    len_range: tuple[int, int] = (2, 6),
-                    vocab: Vocab | None = None) -> list[tuple[int, ...]]:
+                    len_range: tuple[int, int] = (2, 6)) -> list[tuple[int, ...]]:
     """Fixed lorem-ipsum transcriptions; lengths cycle through len_range."""
-    vocab = vocab or Vocab()
-    if not vocab.lorem_words:
-        raise DataError("lorem vocabulary is empty")
     lengths = list(range(len_range[0], len_range[1] + 1))
     if count < len(lengths):
         raise DataError(f"need at least {len(lengths)} targets to cover {len_range}")
     rng = np.random.default_rng([seed, 4])
-    lo = len(vocab.words)
+    lo = len(CONTENT_WORDS)
     targets = []
     for i in range(count):
         length = lengths[i % len(lengths)]
-        toks = tuple(int(lo + t) for t in rng.integers(0, len(vocab.lorem_words),
+        toks = tuple(int(lo + t) for t in rng.integers(0, len(LOREM_WORDS),
                                                        size=length))
         targets.append(toks)
     return targets
@@ -242,27 +199,32 @@ def _fmt(x: float) -> str:
 
 
 def save_split(path, utts: Iterable[Utterance], feat_dim: int, seed: int,
-               vocab: Vocab, split_name: str) -> None:
-    lines = [f"{SPLIT_TAG} F={feat_dim} vocab={vocab.hash()} seed={seed} split={split_name}"]
+               split_name: str) -> None:
+    lines = []
     for u in utts:
         lines.append(u.id)
         lines.append(str(u.accent))
-        lines.append(" ".join(vocab.to_words(u.transcript)))
+        lines.append(" ".join(to_words(u.transcript)))
         lines.append(str(u.n_frames))
         for row in u.features:
             lines.append(" ".join(_fmt(v) for v in row))
-    _write_lines(path, lines)
+    _write_lines(path, SPLIT_TAG, {"F": feat_dim, "vocab": VOCAB_HASH,
+                                   "seed": seed, "split": split_name}, lines)
 
 
-def _write_lines(path, lines: list[str]) -> None:
+def _write_lines(path, tag: str, fields: dict, records: list[str]) -> None:
+    """A header line (``tag`` and the ``key=value`` fields), the records
+    and an ``end`` line."""
+    header = " ".join([tag] + [f"{key}={value}" for key, value in fields.items()])
     with open(path, "w") as f:
-        f.write("\n".join(lines + ["end"]) + "\n")
+        f.write("\n".join([header] + records + ["end"]) + "\n")
 
 
-def _read_lines(path, tag: str) -> list[str]:
-    """The header and records of a file ``save_*`` wrote under ``tag``.
-    Those files end in an ``end`` line and a newline, so a file that does
-    not was cut short, even at a record boundary."""
+def _read_lines(path, tag: str, fields: dict) -> tuple[dict, list[str]]:
+    """The header fields and the lines, header first and ``end`` dropped,
+    of a file ``save_*`` wrote under ``tag``, refusing another
+    vocabulary's file. Those files end in an ``end`` line and a newline,
+    so a file that does not was cut short, even at a record boundary."""
     with open(path) as f:
         text = f.read()
     if not text:
@@ -275,7 +237,10 @@ def _read_lines(path, tag: str) -> list[str]:
                         else f"{path}: bad header {lines[0]!r}")
     if lines[-1] != "end" or not text.endswith("\n"):
         raise DataError(f"{path}: truncated (no end line)")
-    return lines[:-1]
+    meta = _parse(path, lines, 0, lambda l: _header(l, fields))
+    if meta["vocab"] != VOCAB_HASH:
+        raise DataError(f"{path}: vocab hash mismatch")
+    return meta, lines[:-1]
 
 
 def _parse(path, lines: list[str], i: int, parse):
@@ -302,9 +267,9 @@ def _accent(line: str) -> int:
     return int(line)
 
 
-def _words(line: str, vocab: Vocab, allowed: range) -> tuple[int, ...]:
+def _words(line: str, allowed: range) -> tuple[int, ...]:
     """A nonempty transcript of words whose ids lie in ``allowed``."""
-    tokens = tuple(vocab.to_ids(line.split()))
+    tokens = tuple(to_ids(line.split()))
     if not tokens:
         raise DataError("empty transcript")
     if any(t not in allowed for t in tokens):
@@ -312,13 +277,9 @@ def _words(line: str, vocab: Vocab, allowed: range) -> tuple[int, ...]:
     return tokens
 
 
-def load_split(path, vocab: Vocab | None = None) -> tuple[list[Utterance], dict]:
-    vocab = vocab or Vocab()
-    lines = _read_lines(path, SPLIT_TAG)
-    meta = _parse(path, lines, 0, lambda l: _header(
-        l, {"F": int, "vocab": str, "seed": int, "split": str}))
-    if meta["vocab"] != vocab.hash():
-        raise DataError(f"{path}: vocab hash mismatch")
+def load_split(path) -> tuple[list[Utterance], dict]:
+    meta, lines = _read_lines(path, SPLIT_TAG, {"F": int, "vocab": str,
+                                                "seed": int, "split": str})
     feat_dim = meta["F"]
     utts = []
     i = 1
@@ -327,8 +288,7 @@ def load_split(path, vocab: Vocab | None = None) -> tuple[list[Utterance], dict]
             raise DataError(f"{path}: truncated utterance header at line {i + 1}")
         uid = lines[i]
         accent = _parse(path, lines, i + 1, _accent)
-        tokens = _parse(path, lines, i + 2,
-                        lambda l: _words(l, vocab, vocab.content_ids))
+        tokens = _parse(path, lines, i + 2, lambda l: _words(l, CONTENT_IDS))
         n = _parse(path, lines, i + 3, int)
         i += 4
         if not 0 < n <= len(lines) - i:
@@ -344,39 +304,31 @@ def load_split(path, vocab: Vocab | None = None) -> tuple[list[Utterance], dict]
     return utts, {"feat_dim": feat_dim, "seed": meta["seed"], "split": meta["split"]}
 
 
-def save_dataset(outdir, ds: DatasetSplit, vocab: Vocab | None = None) -> None:
-    vocab = vocab or Vocab()
+def save_dataset(outdir, ds: DatasetSplit) -> None:
     os.makedirs(outdir, exist_ok=True)
     for name in ("train", "valid", "test"):
         save_split(os.path.join(outdir, f"{name}.txt"), getattr(ds, name),
-                   ds.feat_dim, ds.seed, vocab, name)
+                   ds.feat_dim, ds.seed, name)
 
 
-def load_dataset(outdir, vocab: Vocab | None = None) -> DatasetSplit:
-    vocab = vocab or Vocab()
+def load_dataset(outdir) -> DatasetSplit:
     parts = {}
     meta = None
     for name in ("train", "valid", "test"):
-        parts[name], meta = load_split(os.path.join(outdir, f"{name}.txt"), vocab)
+        parts[name], meta = load_split(os.path.join(outdir, f"{name}.txt"))
     return DatasetSplit(train=parts["train"], valid=parts["valid"],
                         test=parts["test"], seed=meta["seed"],
                         feat_dim=meta["feat_dim"])
 
 
-def save_targets(path, targets: Sequence[tuple[int, ...]], seed: int,
-                 vocab: Vocab) -> None:
-    lines = [f"{TARGETS_TAG} vocab={vocab.hash()} seed={seed}"]
-    for t in targets:
-        lines.append(" ".join(vocab.to_words(t)))
-    _write_lines(path, lines)
+def save_targets(path, targets: Sequence[tuple[int, ...]], seed: int) -> None:
+    _write_lines(path, TARGETS_TAG, {"vocab": VOCAB_HASH, "seed": seed},
+                 [" ".join(to_words(t)) for t in targets])
 
 
-def load_targets(path, vocab: Vocab | None = None) -> list[tuple[int, ...]]:
-    vocab = vocab or Vocab()
-    lines = _read_lines(path, TARGETS_TAG)
-    if _parse(path, lines, 0, lambda l: _header(l, {"vocab": str}))["vocab"] != vocab.hash():
-        raise DataError(f"{path}: vocab hash mismatch")
-    targets = [_parse(path, lines, i, lambda l: _words(l, vocab, range(vocab.n_words)))
+def load_targets(path) -> list[tuple[int, ...]]:
+    _meta, lines = _read_lines(path, TARGETS_TAG, {"vocab": str})
+    targets = [_parse(path, lines, i, lambda l: _words(l, range(N_WORDS)))
                for i in range(1, len(lines))]
     if not targets:
         raise DataError(f"{path}: no targets")

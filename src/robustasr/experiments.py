@@ -27,7 +27,8 @@ from typing import Iterable, Sequence
 
 from . import autodiff as ad
 from .attack import AttackConfig, calibrate, pgd_attack_batch, target_feasible
-from .data import DatasetSplit, gen_adv_targets, gen_dataset, select_adv_target
+from .data import (N_WORDS, DatasetSplit, gen_adv_targets, gen_dataset,
+                   select_adv_target)
 from .decode import joint_greedy_decode
 from .losses import MtlWeights
 from .metrics import WerStats, edit_distance_words, pooled_wer
@@ -222,6 +223,9 @@ def train_model(config: ExperimentConfig, weights: MtlWeights, seed: int,
     if ds.feat_dim != config.model.feat_dim:
         raise ConfigError(f"data has feat_dim {ds.feat_dim}, "
                           f"model.feat_dim is {config.model.feat_dim}")
+    if config.model.vocab_size != N_WORDS:
+        raise ConfigError(f"model.vocab_size is {config.model.vocab_size}, "
+                          f"the data vocabulary has {N_WORDS} words")
     train_cfg = TrainConfig(weights=weights, epochs=config.epochs,
                             learning_rate=config.learning_rate,
                             batch_size=config.batch_size, seed=seed)
@@ -233,6 +237,9 @@ def evaluate_model(config: ExperimentConfig, params: ModelParams, test,
     """Benign WER on ``test[:n_eval]`` and AdvTWER on ``test[:n_attack]``
     at the inference weight of ``weights``, one row per report step; the
     attack ball is calibrated on all of ``test``."""
+    if params.config.vocab_size != N_WORDS:
+        raise ConfigError(f"the model has vocab_size {params.config.vocab_size}, "
+                          f"the data vocabulary has {N_WORDS} words")
     epsilon, alpha = calibrate(test, ratio=config.epsilon_ratio,
                                alpha_fraction=config.alpha_fraction)
     benign_wer, accent_acc = evaluate_benign(

@@ -15,51 +15,20 @@ from typing import Sequence
 
 @dataclass(frozen=True)
 class WerStats:
-    substitutions: int
-    deletions: int
-    insertions: int
+    errors: int  # edit distance: substitutions + deletions + insertions
     ref_len: int
-
-    @property
-    def errors(self) -> int:
-        return self.substitutions + self.deletions + self.insertions
 
 
 def edit_distance_words(ref: Sequence, hyp: Sequence) -> WerStats:
-    """Unit-cost Levenshtein alignment of two token sequences.
-
-    Backtrace ties are resolved substitution-first, then deletion, then
-    insertion, so the (S, D, I) split is canonical.
-    """
-    n, m = len(ref), len(hyp)
-    if n == 0:
+    """Unit-cost Levenshtein distance of two token sequences."""
+    if len(ref) == 0:
         raise ValueError("empty reference")
-    d = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        d[i][0] = i
-    for j in range(m + 1):
-        d[0][j] = j
-    for i in range(1, n + 1):
-        ri = ref[i - 1]
-        for j in range(1, m + 1):
-            sub = d[i - 1][j - 1] + (ri != hyp[j - 1])
-            dele = d[i - 1][j] + 1
-            ins = d[i][j - 1] + 1
-            d[i][j] = min(sub, dele, ins)
-    s = dels = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            s += ref[i - 1] != hyp[j - 1]
-            i -= 1
-            j -= 1
-        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return WerStats(substitutions=s, deletions=dels, insertions=ins, ref_len=n)
+    row = list(range(len(hyp) + 1))  # distances from ref[:i] to each hyp prefix
+    for i, r in enumerate(ref, 1):
+        prev, row = row, [i]
+        for j, h in enumerate(hyp, 1):
+            row.append(min(prev[j - 1] + (r != h), prev[j] + 1, row[j - 1] + 1))
+    return WerStats(errors=row[-1], ref_len=len(ref))
 
 
 def accent_accuracy(pred_labels: Sequence[int], gold_labels: Sequence[int]) -> float:

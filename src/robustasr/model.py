@@ -4,8 +4,10 @@ Token convention inside the model: ids ``0..V-1`` are word tokens (the
 same ids the data vocabulary assigns them). Index ``V`` is overloaded
 per surface and the surfaces never mix: it is the blank column of the
 CTC head, the eos column of the decoder head, and the sos row of the
-decoder embedding table. ``V`` counts all word tokens, content and
-lorem alike, so adversarial targets are expressible.
+decoder embedding table. ``V`` is ``ModelConfig.vocab_size`` and must
+equal ``data.N_WORDS``, content and lorem words alike, so adversarial
+targets are expressible; ``experiments.train_model`` and
+``evaluate_model`` refuse any other value.
 
 The attention decoder's step is two numpy kernels, ``_recur`` (feed a
 token to the recurrent state) and ``_attend`` (attend and predict from
@@ -42,7 +44,7 @@ class ModelConfig:
     dec_hidden: int = 32
     attn_dim: int = 32
     emb_dim: int = 16
-    vocab_size: int = 40  # word tokens; +1 per head for blank/eos
+    vocab_size: int = 40  # data.N_WORDS; +1 per head for blank/eos
     disc_layers: int = 5
     disc_hidden: int = 32
     n_accents: int = 2

@@ -6,11 +6,13 @@
   path enumeration.
 - ``argmax_attention_decode`` is the attention decoder's own argmax loop,
   the reference for hybrid decoding at ``lambda_i_C`` 0.
+- ``fd_gradient`` is central finite differences, the oracle for every
+  analytic gradient on the tape.
 """
 
 import itertools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,3 +86,28 @@ def argmax_attention_decode(params, hidden, max_len: int) -> DecodeResult:
             hyp.append(c)
             token = c
     return DecodeResult(hypothesis=tuple(hyp), per_step_scores=steps)
+
+
+def fd_gradient(f: Callable[[Tensor], "Tensor | float"], x: Tensor,
+                h: float = 1e-5) -> Tensor:
+    """Central finite differences of a scalar function, one coordinate at a time.
+
+    This is the independent oracle the analytic gradients are tested
+    against; it never touches the tape.
+    """
+
+    def evaluate(values: np.ndarray) -> float:
+        with ad.no_grad():
+            v = f(Tensor(values))
+        return v.item() if isinstance(v, Tensor) else float(v)
+
+    g = np.zeros_like(x.data)
+    flat = g.ravel()
+    base = x.data
+    for i in range(base.size):
+        up = base.copy()
+        down = base.copy()
+        up.flat[i] += h
+        down.flat[i] -= h
+        flat[i] = (evaluate(up) - evaluate(down)) / (2.0 * h)
+    return Tensor(g)

@@ -4,13 +4,14 @@ from pathlib import Path
 import pytest
 
 from robustasr.cli import load_config, main
-from robustasr.data import Vocab, save_targets
+from robustasr.data import CONTENT_WORDS, N_WORDS, save_targets
 from robustasr.experiments import (ConfigError, ExperimentConfig, GridSpec,
                                    rows_from_csv, rows_to_csv, run_cell)
 from robustasr.losses import MtlWeights
 from robustasr.model import ModelConfig
 
-FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURE = ROOT / "perfbench" / "fixture"
 
 MODEL = {"enc_hidden": 6, "enc_layers": 1, "dec_hidden": 6, "attn_dim": 4,
          "emb_dim": 4, "disc_layers": 2, "disc_hidden": 4}
@@ -86,9 +87,8 @@ def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
                  "--out", str(data)]) == 0
     assert main(["train", "--config", train_cfg, "--data", str(data),
                  "--out", str(run)]) == 0
-    vocab = Vocab()
     targets = tmp_path / "long_targets.txt"
-    save_targets(targets, [tuple(range(len(vocab.words), vocab.n_words)) * 20], seed=0, vocab=vocab)
+    save_targets(targets, [tuple(range(len(CONTENT_WORDS), N_WORDS)) * 20], seed=0)
     capsys.readouterr()
 
     assert main(["attack", "--config", attack_cfg, "--data", str(data),
@@ -148,6 +148,26 @@ def test_train_refuses_data_of_another_feat_dim(tmp_path):
     assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path / "data")]) == 0
     with pytest.raises(ConfigError, match="data has feat_dim 8, model.feat_dim is 16"):
         main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")])
+
+
+@pytest.mark.parametrize("vocab_size", [30, 50])
+def test_train_refuses_a_model_of_another_vocab_size(tmp_path, vocab_size):
+    # one output per word of the data vocabulary, or nothing trains
+    gen_cfg = _write(tmp_path / "gen.json", {"n_train": 2, "n_valid": 1, "n_test": 1})
+    assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path / "data")]) == 0
+    train_cfg = _write(tmp_path / "train.json", {"model": {"vocab_size": vocab_size}})
+    with pytest.raises(ConfigError, match=f"model.vocab_size is {vocab_size}, "
+                       "the data vocabulary has 40 words"):
+        main(["train", "--config", train_cfg, "--data", str(tmp_path / "data"),
+              "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
+def test_checked_in_configs_load():
+    paths = sorted((ROOT / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        load_config(path, run_keys=False)
 
 
 def test_load_config_defaults_and_seed_override(tmp_path):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from robustasr.data import (
+    CONTENT_IDS,
+    CONTENT_WORDS,
+    LOREM_WORDS,
+    N_WORDS,
+    VOCAB_HASH,
     DataError,
-    FeatureWorld,
-    Vocab,
     gen_adv_targets,
     gen_dataset,
     load_dataset,
@@ -14,62 +17,66 @@ from robustasr.data import (
     save_dataset,
     save_targets,
     select_adv_target,
+    to_ids,
+    to_words,
 )
 
 
-@pytest.fixture(scope="module")
-def vocab():
-    return Vocab()
+def test_vocabularies_disjoint():
+    assert not (set(CONTENT_WORDS) & set(LOREM_WORDS))
 
 
-@pytest.fixture(scope="module")
-def world(vocab):
-    return FeatureWorld.default(vocab)
+def test_vocabulary_hash_and_ids():
+    # data files carry this hash; a new one would refuse every file written before
+    assert VOCAB_HASH == "e5db6376219b"
+    assert N_WORDS == 40 and CONTENT_IDS == range(24)
+    assert to_ids(["alpha", "yankee", "lorem", "veniam"]) == [0, 23, 24, 39]
+    assert to_words([0, 23, 24, 39]) == ["alpha", "yankee", "lorem", "veniam"]
+    with pytest.raises(DataError, match="unknown word 'zulu'"):
+        to_ids(["alpha", "zulu"])
+    with pytest.raises(DataError, match="token id 40 is not a word"):
+        to_words([0, 40])
 
 
-def test_vocabularies_disjoint(vocab):
-    assert not (set(vocab.words) & set(vocab.lorem_words))
-
-
-def test_render_deterministic(vocab, world):
+def test_render_deterministic():
     toks = (1, 5, 9)
-    a = render_utterance(toks, 0, np.random.default_rng(3), world, vocab)
-    b = render_utterance(toks, 0, np.random.default_rng(3), world, vocab)
+    a = render_utterance(toks, 0, np.random.default_rng(3))
+    b = render_utterance(toks, 0, np.random.default_rng(3))
     assert np.array_equal(a, b)
 
 
-def test_render_accents_differ_without_noise(vocab, world):
+def test_render_accents_differ_without_noise():
     toks = (2, 7)
-    a = render_utterance(toks, 0, np.random.default_rng(1), world, vocab, noise_sigma=0.0)
-    b = render_utterance(toks, 1, np.random.default_rng(1), world, vocab, noise_sigma=0.0)
+    a = render_utterance(toks, 0, np.random.default_rng(1), noise_sigma=0.0)
+    b = render_utterance(toks, 1, np.random.default_rng(1), noise_sigma=0.0)
     assert a.shape == b.shape  # same rng -> same frame counts
     assert not np.allclose(a, b)
 
 
-def test_render_rejects_non_content_tokens(vocab, world):
+def test_render_rejects_non_content_tokens():
     with pytest.raises(DataError):
-        render_utterance((len(vocab.words),), 0, np.random.default_rng(0), world, vocab)
+        render_utterance((len(CONTENT_WORDS),), 0, np.random.default_rng(0))
     with pytest.raises(DataError):
-        render_utterance((), 0, np.random.default_rng(0), world, vocab)
+        render_utterance((), 0, np.random.default_rng(0))
 
 
-def test_render_frame_counts_and_magnitude(vocab, world):
+def test_render_frame_counts_and_magnitude():
     rng = np.random.default_rng(8)
     toks = (0, 1, 2, 3)
-    feats = render_utterance(toks, 1, rng, world, vocab)
+    feats = render_utterance(toks, 1, rng)
     assert 3 * len(toks) <= feats.shape[0] <= 6 * len(toks)
     assert feats.shape[0] >= 2 * len(toks) + 1  # CTC alignment always feasible
     assert np.abs(feats).max() < 10.0
 
 
-def test_accent_probe_separability(vocab, world):
+def test_accent_probe_separability():
     """A least-squares linear probe on mean features must nail the accent."""
     rng = np.random.default_rng(123)
     feats, labels = [], []
     for i in range(1000):
-        toks = tuple(int(t) for t in rng.integers(0, len(vocab.words), size=3))
+        toks = tuple(int(t) for t in rng.integers(0, len(CONTENT_WORDS), size=3))
         z = i % 2
-        feats.append(render_utterance(toks, z, rng, world, vocab).mean(axis=0))
+        feats.append(render_utterance(toks, z, rng).mean(axis=0))
         labels.append(z)
     x = np.column_stack([np.array(feats), np.ones(len(feats))])
     y = np.array(labels) * 2.0 - 1.0
@@ -99,17 +106,16 @@ def test_gen_dataset_accent_balance_and_disjoint_ids():
     assert len(ids) == len(set(ids))
 
 
-def test_gen_adv_targets_properties(vocab):
+def test_gen_adv_targets_properties():
     len_range = (2, 6)
-    targets = gen_adv_targets(9, count=12, len_range=len_range, vocab=vocab)
-    lorem = set(range(len(vocab.words), vocab.n_words))
+    targets = gen_adv_targets(9, count=12, len_range=len_range)
+    lorem = set(range(len(CONTENT_WORDS), N_WORDS))
     assert all(t in lorem for tgt in targets for t in tgt)
     lengths = {len(t) for t in targets}
     assert lengths >= set(range(len_range[0], len_range[1] + 1))
-    content_words = set(vocab.words)
     for tgt in targets:
-        assert not (set(vocab.to_words(tgt)) & content_words)
-    assert targets == gen_adv_targets(9, count=12, len_range=len_range, vocab=vocab)
+        assert not (set(to_words(tgt)) & set(CONTENT_WORDS))
+    assert targets == gen_adv_targets(9, count=12, len_range=len_range)
 
 
 def test_select_adv_target_closest_length():
@@ -127,12 +133,12 @@ def test_select_adv_target_single_candidate():
     assert select_adv_target((0, 0, 0), [only]) == only
 
 
-def test_dataset_round_trip_byte_exact(tmp_path, vocab):
+def test_dataset_round_trip_byte_exact(tmp_path):
     ds = gen_dataset(5, n_train=6, n_valid=3, n_test=3)
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
-    save_dataset(d1, ds, vocab)
-    loaded = load_dataset(d1, vocab)
+    save_dataset(d1, ds)
+    loaded = load_dataset(d1)
     assert loaded.seed == ds.seed
     for sa, sb in zip((ds.train, ds.valid, ds.test),
                       (loaded.train, loaded.valid, loaded.test)):
@@ -140,18 +146,18 @@ def test_dataset_round_trip_byte_exact(tmp_path, vocab):
             assert ua.id == ub.id and ua.accent == ub.accent
             assert ua.transcript == ub.transcript
             assert np.array_equal(ua.features, ub.features)
-    save_dataset(d2, loaded, vocab)
+    save_dataset(d2, loaded)
     for name in ("train.txt", "valid.txt", "test.txt"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_targets_round_trip(tmp_path, vocab):
-    targets = gen_adv_targets(3, count=8, len_range=(2, 4), vocab=vocab)
+def test_targets_round_trip(tmp_path):
+    targets = gen_adv_targets(3, count=8, len_range=(2, 4))
     p = tmp_path / "targets.txt"
-    save_targets(p, targets, 3, vocab)
-    assert load_targets(p, vocab) == targets
+    save_targets(p, targets, 3)
+    assert load_targets(p) == targets
     raw = p.read_bytes()
-    save_targets(p, load_targets(p, vocab), 3, vocab)
+    save_targets(p, load_targets(p), 3)
     assert p.read_bytes() == raw
 
 
@@ -164,14 +170,14 @@ def _cuts(path):
     path.write_bytes(raw)
 
 
-def test_load_truncated_split_fails(tmp_path, vocab):
+def test_load_truncated_split_fails(tmp_path):
     ds = gen_dataset(5, n_train=2, n_valid=1, n_test=1, len_range=(2, 2), feat_dim=3)
-    save_dataset(tmp_path, ds, vocab)
+    save_dataset(tmp_path, ds)
     path = tmp_path / "train.txt"
     loaded = []
     for _ in _cuts(path):
         try:
-            utts, _meta = load_split(path, vocab)
+            utts, _meta = load_split(path)
         except DataError:
             continue
         loaded.append(len(utts))
@@ -179,7 +185,7 @@ def test_load_truncated_split_fails(tmp_path, vocab):
     assert loaded == []
 
     lines = path.read_text().splitlines()
-    malformed = [(0, lines[0].replace("vocab=", "hash=")),  # header field
+    malformed = [(0, lines[0].replace(" vocab", " hash")),  # header field
                  (2, "one"),  # accent
                  (2, "5"),  # accent out of range
                  (3, ""),  # empty transcript
@@ -189,31 +195,38 @@ def test_load_truncated_split_fails(tmp_path, vocab):
     for i, bad in malformed:
         path.write_text("\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n")
         with pytest.raises(DataError, match=f"line {i + 1}"):
-            load_split(path, vocab)
+            load_split(path)
+    # a file written under another vocabulary is refused
+    path.write_text("\n".join([lines[0].replace(VOCAB_HASH, "0" * 12)] + lines[1:]) + "\n")
+    with pytest.raises(DataError, match="vocab hash mismatch"):
+        load_split(path)
     path.write_text(lines[0] + "\nend\n")
     with pytest.raises(DataError, match="no utterances"):
-        load_dataset(tmp_path, vocab)
+        load_dataset(tmp_path)
 
     targets = tmp_path / "targets.txt"
-    save_targets(targets, [(24, 25), (26, 27, 28)], 0, vocab)
+    save_targets(targets, [(24, 25), (26, 27, 28)], 0)
     loaded = []
     for _ in _cuts(targets):
         try:
-            loaded.append(load_targets(targets, vocab))
+            loaded.append(load_targets(targets))
         except DataError:
             pass
     assert loaded == []
     header = targets.read_text().splitlines()[0]
-    targets.write_text(header.replace("vocab=", "hash=") + "\nlorem ipsum\nend\n")
+    targets.write_text(header.replace(" vocab", " hash") + "\nlorem ipsum\nend\n")
     with pytest.raises(DataError, match="line 1"):
-        load_targets(targets, vocab)
+        load_targets(targets)
+    targets.write_text(header.replace(VOCAB_HASH, "0" * 12) + "\nlorem ipsum\nend\n")
+    with pytest.raises(DataError, match="vocab hash mismatch"):
+        load_targets(targets)
     targets.write_text(header + "\nlorem ipsum\n\nend\n")  # empty target
     with pytest.raises(DataError, match="line 3: DataError: empty"):
-        load_targets(targets, vocab)
+        load_targets(targets)
     # a file of the previous format is refused by its tag, not as truncated
     targets.write_text(header.replace(" v2 ", " v1 ") + "\nlorem ipsum\n")
     with pytest.raises(DataError, match="format toyspeech-targets v1 is not read"):
-        load_targets(targets, vocab)
+        load_targets(targets)
     path.write_text(lines[0].replace(" v2 ", " v1 ") + "\n" + "\n".join(lines[1:-1]) + "\n")
     with pytest.raises(DataError, match="format toyspeech v1 is not read"):
-        load_split(path, vocab)
+        load_split(path)

@@ -1,26 +1,33 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from robustasr import experiments
 from robustasr.experiments import (
     ALL3_DROP,
     MTL_DROP,
     MTL_MATCH,
     STL_CTC,
     STL_DEC,
+    ConfigError,
     ExperimentConfig,
     GridSpec,
     MissingCellsError,
     ReportRow,
+    evaluate_model,
+    make_data,
     make_tables,
     rows_from_csv,
     rows_to_csv,
     run_grid,
+    train_model,
     trend_check,
     trend_report,
 )
-from robustasr.model import ModelConfig
+from robustasr.losses import MtlWeights
+from robustasr.model import ModelConfig, init_params
 
 
 def make_row(cfg, seed, step, twer, **kw):
@@ -147,6 +154,26 @@ def test_run_grid_row_count_and_determinism():
 def test_run_grid_process_pool_gives_the_serial_rows():
     serial = rows_to_csv(run_grid(TINY_GRID, workers=1), TINY_GRID.hash())
     assert rows_to_csv(run_grid(TINY_GRID, workers=2), TINY_GRID.hash()) == serial
+
+
+@pytest.mark.parametrize("vocab_size", [30, 50])
+def test_model_vocab_size_must_match_the_data_vocabulary(vocab_size, monkeypatch):
+    # one output per word: fewer cannot emit every attack target, and
+    # the extra ones are never trained
+    config = replace(TINY_GRID, model=replace(TINY_GRID.model, vocab_size=vocab_size))
+    ds, targets = make_data(config, 0)
+
+    def no_training(*args):
+        raise AssertionError("train_mtl ran")
+
+    monkeypatch.setattr(experiments, "train_mtl", no_training)
+    with pytest.raises(ConfigError, match=f"model.vocab_size is {vocab_size}, "
+                       "the data vocabulary has 40 words"):
+        train_model(config, MtlWeights(), 0, ds)
+    with pytest.raises(ConfigError, match=f"the model has vocab_size {vocab_size}, "
+                       "the data vocabulary has 40 words"):
+        evaluate_model(TINY_GRID, init_params(config.model), ds.test, targets,
+                       MtlWeights())
 
 
 def test_make_tables_shapes():

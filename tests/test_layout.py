@@ -3,8 +3,8 @@
 A top-level public function or class, or a public method or property,
 defined in the package must be named somewhere in the package or in
 ``perfbench/`` other than its own definition. Tests do not count: a
-helper only tests call belongs in ``tests/``. ``fd_gradient`` is the one
-exception, the finite-difference oracle kept beside the tape it checks.
+helper only tests call belongs in ``tests/``, as the oracles in
+``tests/oracles.py`` do.
 """
 
 import ast
@@ -12,7 +12,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "robustasr"
-ALLOWED = {"fd_gradient"}
 
 
 def _public_definitions(tree):
@@ -41,7 +40,7 @@ def _names_used(tree):
 
 def test_every_public_helper_has_a_caller_outside_tests():
     sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    names, attrs = set(ALLOWED), set()
+    names, attrs = set(), set()
     defined = []
     for path in sources:
         tree = ast.parse(path.read_text(), filename=str(path))
