@@ -12,13 +12,16 @@ A fused op runs a whole loop in numpy and records one tape entry whose
 backward is written by hand. ``tanh_rnn`` (the encoder scan) is one;
 ``record_op`` lets other modules define their own: the CTC head, the
 teacher-forced attention decoder and the accent head in ``model``, and
-the CTC lattice in ``losses``. An input may appear in a record more than
-once: ``backward`` adds the gradients the record returns for it in list
-order, so a fused op can reproduce the summation order of the op-by-op
-tape it replaces. The fused backwards and those of the binary ops
-(``add``, ``mul``) return None instead of computing the term of an input
-that requires no gradient, such as a model parameter held constant
-during an attack.
+the CTC lattice in ``losses``. Every fused op keeps one contract with
+the same computation recorded op by op (the references in
+``tests/*_reference.py``): forward values are bit-identical to it;
+gradients agree with it to 1e-12 relative in the max norm, because a
+backward adds the same terms in its own order (a parameter's terms of
+all frames or steps as one product); and a rerun is bit-identical. The
+fused backwards and those of the binary
+ops (``add``, ``mul``) return None instead of computing the term of an
+input that requires no gradient, such as a model parameter held
+constant during an attack.
 
 The tape stack and the recording flag are plain module state, one per
 process; parallel work runs in separate processes, never in threads that
@@ -321,14 +324,12 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
     Batch contract. ``lengths`` holds each row's frame count (default:
     all T). Frames past a row's length keep a zero state, so a reverse
     scan starts at each row's own last frame, and they get exactly zero
-    gradient. A single sequence runs as a batch of one. At B=1 forward
-    and backward make the numpy calls an op-by-op scan (matmul, take,
-    matmul, add, add, tanh per frame) would make, in the order its tape
-    would make them, so results are bit-identical to recording that
-    scan. At B > 1 a (B, d) @ (d, d) product rounds differently from B
+    gradient. A single sequence runs as a batch of one. At B=1 the
+    forward makes the numpy calls of the op-by-op scan (matmul, take,
+    matmul, add, add, tanh per frame), so its values are bit-identical
+    to it. At B > 1 a (B, d) @ (d, d) product rounds differently from B
     vector products: each row agrees with its B=1 scan to about 1e-12
-    relative. Parameter gradients exist only at B=1; a batch refuses
-    weights that require gradients.
+    relative, and parameter gradients are the sums of the rows'.
     """
     seq, w_in, w_rec, b = (_promote(v) for v in (seq, w_in, w_rec, b))
     batched = seq.ndim == 3
@@ -343,9 +344,6 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
                          f"must be ({d}, {d}) and ({d},)")
     x = seq.data
     rows, n = (x.shape[0], x.shape[1]) if batched else (1, x.shape[0])
-    if rows > 1 and (w_in.requires_grad or w_rec.requires_grad or b.requires_grad):
-        raise ShapeError(f"tanh_rnn: no parameter gradients for a batch of {rows}; "
-                         f"pass weights that require none")
     dead = padding_mask(lengths, rows, n)
     wi, wr = w_in.data, w_rec.data
     order = range(n - 1, -1, -1) if reverse else range(n)
@@ -385,35 +383,29 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         for t in reversed(order):
             dh = g[t] if dz is None else dz @ wr_t + g[t]
             dz = dpre[t] = dh * deriv[t]
-        # Terms for inputs that take no gradient (a constant input, or
-        # constant weights under attack) are skipped. Weights that take
-        # one imply B=1, so row 0 is the whole batch there.
-        dwr = db = None
-        if w_rec.requires_grad or b.requires_grad:
-            # The state each frame read: zero for the first, else the one
-            # before.
-            h_prev = np.zeros((n, d))
-            if reverse:
-                h_prev[:-1] = out[1:, 0]
-            else:
-                h_prev[1:] = out[:-1, 0]
-            outer = h_prev[:, :, None] * dpre[:, 0, None, :]
-            # Per-frame W_rec and b terms are summed one frame at a time,
-            # last frame first, as the op-by-op tape adds them.
-            back = reversed(order)
-            first = next(back)
-            dwr, db = outer[first].copy(), dpre[first, 0].copy()
-            for t in back:
-                dwr += outer[t]
-                db += dpre[t, 0]
-        g_seq = None
+        # Each gradient is one product over all frames and rows; terms for
+        # inputs that take no gradient (a constant input, or constant
+        # weights under attack) are skipped.
+        flat = dpre.reshape(n * rows, d)
+        g_seq = dwi = dwr = db = None
         if seq.requires_grad:
-            g_seq = dpre.reshape(n * rows, d) @ wi.T
+            g_seq = flat @ wi.T
             if batched:
                 g_seq = g_seq.reshape(n, rows, -1).transpose(1, 0, 2)
-        dwi = None
         if w_in.requires_grad:
-            dwi = (x[0] if batched else x).T @ dpre[:, 0]
+            x_tm = x.transpose(1, 0, 2) if batched else x
+            dwi = x_tm.reshape(n * rows, -1).T @ flat
+        if w_rec.requires_grad:
+            # The state each frame read: zero for the first, else the one
+            # before.
+            h_prev = np.zeros_like(out)
+            if reverse:
+                h_prev[:-1] = out[1:]
+            else:
+                h_prev[1:] = out[:-1]
+            dwr = h_prev.reshape(n * rows, d).T @ flat
+        if b.requires_grad:
+            db = flat.sum(axis=0)
         return (g_seq, dwi, dwr, db)
 
     return _emit("tanh_rnn", (seq, w_in, w_rec, b),

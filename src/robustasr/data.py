@@ -1,10 +1,12 @@
 """Deterministic synthetic accented-speech features and attack targets.
 
 The vocabulary is fixed and lives here: ``WORDS`` is the content words,
-then the lorem words, and a token id is a word's index in it. The model
-has one output per word (``ModelConfig.vocab_size`` must equal
-``N_WORDS``), and every data file carries ``VOCAB_HASH`` so that files
-written under another vocabulary are refused.
+then the lorem words, and a token id is a word's index in it. So is the
+accent set, ``N_ACCENTS`` labels ``0..N_ACCENTS-1``. The model has one
+output per word and one per accent (``ModelConfig.vocab_size`` must
+equal ``N_WORDS`` and ``n_accents`` must equal ``N_ACCENTS``), and every
+data file carries ``VOCAB_HASH`` so that files written under another
+vocabulary are refused.
 
 Each content word owns a fixed unit-norm prototype vector; an utterance
 renders every word as a short run of frames, rotates them through the
@@ -46,6 +48,7 @@ CONTENT_IDS = range(len(CONTENT_WORDS))
 VOCAB_HASH = hashlib.sha256(("\x1f".join(CONTENT_WORDS) + "\x1e" +
                              "\x1f".join(LOREM_WORDS)).encode()).hexdigest()[:12]
 _IDS = {w: i for i, w in enumerate(WORDS)}
+N_ACCENTS = 2
 
 DEFAULT_FEAT_DIM = 16
 NOISE_SIGMA = 0.05
@@ -76,8 +79,8 @@ def to_words(tokens: Sequence[int]) -> list[str]:
 @functools.cache
 def _world(feat_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The fixed geometry of the feature space: the content words'
-    prototypes (n_content, F), unit rows, and the two accents' orthogonal
-    maps (2, F, F). Built once per ``feat_dim``; read-only."""
+    prototypes (n_content, F), unit rows, and the accents' orthogonal maps
+    (N_ACCENTS, F, F). Built once per ``feat_dim``; read-only."""
     rng = np.random.default_rng([_WORLD_SEED, feat_dim])
     # prototypes share a strong common direction so the two accent
     # rotations displace every utterance consistently; the residual
@@ -87,7 +90,7 @@ def _world(feat_dim: int) -> tuple[np.ndarray, np.ndarray]:
     protos = 1.5 * common + rng.normal(size=(len(CONTENT_WORDS), feat_dim))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
     maps = np.stack([np.linalg.qr(rng.normal(size=(feat_dim, feat_dim)))[0]
-                     for _ in range(2)])
+                     for _ in range(N_ACCENTS)])
     protos.flags.writeable = maps.flags.writeable = False
     return protos, maps
 
@@ -97,7 +100,7 @@ class Utterance:
     id: str
     features: np.ndarray  # (T, F)
     transcript: tuple[int, ...]  # content-word ids
-    accent: int  # 0 or 1
+    accent: int  # 0..N_ACCENTS-1
 
     @property
     def n_frames(self) -> int:
@@ -119,8 +122,8 @@ def render_utterance(tokens: Sequence[int], accent: int, rng: np.random.Generato
     """Emit 3..6 frames per word: accent-rotated prototype plus noise."""
     if not tokens:
         raise DataError("empty transcript")
-    if accent not in (0, 1):
-        raise DataError(f"accent must be 0 or 1, got {accent}")
+    if accent not in range(N_ACCENTS):
+        raise DataError(f"accent must be in 0..{N_ACCENTS - 1}, got {accent}")
     prototypes, accent_maps = _world(feat_dim)
     frames = []
     for tok in tokens:
@@ -136,7 +139,7 @@ def render_utterance(tokens: Sequence[int], accent: int, rng: np.random.Generato
 def _gen_split(name: str, n: int, len_range: tuple[int, int], seed: int,
                feat_dim: int) -> list[Utterance]:
     rng = np.random.default_rng([seed, {"train": 1, "valid": 2, "test": 3}[name]])
-    accents = np.array([i % 2 for i in range(n)])
+    accents = np.array([i % N_ACCENTS for i in range(n)])
     rng.shuffle(accents)
     utts = []
     for i in range(n):
@@ -148,12 +151,20 @@ def _gen_split(name: str, n: int, len_range: tuple[int, int], seed: int,
     return utts
 
 
+def _check_len_range(len_range: tuple[int, int]) -> None:
+    """Refuse a transcript length range that allows empty or no lengths."""
+    if not 1 <= len_range[0] <= len_range[1]:
+        raise DataError(f"len_range {tuple(len_range)} must satisfy "
+                        f"1 <= lower <= upper")
+
+
 def gen_dataset(seed: int, n_train: int = 2000, n_valid: int = 200,
                 n_test: int = 200, len_range: tuple[int, int] = (2, 6),
                 feat_dim: int = DEFAULT_FEAT_DIM) -> DatasetSplit:
     """Three disjoint splits with balanced accents, deterministic per seed."""
     if min(n_train, n_valid, n_test) < 1:
         raise DataError("split sizes must be >= 1")
+    _check_len_range(len_range)
     return DatasetSplit(
         train=_gen_split("train", n_train, len_range, seed, feat_dim),
         valid=_gen_split("valid", n_valid, len_range, seed, feat_dim),
@@ -166,6 +177,7 @@ def gen_dataset(seed: int, n_train: int = 2000, n_valid: int = 200,
 def gen_adv_targets(seed: int, count: int = 12,
                     len_range: tuple[int, int] = (2, 6)) -> list[tuple[int, ...]]:
     """Fixed lorem-ipsum transcriptions; lengths cycle through len_range."""
+    _check_len_range(len_range)
     lengths = list(range(len_range[0], len_range[1] + 1))
     if count < len(lengths):
         raise DataError(f"need at least {len(lengths)} targets to cover {len_range}")
@@ -262,8 +274,8 @@ def _feature_row(line: str, feat_dim: int) -> np.ndarray:
 
 
 def _accent(line: str) -> int:
-    if line not in ("0", "1"):
-        raise DataError(f"accent must be 0 or 1, got {line!r}")
+    if line not in [str(a) for a in range(N_ACCENTS)]:
+        raise DataError(f"accent must be in 0..{N_ACCENTS - 1}, got {line!r}")
     return int(line)
 
 

@@ -27,8 +27,8 @@ from typing import Iterable, Sequence
 
 from . import autodiff as ad
 from .attack import AttackConfig, calibrate, pgd_attack_batch, target_feasible
-from .data import (N_WORDS, DatasetSplit, gen_adv_targets, gen_dataset,
-                   select_adv_target)
+from .data import (N_ACCENTS, N_WORDS, DatasetSplit, gen_adv_targets,
+                   gen_dataset, select_adv_target)
 from .decode import joint_greedy_decode
 from .losses import MtlWeights
 from .metrics import WerStats, edit_distance_words, pooled_wer
@@ -72,6 +72,8 @@ class GridSpec:
             raise ValueError("modes must be a nonempty subset of {match, drop_ctc}")
         if not self.report_steps or not self.seeds:
             raise ValueError("report_steps and seeds must be nonempty")
+        if min(self.report_steps) < 0:
+            raise ValueError(f"report_steps {self.report_steps} holds a negative step")
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,13 @@ class ExperimentConfig:
     alpha_fraction: float = 1.0 / 40.0
     max_decode_len: int = 10
     model: ModelConfig = ModelConfig()
+
+    def __post_init__(self):
+        for name in ("epsilon_ratio", "alpha_fraction"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.n_eval < 1:
+            raise ValueError(f"n_eval must be >= 1, got {self.n_eval}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -148,11 +157,20 @@ def _cell(column: str, text: str):
 
 
 def rows_from_csv(text: str) -> list[ReportRow]:
-    lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    if not lines or lines[0] != ",".join(ROW_COLUMNS):
+    lines = [(i, l) for i, l in enumerate(text.splitlines(), 1)
+             if l and not l.startswith("#")]
+    if not lines or lines[0][1] != ",".join(ROW_COLUMNS):
         raise ValueError("unrecognized rows CSV header")
-    return [ReportRow(*(_cell(c, v) for c, v in zip(ROW_COLUMNS, line.split(","))))
-            for line in lines[1:]]
+    rows = []
+    for i, line in lines[1:]:
+        cells = line.split(",")
+        try:
+            if len(cells) != len(ROW_COLUMNS):
+                raise ValueError(f"{len(cells)} fields, not {len(ROW_COLUMNS)}")
+            rows.append(ReportRow(*(_cell(c, v) for c, v in zip(ROW_COLUMNS, cells))))
+        except ValueError as e:
+            raise ValueError(f"rows CSV line {i}: {e}") from None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +235,24 @@ def make_data(config: ExperimentConfig,
     return ds, targets
 
 
+def _check_output_sizes(model: ModelConfig, says: str) -> None:
+    """Refuse a model without one output per word and per accent of the
+    data; ``says`` formats the model's side of the message."""
+    for name, size, data_has in (("vocab_size", N_WORDS, "vocabulary has {} words"),
+                                 ("n_accents", N_ACCENTS, "has {} accents")):
+        value = getattr(model, name)
+        if value != size:
+            raise ConfigError(says.format(name=name, value=value) +
+                              ", the data " + data_has.format(size))
+
+
 def train_model(config: ExperimentConfig, weights: MtlWeights, seed: int,
                 ds: DatasetSplit) -> tuple[ModelParams, TrainLog]:
     """Train one model on ``ds`` with the training mix of ``weights``."""
     if ds.feat_dim != config.model.feat_dim:
         raise ConfigError(f"data has feat_dim {ds.feat_dim}, "
                           f"model.feat_dim is {config.model.feat_dim}")
-    if config.model.vocab_size != N_WORDS:
-        raise ConfigError(f"model.vocab_size is {config.model.vocab_size}, "
-                          f"the data vocabulary has {N_WORDS} words")
+    _check_output_sizes(config.model, "model.{name} is {value}")
     train_cfg = TrainConfig(weights=weights, epochs=config.epochs,
                             learning_rate=config.learning_rate,
                             batch_size=config.batch_size, seed=seed)
@@ -237,9 +264,7 @@ def evaluate_model(config: ExperimentConfig, params: ModelParams, test,
     """Benign WER on ``test[:n_eval]`` and AdvTWER on ``test[:n_attack]``
     at the inference weight of ``weights``, one row per report step; the
     attack ball is calibrated on all of ``test``."""
-    if params.config.vocab_size != N_WORDS:
-        raise ConfigError(f"the model has vocab_size {params.config.vocab_size}, "
-                          f"the data vocabulary has {N_WORDS} words")
+    _check_output_sizes(params.config, "the model has {name} {value}")
     epsilon, alpha = calibrate(test, ratio=config.epsilon_ratio,
                                alpha_fraction=config.alpha_fraction)
     benign_wer, accent_acc = evaluate_benign(
@@ -328,8 +353,10 @@ def trend_check(rows: Sequence[ReportRow],
     """Robustness-ordering assertions on seed-median AdvTWER.
 
     Each assertion must hold at every requested step count. Missing
-    cells raise rather than silently passing.
+    cells, or no step count at all, raise rather than silently passing.
     """
+    if not steps:
+        raise MissingCellsError("no attack steps to judge")
     results = []
 
     def med(cfg, step):

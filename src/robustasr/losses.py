@@ -82,13 +82,11 @@ def ctc_loss(logp: Tensor, y: Sequence[int]) -> Tensor:
     the last column; ``y`` holds word ids only. Normalized by ``|y|``.
 
     A nonempty ``y`` runs the whole lattice in numpy and records one tape
-    entry. Forward and backward make the numpy calls of the lattice
-    recorded op by op (per frame: shift the previous alphas, mask and
-    bias the skip row, a 3-row logsumexp, add the emissions), in the
-    order its tape makes them, so values and gradients are bit-identical
-    to it. The backward walks the frames last first; each frame's
-    gradient into the previous alphas is the direct term plus the skip
-    term, then the one-state shift term, as the op-by-op tape adds them.
+    entry. The forward makes the numpy calls of the lattice recorded op
+    by op (per frame: shift the previous alphas, mask and bias the skip
+    row, a 3-row logsumexp, add the emissions). The backward walks the
+    frames last first; each frame's gradient into the previous alphas is
+    the stay term plus the skip and one-state shift terms.
     """
     t_frames, width = logp.shape
     blank = width - 1
@@ -152,16 +150,10 @@ def ctc_loss(logp: Tensor, y: Sequence[int]) -> Tensor:
         for t in range(t_frames - 1, 0, -1):
             g_emis[t] = g_alpha
             gs = g_alpha * weights[t]
-            # The shifted rows' gradients are padded back to full width
-            # with zeros, then added, as the op-by-op tape does.
-            g_skip = np.zeros(n_states)
-            g_skip[:-2] += gs[2, 2:] * skip_ok[2:]
-            g_shift1 = np.zeros(n_states)
-            g_shift1[:-1] += gs[1, 1:]
-            g_alpha = (gs[0] + g_skip) + g_shift1
+            g_alpha = gs[0]
+            g_alpha[:-2] += gs[2, 2:] * skip_ok[2:]
+            g_alpha[:-1] += gs[1, 1:]
         g_emis[0] = g_alpha * start
-        # Rows never share an entry, so one scatter over all frames adds
-        # each entry's terms in the order a per-frame scatter does.
         g_logp = np.zeros(logp.shape)
         np.add.at(g_logp, (slice(None), ext_idx), g_emis)
         return (g_logp,)

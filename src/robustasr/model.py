@@ -370,23 +370,9 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
     gives padded frames exactly zero weight, and padded frames and steps
     get exactly zero gradient. A single sequence runs as a batch of one.
     At B > 1 each row agrees with its B=1 run to about 1e-12 relative,
-    and parameter gradients are refused (pass frozen parameters).
-
-    At B=1 the hand-written backward adds every gradient term in the
-    order the op-by-op tape of the same steps adds it, so values and
-    gradients are bit-identical to that tape:
-
-    - state s_k takes the w_rec term of step k+1, then its part of the
-      output layer's input, then the attention-query term;
-    - each parameter takes its per-step terms from step N-1 down to 0;
-    - ``hidden`` is listed as an input N+1 times, and the backward returns
-      the context term of each step (N-1 down to 0) and then the
-      attention-projection term. ``autodiff.backward`` adds them one by
-      one after whatever other heads contributed before, as the
-      op-by-op tape did; a single pre-summed term would round differently.
-
-    Every term outside the state recurrence and the parameter sums is
-    computed for all steps at once.
+    and parameter gradients are the sums of the rows'. The backward runs
+    the state recurrence step by step; every other term, and each
+    gradient, is computed for all steps and rows at once.
     """
     cfg = params.config
     batched = hidden.ndim == 3
@@ -413,9 +399,6 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
     # Constant parameters (an attack differentiates only its input) get
     # none of their terms computed.
     train = any(p.requires_grad for p in param_inputs)
-    if train and n_rows > 1:
-        raise ShapeError(f"decoder: no parameter gradients for a batch of "
-                         f"{n_rows}; pass frozen parameters")
     n = max(counts)
     # Step-major tokens. Rows shorter than n feed eos and pick column 0
     # on their padded steps; the picks are zeroed and take no gradient.
@@ -448,10 +431,6 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
         g = g.T if batched else g[:, None]
         if late is not None:
             g = np.where(late, 0.0, g)
-        # Terms of one step that do not depend on the state recurrence are
-        # computed for all steps at once, except the (B, T, attn_dim)
-        # blocks: an (N, B, T, ...) array of them is the largest of a
-        # batched step, so those are made one step at a time.
         g_logp = np.zeros(st.logp.shape)
         g_logp[step_idx, row_idx, tok_tgt] += g
         g_logits = g_logp - np.exp(st.logp) * g_logp.sum(axis=2, keepdims=True)
@@ -459,57 +438,44 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
         g_ctx = g_joint[..., dh:]
         g_log_attn = (h @ g_ctx[..., None])[..., 0] * st.attn
         g_scores = g_log_attn - st.attn * g_log_attn.sum(axis=2, keepdims=True)
+        g_att = st.tanh_att * st.tanh_att
+        np.subtract(1.0, g_att, out=g_att)
+        g_att *= v
+        g_att *= g_scores[..., None]
+        g_q = g_att.sum(axis=2)
+        g_hproj = g_att.sum(axis=0)
         deriv = 1.0 - st.s * st.s
-        # Steps last first: state s_k takes the w_rec term of step k+1,
-        # then its part of the output layer's input, then the query term.
+        # Steps last first: state s_k takes the w_rec term of step k+1.
         g_z = np.empty(st.s.shape)
-        g_q = np.empty(st.q.shape)
-        g_hproj = None
+        g_next = np.zeros((n_rows, dh))
         for k in range(n - 1, -1, -1):
-            g_att = g_scores[k, ..., None] * v
-            deriv_att = st.tanh_att[k] * st.tanh_att[k]
-            np.subtract(1.0, deriv_att, out=deriv_att)
-            g_att *= deriv_att
-            g_hproj = g_att if g_hproj is None else g_hproj + g_att
-            g_q[k] = g_att.sum(axis=1)
-            g_s = g_joint[k, :, :dh] if k == n - 1 else g_z[k + 1] @ w_rec.T + g_joint[k, :, :dh]
-            g_z[k] = (g_s + g_q[k] @ w_s.T) * deriv[k]
-        # The context term of each step, then the projection term, in the
-        # order ``autodiff.backward`` adds them.
-        g_hidden = [st.attn[k, ..., None] * g_ctx[k, :, None] for k in range(n - 1, -1, -1)]
-        g_hidden.append(g_hproj @ w_h.T)
+            g_z[k] = (g_next + g_joint[k, :, :dh] + g_q[k] @ w_s.T) * deriv[k]
+            g_next = g_z[k] @ w_rec.T
+        # Context terms of all steps, (B, T, N) @ (B, N, d), plus the
+        # attention-projection term.
+        g_hidden = (st.attn.transpose(1, 2, 0) @ g_ctx.transpose(1, 0, 2)
+                    + g_hproj @ w_h.T)
         if not batched:
-            g_hidden = [term[0] for term in g_hidden]
+            g_hidden = g_hidden[0]
         if not train:
-            return [None] * 10 + g_hidden
-        # B=1. Parameter sums start at +0.0; that differs from starting at
-        # the first term only for a -0.0 term, which the leaf update in
-        # ``autodiff.backward`` (grad + term, grad never -0.0) erases.
-        g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out = (
-            np.zeros_like(params[name].data) for name in _STEP_PARAMS)
-        gl, gz, s0, toks = g_logits[:, 0], g_z[:, 0], st.s[:, 0], tok_in[:, 0]
-        s_before = np.concatenate([np.zeros((1, dh)), s0[:-1]])
-        w_out_terms = st.joint[:, 0, :, None] * gl[:, None]
-        v_terms = (st.tanh_att[:, 0].transpose(0, 2, 1) @ g_scores[:, 0, :, None])[..., 0]
-        w_s_terms = s0[:, :, None] * g_q[:, 0, None]
-        w_rec_terms = s_before[:, :, None] * gz[:, None]
-        w_in_terms = emb[toks][:, :, None] * gz[:, None]
-        emb_terms = (w_in @ gz[..., None])[..., 0]
-        # Each parameter takes its per-step terms from step n-1 down to 0.
-        for k in range(n - 1, -1, -1):
-            g_b_out += gl[k]
-            g_w_out += w_out_terms[k]
-            g_v += v_terms[k]
-            g_w_s += w_s_terms[k]
-            g_b += gz[k]
-            g_w_rec += w_rec_terms[k]
-            g_w_in += w_in_terms[k]
-            g_emb[toks[k]] += emb_terms[k]
-        return [g_emb, g_w_in, g_w_rec, g_b, g_w_s, g_v, g_w_out, g_b_out,
-                h[0].T @ g_hproj[0], g_hproj[0].sum(axis=0), *g_hidden]
+            return [None] * 10 + [g_hidden]
+        # Padded steps and frames hold zero terms, so each parameter sums
+        # over all (step, row) pairs, in the order of ``param_inputs``.
+        m = n * n_rows
+        gl, gz, gq = g_logits.reshape(m, -1), g_z.reshape(m, dh), g_q.reshape(m, -1)
+        s_before = np.concatenate([np.zeros((1, n_rows, dh)), st.s[:-1]])
+        g_emb = np.zeros_like(emb)
+        np.add.at(g_emb, tok_in.ravel(), gz @ w_in.T)
+        flat_hproj = g_hproj.reshape(n_rows * n_frames, -1)
+        return [g_emb, emb[tok_in.ravel()].T @ gz,
+                s_before.reshape(m, dh).T @ gz, gz.sum(axis=0),
+                st.s.reshape(m, dh).T @ gq,
+                st.tanh_att.reshape(-1, v.size).T @ g_scores.ravel(),
+                st.joint.reshape(m, -1).T @ gl, gl.sum(axis=0),
+                h.reshape(n_rows * n_frames, -1).T @ flat_hproj,
+                flat_hproj.sum(axis=0), g_hidden]
 
-    return ad.record_op("decoder_teacher_forced",
-                        (*param_inputs, *(hidden,) * (n + 1)),
+    return ad.record_op("decoder_teacher_forced", (*param_inputs, hidden),
                         picked.T if batched else picked[:, 0], bwd)
 
 

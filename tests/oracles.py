@@ -8,6 +8,9 @@
   the reference for hybrid decoding at ``lambda_i_C`` 0.
 - ``fd_gradient`` is central finite differences, the oracle for every
   analytic gradient on the tape.
+- ``assert_matches_reference`` checks a fused op's contract against its
+  op-by-op reference tape: the same forward bytes, gradients within
+  1e-12 relative.
 """
 
 import itertools
@@ -111,3 +114,18 @@ def fd_gradient(f: Callable[[Tensor], "Tensor | float"], x: Tensor,
         down.flat[i] -= h
         flat[i] = (evaluate(up) - evaluate(down)) / (2.0 * h)
     return Tensor(g)
+
+
+def assert_matches_reference(fused, reference, tol: float = 1e-12) -> None:
+    """A fused run against its op-by-op reference, as ``(forward, grads)`` pairs.
+
+    ``forward`` is an array whose bytes must be equal; ``grads`` maps
+    names to gradient arrays, each within ``tol`` of the reference's in
+    the max norm, relative to the reference's largest magnitude.
+    """
+    (out, grads), (ref_out, ref_grads) = fused, reference
+    assert np.asarray(out).tobytes() == np.asarray(ref_out).tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        want = np.asarray(ref_grads[name])
+        assert np.max(np.abs(g - want)) <= tol * np.max(np.abs(want)), name

@@ -369,15 +369,24 @@ def test_batched_row_gradient_matches_fd(lam_i):
     assert np.all(x.grad[1, 4:] == 0.0)
 
 
-def test_batch_refuses_parameter_gradients():
+def test_batch_parameter_gradients_sum_the_rows():
+    # Encoder and decoder parameter gradients of a padded batch's summed
+    # decoder loss equal the sums of its rows' B=1 gradients.
     params = init_params(BIDIR)
-    x = ad.constant(np.ones((2, 5, BIDIR.feat_dim)))
-    with pytest.raises(ad.ShapeError):
-        encode(params, x, [5, 3])
-    hidden = encode(params.frozen(), x, [5, 3])
-    with pytest.raises(ad.ShapeError):
-        dec_loss(params, hidden, [[1], [2, 3]], [5, 3])
-    assert dec_loss(params.frozen(), hidden, [[1], [2, 3]], [5, 3]).shape == (2,)
+    rng = np.random.default_rng(24)
+    lengths = [5, 3]
+    targets = [[1], [2, 3]]
+    xs = [rng.normal(size=(n, BIDIR.feat_dim)) for n in lengths]
+    with ad.tape():
+        hidden = encode(params, ad.constant(_pad(xs)), lengths)
+        ad.backward(ad.sum_(dec_loss(params, hidden, targets, lengths)))
+    got = {n: t.grad.copy() for n, t in params.items()}
+    ad.zero_grad(params.leaves())
+    for x, target in zip(xs, targets):
+        with ad.tape():
+            ad.backward(dec_loss(params, encode(params, ad.constant(x)), target))
+    for name, t in params.items():
+        assert _close(got[name], t.grad, 1e-12), name
 
 
 FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "checkpoint.txt"

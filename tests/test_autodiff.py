@@ -339,13 +339,30 @@ def test_tanh_rnn_batch_rows_match_single_scans(reverse):
         assert np.all(seq.grad[r, n:] == 0.0)
 
 
-def test_tanh_rnn_batch_refuses_bad_lengths_and_weight_gradients():
+def test_tanh_rnn_batch_refuses_bad_lengths_and_sums_row_gradients():
     rng = np.random.default_rng(32)
     _, w_in, w_rec, b = _rnn_inputs(rng)
+    weights = (w_in, w_rec, b)
     batch = np.zeros((2, 5, 3))
     for lengths in ([5], [5, 0], [5, 6]):
         with pytest.raises(ad.ShapeError):
-            ad.tanh_rnn(batch, ad.constant(w_in.data), ad.constant(w_rec.data),
-                        ad.constant(b.data), lengths=lengths)
-    with pytest.raises(ad.ShapeError):
-        ad.tanh_rnn(batch, w_in, w_rec, b, lengths=[5, 3])
+            ad.tanh_rnn(batch, *weights, lengths=lengths)
+    # A padded batch's weight gradients are the sums of its rows' B=1
+    # gradients, in either direction.
+    lengths = [5, 3]
+    batch[0] = rng.normal(size=(5, 3))
+    batch[1, :3] = rng.normal(size=(3, 3))
+    weight = rng.normal(size=(2, 5, 4))
+    for reverse in (False, True):
+        ad.zero_grad(weights)
+        with ad.tape():
+            out = ad.tanh_rnn(batch, *weights, reverse=reverse, lengths=lengths)
+            ad.backward(ad.sum_(ad.mul(out, weight)))
+        got = [t.grad.copy() for t in weights]
+        ad.zero_grad(weights)
+        for r, n in enumerate(lengths):
+            with ad.tape():
+                single = ad.tanh_rnn(batch[r, :n], *weights, reverse=reverse)
+                ad.backward(ad.sum_(ad.mul(single, weight[r, :n])))
+        for g, t in zip(got, weights):
+            assert np.max(np.abs(g - t.grad)) <= 1e-12 * np.max(np.abs(t.grad))

@@ -6,7 +6,8 @@ import pytest
 from robustasr.cli import load_config, main
 from robustasr.data import CONTENT_WORDS, N_WORDS, save_targets
 from robustasr.experiments import (ConfigError, ExperimentConfig, GridSpec,
-                                   rows_from_csv, rows_to_csv, run_cell)
+                                   MissingCellsError, ReportRow, rows_from_csv,
+                                   rows_to_csv, run_cell)
 from robustasr.losses import MtlWeights
 from robustasr.model import ModelConfig
 
@@ -150,17 +151,31 @@ def test_train_refuses_data_of_another_feat_dim(tmp_path):
         main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")])
 
 
-@pytest.mark.parametrize("vocab_size", [30, 50])
-def test_train_refuses_a_model_of_another_vocab_size(tmp_path, vocab_size):
-    # one output per word of the data vocabulary, or nothing trains
+@pytest.mark.parametrize("field, value, data_has", [
+    pytest.param("vocab_size", 30, "vocabulary has 40 words", id="30"),
+    pytest.param("vocab_size", 50, "vocabulary has 40 words", id="50"),
+    pytest.param("n_accents", 1, "has 2 accents", id="n_accents-1"),
+    pytest.param("n_accents", 3, "has 2 accents", id="n_accents-3"),
+])
+def test_train_refuses_a_model_of_another_vocab_size(tmp_path, field, value, data_has):
+    # one output per word and per accent of the data, or nothing trains
     gen_cfg = _write(tmp_path / "gen.json", {"n_train": 2, "n_valid": 1, "n_test": 1})
     assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path / "data")]) == 0
-    train_cfg = _write(tmp_path / "train.json", {"model": {"vocab_size": vocab_size}})
-    with pytest.raises(ConfigError, match=f"model.vocab_size is {vocab_size}, "
-                       "the data vocabulary has 40 words"):
+    train_cfg = _write(tmp_path / "train.json", {"model": {field: value}})
+    with pytest.raises(ConfigError, match=f"model.{field} is {value}, the data {data_has}"):
         main(["train", "--config", train_cfg, "--data", str(tmp_path / "data"),
               "--out", str(tmp_path / "run")])
     assert not (tmp_path / "run").exists()
+
+
+def test_report_refuses_rows_without_attack_steps(tmp_path):
+    # the rows file of `eval` holds no AdvTWER: no ordering can be judged
+    row = ReportRow(lambda_t_A=1.0, lambda_t_C=0.5, lambda_i_C=0.5, seed=0,
+                    attack_steps=0, benign_wer=0.2, accent_acc=0.9, adv_twer=None,
+                    n_samples=4, n_skipped=0)
+    rows = _write(tmp_path / "eval.csv", rows_to_csv([row], "x"))
+    with pytest.raises(MissingCellsError, match="no attack steps to judge"):
+        main(["report", "--rows", rows, "--out", str(tmp_path / "report")])
 
 
 def test_checked_in_configs_load():

@@ -118,6 +118,14 @@ def test_gen_adv_targets_properties():
     assert targets == gen_adv_targets(9, count=12, len_range=len_range)
 
 
+@pytest.mark.parametrize("len_range", [(0, 3), (3, 2), (-1, 0)])
+def test_generators_refuse_a_length_range_with_empty_or_no_lengths(len_range):
+    with pytest.raises(DataError, match=rf"len_range \({len_range[0]}, {len_range[1]}\)"):
+        gen_adv_targets(0, len_range=len_range)
+    with pytest.raises(DataError, match=rf"len_range \({len_range[0]}, {len_range[1]}\)"):
+        gen_dataset(0, n_train=1, n_valid=1, n_test=1, len_range=len_range)
+
+
 def test_select_adv_target_closest_length():
     t3, t5, t9 = (1,) * 3, (2,) * 5, (3,) * 9
     assert select_adv_target((0,) * 5, [t3, t5, t9]) == t5

@@ -99,6 +99,11 @@ def test_trend_check_missing_cells_raise():
         trend_check(rows)
 
 
+def test_trend_check_without_steps_raises():
+    with pytest.raises(MissingCellsError, match="no attack steps to judge"):
+        trend_check(synthetic_rows(GOOD_LEVELS), steps=())
+
+
 def test_rows_csv_round_trip():
     rows = synthetic_rows(GOOD_LEVELS)
     rows.append(make_row(STL_DEC, 7, 0, None))  # benign-only row
@@ -109,6 +114,15 @@ def test_rows_csv_round_trip():
     assert rows_to_csv(back, "abc123def456") == text
     benign = [r for r in back if r.attack_steps == 0]
     assert benign and benign[0].adv_twer is None
+
+
+@pytest.mark.parametrize("fields", [11, 9])
+def test_rows_from_csv_refuses_a_line_of_another_width(fields):
+    lines = rows_to_csv(synthetic_rows(GOOD_LEVELS), "x").splitlines()
+    cells = lines[3].split(",")
+    lines[3] = ",".join((cells + ["1"])[:fields])
+    with pytest.raises(ValueError, match=f"line 4: {fields} fields, not 10"):
+        rows_from_csv("\n".join(lines) + "\n")
 
 
 def test_experiment_config_json_round_trip():
@@ -127,6 +141,18 @@ def test_grid_spec_validation():
         GridSpec(lambda_t_A_values=())
     with pytest.raises(ValueError):
         GridSpec(modes=("nope",))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"grid": {"report_steps": [10, -1]}}, "negative step"),
+    ({"epsilon_ratio": 0.0}, "epsilon_ratio must be positive"),
+    ({"alpha_fraction": -0.5}, "alpha_fraction must be positive"),
+    ({"n_eval": 0}, "n_eval must be >= 1"),
+], ids=["report_steps", "epsilon_ratio", "alpha_fraction", "n_eval"])
+def test_config_refuses_values_the_evaluation_cannot_use(change, message):
+    # refused when the config is read, before a cell trains
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_dict(change)
 
 
 TINY_GRID = ExperimentConfig(
@@ -156,22 +182,27 @@ def test_run_grid_process_pool_gives_the_serial_rows():
     assert rows_to_csv(run_grid(TINY_GRID, workers=2), TINY_GRID.hash()) == serial
 
 
-@pytest.mark.parametrize("vocab_size", [30, 50])
-def test_model_vocab_size_must_match_the_data_vocabulary(vocab_size, monkeypatch):
-    # one output per word: fewer cannot emit every attack target, and
-    # the extra ones are never trained
-    config = replace(TINY_GRID, model=replace(TINY_GRID.model, vocab_size=vocab_size))
+@pytest.mark.parametrize("field, value", [
+    pytest.param("vocab_size", 30, id="30"),
+    pytest.param("vocab_size", 50, id="50"),
+    pytest.param("n_accents", 1, id="n_accents-1"),
+    pytest.param("n_accents", 3, id="n_accents-3"),
+])
+def test_model_vocab_size_must_match_the_data_vocabulary(field, value, monkeypatch):
+    # one output per word and per accent: fewer cannot emit every attack
+    # target or accent label, and the extra ones are never trained
+    config = replace(TINY_GRID, model=replace(TINY_GRID.model, **{field: value}))
+    data_has = {"vocab_size": "vocabulary has 40 words", "n_accents": "has 2 accents"}[field]
     ds, targets = make_data(config, 0)
 
     def no_training(*args):
         raise AssertionError("train_mtl ran")
 
     monkeypatch.setattr(experiments, "train_mtl", no_training)
-    with pytest.raises(ConfigError, match=f"model.vocab_size is {vocab_size}, "
-                       "the data vocabulary has 40 words"):
+    with pytest.raises(ConfigError, match=f"model.{field} is {value}, the data {data_has}"):
         train_model(config, MtlWeights(), 0, ds)
-    with pytest.raises(ConfigError, match=f"the model has vocab_size {vocab_size}, "
-                       "the data vocabulary has 40 words"):
+    with pytest.raises(ConfigError, match=f"the model has {field} {value}, "
+                       f"the data {data_has}"):
         evaluate_model(TINY_GRID, init_params(config.model), ds.test, targets,
                        MtlWeights())
 

@@ -20,7 +20,7 @@ from robustasr.model import (
 
 import reference_ops as ro
 from decoder_reference import reference_advance, reference_start
-from oracles import fd_gradient
+from oracles import assert_matches_reference, fd_gradient
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=2, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=5, disc_hidden=4, seed=1)
@@ -122,12 +122,8 @@ def test_encode_bit_identical_to_op_by_op_scan(bidirectional):
         with ad.tape():
             h = enc(params, x)
             ad.backward(ad.sum_(ad.mul(h, weight)))
-        results.append((h.data, x.grad, {n: t.grad for n, t in params.items()}))
-    (h1, gx1, gp1), (h2, gx2, gp2) = results
-    assert np.array_equal(h1, h2)
-    assert np.array_equal(gx1, gx2)
-    for name in gp1:
-        assert np.array_equal(gp1[name], gp2[name]), name
+        results.append((h.data, {"x": x.grad, **{n: t.grad for n, t in params.items()}}))
+    assert_matches_reference(*results)
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
