@@ -49,6 +49,7 @@ VOCAB_HASH = hashlib.sha256(("\x1f".join(CONTENT_WORDS) + "\x1e" +
                              "\x1f".join(LOREM_WORDS)).encode()).hexdigest()[:12]
 _IDS = {w: i for i, w in enumerate(WORDS)}
 N_ACCENTS = 2
+_ACCENT_LINES = tuple(str(a) for a in range(N_ACCENTS))
 
 DEFAULT_FEAT_DIM = 16
 NOISE_SIGMA = 0.05
@@ -274,7 +275,7 @@ def _feature_row(line: str, feat_dim: int) -> np.ndarray:
 
 
 def _accent(line: str) -> int:
-    if line not in [str(a) for a in range(N_ACCENTS)]:
+    if line not in _ACCENT_LINES:
         raise DataError(f"accent must be in 0..{N_ACCENTS - 1}, got {line!r}")
     return int(line)
 

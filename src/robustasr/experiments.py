@@ -235,15 +235,14 @@ def make_data(config: ExperimentConfig,
     return ds, targets
 
 
-def _check_output_sizes(model: ModelConfig, says: str) -> None:
-    """Refuse a model without one output per word and per accent of the
-    data; ``says`` formats the model's side of the message."""
-    for name, size, data_has in (("vocab_size", N_WORDS, "vocabulary has {} words"),
-                                 ("n_accents", N_ACCENTS, "has {} accents")):
-        value = getattr(model, name)
-        if value != size:
-            raise ConfigError(says.format(name=name, value=value) +
-                              ", the data " + data_has.format(size))
+def _check_output_sizes(model: ModelConfig) -> None:
+    """Refuse a model without one output per word and per accent of the data."""
+    if model.vocab_size != N_WORDS:
+        raise ConfigError(f"model.vocab_size is {model.vocab_size}, "
+                          f"the data has {N_WORDS} words")
+    if model.n_accents != N_ACCENTS:
+        raise ConfigError(f"model.n_accents is {model.n_accents}, "
+                          f"the data has {N_ACCENTS} accents")
 
 
 def train_model(config: ExperimentConfig, weights: MtlWeights, seed: int,
@@ -252,7 +251,7 @@ def train_model(config: ExperimentConfig, weights: MtlWeights, seed: int,
     if ds.feat_dim != config.model.feat_dim:
         raise ConfigError(f"data has feat_dim {ds.feat_dim}, "
                           f"model.feat_dim is {config.model.feat_dim}")
-    _check_output_sizes(config.model, "model.{name} is {value}")
+    _check_output_sizes(config.model)
     train_cfg = TrainConfig(weights=weights, epochs=config.epochs,
                             learning_rate=config.learning_rate,
                             batch_size=config.batch_size, seed=seed)
@@ -264,7 +263,7 @@ def evaluate_model(config: ExperimentConfig, params: ModelParams, test,
     """Benign WER on ``test[:n_eval]`` and AdvTWER on ``test[:n_attack]``
     at the inference weight of ``weights``, one row per report step; the
     attack ball is calibrated on all of ``test``."""
-    _check_output_sizes(params.config, "the model has {name} {value}")
+    _check_output_sizes(params.config)
     epsilon, alpha = calibrate(test, ratio=config.epsilon_ratio,
                                alpha_fraction=config.alpha_fraction)
     benign_wer, accent_acc = evaluate_benign(

@@ -151,21 +151,28 @@ def test_train_refuses_data_of_another_feat_dim(tmp_path):
         main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")])
 
 
-@pytest.mark.parametrize("field, value, data_has", [
-    pytest.param("vocab_size", 30, "vocabulary has 40 words", id="30"),
-    pytest.param("vocab_size", 50, "vocabulary has 40 words", id="50"),
-    pytest.param("n_accents", 1, "has 2 accents", id="n_accents-1"),
-    pytest.param("n_accents", 3, "has 2 accents", id="n_accents-3"),
-])
-def test_train_refuses_a_model_of_another_vocab_size(tmp_path, field, value, data_has):
-    # one output per word and per accent of the data, or nothing trains
+def _train_refuses(tmp_path, field, value, message):
     gen_cfg = _write(tmp_path / "gen.json", {"n_train": 2, "n_valid": 1, "n_test": 1})
     assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path / "data")]) == 0
     train_cfg = _write(tmp_path / "train.json", {"model": {field: value}})
-    with pytest.raises(ConfigError, match=f"model.{field} is {value}, the data {data_has}"):
+    with pytest.raises(ConfigError, match=message):
         main(["train", "--config", train_cfg, "--data", str(tmp_path / "data"),
               "--out", str(tmp_path / "run")])
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", [30, 50])
+def test_train_refuses_a_model_of_another_vocab_size(tmp_path, value):
+    # one output per word of the data, or nothing trains
+    _train_refuses(tmp_path, "vocab_size", value,
+                   f"model.vocab_size is {value}, the data has 40 words")
+
+
+@pytest.mark.parametrize("value", [1, 3])
+def test_train_refuses_a_model_of_another_accent_count(tmp_path, value):
+    # one output per accent of the data, or nothing trains
+    _train_refuses(tmp_path, "n_accents", value,
+                   f"model.n_accents is {value}, the data has 2 accents")
 
 
 def test_report_refuses_rows_without_attack_steps(tmp_path):

@@ -182,29 +182,37 @@ def test_run_grid_process_pool_gives_the_serial_rows():
     assert rows_to_csv(run_grid(TINY_GRID, workers=2), TINY_GRID.hash()) == serial
 
 
-@pytest.mark.parametrize("field, value", [
-    pytest.param("vocab_size", 30, id="30"),
-    pytest.param("vocab_size", 50, id="50"),
-    pytest.param("n_accents", 1, id="n_accents-1"),
-    pytest.param("n_accents", 3, id="n_accents-3"),
-])
-def test_model_vocab_size_must_match_the_data_vocabulary(field, value, monkeypatch):
-    # one output per word and per accent: fewer cannot emit every attack
-    # target or accent label, and the extra ones are never trained
+def _refuses_before_training(field, value, message, monkeypatch):
     config = replace(TINY_GRID, model=replace(TINY_GRID.model, **{field: value}))
-    data_has = {"vocab_size": "vocabulary has 40 words", "n_accents": "has 2 accents"}[field]
     ds, targets = make_data(config, 0)
 
     def no_training(*args):
         raise AssertionError("train_mtl ran")
 
     monkeypatch.setattr(experiments, "train_mtl", no_training)
-    with pytest.raises(ConfigError, match=f"model.{field} is {value}, the data {data_has}"):
+    with pytest.raises(ConfigError, match=message):
         train_model(config, MtlWeights(), 0, ds)
-    with pytest.raises(ConfigError, match=f"the model has {field} {value}, "
-                       f"the data {data_has}"):
+    with pytest.raises(ConfigError, match=message):
         evaluate_model(TINY_GRID, init_params(config.model), ds.test, targets,
                        MtlWeights())
+
+
+@pytest.mark.parametrize("value", [30, 50])
+def test_model_vocab_size_must_match_the_data_vocabulary(value, monkeypatch):
+    # one output per word: fewer cannot emit every attack target, and the
+    # extra ones are never trained
+    _refuses_before_training("vocab_size", value,
+                             f"model.vocab_size is {value}, the data has 40 words",
+                             monkeypatch)
+
+
+@pytest.mark.parametrize("value", [1, 3])
+def test_model_n_accents_must_match_the_data_accents(value, monkeypatch):
+    # one output per accent: fewer cannot take every accent label, and the
+    # extra ones are never trained
+    _refuses_before_training("n_accents", value,
+                             f"model.n_accents is {value}, the data has 2 accents",
+                             monkeypatch)
 
 
 def test_make_tables_shapes():

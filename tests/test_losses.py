@@ -245,7 +245,8 @@ def test_mtl_total_is_differentiable_through_heads(params):
 
 
 # ---------------------------------------------------------------------------
-# the fused teacher-forced decoder matches the op-by-op tape
+# the fused teacher-forced decoder matches the op-by-op tape: the forward
+# is bit-identical, the gradients agree to 1e-12 (assert_matches_reference)
 
 BIDIR = ModelConfig(feat_dim=4, enc_hidden=5, enc_layers=2, dec_hidden=6,
                     attn_dim=3, emb_dim=2, vocab_size=6, disc_hidden=4,
@@ -321,7 +322,11 @@ def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
     fused = _grads(BIDIR, run)
     monkeypatch.setattr(attack, "dec_loss", reference_dec_loss)
     monkeypatch.setattr(attack, "ctc_loss", reference_ctc_loss)
-    assert_matches_reference(fused, _grads(BIDIR, run))
+    if lam_i == 1.0:
+        # CTC alone, no decoder: the gradients are still bit-identical
+        assert _bytes(fused) == _bytes(_grads(BIDIR, run))
+    else:
+        assert_matches_reference(fused, _grads(BIDIR, run))
 
 
 @pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])

@@ -108,6 +108,7 @@ def _reference_encode(params, x):
 
 @pytest.mark.parametrize("bidirectional", [False, True])
 def test_encode_bit_identical_to_op_by_op_scan(bidirectional):
+    # forward bit-identical, gradients to 1e-12 (assert_matches_reference)
     cfg = replace(TINY, bidirectional=bidirectional, enc_layers=3)
     rng = np.random.default_rng(11)
     x0 = rng.normal(size=(9, cfg.feat_dim))
