@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .losses import MtlWeights, ctc_loss, ctc_min_frames, dec_loss
-from .model import ModelParams, ctc_head, encode
+from .model import ModelParams, ctc_head, encode, pad_batch
 
 
 @dataclass(frozen=True)
@@ -71,21 +71,15 @@ def adv_loss(params: ModelParams, x: Tensor, target, weights: MtlWeights,
     with exactly zero weight are never evaluated, mirroring how the
     decode under attack uses them. A padded batch ``x`` (B, T, F) with
     per-row frame counts ``lengths`` (default: all T) takes one target
-    per row and gives the (B,) per-row losses; each row's slice of the
-    hidden states goes through the CTC head and loss on its own.
+    per row and gives the (B,) per-row losses, through the padded
+    encoder, CTC head, CTC lattice and decoder.
     """
     lam = weights.lambda_i_C
-    if x.ndim == 3 and lengths is None:
-        lengths = [x.shape[1]] * x.shape[0]
     batch = () if x.ndim == 2 else (lengths,)  # lengths go with a batch only
     hidden = encode(params, x, *batch)
     if lam == 0.0:
         return dec_loss(params, hidden, target, *batch)
-    if x.ndim == 2:
-        l_ctc = ctc_loss(ctc_head(params, hidden), target)
-    else:
-        l_ctc = ad.stack([ctc_loss(ctc_head(params, hidden[r, :n]), t)
-                          for r, (n, t) in enumerate(zip(lengths, target))])
+    l_ctc = ctc_loss(ctc_head(params, hidden), target, *batch)
     if lam == 1.0:
         return l_ctc
     return lam * l_ctc + (1.0 - lam) * dec_loss(params, hidden, target, *batch)
@@ -187,10 +181,8 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
     if not xs:
         return []
     params = params.frozen()  # once, not on every step
-    lengths = np.array([x.shape[0] for x in xs])
-    x_pad = np.zeros((len(xs), lengths.max(), xs[0].shape[1]))
-    for r, x in enumerate(xs):
-        x_pad[r, :lengths[r]] = x
+    x_pad, lengths = pad_batch(xs)
+    lengths = np.array(lengths)
     delta = np.zeros_like(x_pad)
     results = [PerturbationResult(x_adv=x.copy(), delta=np.zeros_like(x), loss_trace=[])
                for x in xs]

@@ -4,8 +4,8 @@ Values live in numpy arrays. Every operation whose inputs require
 gradients is recorded, in execution order, on the innermost open tape;
 ``backward`` replays that tape in exact reverse order and accumulates
 gradients into leaf tensors. The op set is only what the program runs:
-``add``, ``mul``, ``neg``, ``sum_``, ``take`` and ``stack`` (broadcasting
-covers scalar scaling), plus one fused tanh-RNN scan for the encoder.
+``add``, ``mul``, ``neg``, ``sum_`` and ``take`` (broadcasting covers
+scalar scaling), plus one fused tanh-RNN scan for the encoder.
 Everything is double precision.
 
 A fused op runs a whole loop in numpy and records one tape entry whose
@@ -82,11 +82,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
@@ -174,6 +169,19 @@ def _promote(x) -> Tensor:
 def check_finite(out: Array, op: str) -> None:
     if not np.isfinite(out).all():
         raise NonFiniteError(f"non-finite values produced by '{op}'")
+
+
+def check_finite_rows(out: Array, op: str, rows: Sequence[int] | None = None) -> None:
+    """``check_finite`` of a batch whose first axis holds its rows.
+
+    The error names the first non-finite row: its index, or ``rows[i]``
+    when ``out`` holds a subset of a batch's rows.
+    """
+    if not np.isfinite(out).all():
+        ok = np.isfinite(out).reshape(len(out), -1).all(axis=1)
+        bad = int(np.argmin(ok))
+        raise NonFiniteError(f"non-finite values produced by '{op}' "
+                             f"in row {bad if rows is None else rows[bad]}")
 
 
 def record_op(op: str, inputs: Sequence[Tensor], out: Array,
@@ -276,16 +284,6 @@ def take(a, key) -> Tensor:
         return (z,)
 
     return _emit("take", (a,), out, bwd, check=False)
-
-
-def stack(tensors: Sequence) -> Tensor:
-    """Same-shape tensors stacked along a new leading axis."""
-    ts = [_promote(t) for t in tensors]
-    try:
-        out = np.stack([t.data for t in ts])
-    except ValueError as e:
-        raise ShapeError(f"stack: {[t.shape for t in ts]}") from e
-    return _emit("stack", ts, out, lambda g: tuple(g), check=False)
 
 
 def log_softmax_array(x: Array, axis: int = -1) -> Array:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -97,11 +98,13 @@ class ExperimentConfig:
     model: ModelConfig = ModelConfig()
 
     def __post_init__(self):
-        for name in ("epsilon_ratio", "alpha_fraction"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_eval < 1:
-            raise ValueError(f"n_eval must be >= 1, got {self.n_eval}")
+        for name in ("learning_rate", "epsilon_ratio", "alpha_fraction"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("n_eval", "n_attack"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -10,6 +10,12 @@ every logsumexp, so values and gradients are bit-for-bit what a true
 -inf would give while every lattice array stays finite, and one
 finiteness check over the alphas catches a non-finite input.
 
+Batch contract. Each task loss takes a padded batch (B, T, ·) with
+per-row frame counts ``lengths`` and one target per row, and gives the
+(B,) per-row losses; a single utterance runs as a batch of one.
+``mtl_loss`` blends per-row losses row by row and sums the rows, so the
+gradient of a batch is the sum of its rows' gradients.
+
 Normalization: CTC divides by the label count, the decoder loss by the
 number of output steps (targets plus eos). This keeps the mixing weights
 scale-balanced across heads.
@@ -23,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 from .model import ModelParams, decoder_teacher_forced, discriminate
 
 NEG = -1.0e9  # exact log(0) stand-in; exp(NEG - x) == 0.0 for any sane x
@@ -56,7 +62,8 @@ class MtlWeights:
 
 @dataclass
 class LossBreakdown:
-    """Scalar loss components in nats; ``total`` is the differentiable blend."""
+    """Loss components in nats, summed over a batch's rows; ``total`` is
+    the differentiable sum of the rows' blends."""
 
     l_ctc: float
     l_dec: float
@@ -67,7 +74,7 @@ class LossBreakdown:
 
 
 def _as_float(v) -> float:
-    return v.item() if isinstance(v, Tensor) else float(v)
+    return float(v.data.sum()) if isinstance(v, Tensor) else float(v)
 
 
 def ctc_min_frames(y: Sequence[int]) -> int:
@@ -75,90 +82,154 @@ def ctc_min_frames(y: Sequence[int]) -> int:
     return len(y) + sum(1 for i in range(1, len(y)) if y[i] == y[i - 1])
 
 
-def ctc_loss(logp: Tensor, y: Sequence[int]) -> Tensor:
+def ctc_loss(logp: Tensor, y: Sequence, lengths=None) -> Tensor:
     """Negative log-probability of all alignments collapsing to ``y``.
 
     ``logp`` is a (T, V+1) matrix of per-frame log-probs with blank in
-    the last column; ``y`` holds word ids only. Normalized by ``|y|``.
+    the last column; ``y`` holds word ids only. Normalized by ``|y|``;
+    an empty ``y`` (the all-blank path) is not normalized.
 
-    A nonempty ``y`` runs the whole lattice in numpy and records one tape
-    entry. The forward makes the numpy calls of the lattice recorded op
-    by op (per frame: shift the previous alphas, mask and bias the skip
-    row, a 3-row logsumexp, add the emissions). The backward walks the
-    frames last first; each frame's gradient into the previous alphas is
-    the stay term plus the skip and one-state shift terms.
+    The whole lattice runs in numpy and records one tape entry. The
+    forward makes the numpy calls of the lattice recorded op by op (per
+    frame: shift the previous alphas, mask and bias the skip row, a
+    3-row logsumexp, add the emissions). The backward walks the frames
+    last first; each frame's gradient into the previous alphas is the
+    stay term plus the skip and one-state shift terms.
+
+    Batch contract. A padded batch ``logp`` (B, T, V+1) with per-row
+    frame counts ``lengths`` (default: all T) takes one target per row
+    in ``y`` and gives the (B,) per-row losses. The lattice is
+    (B, 2 * max |y| + 1) wide; each row's states past its own and its
+    frames past its length are never read, and padded frames get
+    exactly zero gradient. A single matrix runs as a batch of one. The
+    lattice has no products across rows, so every row's loss and
+    gradient are bit-identical to its B=1 run. An infeasible or
+    non-finite row raises an error that names it.
     """
-    t_frames, width = logp.shape
+    batched = logp.ndim == 3
+    lp = logp.data if batched else logp.data[None]
+    rows = [list(r) for r in y] if batched else [list(y)]
+    n_rows, t_max, width = lp.shape
+    if len(rows) != n_rows:
+        raise ShapeError(f"{len(rows)} CTC targets for a batch of {n_rows}")
     blank = width - 1
-    y = list(y)
-    if any(tok < 0 or tok >= blank for tok in y):
+    if any(tok < 0 or tok >= blank for row in rows for tok in row):
         raise ValueError("CTC targets must be word ids (no blank/eos)")
-    if t_frames < ctc_min_frames(y):
-        raise CtcInfeasibleError(
-            f"{len(y)} labels need >= {ctc_min_frames(y)} frames, got {t_frames}")
-    if not y:
-        # all-blank alignment is the only path
-        total = ad.sum_(logp[:, blank])
-        return ad.neg(total)
+    pad = ad.padding_mask(lengths, n_rows, t_max)
+    frames = np.full(n_rows, t_max) if lengths is None else np.asarray(lengths)
+    for r, row in enumerate(rows):
+        if frames[r] < ctc_min_frames(row):
+            raise CtcInfeasibleError(
+                f"row {r}: {len(row)} labels need >= {ctc_min_frames(row)} "
+                f"frames, got {frames[r]}")
+    loss = np.empty(n_rows)
+    # An empty target has one path, all blanks.
+    empty = [r for r, row in enumerate(rows) if not row]
+    for r in empty:
+        loss[r] = -lp[r, :frames[r], blank].sum()
+    ad.check_finite_rows(loss[empty], "ctc_loss all-blank path", empty)
+    lab = [r for r, row in enumerate(rows) if row]
+    if lab:
+        sub = slice(None) if len(lab) == n_rows else lab  # no copy of a full batch
+        loss[lab], lattice_bwd = _ctc_lattice(
+            lp[sub], [rows[r] for r in lab], frames[sub],
+            None if pad is None else pad[sub], lab)
 
-    ext = [blank]
-    for tok in y:
-        ext.extend((tok, blank))
-    n_states = len(ext)
-    ext_idx = np.array(ext)
-    # states reachable by a skip from two back: odd (label) states whose
-    # label differs from the previous label
-    skip_ok = np.zeros(n_states)
-    for s in range(3, n_states, 2):
-        if ext[s] != ext[s - 2]:
-            skip_ok[s] = 1.0
+    def bwd(g):
+        g = g if batched else g[None]
+        if len(lab) == n_rows:
+            g_lp = lattice_bwd(g)
+        else:
+            g_lp = np.zeros(lp.shape)
+            if lab:
+                g_lp[lab] = lattice_bwd(g[lab])
+        for r in empty:
+            g_lp[r, :frames[r], blank] -= g[r]
+        return (g_lp if batched else g_lp[0],)
+
+    return ad.record_op("ctc_loss", (logp,), loss if batched else loss[0], bwd)
+
+
+def _ctc_lattice(lp: np.ndarray, rows: list, frames: np.ndarray,
+                 pad: np.ndarray | None, names: Sequence[int]):
+    """(losses, backward) of the label rows of a batch; ``names`` are
+    their row numbers in the batch, for errors."""
+    n_rows, t_max, width = lp.shape
+    blank = width - 1
+    counts = np.array([len(row) for row in rows])
+    n_states = 2 * counts.max() + 1
+    # Each row's blank-extended labels, padded with blank states. A skip
+    # from two back reaches a label state whose label differs from the
+    # previous label.
+    ext = np.full((n_rows, n_states), blank)
+    skip_ok = np.zeros((n_rows, n_states))
+    for r, row in enumerate(rows):
+        ext[r, 1:2 * len(row):2] = row
+        skip_ok[r, 3:2 * len(row):2] = np.asarray(row[1:]) != np.asarray(row[:-1])
     skip_bias = (1.0 - skip_ok) * NEG
     start = np.zeros(n_states)
     start[:2] = 1.0
     start_bias = (1.0 - start) * NEG
-    scale = 1.0 / len(y)
+    scale = 1.0 / counts
 
-    emis = logp.data[:, ext_idx]
-    alphas = np.empty((t_frames, n_states))
-    weights = np.empty((t_frames, 3, n_states))  # softmax weights; frame 0 unused
+    emis = np.take_along_axis(lp, ext[:, None, :], axis=2)
+    if pad is not None:
+        emis[pad] = 0.0  # frames past a row's length: keep its alphas finite
+    emis = emis.transpose(1, 0, 2)  # frame-major
+    alphas = np.empty((t_max, n_rows, n_states))
+    weights = np.empty((t_max, 3, n_rows, n_states))  # softmax weights; frame 0 unused
+    # rows: stay, advance one state, skip two (masked and biased)
+    stacked = np.full((3, n_rows, n_states), NEG)
     with np.errstate(invalid="ignore", over="ignore"):
         alphas[0] = emis[0] * start + start_bias
-        for t in range(1, t_frames):
+        for t in range(1, t_max):
             prev = alphas[t - 1]
-            # rows: stay, advance one state, skip two (masked and biased)
-            stacked = np.full((3, n_states), NEG)
             stacked[0] = prev
-            stacked[1, 1:] = prev[:-1]
-            stacked[2, 2:] = prev[:-2]
+            stacked[1, :, 1:] = prev[:, :-1]
+            stacked[2, :, 2:] = prev[:, :-2]
             stacked[2] = stacked[2] * skip_ok + skip_bias
             m = stacked.max(axis=0, keepdims=True)
             combined = m + np.log(np.exp(stacked - m).sum(axis=0, keepdims=True))
             np.exp(stacked - combined, out=weights[t])
             np.add(combined[0], emis[t], out=alphas[t])
-        last = alphas[-1, -2:]
-        m = last.max(keepdims=True)
-        tail = m + np.log(np.exp(last - m).sum(keepdims=True))
+        # each row ends in its last two states at its last frame
+        last_t = frames - 1
+        row_idx = np.arange(n_rows)
+        tail_states = 2 * counts[:, None] + np.array([-1, 0])
+        last = alphas[last_t[:, None], row_idx[:, None], tail_states]
+        m = last.max(axis=1, keepdims=True)
+        tail = m + np.log(np.exp(last - m).sum(axis=1, keepdims=True))
         w_tail = np.exp(last - tail)
-    ad.check_finite(alphas, "ctc_loss lattice")
-    ad.check_finite(tail, "ctc_loss tail")
-    loss = -tail.reshape(()) * scale
+    ad.check_finite_rows(alphas.transpose(1, 0, 2), "ctc_loss lattice", names)
+    ad.check_finite_rows(tail, "ctc_loss tail", names)
+    # the rows that end at each frame, for the backward
+    ends = {t: np.flatnonzero(last_t == t) for t in set(last_t.tolist())}
 
     def bwd(g):
-        g_alpha = np.zeros(n_states)
-        g_alpha[-2:] += -(g * scale) * w_tail
-        g_emis = np.empty((t_frames, n_states))
-        for t in range(t_frames - 1, 0, -1):
+        g_tail = -(g * scale)[:, None] * w_tail
+        g_alpha = np.zeros((n_rows, n_states))
+        g_emis = np.empty((t_max, n_rows, n_states))
+        for t in range(t_max - 1, -1, -1):
+            if t in ends:
+                r = ends[t]
+                g_alpha[r[:, None], tail_states[r]] += g_tail[r]
+            if t == 0:
+                break
             g_emis[t] = g_alpha
             gs = g_alpha * weights[t]
             g_alpha = gs[0]
-            g_alpha[:-2] += gs[2, 2:] * skip_ok[2:]
-            g_alpha[:-1] += gs[1, 1:]
+            g_alpha[:, :-2] += gs[2, :, 2:] * skip_ok[:, 2:]
+            g_alpha[:, :-1] += gs[1, :, 1:]
         g_emis[0] = g_alpha * start
-        g_logp = np.zeros(logp.shape)
-        np.add.at(g_logp, (slice(None), ext_idx), g_emis)
-        return (g_logp,)
+        # scatter into the label columns; every frame's state terms add up
+        # in state order
+        cols = (row_idx[:, None, None] * t_max + np.arange(t_max)[:, None]) * width \
+            + ext[:, None, :]
+        g_lp = np.bincount(cols.ravel(), weights=g_emis.transpose(1, 0, 2).ravel(),
+                           minlength=n_rows * t_max * width)
+        return g_lp.reshape(n_rows, t_max, width)
 
-    return ad.record_op("ctc_loss", (logp,), np.asarray(loss), bwd)
+    return -tail[:, 0] * scale, bwd
 
 
 def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence,
@@ -188,11 +259,21 @@ def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence,
     return ad.mul(ad.neg(ad.sum_(picked, axis=-1)), scale)
 
 
-def dis_loss(params: ModelParams, hidden: Tensor, accent: int) -> Tensor:
-    """Cross-entropy of the accent discriminator head."""
-    if not 0 <= accent < params.config.n_accents:
-        raise ValueError(f"accent label {accent} out of range")
-    return ad.neg(discriminate(params, hidden)[accent])
+def dis_loss(params: ModelParams, hidden: Tensor, accent, lengths=None) -> Tensor:
+    """Cross-entropy of the accent discriminator head.
+
+    A padded batch ``hidden`` (B, T, d) with per-row frame counts
+    ``lengths`` takes one accent per row in ``accent`` and gives the
+    (B,) per-row losses, each from its row's mean over its own frames
+    (see ``model.discriminate``).
+    """
+    batched = hidden.ndim == 3
+    accents = list(accent) if batched else [accent]
+    for r, label in enumerate(accents):
+        if not 0 <= label < params.config.n_accents:
+            raise ValueError(f"accent label {label} out of range in row {r}")
+    logp = discriminate(params, hidden, lengths)
+    return ad.neg(logp[np.arange(len(accents)), accents] if batched else logp[accent])
 
 
 def asr_loss(weights: MtlWeights, l_ctc, l_dec):
@@ -204,13 +285,16 @@ def asr_loss(weights: MtlWeights, l_ctc, l_dec):
 def mtl_loss(weights: MtlWeights, l_ctc, l_dec, l_dis) -> LossBreakdown:
     """Full training objective: ASR blend against the discriminator.
 
-    Components may be scalar tensors or plain floats (pass 0.0 for a
-    head the weights switch off entirely); ``total`` stays differentiable
-    whenever any live component is a tensor.
+    Components may be scalar tensors, (B,) per-row tensors of one batch,
+    or plain floats (pass 0.0 for a head the weights switch off
+    entirely); ``total`` stays differentiable whenever any live
+    component is a tensor, and is the sum of the rows' blends.
     """
     l_asr = asr_loss(weights, l_ctc, l_dec)
     lam = weights.lambda_t_A
     total = lam * l_asr + (1.0 - lam) * l_dis
+    if isinstance(total, Tensor) and total.ndim:
+        total = ad.sum_(total)
     return LossBreakdown(
         l_ctc=_as_float(l_ctc),
         l_dec=_as_float(l_dec),

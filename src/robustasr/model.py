@@ -15,9 +15,9 @@ any number of states), over a batch of rows, with two paths through
 them: ``decoder_teacher_forced`` runs them over target sequences and
 records one tape entry with a hand-written backward (the decoder loss,
 in training and attacks), and ``decoder_advance`` runs one step of one
-row for inference and records nothing. ``encode`` and
-``decoder_teacher_forced`` take a padded batch of utterances as well as
-a single one, which runs as a batch of one.
+row for inference and records nothing. ``encode``, ``ctc_head``,
+``decoder_teacher_forced`` and ``discriminate`` take a padded batch of
+utterances as well as a single one, which runs as a batch of one.
 """
 
 from __future__ import annotations
@@ -158,6 +158,16 @@ def init_params(config: ModelConfig) -> ModelParams:
 # forward surfaces
 
 
+def pad_batch(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """Ragged (T, F) sequences as the zero-padded (B, T_max, F) batch
+    ``encode`` takes, with their frame counts."""
+    lengths = [len(x) for x in seqs]
+    batch = np.zeros((len(seqs), max(lengths), seqs[0].shape[1]))
+    for r, x in enumerate(seqs):
+        batch[r, :lengths[r]] = x
+    return batch, lengths
+
+
 def encode(params: ModelParams, x: Tensor, lengths=None) -> Tensor:
     """Map a (T, F) feature matrix to (T, d) hidden states; T is preserved.
 
@@ -194,22 +204,34 @@ def ctc_head(params: ModelParams, hidden: Tensor) -> Tensor:
     log-prob. The hand-written backward makes the calls of that tape's
     backward, so values and gradients are bit-identical to it; terms of
     inputs that need no gradient are skipped.
+
+    Batch contract. A padded batch ``hidden`` (B, T, d) maps to
+    (B, T, V+1): every frame is one row of a single (B*T, d) product, so
+    a single sequence is the batch of one. Padded frames get log-probs
+    too; a loss that ignores them gives them zero gradient. At B > 1 each
+    row agrees with its B=1 run to about 1e-12 relative, and parameter
+    gradients are the sums of the rows'.
     """
     cfg = params.config
-    if hidden.ndim != 2 or hidden.shape[1] != cfg.enc_hidden:
-        raise ShapeError(f"ctc_head expects (T, {cfg.enc_hidden}), got {hidden.shape}")
+    if hidden.ndim not in (2, 3) or hidden.shape[-1] != cfg.enc_hidden:
+        raise ShapeError(f"ctc_head expects (T, {cfg.enc_hidden}) or "
+                         f"(B, T, {cfg.enc_hidden}), got {hidden.shape}")
     w, b = params["ctc.w"], params["ctc.b"]
+    h = hidden.data.reshape(-1, cfg.enc_hidden)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = ad.log_softmax_array(hidden.data @ w.data + b.data, axis=1)
+        out = ad.log_softmax_array(h @ w.data + b.data, axis=1)
     ad.check_finite(out, "ctc_head")
 
     def bwd(g):
+        g = g.reshape(out.shape)
         g_logits = g - np.exp(out) * g.sum(axis=1, keepdims=True)
-        return (g_logits @ w.data.T if hidden.requires_grad else None,
-                hidden.data.T @ g_logits if w.requires_grad else None,
+        return ((g_logits @ w.data.T).reshape(hidden.shape)
+                if hidden.requires_grad else None,
+                h.T @ g_logits if w.requires_grad else None,
                 g_logits.sum(axis=0) if b.requires_grad else None)
 
-    return ad.record_op("ctc_head", (hidden, w, b), out, bwd)
+    return ad.record_op("ctc_head", (hidden, w, b),
+                        out.reshape(*hidden.shape[:-1], -1), bwd)
 
 
 class DecoderState:
@@ -371,8 +393,9 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
     get exactly zero gradient. A single sequence runs as a batch of one.
     At B > 1 each row agrees with its B=1 run to about 1e-12 relative,
     and parameter gradients are the sums of the rows'. The backward runs
-    the state recurrence step by step; every other term, and each
-    gradient, is computed for all steps and rows at once.
+    the state recurrence and the attention's tanh terms step by step;
+    every other term, and each gradient, is computed for all steps and
+    rows at once.
     """
     cfg = params.config
     batched = hidden.ndim == 3
@@ -438,12 +461,22 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
         g_ctx = g_joint[..., dh:]
         g_log_attn = (h @ g_ctx[..., None])[..., 0] * st.attn
         g_scores = g_log_attn - st.attn * g_log_attn.sum(axis=2, keepdims=True)
-        g_att = st.tanh_att * st.tanh_att
-        np.subtract(1.0, g_att, out=g_att)
-        g_att *= v
-        g_att *= g_scores[..., None]
-        g_q = g_att.sum(axis=2)
-        g_hproj = g_att.sum(axis=0)
+        # The attention's tanh terms, one step at a time: for a batch, a
+        # second (N, B, T, attn_dim) array would double what the forward
+        # holds. g_hproj adds the steps in order, as a sum over the step
+        # axis does, so the values are those of the one-shot sum.
+        g_q = np.empty(st.q.shape)
+        g_hproj = None
+        for k in range(n):
+            g_att = st.tanh_att[k] * st.tanh_att[k]
+            np.subtract(1.0, g_att, out=g_att)
+            g_att *= v
+            g_att *= g_scores[k, ..., None]
+            g_q[k] = g_att.sum(axis=-2)
+            if g_hproj is None:
+                g_hproj = g_att
+            else:
+                g_hproj += g_att
         deriv = 1.0 - st.s * st.s
         # Steps last first: state s_k takes the w_rec term of step k+1.
         g_z = np.empty(st.s.shape)
@@ -479,7 +512,7 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
                         picked.T if batched else picked[:, 0], bwd)
 
 
-def discriminate(params: ModelParams, hidden: Tensor) -> Tensor:
+def discriminate(params: ModelParams, hidden: Tensor, lengths=None) -> Tensor:
     """Accent log-probs from the mean hidden state through the dense stack.
 
     One tape record. The forward runs in numpy: the mean over frames,
@@ -490,16 +523,31 @@ def discriminate(params: ModelParams, hidden: Tensor) -> Tensor:
     gradient are skipped. One finiteness check covers the mean, every
     pre-activation and the output: a ReLU turns NaN and -inf into zero,
     so the output alone would not show a non-finite pre-activation.
+
+    Batch contract. A padded batch ``hidden`` (B, T, d) with per-row
+    frame counts ``lengths`` (default: all T) gives the (B, n_accents)
+    log-probs of each row's mean over its own frames; padded frames are
+    never read and get exactly zero gradient. A single sequence runs as
+    a batch of one. At B > 1 each row agrees with its B=1 run to about
+    1e-12 relative, and parameter gradients are the sums of the rows'.
     """
     cfg = params.config
-    if hidden.ndim != 2 or hidden.shape[0] < 1:
-        raise ShapeError(f"discriminate expects a nonempty (T, d), got {hidden.shape}")
+    batched = hidden.ndim == 3
+    if hidden.ndim not in (2, 3) or 0 in hidden.shape[:-1]:
+        raise ShapeError(f"discriminate expects a nonempty (T, d) or (B, T, d), "
+                         f"got {hidden.shape}")
     layers = [(params[f"dis{i}.w"], params[f"dis{i}.b"])
               for i in range(cfg.disc_layers)]
     top = cfg.disc_layers - 1
+    h = hidden.data if batched else hidden.data[None]
+    n_rows, n_frames = h.shape[:2]
+    pad = ad.padding_mask(lengths, n_rows, n_frames)
+    frames = np.full((n_rows, 1), float(n_frames)) if lengths is None \
+        else np.asarray(lengths, dtype=float)[:, None]
     with np.errstate(invalid="ignore", over="ignore"):
-        mean = hidden.data.mean(axis=0)
-        acts = [mean]  # the input of each layer
+        mean = (h if pad is None else np.where(pad[..., None], 0.0, h)).sum(axis=1)
+        mean /= frames
+        acts = [mean]  # the input of each layer, one row per utterance
         pre = []
         masks = []
         for i, (w, b) in enumerate(layers):
@@ -508,28 +556,33 @@ def discriminate(params: ModelParams, hidden: Tensor) -> Tensor:
             if i < top:
                 masks.append(z > 0)
                 acts.append(np.where(masks[i], z, 0.0))
-        out = ad.log_softmax_array(pre[top], axis=0)
-    ad.check_finite(np.concatenate([mean, *pre, out]), "discriminate")
-    shape = hidden.shape
+        out = ad.log_softmax_array(pre[top], axis=1)
+    ad.check_finite_rows(np.concatenate([mean, *pre, out], axis=1), "discriminate")
 
     def bwd(g):
+        g = g if batched else g[None]
         g_layers = []
-        g_z = g - np.exp(out) * g.sum(axis=0, keepdims=True)
+        g_z = g - np.exp(out) * g.sum(axis=1, keepdims=True)
         g_in = None
         for i in range(top, -1, -1):
             w, b = layers[i]
             if i or hidden.requires_grad:
-                g_in = w.data @ g_z
-            g_layers.append((np.outer(acts[i], g_z) if w.requires_grad else None,
-                             g_z if b.requires_grad else None))
+                g_in = g_z @ w.data.T
+            g_layers.append((acts[i].T @ g_z if w.requires_grad else None,
+                             g_z.sum(axis=0) if b.requires_grad else None))
             if i:
                 g_z = g_in * masks[i - 1]
-        g_hidden = (np.broadcast_to(np.expand_dims(g_in, 0) / shape[0], shape)
-                    if hidden.requires_grad else None)
+        g_hidden = None
+        if hidden.requires_grad:
+            g_hidden = np.broadcast_to((g_in / frames)[:, None], h.shape)
+            if pad is not None:
+                g_hidden = np.where(pad[..., None], 0.0, g_hidden)
+            g_hidden = g_hidden.reshape(hidden.shape)
         return (g_hidden, *(gr for pair in reversed(g_layers) for gr in pair))
 
     return ad.record_op("discriminate",
-                        (hidden, *(t for pair in layers for t in pair)), out, bwd)
+                        (hidden, *(t for pair in layers for t in pair)),
+                        out if batched else out[0], bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Joint training of all heads with weight-modulated loss mixing.
 
-Plain SGD with a fixed learning rate. A batch is a list of utterances
-processed one by one with gradient accumulation (summed), then a single
-update; variable-length sequences never need padding that way. After
-every epoch the validation objective is computed with the same weights,
-and the returned parameters are the snapshot with the lowest validation
-loss seen across all epochs.
+Plain SGD with a fixed learning rate. A batch is a consecutive slice of
+the epoch's permutation of the training split. Its utterances are
+zero-padded to the longest and run as one padded batch: one tape, one
+forward through the encoder and the active heads, each row masked to
+its own frames, and one backward of the summed loss, so the update is
+the sum of the rows' gradients. After every epoch the validation
+objective is computed with the same weights, in batches of the same
+size, and the returned parameters are the snapshot with the lowest
+validation loss seen across all epochs.
 
 Heads whose mixing weight is exactly zero are skipped entirely, so
 their parameters provably receive zero gradient.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +28,8 @@ from .data import Utterance
 from .decode import joint_greedy_decode
 from .losses import LossBreakdown, MtlWeights, ctc_loss, dec_loss, dis_loss, mtl_loss
 from .metrics import accent_accuracy, edit_distance_words, pooled_wer
-from .model import ModelConfig, ModelParams, ctc_head, discriminate, encode, init_params
+from .model import (ModelConfig, ModelParams, ctc_head, discriminate, encode,
+                    init_params, pad_batch)
 
 
 class TrainingDiverged(Exception):
@@ -42,8 +47,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -67,25 +73,35 @@ class TrainLog:
             f.write("\n".join(lines) + "\n")
 
 
-def sample_losses(params: ModelParams, utt: Utterance,
-                  weights: MtlWeights) -> LossBreakdown:
-    """Forward one utterance through the encoder and the active heads."""
-    x = ad.constant(utt.features)
-    hidden = encode(params, x)
+def batch_losses(params: ModelParams, utts: Sequence[Utterance],
+                 weights: MtlWeights) -> LossBreakdown:
+    """Forward a padded batch of utterances through the encoder and the
+    active heads; the breakdown sums the rows' losses."""
+    x, lengths = pad_batch([u.features for u in utts])
+    hidden = encode(params, ad.constant(x), lengths)
+    targets = [u.transcript for u in utts]
     lam_a, lam_c = weights.lambda_t_A, weights.lambda_t_C
-    l_ctc = ctc_loss(ctc_head(params, hidden), utt.transcript) \
+    l_ctc = ctc_loss(ctc_head(params, hidden), targets, lengths) \
         if lam_a > 0.0 and lam_c > 0.0 else 0.0
-    l_dec = dec_loss(params, hidden, utt.transcript) \
+    l_dec = dec_loss(params, hidden, targets, lengths) \
         if lam_a > 0.0 and lam_c < 1.0 else 0.0
-    l_dis = dis_loss(params, hidden, utt.accent) if lam_a < 1.0 else 0.0
+    l_dis = dis_loss(params, hidden, [u.accent for u in utts], lengths) \
+        if lam_a < 1.0 else 0.0
     return mtl_loss(weights, l_ctc, l_dec, l_dis)
 
 
-def _mean_breakdown(params, utts, weights) -> dict:
+def sample_losses(params: ModelParams, utt: Utterance,
+                  weights: MtlWeights) -> LossBreakdown:
+    """Forward one utterance through the encoder and the active heads:
+    the batch of one."""
+    return batch_losses(params, [utt], weights)
+
+
+def _mean_breakdown(params, utts, weights, batch_size: int) -> dict:
     sums = {"l_ctc": 0.0, "l_dec": 0.0, "l_dis": 0.0, "l_mtl": 0.0}
     with ad.no_grad():
-        for utt in utts:
-            bd = sample_losses(params, utt, weights)
+        for start in range(0, len(utts), batch_size):
+            bd = batch_losses(params, utts[start:start + batch_size], weights)
             for key in sums:
                 sums[key] += getattr(bd, key)
     return {k: v / len(utts) for k, v in sums.items()}
@@ -96,6 +112,7 @@ def train_mtl(model_config: ModelConfig, train_config: TrainConfig,
     """SGD over the training split; returns the best-validation snapshot."""
     params = init_params(model_config)
     weights = train_config.weights
+    size = train_config.batch_size
     log = TrainLog()
     best: ModelParams | None = None
     best_loss = math.inf
@@ -105,29 +122,25 @@ def train_mtl(model_config: ModelConfig, train_config: TrainConfig,
         rng = np.random.default_rng([train_config.seed, epoch])
         order = rng.permutation(n)
         sums = {"l_ctc": 0.0, "l_dec": 0.0, "l_dis": 0.0, "l_mtl": 0.0}
-        pending = 0
-        for i, idx in enumerate(order):
-            utt = data.train[int(idx)]
+        for start in range(0, n, size):
+            batch = [data.train[int(i)] for i in order[start:start + size]]
             try:
                 with ad.tape():
-                    bd = sample_losses(params, utt, weights)
+                    bd = batch_losses(params, batch, weights)
                     if isinstance(bd.total, ad.Tensor):
                         ad.backward(bd.total)
                 if not math.isfinite(bd.l_mtl):
                     raise NonFiniteError(f"l_mtl = {bd.l_mtl}")
             except NonFiniteError as e:
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {i // train_config.batch_size}"
+                    f"non-finite loss at epoch {epoch}, batch {start // size}"
                 ) from e
             for key in sums:
                 sums[key] += getattr(bd, key)
-            pending += 1
-            if pending == train_config.batch_size or i == n - 1:
-                for t in params.leaves():
-                    t.data -= train_config.learning_rate * t.grad
-                ad.zero_grad(params.leaves())
-                pending = 0
-        valid = _mean_breakdown(params, data.valid, weights)
+            for t in params.leaves():
+                t.data -= train_config.learning_rate * t.grad
+            ad.zero_grad(params.leaves())
+        valid = _mean_breakdown(params, data.valid, weights, size)
         row = {"epoch": epoch}
         row.update({f"train_{k}": v / n for k, v in sums.items()})
         row.update({f"valid_{k}": v for k, v in valid.items()})

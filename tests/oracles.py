@@ -11,6 +11,7 @@
 - ``assert_matches_reference`` checks a fused op's contract against its
   op-by-op reference tape: the same forward bytes, gradients within
   1e-12 relative.
+- ``close_to`` is the relative comparison the batch contracts use.
 """
 
 import itertools
@@ -102,7 +103,7 @@ def fd_gradient(f: Callable[[Tensor], "Tensor | float"], x: Tensor,
     def evaluate(values: np.ndarray) -> float:
         with ad.no_grad():
             v = f(Tensor(values))
-        return v.item() if isinstance(v, Tensor) else float(v)
+        return float(v.data) if isinstance(v, Tensor) else float(v)
 
     g = np.zeros_like(x.data)
     flat = g.ravel()
@@ -116,6 +117,13 @@ def fd_gradient(f: Callable[[Tensor], "Tensor | float"], x: Tensor,
     return Tensor(g)
 
 
+def close_to(a, b, tol: float = 1e-12) -> bool:
+    """``a``'s largest difference from the reference ``b`` is within
+    ``tol`` times ``b``'s largest magnitude."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return float(np.max(np.abs(a - b))) <= tol * float(np.max(np.abs(b)))
+
+
 def assert_matches_reference(fused, reference, tol: float = 1e-12) -> None:
     """A fused run against its op-by-op reference, as ``(forward, grads)`` pairs.
 
@@ -127,5 +135,4 @@ def assert_matches_reference(fused, reference, tol: float = 1e-12) -> None:
     assert np.asarray(out).tobytes() == np.asarray(ref_out).tobytes()
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
-        want = np.asarray(ref_grads[name])
-        assert np.max(np.abs(g - want)) <= tol * np.max(np.abs(want)), name
+        assert close_to(g, ref_grads[name], tol), name

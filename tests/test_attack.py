@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import fd_gradient
+from oracles import close_to, fd_gradient
 
 from robustasr import autodiff as ad
 from robustasr.attack import (
@@ -58,11 +58,11 @@ def test_adv_loss_boundaries(params):
     target = [1, 2]
     x = ad.constant(x_np)
     dec_only = adv_loss(params, x, target, MtlWeights(1.0, 0.5, lambda_i_C=0.0))
-    assert dec_only.item() == pytest.approx(
-        dec_loss(params, encode(params, x), target).item(), abs=1e-12)
+    assert float(dec_only.data) == pytest.approx(
+        float(dec_loss(params, encode(params, x), target).data), abs=1e-12)
     ctc_only = adv_loss(params, x, target, MtlWeights(1.0, 0.5, lambda_i_C=1.0))
-    assert ctc_only.item() == pytest.approx(
-        ctc_loss(ctc_head(params, encode(params, x)), target).item(), abs=1e-12)
+    assert float(ctc_only.data) == pytest.approx(
+        float(ctc_loss(ctc_head(params, encode(params, x)), target).data), abs=1e-12)
 
 
 def test_adv_loss_input_gradient_matches_fd(params):
@@ -266,7 +266,7 @@ def test_pgd_differentiates_only_its_input(cfg, lam_i):
                 ad.backward(loss)
             grads.append(x_adv.grad.tobytes())
         assert grads[0] == grads[1]
-        trace.append(loss.item())
+        trace.append(float(loss.data))
         delta, _ = l2_step(delta, x_adv.grad, attack_cfg.epsilon, attack_cfg.alpha)
     assert result.delta.tobytes() == delta.tobytes()
     assert result.loss_trace[:-1] == trace
@@ -304,12 +304,6 @@ def _pad(xs):
     return out
 
 
-def _close(a, b, tol):
-    """Max difference within tol times the reference's largest magnitude."""
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    return float(np.max(np.abs(a - b))) <= tol * float(np.max(np.abs(b)))
-
-
 @st.composite
 def ragged_batches(draw):
     cfg = draw(st.sampled_from([TINY, BIDIR]))
@@ -340,8 +334,8 @@ def test_batched_adv_loss_matches_batch_of_one(case):
         with ad.tape():
             loss = adv_loss(params, one, target, weights)
             ad.backward(loss)
-        assert _close(losses.data[r], loss.item(), 1e-12)
-        assert _close(x.grad[r, :n], one.grad, 1e-12)
+        assert close_to(losses.data[r], loss.data, 1e-12)
+        assert close_to(x.grad[r, :n], one.grad, 1e-12)
         assert np.all(x.grad[r, n:] == 0.0)  # padded frames
 
 
@@ -386,7 +380,7 @@ def test_batch_parameter_gradients_sum_the_rows():
         with ad.tape():
             ad.backward(dec_loss(params, encode(params, ad.constant(x)), target))
     for name, t in params.items():
-        assert _close(got[name], t.grad, 1e-12), name
+        assert close_to(got[name], t.grad, 1e-12), name
 
 
 FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "checkpoint.txt"
@@ -411,7 +405,7 @@ def test_batched_attack_follows_single_trajectories_on_the_fixture():
 
     for utt, target, res in zip(test, targets, batched):
         alone = pgd_attack(params, utt.features, target, cfg)
-        assert _close(res.delta, alone.delta, 1e-9)
+        assert close_to(res.delta, alone.delta, 1e-9)
         assert res.converged_at == alone.converged_at
         for r in cfg.report_at:
             assert hypothesis(res.snapshots[r]) == hypothesis(alone.snapshots[r])

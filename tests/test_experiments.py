@@ -148,7 +148,17 @@ def test_grid_spec_validation():
     ({"epsilon_ratio": 0.0}, "epsilon_ratio must be positive"),
     ({"alpha_fraction": -0.5}, "alpha_fraction must be positive"),
     ({"n_eval": 0}, "n_eval must be >= 1"),
-], ids=["report_steps", "epsilon_ratio", "alpha_fraction", "n_eval"])
+    ({"n_attack": 0}, "n_attack must be >= 1, got 0"),
+    ({"n_attack": -1}, "n_attack must be >= 1, got -1"),
+    # NaN passes a "<= 0" check: training would read it as a divergence,
+    # and the attack would fail only after training
+    ({"learning_rate": float("nan")}, "learning_rate must be positive and finite"),
+    ({"learning_rate": float("inf")}, "learning_rate must be positive and finite"),
+    ({"epsilon_ratio": float("nan")}, "epsilon_ratio must be positive and finite"),
+    ({"alpha_fraction": float("nan")}, "alpha_fraction must be positive and finite"),
+], ids=["report_steps", "epsilon_ratio", "alpha_fraction", "n_eval", "n_attack_zero",
+        "n_attack_negative", "learning_rate_nan", "learning_rate_inf",
+        "epsilon_ratio_nan", "alpha_fraction_nan"])
 def test_config_refuses_values_the_evaluation_cannot_use(change, message):
     # refused when the config is read, before a cell trains
     with pytest.raises(ValueError, match=message):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustasr import attack, losses, train
+from robustasr import attack, losses
 from robustasr import autodiff as ad
 from robustasr.attack import adv_loss
 from robustasr.data import Utterance
@@ -54,13 +54,13 @@ def random_logp(t, width, seed):
 def test_ctc_single_frame_single_label():
     # one word + blank, uniform: only path is the label itself, prob 1/2
     loss = ctc_loss(uniform_logp(1, 2), [0])
-    assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
+    assert float(loss.data) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_ctc_two_frames_single_label():
     # paths a.a, a.blank, blank.a -> 3/4
     loss = ctc_loss(uniform_logp(2, 2), [0])
-    assert loss.item() == pytest.approx(-math.log(3 / 4), abs=1e-12)
+    assert float(loss.data) == pytest.approx(-math.log(3 / 4), abs=1e-12)
 
 
 def test_ctc_matches_brute_force_on_random_instances():
@@ -75,7 +75,7 @@ def test_ctc_matches_brute_force_on_random_instances():
             with pytest.raises(CtcInfeasibleError):
                 ctc_loss(logp, y)
             continue
-        ours = ctc_loss(logp, y).item()
+        ours = float(ctc_loss(logp, y).data)
         oracle = ctc_brute_force(logp, y)
         assert abs(ours - oracle) < 1e-9
 
@@ -130,7 +130,7 @@ def test_dec_loss_uniform_head(params, hidden):
     params["dec.w_out"].data[...] = 0.0
     params["dec.b_out"].data[...] = 0.0
     loss = dec_loss(params, hidden, [1, 3])
-    assert loss.item() == pytest.approx(math.log(TINY.vocab_size + 1), abs=1e-12)
+    assert float(loss.data) == pytest.approx(math.log(TINY.vocab_size + 1), abs=1e-12)
 
 
 def test_dec_loss_confident_eos_is_zero(params, hidden):
@@ -138,7 +138,7 @@ def test_dec_loss_confident_eos_is_zero(params, hidden):
     params["dec.b_out"].data[...] = 0.0
     params["dec.b_out"].data[TINY.eos] = 50.0
     loss = dec_loss(params, hidden, [])  # eos-only target
-    assert loss.item() == pytest.approx(0.0, abs=1e-12)
+    assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dec_loss_rejects_special_tokens(params, hidden):
@@ -163,9 +163,9 @@ def test_dis_loss_uniform_and_confident(params, hidden):
     last = TINY.disc_layers - 1
     params[f"dis{last}.w"].data[...] = 0.0
     params[f"dis{last}.b"].data[...] = 0.0
-    assert dis_loss(params, hidden, 0).item() == pytest.approx(math.log(2), abs=1e-12)
+    assert float(dis_loss(params, hidden, 0).data) == pytest.approx(math.log(2), abs=1e-12)
     params[f"dis{last}.b"].data[1] = 60.0
-    assert dis_loss(params, hidden, 1).item() == pytest.approx(0.0, abs=1e-12)
+    assert float(dis_loss(params, hidden, 1).data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dis_loss_label_range(params, hidden):
@@ -280,35 +280,43 @@ def test_dec_loss_bit_identical_to_op_by_op(cfg, y):
     assert_matches_reference(fused, ref)
 
 
-@pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
-@pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
-def test_training_mix_bit_identical_to_op_by_op(cfg, y, monkeypatch):
-    # MTL-3 with the discriminator active: hidden's gradient sums the
-    # discriminator, decoder and CTC terms.
+MTL3 = MtlWeights(0.7, 0.5)
+
+
+def _sample_losses(y):
+    """``sample_losses`` of the input as an utterance: the batch of one."""
     def run(p, x):
         utt = Utterance(id="u", features=x.data, transcript=tuple(y), accent=1)
-        bd = sample_losses(p, utt, MtlWeights(0.7, 0.5))
-        return bd.total
-
-    fused = _grads(cfg, run)
-    monkeypatch.setattr(train, "dec_loss", reference_dec_loss)
-    monkeypatch.setattr(train, "ctc_loss", reference_ctc_loss)
-    monkeypatch.setattr(losses, "discriminate", reference_discriminate)
-    assert_matches_reference(fused, _grads(cfg, run))
+        return sample_losses(p, utt, MTL3).total
+    return run
 
 
 @pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
 @pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
-def test_training_mix_with_op_by_op_ctc_head_bit_identical(cfg, y, monkeypatch):
+def test_training_mix_bit_identical_to_op_by_op(cfg, y):
+    # MTL-3 with the discriminator active: hidden's gradient sums the
+    # discriminator, decoder and CTC terms. The reference mixes the
+    # op-by-op lattice, decoder and accent head on unbatched states.
+    def reference(p, x):
+        h = encode(p, ad.constant(x.data))
+        return mtl_loss(MTL3, reference_ctc_loss(ctc_head(p, h), y),
+                        reference_dec_loss(p, h, y),
+                        ad.neg(reference_discriminate(p, h)[1])).total
+
+    assert_matches_reference(_grads(cfg, _sample_losses(y)), _grads(cfg, reference))
+
+
+@pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
+@pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
+def test_training_mix_with_op_by_op_ctc_head_bit_identical(cfg, y):
     # The fused CTC head inside MTL-3: hidden's gradient takes the head's
     # term where the op-by-op head's matmul added it.
-    def run(p, x):
-        utt = Utterance(id="u", features=x.data, transcript=tuple(y), accent=1)
-        return sample_losses(p, utt, MtlWeights(0.7, 0.5)).total
+    def reference(p, x):
+        h = encode(p, ad.constant(x.data))
+        return mtl_loss(MTL3, ctc_loss(ro.ctc_head(p, h), y), dec_loss(p, h, y),
+                        dis_loss(p, h, 1)).total
 
-    fused = _grads(cfg, run)
-    monkeypatch.setattr(train, "ctc_head", ro.ctc_head)
-    assert _bytes(_grads(cfg, run)) == _bytes(fused)
+    assert _bytes(_grads(cfg, reference)) == _bytes(_grads(cfg, _sample_losses(y)))
 
 
 @pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
@@ -351,7 +359,8 @@ def test_discriminator_bit_identical_to_op_by_op_in_training_mix(cfg, y, monkeyp
         return out.data.tobytes(), bd.total.data.tobytes(), hidden.grad.tobytes(), dis
 
     fused = run()
-    monkeypatch.setattr(losses, "discriminate", reference_discriminate)
+    monkeypatch.setattr(losses, "discriminate",
+                        lambda p, h, lengths=None: reference_discriminate(p, h))
     assert run() == fused
 
 
@@ -438,7 +447,7 @@ def small_lattices(draw):
 @given(small_lattices())
 def test_ctc_loss_property_matches_brute_force(case):
     logp, y = case
-    assert abs(ctc_loss(ad.constant(logp), y).item() - ctc_brute_force(logp, y)) < 1e-9
+    assert abs(float(ctc_loss(ad.constant(logp), y).data) - ctc_brute_force(logp, y)) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -453,3 +462,67 @@ def test_ctc_gradient_property_matches_fd(case):
     with ad.tape():
         ad.backward(f(x))
     assert rel_err(x.grad, fd_gradient(f, x).data) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the padded lattice: each row of a mixed batch is its own batch of one
+
+# (target, frames): minimum frames, a repeated label, one label, empty
+MIXED_ROWS = (([0, 1, 2], 3), ([1, 1], 5), ([2], 4), ([], 2))
+MIXED_TARGETS = [y for y, _n in MIXED_ROWS]
+MIXED_LENGTHS = [n for _y, n in MIXED_ROWS]
+
+
+def _mixed_batch(seed, pad_value):
+    """(4, 5, 4) per-frame log-probs of MIXED_ROWS, padded with pad_value."""
+    batch = np.full((len(MIXED_ROWS), max(MIXED_LENGTHS), 4), pad_value)
+    for r, n in enumerate(MIXED_LENGTHS):
+        batch[r, :n] = random_logp(n, 4, seed + r).data
+    return batch
+
+
+def test_padded_lattice_rows_equal_their_batches_of_one():
+    # NaN padding: frames past a row's length are never read. Each row's
+    # loss and gradient are bit-identical to its B=1 run.
+    batch = _mixed_batch(70, np.nan)
+    scale = [0.5, 1.0, 2.0, 3.0]  # a distinct output gradient per row
+    x = ad.leaf(batch)
+    with ad.tape():
+        losses = ctc_loss(x, MIXED_TARGETS, MIXED_LENGTHS)
+        ad.backward(ad.sum_(ad.mul(losses, scale)))
+    assert losses.shape == (len(MIXED_ROWS),)
+    for r, (y, n) in enumerate(MIXED_ROWS):
+        one = ad.leaf(batch[r, :n])
+        with ad.tape():
+            loss = ctc_loss(one, y)
+            ad.backward(ad.mul(loss, scale[r]))
+        assert losses.data[r].tobytes() == loss.data.tobytes()
+        assert abs(losses.data[r] - ctc_brute_force(batch[r, :n], y)) < 1e-9
+        assert x.grad[r, :n].tobytes() == one.grad.tobytes()
+        assert np.all(x.grad[r, n:] == 0.0)
+
+
+def test_padded_lattice_gradient_matches_fd():
+    raw = np.random.default_rng(71).normal(size=(len(MIXED_ROWS), max(MIXED_LENGTHS), 4))
+
+    def f(t):
+        return ad.sum_(ctc_loss(ro.log_softmax(t, axis=2), MIXED_TARGETS, MIXED_LENGTHS))
+
+    x = ad.leaf(raw)
+    with ad.tape():
+        ad.backward(f(x))
+    assert rel_err(x.grad, fd_gradient(f, x).data) < 1e-6
+
+
+@pytest.mark.parametrize("row", [0, 1, 3])
+def test_padded_lattice_names_a_non_finite_row(row):
+    batch = _mixed_batch(72, 0.0)
+    batch[row, 1, 3] = np.nan  # the blank column of a frame every row has
+    with pytest.raises(ad.NonFiniteError, match=f"in row {row}$"):
+        ctc_loss(ad.leaf(batch), MIXED_TARGETS, MIXED_LENGTHS)
+
+
+def test_padded_lattice_names_an_infeasible_row():
+    lengths = [3, 2, 4, 2]  # the repeated label of row 1 needs 3 frames
+    with pytest.raises(CtcInfeasibleError, match="row 1: 2 labels need >= 3 frames, got 2"):
+        ctc_loss(ad.constant(_mixed_batch(73, 0.0)), MIXED_TARGETS, lengths)

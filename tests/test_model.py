@@ -20,7 +20,7 @@ from robustasr.model import (
 
 import reference_ops as ro
 from decoder_reference import reference_advance, reference_start
-from oracles import assert_matches_reference, fd_gradient
+from oracles import assert_matches_reference, close_to, fd_gradient
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=2, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=5, disc_hidden=4, seed=1)
@@ -318,6 +318,57 @@ def test_discriminate_records_one_op_and_skips_constant_terms(params):
         grads = rec.backward_fn(np.array([0.0, -1.0]))
     assert grads[0].shape == h.shape
     assert all(g is None for g in grads[1:])
+
+
+# The masked mean: each row of a padded batch against the B=1 head of
+# its unpadded slice, one row of a single frame.
+DIS_LENGTHS = [5, 1, 3]
+
+
+def test_discriminate_batch_rows_match_their_unpadded_slices(params):
+    rng = np.random.default_rng(15)
+    h = rng.normal(size=(len(DIS_LENGTHS), max(DIS_LENGTHS), TINY.enc_hidden))
+    for r, n in enumerate(DIS_LENGTHS):
+        h[r, n:] = np.nan  # never read
+    out_grad = rng.normal(size=(len(DIS_LENGTHS), TINY.n_accents))
+    batch = ad.leaf(h)
+    with ad.tape():
+        out = discriminate(params, batch, DIS_LENGTHS)
+        ad.backward(ad.sum_(ad.mul(out, out_grad)))
+    got = {n: t.grad.copy() for n, t in params.items()}
+    ad.zero_grad(params.leaves())
+    for r, n in enumerate(DIS_LENGTHS):
+        one = ad.leaf(h[r, :n])
+        with ad.tape():
+            row = discriminate(params, one)
+            ad.backward(ad.sum_(ad.mul(row, out_grad[r])))
+        assert close_to(out.data[r], row.data)
+        assert close_to(batch.grad[r, :n], one.grad)
+        assert np.all(batch.grad[r, n:] == 0.0)
+    for name, t in params.items():  # the sums of the rows' gradients
+        if name.startswith("dis"):
+            assert close_to(got[name], t.grad), name
+
+
+def test_discriminate_batch_gradient_matches_fd(params):
+    rng = np.random.default_rng(16)
+    h = ad.leaf(rng.normal(size=(len(DIS_LENGTHS), max(DIS_LENGTHS), TINY.enc_hidden)))
+    out_grad = ad.constant(rng.normal(size=(len(DIS_LENGTHS), TINY.n_accents)))
+
+    def f(t):
+        return ad.sum_(ad.mul(discriminate(params, t, DIS_LENGTHS), out_grad))
+
+    with ad.tape():
+        ad.backward(f(h))
+    assert rel_err(h.grad, fd_gradient(f, h).data) < 1e-6
+
+
+def test_discriminate_names_a_non_finite_row(params):
+    h = np.random.default_rng(17).normal(size=(len(DIS_LENGTHS), max(DIS_LENGTHS),
+                                               TINY.enc_hidden))
+    h[2, 0, 1] = np.inf
+    with pytest.raises(ad.NonFiniteError, match="in row 2$"):
+        discriminate(params, ad.constant(h), DIS_LENGTHS)
 
 
 def test_init_deterministic():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,13 @@ from robustasr.model import ModelConfig, init_params
 from robustasr.train import (
     TrainConfig,
     TrainingDiverged,
+    batch_losses,
     evaluate_benign,
     sample_losses,
     train_mtl,
 )
+
+from oracles import close_to
 
 SMALL_MODEL = ModelConfig(feat_dim=16, enc_hidden=12, enc_layers=1, dec_hidden=12,
                           attn_dim=8, emb_dim=8, disc_hidden=8, seed=0)
@@ -124,10 +129,11 @@ def test_dec_only_eval_never_scores_ctc(tiny_data):
 
 
 def test_training_pass_record_count_guard():
-    # Every head is a handful of fused ops (19 records in all). The
-    # op-by-op CTC lattice recorded about 190 entries per utterance on its
-    # own and the op-by-op accent head 16, so a head that falls back to
-    # per-op recording breaks this bound.
+    # Every head is a handful of fused ops (18 records in all, whatever
+    # the batch size). The op-by-op CTC lattice recorded about 190
+    # entries per utterance on its own and the op-by-op accent head 16,
+    # so a head that falls back to per-op or per-row recording breaks
+    # this bound.
     params = init_params(ModelConfig())
     utt = Utterance(id="u", features=np.random.default_rng(0).normal(size=(12, 16)),
                     transcript=(3, 5, 5, 1), accent=1)
@@ -136,3 +142,98 @@ def test_training_pass_record_count_guard():
         assert len(tp) <= 20
         ad.backward(bd.total)
     assert all(np.isfinite(t.grad).all() for t in params.leaves())
+    rng = np.random.default_rng(1)
+    for size in (3, 8):
+        batch = [Utterance(id=f"u{i}", features=rng.normal(size=(12 - i, 16)),
+                           transcript=(3, 5, 5, 1)[:1 + i % 4], accent=i % 2)
+                 for i in range(size)]
+        with ad.tape() as tp:
+            batch_losses(params, batch, MtlWeights(0.7, 0.5))
+            assert len(tp) <= 20
+
+
+def test_train_config_refuses_a_non_finite_learning_rate():
+    # NaN passes a "<= 0" check and would surface as a divergence
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            TrainConfig(weights=MtlWeights(), learning_rate=lr)
+
+
+@pytest.mark.parametrize("mix", [(1.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.7, 0.5)],
+                         ids=["stl-dec", "stl-ctc", "dis", "mtl-3"])
+def test_batch_gradient_is_the_sum_of_its_rows(mix, tiny_data):
+    # A padded batch of ragged utterances against each one's batch of one
+    batch = tiny_data.train[:5]
+    params = init_params(SMALL_MODEL)
+    with ad.tape():
+        bd = batch_losses(params, batch, MtlWeights(*mix))
+        ad.backward(bd.total)
+    got = {n: t.grad.copy() for n, t in params.items()}
+    ad.zero_grad(params.leaves())
+    l_mtl = 0.0
+    for utt in batch:
+        with ad.tape():
+            one = sample_losses(params, utt, MtlWeights(*mix))
+            ad.backward(one.total)
+        l_mtl += one.l_mtl
+    assert abs(bd.l_mtl - l_mtl) <= 1e-12 * abs(l_mtl)
+    for name, t in params.items():
+        assert close_to(got[name], t.grad), name
+
+
+def reference_train_mtl(model_config, train_config, data):
+    """``train_mtl`` one utterance at a time: ``sample_losses`` and
+    ``backward`` of each utterance of a batch, the gradients summed on
+    the leaves, then the SGD step; validation one utterance at a time.
+    Returns the best-validation parameters, the log rows and the
+    selected epoch."""
+    params = init_params(model_config)
+    weights, size = train_config.weights, train_config.batch_size
+    keys = ("l_ctc", "l_dec", "l_dis", "l_mtl")
+    rows, best, best_loss, selected = [], None, math.inf, 0
+    ad.zero_grad(params.leaves())
+    for epoch in range(1, train_config.epochs + 1):
+        order = np.random.default_rng([train_config.seed, epoch]).permutation(len(data.train))
+        sums = dict.fromkeys(keys, 0.0)
+        for i, idx in enumerate(order):
+            with ad.tape():
+                bd = sample_losses(params, data.train[idx], weights)
+                ad.backward(bd.total)
+            for k in keys:
+                sums[k] += getattr(bd, k)
+            if (i + 1) % size == 0 or i == len(order) - 1:
+                for t in params.leaves():
+                    t.data -= train_config.learning_rate * t.grad
+                ad.zero_grad(params.leaves())
+        valid = dict.fromkeys(keys, 0.0)
+        with ad.no_grad():
+            for utt in data.valid:
+                bd = sample_losses(params, utt, weights)
+                for k in keys:
+                    valid[k] += getattr(bd, k) / len(data.valid)
+        row = {"epoch": epoch}
+        row.update({f"train_{k}": v / len(order) for k, v in sums.items()})
+        row.update({f"valid_{k}": v for k, v in valid.items()})
+        rows.append(row)
+        if valid["l_mtl"] < best_loss:
+            best_loss, best, selected = valid["l_mtl"], params.clone(), epoch
+    return best, rows, selected
+
+
+@pytest.mark.parametrize("mix", [(1.0, 0.0), (1.0, 1.0), (1.0, 0.5), (0.7, 0.5)],
+                         ids=["stl-dec", "stl-ctc", "mtl", "mtl-3"])
+def test_batched_training_equals_the_per_utterance_loop(mix):
+    # 21 utterances at batch 8: two full batches and a short one
+    data = gen_dataset(6, n_train=21, n_valid=5, n_test=1, len_range=(1, 4))
+    cfg = TrainConfig(weights=MtlWeights(*mix), epochs=3, learning_rate=0.05,
+                      batch_size=8, seed=4)
+    params, log = train_mtl(SMALL_MODEL, cfg, data)
+    ref_params, ref_rows, ref_selected = reference_train_mtl(SMALL_MODEL, cfg, data)
+    assert log.selected_epoch == ref_selected
+    assert len(log.rows) == len(ref_rows)
+    for row, ref in zip(log.rows, ref_rows):
+        assert row.keys() == ref.keys()
+        for k, v in ref.items():
+            assert abs(row[k] - v) <= 1e-9 * abs(v), k
+    for name, t in params.items():
+        assert close_to(t.data, ref_params[name].data, 1e-9), name
