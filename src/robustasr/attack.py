@@ -10,24 +10,21 @@ deterministic.
 ``pgd_attack_batch`` attacks several utterances at once. Each step pads
 the rows still stepping to (B, T_max, F) and runs one tape and one
 backward of their summed losses: one encoder scan and one decoder pass
-for the whole batch. The step, projection, zero-gradient stop, loss
-trace and snapshots stay per row. Batch contract: a batch of one
-(``pgd_attack``, ``pgd_step``) is bit-identical to the unbatched
-computation; at B > 1 per-row losses and input gradients agree with the
-B=1 run to about 1e-12 relative (a (B, d) @ (d, d) product rounds
-differently from B vector products), and padded frames get exactly zero
-gradient.
+for the whole batch, under the batch contract stated in ``autodiff``.
+The step, projection, zero-gradient stop, loss trace and snapshots stay
+per row; ``pgd_attack`` and ``pgd_step`` are the batch of one.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError, Tensor
 from .losses import MtlWeights, ctc_loss, ctc_min_frames, dec_loss
 from .model import ModelParams, ctc_head, encode, pad_batch
 
@@ -41,10 +38,10 @@ class AttackConfig:
     report_at: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        for name in ("epsilon", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if any(r < 0 or r > self.steps for r in self.report_at):
@@ -69,20 +66,20 @@ def adv_loss(params: ModelParams, x: Tensor, target, weights: MtlWeights,
 
     Mixes the CTC and decoder losses with the *inference* weight; heads
     with exactly zero weight are never evaluated, mirroring how the
-    decode under attack uses them. A padded batch ``x`` (B, T, F) with
-    per-row frame counts ``lengths`` (default: all T) takes one target
-    per row and gives the (B,) per-row losses, through the padded
-    encoder, CTC head, CTC lattice and decoder.
+    decode under attack uses them. ``x`` is a padded batch (B, T, F) with
+    per-row frame counts ``lengths``; ``target`` holds one target per
+    row, and the result is the (B,) per-row losses.
     """
+    if x.ndim != 3:
+        raise ShapeError(f"adv_loss expects a (B, T, F) batch, got {x.shape}")
     lam = weights.lambda_i_C
-    batch = () if x.ndim == 2 else (lengths,)  # lengths go with a batch only
-    hidden = encode(params, x, *batch)
+    hidden = encode(params, x, lengths)
     if lam == 0.0:
-        return dec_loss(params, hidden, target, *batch)
-    l_ctc = ctc_loss(ctc_head(params, hidden), target, *batch)
+        return dec_loss(params, hidden, target, lengths)
+    l_ctc = ctc_loss(ctc_head(params, hidden), target, lengths)
     if lam == 1.0:
         return l_ctc
-    return lam * l_ctc + (1.0 - lam) * dec_loss(params, hidden, target, *batch)
+    return lam * l_ctc + (1.0 - lam) * dec_loss(params, hidden, target, lengths)
 
 
 def target_feasible(x: np.ndarray, target, weights: MtlWeights) -> bool:
@@ -174,8 +171,7 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
     """``pgd_attack`` of each (x, target) pair, batched over the rows.
 
     Every step pads the rows that have not stopped on a zero gradient to
-    the longest of them and takes one batched step (see the module
-    docstring for the batch contract).
+    the longest of them and takes one batched step.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     if not xs:

@@ -23,6 +23,18 @@ ops (``add``, ``mul``) return None instead of computing the term of an
 input that requires no gradient, such as a model parameter held
 constant during an attack.
 
+Batch contract. ``tanh_rnn`` and the fused ops of ``model`` and
+``losses`` that read frames (the teacher-forced decoder, the accent head
+and the CTC lattice) take padded batches only: (B, T, ...) arrays whose
+row r holds ``lengths[r]`` real frames (default: all T) followed by
+padding. Padded frames are never read, or hold a zero state, and get
+exactly zero gradient. At B > 1 a (B, d) @ (d, d) product rounds
+differently from B vector products, so each row agrees with its own
+batch of one to about 1e-12 relative, and a parameter gradient is the
+sum of the rows'. One utterance is the batch of one: ``model.encode``
+and the task losses in ``losses`` lift it with ``x[None]`` and read the
+result's row ``[0]``, two ``take`` records when they are recorded.
+
 The tape stack and the recording flag are plain module state, one per
 process; parallel work runs in separate processes, never in threads that
 share a tape.
@@ -171,17 +183,13 @@ def check_finite(out: Array, op: str) -> None:
         raise NonFiniteError(f"non-finite values produced by '{op}'")
 
 
-def check_finite_rows(out: Array, op: str, rows: Sequence[int] | None = None) -> None:
-    """``check_finite`` of a batch whose first axis holds its rows.
-
-    The error names the first non-finite row: its index, or ``rows[i]``
-    when ``out`` holds a subset of a batch's rows.
-    """
+def check_finite_rows(out: Array, op: str) -> None:
+    """``check_finite`` of a batch whose first axis holds its rows; the
+    error names the first non-finite row."""
     if not np.isfinite(out).all():
         ok = np.isfinite(out).reshape(len(out), -1).all(axis=1)
-        bad = int(np.argmin(ok))
         raise NonFiniteError(f"non-finite values produced by '{op}' "
-                             f"in row {bad if rows is None else rows[bad]}")
+                             f"in row {int(np.argmin(ok))}")
 
 
 def record_op(op: str, inputs: Sequence[Tensor], out: Array,
@@ -313,27 +321,17 @@ def padding_mask(lengths, rows: int, frames: int) -> Array | None:
 def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor:
     """Elman scan h_t = tanh(x_t W_in + h_prev W_rec + b) as one tape record.
 
-    ``seq`` is one sequence (T, F) or a padded batch (B, T, F), T >= 1;
-    the output is (T, d) or (B, T, d), frame t holding the state after
-    frame t. h_prev starts at zero before the first frame (frame 0, or
-    the row's last frame when ``reverse``). The backward pass is
-    backpropagation through time.
-
-    Batch contract. ``lengths`` holds each row's frame count (default:
-    all T). Frames past a row's length keep a zero state, so a reverse
-    scan starts at each row's own last frame, and they get exactly zero
-    gradient. A single sequence runs as a batch of one. At B=1 the
-    forward makes the numpy calls of the op-by-op scan (matmul, take,
-    matmul, add, add, tanh per frame), so its values are bit-identical
-    to it. At B > 1 a (B, d) @ (d, d) product rounds differently from B
-    vector products: each row agrees with its B=1 scan to about 1e-12
-    relative, and parameter gradients are the sums of the rows'.
+    ``seq`` is a padded batch (B, T, F), T >= 1, with per-row frame counts
+    ``lengths``; the output (B, T, d) holds at frame t the state after
+    frame t. h_prev starts at zero before each row's first frame (its own
+    last frame when ``reverse``), and padded frames keep a zero state. The
+    backward pass is backpropagation through time. At B=1 the forward
+    makes the numpy calls of the op-by-op scan (matmul, take, matmul, add,
+    add, tanh per frame), so its values are bit-identical to it.
     """
     seq, w_in, w_rec, b = (_promote(v) for v in (seq, w_in, w_rec, b))
-    batched = seq.ndim == 3
-    if seq.ndim not in (2, 3) or 0 in seq.shape[:-1]:
-        raise ShapeError(f"tanh_rnn expects a nonempty (T, F) sequence or "
-                         f"(B, T, F) batch, got {seq.shape}")
+    if seq.ndim != 3 or 0 in seq.shape[:-1]:
+        raise ShapeError(f"tanh_rnn expects a nonempty (B, T, F) batch, got {seq.shape}")
     if w_in.ndim != 2 or w_in.shape[0] != seq.shape[-1]:
         raise ShapeError(f"tanh_rnn: w_in {w_in.shape} does not fit input {seq.shape}")
     d = w_in.shape[1]
@@ -341,7 +339,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         raise ShapeError(f"tanh_rnn: w_rec {w_rec.shape} and b {b.shape} "
                          f"must be ({d}, {d}) and ({d},)")
     x = seq.data
-    rows, n = (x.shape[0], x.shape[1]) if batched else (1, x.shape[0])
+    rows, n = x.shape[:2]
     dead = padding_mask(lengths, rows, n)
     wi, wr = w_in.data, w_rec.data
     order = range(n - 1, -1, -1) if reverse else range(n)
@@ -354,7 +352,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
     with np.errstate(invalid="ignore", over="ignore"):
         pre = x @ wi
         check_finite(pre, "tanh_rnn input projection")
-        pre = pre.transpose(1, 0, 2) if batched else pre[:, None]
+        pre = pre.transpose(1, 0, 2)
         z = np.empty((n, rows, d))
         out = np.empty((n, rows, d))
         h = np.zeros((rows, d))
@@ -369,9 +367,9 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
 
     def bwd(g):
         # Frames in reverse of the forward order: dh = W_rec dz_next + g_t,
-        # dz = dh (1 - h^2), which is zero on padded frames. A batch's
-        # gradient is copied time-major, contiguous.
-        g = np.ascontiguousarray(g.transpose(1, 0, 2)) if batched else g[:, None]
+        # dz = dh (1 - h^2), which is zero on padded frames. The gradient
+        # is copied time-major, contiguous.
+        g = np.ascontiguousarray(g.transpose(1, 0, 2))
         deriv = 1.0 - out * out
         if dead is not None:
             deriv[dead] = 0.0
@@ -387,12 +385,9 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         flat = dpre.reshape(n * rows, d)
         g_seq = dwi = dwr = db = None
         if seq.requires_grad:
-            g_seq = flat @ wi.T
-            if batched:
-                g_seq = g_seq.reshape(n, rows, -1).transpose(1, 0, 2)
+            g_seq = (flat @ wi.T).reshape(n, rows, -1).transpose(1, 0, 2)
         if w_in.requires_grad:
-            x_tm = x.transpose(1, 0, 2) if batched else x
-            dwi = x_tm.reshape(n * rows, -1).T @ flat
+            dwi = x.transpose(1, 0, 2).reshape(n * rows, -1).T @ flat
         if w_rec.requires_grad:
             # The state each frame read: zero for the first, else the one
             # before.
@@ -406,8 +401,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
             db = flat.sum(axis=0)
         return (g_seq, dwi, dwr, db)
 
-    return _emit("tanh_rnn", (seq, w_in, w_rec, b),
-                 out.transpose(1, 0, 2) if batched else out[:, 0],
+    return _emit("tanh_rnn", (seq, w_in, w_rec, b), out.transpose(1, 0, 2),
                  bwd, check=False)
 
 

@@ -102,7 +102,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("n_eval", "n_attack"):
+        for name in ("n_eval", "n_attack", "epochs", "batch_size", "max_decode_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 

@@ -10,11 +10,12 @@ every logsumexp, so values and gradients are bit-for-bit what a true
 -inf would give while every lattice array stays finite, and one
 finiteness check over the alphas catches a non-finite input.
 
-Batch contract. Each task loss takes a padded batch (B, T, ·) with
-per-row frame counts ``lengths`` and one target per row, and gives the
-(B,) per-row losses; a single utterance runs as a batch of one.
-``mtl_loss`` blends per-row losses row by row and sums the rows, so the
-gradient of a batch is the sum of its rows' gradients.
+Each task loss takes a padded batch (B, T, ·) with per-row frame counts
+``lengths`` and one target per row, and gives the (B,) per-row losses
+(the batch contract is in ``autodiff``); one utterance and its target
+give a scalar, through the batch of one. ``mtl_loss`` blends per-row
+losses row by row and sums the rows, so the gradient of a batch is the
+sum of its rows' gradients.
 
 Normalization: CTC divides by the label count, the decoder loss by the
 number of output steps (targets plus eos). This keeps the mixing weights
@@ -83,32 +84,31 @@ def ctc_min_frames(y: Sequence[int]) -> int:
 
 
 def ctc_loss(logp: Tensor, y: Sequence, lengths=None) -> Tensor:
-    """Negative log-probability of all alignments collapsing to ``y``.
+    """Negative log-probability of all alignments collapsing to each target.
 
-    ``logp`` is a (T, V+1) matrix of per-frame log-probs with blank in
-    the last column; ``y`` holds word ids only. Normalized by ``|y|``;
-    an empty ``y`` (the all-blank path) is not normalized.
+    ``logp`` is a padded batch (B, T, V+1) of per-frame log-probs with
+    blank in the last column and per-row frame counts ``lengths``; ``y``
+    holds one nonempty target of word ids per row. Each row's loss is
+    normalized by its label count. One (T, V+1) matrix and its target
+    give a scalar.
 
-    The whole lattice runs in numpy and records one tape entry. The
-    forward makes the numpy calls of the lattice recorded op by op (per
-    frame: shift the previous alphas, mask and bias the skip row, a
-    3-row logsumexp, add the emissions). The backward walks the frames
-    last first; each frame's gradient into the previous alphas is the
-    stay term plus the skip and one-state shift terms.
-
-    Batch contract. A padded batch ``logp`` (B, T, V+1) with per-row
-    frame counts ``lengths`` (default: all T) takes one target per row
-    in ``y`` and gives the (B,) per-row losses. The lattice is
-    (B, 2 * max |y| + 1) wide; each row's states past its own and its
-    frames past its length are never read, and padded frames get
-    exactly zero gradient. A single matrix runs as a batch of one. The
-    lattice has no products across rows, so every row's loss and
-    gradient are bit-identical to its B=1 run. An infeasible or
-    non-finite row raises an error that names it.
+    The whole lattice runs in numpy and records one tape entry. It is
+    (B, 2 * max |y| + 1) states wide; each row's states past its own are
+    never read. The forward makes the numpy calls of the lattice recorded
+    op by op (per frame: shift the previous alphas, mask and bias the
+    skip row, a 3-row logsumexp, add the emissions). The backward walks
+    the frames last first; each frame's gradient into the previous alphas
+    is the stay term plus the skip and one-state shift terms. The lattice
+    has no products across rows, so every row's loss and gradient are
+    bit-identical to its B=1 run. An infeasible or non-finite row raises
+    an error that names it.
     """
-    batched = logp.ndim == 3
-    lp = logp.data if batched else logp.data[None]
-    rows = [list(r) for r in y] if batched else [list(y)]
+    if logp.ndim == 2:
+        return ctc_loss(logp[None], [y])[0]
+    if logp.ndim != 3:
+        raise ShapeError(f"ctc_loss expects (T, V+1) or (B, T, V+1), got {logp.shape}")
+    lp = logp.data
+    rows = [list(r) for r in y]
     n_rows, t_max, width = lp.shape
     if len(rows) != n_rows:
         raise ShapeError(f"{len(rows)} CTC targets for a batch of {n_rows}")
@@ -118,44 +118,12 @@ def ctc_loss(logp: Tensor, y: Sequence, lengths=None) -> Tensor:
     pad = ad.padding_mask(lengths, n_rows, t_max)
     frames = np.full(n_rows, t_max) if lengths is None else np.asarray(lengths)
     for r, row in enumerate(rows):
+        if not row:
+            raise ValueError(f"row {r}: a CTC target must hold at least one word")
         if frames[r] < ctc_min_frames(row):
             raise CtcInfeasibleError(
                 f"row {r}: {len(row)} labels need >= {ctc_min_frames(row)} "
                 f"frames, got {frames[r]}")
-    loss = np.empty(n_rows)
-    # An empty target has one path, all blanks.
-    empty = [r for r, row in enumerate(rows) if not row]
-    for r in empty:
-        loss[r] = -lp[r, :frames[r], blank].sum()
-    ad.check_finite_rows(loss[empty], "ctc_loss all-blank path", empty)
-    lab = [r for r, row in enumerate(rows) if row]
-    if lab:
-        sub = slice(None) if len(lab) == n_rows else lab  # no copy of a full batch
-        loss[lab], lattice_bwd = _ctc_lattice(
-            lp[sub], [rows[r] for r in lab], frames[sub],
-            None if pad is None else pad[sub], lab)
-
-    def bwd(g):
-        g = g if batched else g[None]
-        if len(lab) == n_rows:
-            g_lp = lattice_bwd(g)
-        else:
-            g_lp = np.zeros(lp.shape)
-            if lab:
-                g_lp[lab] = lattice_bwd(g[lab])
-        for r in empty:
-            g_lp[r, :frames[r], blank] -= g[r]
-        return (g_lp if batched else g_lp[0],)
-
-    return ad.record_op("ctc_loss", (logp,), loss if batched else loss[0], bwd)
-
-
-def _ctc_lattice(lp: np.ndarray, rows: list, frames: np.ndarray,
-                 pad: np.ndarray | None, names: Sequence[int]):
-    """(losses, backward) of the label rows of a batch; ``names`` are
-    their row numbers in the batch, for errors."""
-    n_rows, t_max, width = lp.shape
-    blank = width - 1
     counts = np.array([len(row) for row in rows])
     n_states = 2 * counts.max() + 1
     # Each row's blank-extended labels, padded with blank states. A skip
@@ -200,8 +168,8 @@ def _ctc_lattice(lp: np.ndarray, rows: list, frames: np.ndarray,
         m = last.max(axis=1, keepdims=True)
         tail = m + np.log(np.exp(last - m).sum(axis=1, keepdims=True))
         w_tail = np.exp(last - tail)
-    ad.check_finite_rows(alphas.transpose(1, 0, 2), "ctc_loss lattice", names)
-    ad.check_finite_rows(tail, "ctc_loss tail", names)
+    ad.check_finite_rows(alphas.transpose(1, 0, 2), "ctc_loss lattice")
+    ad.check_finite_rows(tail, "ctc_loss tail")
     # the rows that end at each frame, for the backward
     ends = {t: np.flatnonzero(last_t == t) for t in set(last_t.tolist())}
 
@@ -227,53 +195,51 @@ def _ctc_lattice(lp: np.ndarray, rows: list, frames: np.ndarray,
             + ext[:, None, :]
         g_lp = np.bincount(cols.ravel(), weights=g_emis.transpose(1, 0, 2).ravel(),
                            minlength=n_rows * t_max * width)
-        return g_lp.reshape(n_rows, t_max, width)
+        return (g_lp.reshape(n_rows, t_max, width),)
 
-    return -tail[:, 0] * scale, bwd
+    return ad.record_op("ctc_loss", (logp,), -tail[:, 0] * scale, bwd)
 
 
 def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence,
              lengths=None) -> Tensor:
     """Teacher-forced decoder negative log-likelihood, averaged per step.
 
-    An empty ``y`` is legal and means "predict eos immediately". The
-    decoder runs as one fused op (``model.decoder_teacher_forced``), so
-    the loss records four tape entries whatever the length of ``y``.
-    A padded batch ``hidden`` (B, T, d) with per-row frame counts
-    ``lengths`` takes one target per row in ``y`` and gives the (B,)
-    per-row losses.
+    ``hidden`` is a padded batch (B, T, d) with per-row frame counts
+    ``lengths`` and ``y`` holds one target per row; one (T, d) utterance
+    and its target give a scalar. An empty target is legal and means
+    "predict eos immediately". The decoder runs as one fused op
+    (``model.decoder_teacher_forced``), so a batch's loss records four
+    tape entries whatever the length of its targets; one utterance adds
+    the two ``take`` records of its lift.
     """
+    if hidden.ndim == 2:
+        return dec_loss(params, hidden[None], [y])[0]
     cfg = params.config
-    batched = hidden.ndim == 3
-    rows = [list(r) for r in y] if batched else [list(y)]
+    rows = [list(r) for r in y]
     if any(tok < 0 or tok >= cfg.vocab_size for row in rows for tok in row):
         raise ValueError("decoder targets must be word ids (no special tokens)")
-    inputs = [[cfg.sos] + row for row in rows]
     targets = [row + [cfg.eos] for row in rows]
-    if batched:
-        picked = decoder_teacher_forced(params, hidden, inputs, targets, lengths)
-        scale = 1.0 / np.array([len(t) for t in targets])
-    else:
-        picked = decoder_teacher_forced(params, hidden, inputs[0], targets[0])
-        scale = 1.0 / len(targets[0])
+    picked = decoder_teacher_forced(params, hidden, [[cfg.sos] + row for row in rows],
+                                    targets, lengths)
+    scale = 1.0 / np.array([len(t) for t in targets])
     return ad.mul(ad.neg(ad.sum_(picked, axis=-1)), scale)
 
 
 def dis_loss(params: ModelParams, hidden: Tensor, accent, lengths=None) -> Tensor:
     """Cross-entropy of the accent discriminator head.
 
-    A padded batch ``hidden`` (B, T, d) with per-row frame counts
-    ``lengths`` takes one accent per row in ``accent`` and gives the
-    (B,) per-row losses, each from its row's mean over its own frames
-    (see ``model.discriminate``).
+    ``hidden`` is a padded batch (B, T, d) with per-row frame counts
+    ``lengths`` and ``accent`` holds one label per row; one (T, d)
+    utterance and its label give a scalar.
     """
-    batched = hidden.ndim == 3
-    accents = list(accent) if batched else [accent]
+    if hidden.ndim == 2:
+        return dis_loss(params, hidden[None], [accent])[0]
+    accents = list(accent)
     for r, label in enumerate(accents):
         if not 0 <= label < params.config.n_accents:
             raise ValueError(f"accent label {label} out of range in row {r}")
     logp = discriminate(params, hidden, lengths)
-    return ad.neg(logp[np.arange(len(accents)), accents] if batched else logp[accent])
+    return ad.neg(logp[np.arange(len(accents)), accents])
 
 
 def asr_loss(weights: MtlWeights, l_ctc, l_dec):

@@ -15,9 +15,10 @@ any number of states), over a batch of rows, with two paths through
 them: ``decoder_teacher_forced`` runs them over target sequences and
 records one tape entry with a hand-written backward (the decoder loss,
 in training and attacks), and ``decoder_advance`` runs one step of one
-row for inference and records nothing. ``encode``, ``ctc_head``,
-``decoder_teacher_forced`` and ``discriminate`` take a padded batch of
-utterances as well as a single one, which runs as a batch of one.
+row for inference and records nothing. ``decoder_teacher_forced`` and
+``discriminate`` take padded batches only (the batch contract is in
+``autodiff``); ``encode`` also takes one utterance as the batch of one,
+and ``ctc_head`` maps the states of any leading shape.
 """
 
 from __future__ import annotations
@@ -169,14 +170,13 @@ def pad_batch(seqs: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
 
 
 def encode(params: ModelParams, x: Tensor, lengths=None) -> Tensor:
-    """Map a (T, F) feature matrix to (T, d) hidden states; T is preserved.
-
-    A padded batch (B, T, F) with per-row frame counts ``lengths`` maps
-    to (B, T, d), zero past each row's length (see ``autodiff.tanh_rnn``
-    for the batch contract).
-    """
+    """Map a padded (B, T, F) feature batch with per-row frame counts
+    ``lengths`` to (B, T, d) hidden states, or one (T, F) utterance to
+    (T, d)."""
     cfg = params.config
-    if x.ndim not in (2, 3) or x.shape[-1] != cfg.feat_dim:
+    if x.ndim == 2:
+        return encode(params, x[None])[0]
+    if x.ndim != 3 or x.shape[-1] != cfg.feat_dim:
         raise ShapeError(f"encode expects (T, {cfg.feat_dim}) or "
                          f"(B, T, {cfg.feat_dim}), got {x.shape}")
     seq = x
@@ -205,12 +205,9 @@ def ctc_head(params: ModelParams, hidden: Tensor) -> Tensor:
     backward, so values and gradients are bit-identical to it; terms of
     inputs that need no gradient are skipped.
 
-    Batch contract. A padded batch ``hidden`` (B, T, d) maps to
-    (B, T, V+1): every frame is one row of a single (B*T, d) product, so
-    a single sequence is the batch of one. Padded frames get log-probs
-    too; a loss that ignores them gives them zero gradient. At B > 1 each
-    row agrees with its B=1 run to about 1e-12 relative, and parameter
-    gradients are the sums of the rows'.
+    ``hidden`` is (T, d) or a padded batch (B, T, d): every frame is one
+    row of a single (B*T, d) product. Padded frames get log-probs too; a
+    loss that ignores them gives them zero gradient.
     """
     cfg = params.config
     if hidden.ndim not in (2, 3) or hidden.shape[-1] != cfg.enc_hidden:
@@ -380,27 +377,24 @@ def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
 def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
                            inputs: Sequence, targets: Sequence,
                            lengths=None) -> Tensor:
-    """(N,) log-probs of ``targets[k]`` after feeding ``inputs[:k + 1]``.
+    """(B, max N_b) log-probs of each row's ``targets[k]`` after ``inputs[:k + 1]``.
 
-    Runs the recurrence N times and the attention and output layer once
-    over all N states, in numpy, and records one tape entry.
-
-    Batch contract. ``hidden`` may be a padded batch (B, T, d) with
-    per-row frame counts ``lengths`` (default: all T); ``inputs`` and
-    ``targets`` then hold one token sequence per row, of N_b >= 1 tokens,
-    and the output is (B, max N_b), zero past each row's N_b. Attention
-    gives padded frames exactly zero weight, and padded frames and steps
-    get exactly zero gradient. A single sequence runs as a batch of one.
-    At B > 1 each row agrees with its B=1 run to about 1e-12 relative,
-    and parameter gradients are the sums of the rows'. The backward runs
-    the state recurrence and the attention's tanh terms step by step;
-    every other term, and each gradient, is computed for all steps and
-    rows at once.
+    ``hidden`` is a padded batch (B, T, d) with per-row frame counts
+    ``lengths``; ``inputs`` and ``targets`` hold one token sequence per
+    row, of N_b >= 1 tokens, and the output is zero past each row's N_b.
+    Attention gives padded frames exactly zero weight, and padded steps
+    get exactly zero gradient. Runs the recurrence N times and the
+    attention and output layer once over all N states, in numpy, and
+    records one tape entry. The backward runs the state recurrence and
+    the attention's tanh terms step by step; every other term, and each
+    gradient, is computed for all steps and rows at once.
     """
     cfg = params.config
-    batched = hidden.ndim == 3
-    rows_in = [list(r) for r in inputs] if batched else [list(inputs)]
-    rows_tgt = [list(r) for r in targets] if batched else [list(targets)]
+    if hidden.ndim != 3:
+        raise ShapeError(f"decoder_teacher_forced expects a (B, T, {cfg.enc_hidden}) "
+                         f"batch, got {hidden.shape}")
+    rows_in = [list(r) for r in inputs]
+    rows_tgt = [list(r) for r in targets]
     counts = [len(r) for r in rows_in]
     if (len(rows_tgt) != len(rows_in) or [len(r) for r in rows_tgt] != counts
             or min(counts, default=0) == 0):
@@ -410,9 +404,7 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
         for tok in row:
             _check_token(cfg, tok)
     hproj = _attention_keys(params, hidden)
-    h = hidden.data if batched else hidden.data[None]
-    if not batched:
-        hproj = hproj[None]
+    h = hidden.data
     n_rows, n_frames = h.shape[:2]
     if len(counts) != n_rows:
         raise ShapeError(f"{len(counts)} token rows for a batch of {n_rows}")
@@ -451,7 +443,7 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
     dh = cfg.dec_hidden
 
     def bwd(g):
-        g = g.T if batched else g[:, None]
+        g = g.T
         if late is not None:
             g = np.where(late, 0.0, g)
         g_logp = np.zeros(st.logp.shape)
@@ -488,8 +480,6 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
         # attention-projection term.
         g_hidden = (st.attn.transpose(1, 2, 0) @ g_ctx.transpose(1, 0, 2)
                     + g_hproj @ w_h.T)
-        if not batched:
-            g_hidden = g_hidden[0]
         if not train:
             return [None] * 10 + [g_hidden]
         # Padded steps and frames hold zero terms, so each parameter sums
@@ -509,7 +499,7 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
                 flat_hproj.sum(axis=0), g_hidden]
 
     return ad.record_op("decoder_teacher_forced", (*param_inputs, hidden),
-                        picked.T if batched else picked[:, 0], bwd)
+                        picked.T, bwd)
 
 
 def discriminate(params: ModelParams, hidden: Tensor, lengths=None) -> Tensor:
@@ -524,22 +514,18 @@ def discriminate(params: ModelParams, hidden: Tensor, lengths=None) -> Tensor:
     pre-activation and the output: a ReLU turns NaN and -inf into zero,
     so the output alone would not show a non-finite pre-activation.
 
-    Batch contract. A padded batch ``hidden`` (B, T, d) with per-row
-    frame counts ``lengths`` (default: all T) gives the (B, n_accents)
-    log-probs of each row's mean over its own frames; padded frames are
-    never read and get exactly zero gradient. A single sequence runs as
-    a batch of one. At B > 1 each row agrees with its B=1 run to about
-    1e-12 relative, and parameter gradients are the sums of the rows'.
+    ``hidden`` is a padded batch (B, T, d) with per-row frame counts
+    ``lengths``; the output is (B, n_accents), each row from the mean
+    over its own frames.
     """
     cfg = params.config
-    batched = hidden.ndim == 3
-    if hidden.ndim not in (2, 3) or 0 in hidden.shape[:-1]:
-        raise ShapeError(f"discriminate expects a nonempty (T, d) or (B, T, d), "
-                         f"got {hidden.shape}")
+    if hidden.ndim != 3 or 0 in hidden.shape[:-1]:
+        raise ShapeError(f"discriminate expects a nonempty (B, T, {cfg.enc_hidden}) "
+                         f"batch, got {hidden.shape}")
     layers = [(params[f"dis{i}.w"], params[f"dis{i}.b"])
               for i in range(cfg.disc_layers)]
     top = cfg.disc_layers - 1
-    h = hidden.data if batched else hidden.data[None]
+    h = hidden.data
     n_rows, n_frames = h.shape[:2]
     pad = ad.padding_mask(lengths, n_rows, n_frames)
     frames = np.full((n_rows, 1), float(n_frames)) if lengths is None \
@@ -560,7 +546,6 @@ def discriminate(params: ModelParams, hidden: Tensor, lengths=None) -> Tensor:
     ad.check_finite_rows(np.concatenate([mean, *pre, out], axis=1), "discriminate")
 
     def bwd(g):
-        g = g if batched else g[None]
         g_layers = []
         g_z = g - np.exp(out) * g.sum(axis=1, keepdims=True)
         g_in = None
@@ -577,12 +562,11 @@ def discriminate(params: ModelParams, hidden: Tensor, lengths=None) -> Tensor:
             g_hidden = np.broadcast_to((g_in / frames)[:, None], h.shape)
             if pad is not None:
                 g_hidden = np.where(pad[..., None], 0.0, g_hidden)
-            g_hidden = g_hidden.reshape(hidden.shape)
         return (g_hidden, *(gr for pair in reversed(g_layers) for gr in pair))
 
     return ad.record_op("discriminate",
                         (hidden, *(t for pair in layers for t in pair)),
-                        out if batched else out[0], bwd)
+                        out, bwd)
 
 
 # ---------------------------------------------------------------------------

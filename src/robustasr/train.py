@@ -161,9 +161,9 @@ def evaluate_benign(params: ModelParams, utterances, weights: MtlWeights,
     gold_acc = []
     with ad.no_grad():
         for utt in utterances:
-            hidden = encode(params, ad.constant(utt.features))
-            res = joint_greedy_decode(params, hidden, weights, max_len)
+            batch = encode(params, ad.constant(utt.features[None]))
+            res = joint_greedy_decode(params, batch[0], weights, max_len)
             stats.append(edit_distance_words(utt.transcript, res.hypothesis))
-            pred_acc.append(int(np.argmax(discriminate(params, hidden).data)))
+            pred_acc.append(int(np.argmax(discriminate(params, batch).data[0])))
             gold_acc.append(utt.accent)
     return pooled_wer(stats), accent_accuracy(pred_acc, gold_acc)

@@ -52,16 +52,25 @@ def test_config_validation():
     assert cfg.report_at == (0, 5)
 
 
+@pytest.mark.parametrize("name", ["epsilon", "alpha"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_config_refuses_a_non_finite_epsilon_or_alpha(name, value):
+    # NaN passes a "<= 0" check
+    kwargs = {"epsilon": 1.0, "alpha": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+        AttackConfig(steps=3, weights=MtlWeights(1.0, 0.5), **kwargs)
+
+
 def test_adv_loss_boundaries(params):
     rng = np.random.default_rng(1)
     x_np = rng.normal(size=(6, TINY.feat_dim))
     target = [1, 2]
     x = ad.constant(x_np)
-    dec_only = adv_loss(params, x, target, MtlWeights(1.0, 0.5, lambda_i_C=0.0))
-    assert float(dec_only.data) == pytest.approx(
+    dec_only = adv_loss(params, x[None], [target], MtlWeights(1.0, 0.5, lambda_i_C=0.0))
+    assert float(dec_only.data[0]) == pytest.approx(
         float(dec_loss(params, encode(params, x), target).data), abs=1e-12)
-    ctc_only = adv_loss(params, x, target, MtlWeights(1.0, 0.5, lambda_i_C=1.0))
-    assert float(ctc_only.data) == pytest.approx(
+    ctc_only = adv_loss(params, x[None], [target], MtlWeights(1.0, 0.5, lambda_i_C=1.0))
+    assert float(ctc_only.data[0]) == pytest.approx(
         float(ctc_loss(ctc_head(params, encode(params, x)), target).data), abs=1e-12)
 
 
@@ -71,7 +80,7 @@ def test_adv_loss_input_gradient_matches_fd(params):
     w = MtlWeights(1.0, 0.5, lambda_i_C=0.6)
 
     def f(t):
-        return adv_loss(params, t, [0, 3], w)
+        return adv_loss(params, t[None], [[0, 3]], w)[0]
 
     with ad.tape():
         ad.backward(f(x))
@@ -82,7 +91,7 @@ def test_adv_loss_input_gradient_matches_fd(params):
 def test_adv_loss_infeasible_target(params):
     x = ad.constant(np.zeros((2, TINY.feat_dim)))
     with pytest.raises(CtcInfeasibleError):
-        adv_loss(params, x, [0, 1, 2], MtlWeights(1.0, 1.0))
+        adv_loss(params, x[None], [[0, 1, 2]], MtlWeights(1.0, 1.0))
     assert not target_feasible(np.zeros((2, TINY.feat_dim)), [0, 1, 2],
                                MtlWeights(1.0, 1.0))
     assert target_feasible(np.zeros((2, TINY.feat_dim)), [0, 1, 2],
@@ -262,7 +271,7 @@ def test_pgd_differentiates_only_its_input(cfg, lam_i):
         for p in (params, params.frozen()):
             x_adv = ad.leaf(x + delta)
             with ad.tape():
-                loss = adv_loss(p, x_adv, target, attack_cfg.weights)
+                loss = adv_loss(p, x_adv[None], [target], attack_cfg.weights)[0]
                 ad.backward(loss)
             grads.append(x_adv.grad.tobytes())
         assert grads[0] == grads[1]
@@ -325,6 +334,10 @@ def test_batched_adv_loss_matches_batch_of_one(case):
     xs = [rng.normal(size=(n, cfg.feat_dim)) for n in lengths]
     weights = MtlWeights(1.0, 0.5, lambda_i_C=lam)
     x = ad.leaf(_pad(xs))
+    if lam > 0.0 and not all(targets):
+        with pytest.raises(ValueError, match="a CTC target must hold at least one word"):
+            adv_loss(params, x, targets, weights, lengths)
+        return
     with ad.tape():
         losses = adv_loss(params, x, targets, weights, lengths)
         ad.backward(ad.sum_(losses))
@@ -332,7 +345,7 @@ def test_batched_adv_loss_matches_batch_of_one(case):
     for r, (x_r, target, n) in enumerate(zip(xs, targets, lengths)):
         one = ad.leaf(x_r)
         with ad.tape():
-            loss = adv_loss(params, one, target, weights)
+            loss = adv_loss(params, one[None], [target], weights)[0]
             ad.backward(loss)
         assert close_to(losses.data[r], loss.data, 1e-12)
         assert close_to(x.grad[r, :n], one.grad, 1e-12)
@@ -346,7 +359,7 @@ def test_batched_row_gradient_matches_fd(lam_i):
     params = init_params(BIDIR).frozen()
     rng = np.random.default_rng(23)
     lengths = [7, 4, 6]
-    targets = [[1, 1, 3], [2, 0], []]
+    targets = [[1, 1, 3], [2, 0], [3]]
     x_pad = _pad([rng.normal(size=(n, BIDIR.feat_dim)) for n in lengths])
     weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
 

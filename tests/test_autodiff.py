@@ -235,15 +235,16 @@ def test_non_finite_raises():
 
 
 def _rnn_inputs(rng, t=5, f=3, d=4):
+    """A batch of one (1, t, f) sequence and the scan's weights."""
     return [ad.leaf(rng.normal(scale=0.6, size=s))
-            for s in ((t, f), (f, d), (d, d), (d,))]
+            for s in ((1, t, f), (f, d), (d, d), (d,))]
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_tanh_rnn_gradient_matches_fd_for_every_input(reverse):
     rng = np.random.default_rng(12 + reverse)
     inputs = _rnn_inputs(rng)
-    weight = ad.constant(rng.normal(size=(5, 4)))
+    weight = ad.constant(rng.normal(size=(1, 5, 4)))
 
     def loss_with(i, t):
         args = list(inputs)
@@ -261,11 +262,11 @@ def test_tanh_rnn_rejects_empty_and_mismatched_shapes():
     rng = np.random.default_rng(15)
     seq, w_in, w_rec, b = _rnn_inputs(rng)
     with pytest.raises(ad.ShapeError):
-        ad.tanh_rnn(np.zeros((0, 3)), w_in, w_rec, b)
+        ad.tanh_rnn(np.zeros((1, 0, 3)), w_in, w_rec, b)
     with pytest.raises(ad.ShapeError):
         ad.tanh_rnn(np.zeros(3), w_in, w_rec, b)
     with pytest.raises(ad.ShapeError):
-        ad.tanh_rnn(np.zeros((5, 2)), w_in, w_rec, b)
+        ad.tanh_rnn(np.zeros((1, 5, 2)), w_in, w_rec, b)
     with pytest.raises(ad.ShapeError):
         ad.tanh_rnn(seq, w_in, np.zeros((4, 3)), b)
     with pytest.raises(ad.ShapeError):
@@ -280,7 +281,7 @@ def test_tanh_rnn_non_finite_raises():
     with pytest.raises(ad.NonFiniteError):
         ad.tanh_rnn(seq, w_in, w_big, b)
     x_nan = seq.data.copy()
-    x_nan[2, 1] = np.nan
+    x_nan[0, 2, 1] = np.nan
     with pytest.raises(ad.NonFiniteError):
         ad.tanh_rnn(x_nan, w_in, w_rec, b)
     with ad.no_grad(), pytest.raises(ad.NonFiniteError):
@@ -329,13 +330,13 @@ def test_tanh_rnn_batch_rows_match_single_scans(reverse):
         out = ad.tanh_rnn(seq, w_in, w_rec, b, reverse=reverse, lengths=lengths)
         ad.backward(ad.sum_(ad.mul(out, weight)))
     for r, (x, n) in enumerate(zip(rows, lengths)):
-        one = ad.leaf(x)
+        one = ad.leaf(x[None])
         with ad.tape():
             single = ad.tanh_rnn(one, w_in, w_rec, b, reverse=reverse)
-            ad.backward(ad.sum_(ad.mul(single, weight[r, :n])))
-        assert rel_err(out.data[r, :n], single.data) < 1e-12
+            ad.backward(ad.sum_(ad.mul(single, weight[r:r + 1, :n])))
+        assert rel_err(out.data[r, :n], single.data[0]) < 1e-12
         assert np.all(out.data[r, n:] == 0.0)
-        assert rel_err(seq.grad[r, :n], one.grad) < 1e-12
+        assert rel_err(seq.grad[r, :n], one.grad[0]) < 1e-12
         assert np.all(seq.grad[r, n:] == 0.0)
 
 
@@ -362,7 +363,7 @@ def test_tanh_rnn_batch_refuses_bad_lengths_and_sums_row_gradients():
         ad.zero_grad(weights)
         for r, n in enumerate(lengths):
             with ad.tape():
-                single = ad.tanh_rnn(batch[r, :n], *weights, reverse=reverse)
-                ad.backward(ad.sum_(ad.mul(single, weight[r, :n])))
+                single = ad.tanh_rnn(batch[r:r + 1, :n], *weights, reverse=reverse)
+                ad.backward(ad.sum_(ad.mul(single, weight[r:r + 1, :n])))
         for g, t in zip(got, weights):
             assert np.max(np.abs(g - t.grad)) <= 1e-12 * np.max(np.abs(t.grad))

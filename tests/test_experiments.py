@@ -156,9 +156,15 @@ def test_grid_spec_validation():
     ({"learning_rate": float("inf")}, "learning_rate must be positive and finite"),
     ({"epsilon_ratio": float("nan")}, "epsilon_ratio must be positive and finite"),
     ({"alpha_fraction": float("nan")}, "alpha_fraction must be positive and finite"),
+    # TrainConfig would refuse these only once a cell starts training, and
+    # a max_decode_len of 0 reads every hypothesis as empty
+    ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    ({"max_decode_len": 0}, "max_decode_len must be >= 1, got 0"),
 ], ids=["report_steps", "epsilon_ratio", "alpha_fraction", "n_eval", "n_attack_zero",
         "n_attack_negative", "learning_rate_nan", "learning_rate_inf",
-        "epsilon_ratio_nan", "alpha_fraction_nan"])
+        "epsilon_ratio_nan", "alpha_fraction_nan", "epochs", "batch_size",
+        "max_decode_len"])
 def test_config_refuses_values_the_evaluation_cannot_use(change, message):
     # refused when the config is read, before a cell trains
     with pytest.raises(ValueError, match=message):

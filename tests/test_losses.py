@@ -71,6 +71,10 @@ def test_ctc_matches_brute_force_on_random_instances():
         n_lab = int(rng.integers(0, 3))
         y = list(rng.integers(0, width - 1, size=n_lab))
         logp = random_logp(t, width, seed=1000 + trial)
+        if not y:
+            with pytest.raises(ValueError, match="at least one word"):
+                ctc_loss(logp, y)
+            continue
         if t < ctc_min_frames(y):
             with pytest.raises(CtcInfeasibleError):
                 ctc_loss(logp, y)
@@ -93,6 +97,11 @@ def test_ctc_infeasible_raises_not_inf():
 def test_ctc_rejects_special_tokens():
     with pytest.raises(ValueError):
         ctc_loss(uniform_logp(3, 3), [2])  # 2 is the blank column here
+    # an empty target: one utterance, and one row of a batch
+    with pytest.raises(ValueError, match="row 0: a CTC target must hold at least one word"):
+        ctc_loss(uniform_logp(3, 3), [])
+    with pytest.raises(ValueError, match="row 1: a CTC target must hold at least one word"):
+        ctc_loss(ad.constant(np.zeros((2, 3, 3))), [[0], []])
 
 
 def test_ctc_brute_force_size_guard():
@@ -283,6 +292,15 @@ def test_dec_loss_bit_identical_to_op_by_op(cfg, y):
 MTL3 = MtlWeights(0.7, 0.5)
 
 
+def _refused_by_ctc(run, y) -> bool:
+    """True when ``y`` is empty and ``run`` raises CTC's refusal of it."""
+    if y:
+        return False
+    with pytest.raises(ValueError, match="a CTC target must hold at least one word"):
+        run()
+    return True
+
+
 def _sample_losses(y):
     """``sample_losses`` of the input as an utterance: the batch of one."""
     def run(p, x):
@@ -303,6 +321,8 @@ def test_training_mix_bit_identical_to_op_by_op(cfg, y):
                         reference_dec_loss(p, h, y),
                         ad.neg(reference_discriminate(p, h)[1])).total
 
+    if _refused_by_ctc(lambda: _grads(cfg, _sample_losses(y)), y):
+        return
     assert_matches_reference(_grads(cfg, _sample_losses(y)), _grads(cfg, reference))
 
 
@@ -316,6 +336,8 @@ def test_training_mix_with_op_by_op_ctc_head_bit_identical(cfg, y):
         return mtl_loss(MTL3, ctc_loss(ro.ctc_head(p, h), y), dec_loss(p, h, y),
                         dis_loss(p, h, 1)).total
 
+    if _refused_by_ctc(lambda: _grads(cfg, _sample_losses(y)), y):
+        return
     assert _bytes(_grads(cfg, reference)) == _bytes(_grads(cfg, _sample_losses(y)))
 
 
@@ -325,11 +347,16 @@ def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
     weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
 
     def run(p, x):
-        return adv_loss(p, x, y, weights)
+        return adv_loss(p, x[None], [y], weights)[0]
 
+    if lam_i > 0.0 and _refused_by_ctc(lambda: _grads(BIDIR, run), y):
+        return
     fused = _grads(BIDIR, run)
-    monkeypatch.setattr(attack, "dec_loss", reference_dec_loss)
-    monkeypatch.setattr(attack, "ctc_loss", reference_ctc_loss)
+    # the op-by-op references on the batch of one
+    monkeypatch.setattr(attack, "dec_loss",
+                        lambda p, h, y, lengths: reference_dec_loss(p, h[0], y[0])[None])
+    monkeypatch.setattr(attack, "ctc_loss",
+                        lambda logp, y, lengths: reference_ctc_loss(logp[0], y[0])[None])
     if lam_i == 1.0:
         # CTC alone, no decoder: the gradients are still bit-identical
         assert _bytes(fused) == _bytes(_grads(BIDIR, run))
@@ -350,7 +377,7 @@ def test_discriminator_bit_identical_to_op_by_op_in_training_mix(cfg, y, monkeyp
             t.data = t.data * 2.0 + rng.normal(scale=0.1, size=t.shape)
         hidden = ad.leaf(rng.normal(size=(7, cfg.enc_hidden)))
         with ad.tape():
-            out = losses.discriminate(params, hidden)
+            out = losses.discriminate(params, hidden[None])
             bd = mtl_loss(MtlWeights(0.7, 0.5), ctc_loss(ctc_head(params, hidden), y),
                           dec_loss(params, hidden, y), dis_loss(params, hidden, 1))
             ad.backward(bd.total)
@@ -358,22 +385,31 @@ def test_discriminator_bit_identical_to_op_by_op_in_training_mix(cfg, y, monkeyp
                if n.startswith("dis")}
         return out.data.tobytes(), bd.total.data.tobytes(), hidden.grad.tobytes(), dis
 
+    if _refused_by_ctc(run, y):
+        return
     fused = run()
+    # the op-by-op reference on the batch of one
     monkeypatch.setattr(losses, "discriminate",
-                        lambda p, h, lengths=None: reference_discriminate(p, h))
+                        lambda p, h, lengths=None: reference_discriminate(p, h[0])[None])
     assert run() == fused
 
 
 def test_dis_loss_records_three_ops(params, hidden):
+    batch = hidden[None]
     with ad.tape() as tp:
-        dis_loss(params, hidden, 1)
+        dis_loss(params, batch, [1])
         assert len(tp) == 3
+        dis_loss(params, hidden, 1)  # one utterance adds its lift's two takes
+        assert len(tp) == 3 + (3 + 2)
 
 
 def test_dec_loss_records_four_ops(params, hidden):
+    batch = hidden[None]
     with ad.tape() as tp:
-        dec_loss(params, hidden, [1, 2, 2, 0])
+        dec_loss(params, batch, [[1, 2, 2, 0]])
         assert len(tp) == 4
+        dec_loss(params, hidden, [1, 2, 2, 0])  # one utterance adds its lift's two takes
+        assert len(tp) == 4 + (4 + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +452,9 @@ def test_ctc_logp_gradient_bit_identical_on_random_lattices():
 
 
 def test_ctc_loss_records_one_op():
-    x = ad.leaf(random_logp(9, 5, seed=3).data)
+    x = ad.leaf(random_logp(9, 5, seed=3).data[None])
     with ad.tape() as tp:
-        ctc_loss(x, [1, 1, 3, 0])
+        ctc_loss(x, [[1, 1, 3, 0]])
         assert len(tp) == 1
 
 
@@ -467,8 +503,9 @@ def test_ctc_gradient_property_matches_fd(case):
 # ---------------------------------------------------------------------------
 # the padded lattice: each row of a mixed batch is its own batch of one
 
-# (target, frames): minimum frames, a repeated label, one label, empty
-MIXED_ROWS = (([0, 1, 2], 3), ([1, 1], 5), ([2], 4), ([], 2))
+# (target, frames): minimum frames, a repeated label, one label, the
+# shortest row
+MIXED_ROWS = (([0, 1, 2], 3), ([1, 1], 5), ([2], 4), ([1], 2))
 MIXED_TARGETS = [y for y, _n in MIXED_ROWS]
 MIXED_LENGTHS = [n for _y, n in MIXED_ROWS]
 

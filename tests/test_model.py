@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from robustasr import autodiff as ad
+from robustasr.attack import adv_loss
+from robustasr.losses import MtlWeights
 from robustasr.model import (
     CheckpointError,
     ModelConfig,
@@ -131,7 +133,7 @@ def test_encode_bit_identical_to_op_by_op_scan(bidirectional):
 def test_encode_records_one_op_per_layer_and_direction(bidirectional):
     cfg = replace(TINY, bidirectional=bidirectional)
     params = init_params(cfg)
-    x = ad.constant(np.ones((6, cfg.feat_dim)))
+    x = ad.constant(np.ones((1, 6, cfg.feat_dim)))
     with ad.tape() as tp:
         encode(params, x)
         # bidirectional layers add one record that sums the two directions
@@ -150,6 +152,24 @@ def test_encode_rejects_empty_and_mismatched_input(params):
         encode(params, ad.constant(np.zeros((0, TINY.feat_dim))))
     with pytest.raises(ad.ShapeError):
         encode(params, ad.constant(np.zeros((4, TINY.feat_dim + 1))))
+
+
+@pytest.mark.parametrize("kernel", ["tanh_rnn", "decoder_teacher_forced",
+                                    "discriminate", "adv_loss"])
+def test_batch_only_kernels_refuse_one_sequence(params, kernel):
+    # One utterance enters through encode and the task losses, never here.
+    h = ad.constant(np.ones((4, TINY.enc_hidden)))
+    x = ad.constant(np.ones((4, TINY.feat_dim)))
+    call = {
+        "tanh_rnn": lambda: ad.tanh_rnn(x, params["enc0.w_in"], params["enc0.w_rec"],
+                                        params["enc0.b"]),
+        "decoder_teacher_forced": lambda: decoder_teacher_forced(
+            params, h, [TINY.sos, 1], [1, TINY.eos]),
+        "discriminate": lambda: discriminate(params, h),
+        "adv_loss": lambda: adv_loss(params, x, [1], MtlWeights()),
+    }[kernel]
+    with pytest.raises(ad.ShapeError, match=r"\(B, T, \w+\) batch, got \(4, \d+\)$"):
+        call()
 
 
 def test_ctc_head_rows_normalized(params):
@@ -260,20 +280,20 @@ def test_attention_weights_sum_to_one(params):
 
 def test_discriminate_permutation_invariant_and_normalized(params):
     rng = np.random.default_rng(9)
-    h = rng.normal(size=(5, TINY.enc_hidden))
+    h = rng.normal(size=(1, 5, TINY.enc_hidden))
     out1 = discriminate(params, ad.constant(h))
-    out2 = discriminate(params, ad.constant(h[::-1].copy()))
+    out2 = discriminate(params, ad.constant(h[:, ::-1].copy()))
     assert np.allclose(out1.data, out2.data, atol=1e-12)
-    assert abs(np.log(np.exp(out1.data).sum())) < 1e-9
-    assert out1.shape == (TINY.n_accents,)
+    assert abs(np.log(np.exp(out1.data[0]).sum())) < 1e-9
+    assert out1.shape == (1, TINY.n_accents)
 
 
 def test_discriminate_gradient_matches_fd(params):
     rng = np.random.default_rng(10)
-    h = ad.leaf(rng.normal(size=(3, TINY.enc_hidden)))
+    h = ad.leaf(rng.normal(size=(1, 3, TINY.enc_hidden)))
 
     def f(t):
-        return ad.neg(discriminate(params, t)[0])
+        return ad.neg(discriminate(params, t)[0, 0])
 
     with ad.tape():
         ad.backward(f(h))
@@ -284,13 +304,13 @@ def test_discriminate_gradient_matches_fd(params):
 @pytest.mark.parametrize("name", ["dis0.w", "dis0.b", "dis2.w", "dis4.w", "dis4.b"])
 def test_discriminate_parameter_gradient_matches_fd(params, name):
     rng = np.random.default_rng(12)
-    h = ad.constant(rng.normal(size=(4, TINY.enc_hidden)))
+    h = ad.constant(rng.normal(size=(1, 4, TINY.enc_hidden)))
     p = params[name]
     p.data = p.data + rng.normal(scale=0.3, size=p.shape)  # biases start at zero
 
     def f(t):
         p.data = t.data
-        return ad.neg(discriminate(params, h)[1])
+        return ad.neg(discriminate(params, h)[0, 1])
 
     base = p.data.copy()
     fd = fd_gradient(f, ad.constant(base))
@@ -305,17 +325,17 @@ def test_discriminate_non_finite_pre_activation_raises(params, bad):
     # -inf and NaN leave the ReLU as zero and the output finite; the
     # pre-activation check still catches them.
     params["dis1.b"].data[0] = bad
-    h = ad.constant(np.random.default_rng(13).normal(size=(3, TINY.enc_hidden)))
+    h = ad.constant(np.random.default_rng(13).normal(size=(1, 3, TINY.enc_hidden)))
     with pytest.raises(ad.NonFiniteError):
         discriminate(params, h)
 
 
 def test_discriminate_records_one_op_and_skips_constant_terms(params):
-    h = ad.leaf(np.random.default_rng(14).normal(size=(3, TINY.enc_hidden)))
+    h = ad.leaf(np.random.default_rng(14).normal(size=(1, 3, TINY.enc_hidden)))
     with ad.tape() as tp:
         discriminate(params.frozen(), h)
         (rec,) = tp.records
-        grads = rec.backward_fn(np.array([0.0, -1.0]))
+        grads = rec.backward_fn(np.array([[0.0, -1.0]]))
     assert grads[0].shape == h.shape
     assert all(g is None for g in grads[1:])
 
@@ -338,12 +358,12 @@ def test_discriminate_batch_rows_match_their_unpadded_slices(params):
     got = {n: t.grad.copy() for n, t in params.items()}
     ad.zero_grad(params.leaves())
     for r, n in enumerate(DIS_LENGTHS):
-        one = ad.leaf(h[r, :n])
+        one = ad.leaf(h[r:r + 1, :n])
         with ad.tape():
             row = discriminate(params, one)
             ad.backward(ad.sum_(ad.mul(row, out_grad[r])))
-        assert close_to(out.data[r], row.data)
-        assert close_to(batch.grad[r, :n], one.grad)
+        assert close_to(out.data[r], row.data[0])
+        assert close_to(batch.grad[r, :n], one.grad[0])
         assert np.all(batch.grad[r, n:] == 0.0)
     for name, t in params.items():  # the sums of the rows' gradients
         if name.startswith("dis"):
@@ -476,26 +496,26 @@ def test_decoder_non_finite_parameter_raises(params, name):
     with pytest.raises(ad.NonFiniteError):
         decoder_advance(params, h, state, TINY.sos)
     with pytest.raises(ad.NonFiniteError):
-        decoder_teacher_forced(params, h, [TINY.sos, 1], [1, TINY.eos])
+        decoder_teacher_forced(params, h[None], [[TINY.sos, 1]], [[1, TINY.eos]])
 
 
 def test_teacher_forced_rejects_bad_tokens(params):
-    h = ad.constant(np.ones((3, TINY.enc_hidden)))
+    h = ad.constant(np.ones((1, 3, TINY.enc_hidden)))
     eos = TINY.eos
     for inputs, targets in (([TINY.sos, eos + 1], [1, eos]),
                             ([TINY.sos, 1], [-1, eos]),
                             ([TINY.sos], [1, eos]),
                             ([], [])):
         with pytest.raises(ad.ShapeError):
-            decoder_teacher_forced(params, h, inputs, targets)
+            decoder_teacher_forced(params, h, [inputs], [targets])
 
 
 @pytest.mark.parametrize("name", ("hidden",) + DEC_PARAMS)
 def test_teacher_forced_gradient_matches_fd(params, name):
     rng = np.random.default_rng(14)
-    h = ad.leaf(rng.normal(size=(5, TINY.enc_hidden)))
-    inputs, targets = [TINY.sos, 3, 3, 0], [3, 3, 0, TINY.eos]
-    weight = ad.constant(rng.normal(size=len(targets)))
+    h = ad.leaf(rng.normal(size=(1, 5, TINY.enc_hidden)))
+    inputs, targets = [[TINY.sos, 3, 3, 0]], [[3, 3, 0, TINY.eos]]
+    weight = ad.constant(rng.normal(size=len(targets[0])))
 
     def loss(p, hidden):
         picked = decoder_teacher_forced(p, hidden, inputs, targets)
