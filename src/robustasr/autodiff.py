@@ -35,6 +35,16 @@ sum of the rows'. One utterance is the batch of one: ``model.encode``
 and the task losses in ``losses`` lift it with ``x[None]`` and read the
 result's row ``[0]``, two ``take`` records when they are recorded.
 
+Decoding, which records nothing, keeps the same contract:
+``decode.joint_greedy_decode``, ``decode.CtcPrefixScorer`` and
+``model.decoder_start``/``decoder_advance`` take a padded batch with
+per-row lengths and step its rows in lockstep, dropping a row once it
+stops. Attention gives padded frames zero weight, and the prefix scorer
+reads them as -inf. The prefix lattice has no cross-row products, so on
+the same log-probs each row's prefix scores are bit-identical to scoring
+its own frames alone; every other score agrees with the row's batch of
+one to about 1e-12 relative. One utterance is the batch of one here too.
+
 The tape stack and the recording flag are plain module state, one per
 process; parallel work runs in separate processes, never in threads that
 share a tape.

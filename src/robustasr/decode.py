@@ -7,12 +7,17 @@ the CTC weight at zero the prefix scorer is never constructed, which is
 the "drop the CTC head at inference" remedy made structural, and at one
 the attention decoder never runs.
 
+A padded batch of utterances is decoded in lockstep: one CTC head and
+one decoder start for the batch, then at every step one decoder step and
+one prefix-scoring pass over the rows that have not stopped. A row stops
+at eos or after ``max_len`` words, and leaves the batch. One utterance is
+the batch of one.
+
 Candidate indices run over words ``0..V-1`` plus ``V`` for eos.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,118 +32,128 @@ NEGINF = -np.inf
 
 @dataclass
 class PrefixState:
-    """Per-hypothesis CTC bookkeeping for one utterance."""
+    """CTC bookkeeping of one hypothesis per row; the rows' prefixes have
+    one length, as they do in lockstep decoding."""
 
-    prefix: tuple[int, ...]
-    psi: float  # log P(output begins with prefix)
-    r_n: np.ndarray  # (T,) log P(paths collapsing exactly to prefix, non-blank end)
-    r_b: np.ndarray  # (T,) same but blank-ending
+    last: np.ndarray | None  # (B,) last token of each prefix; None while empty
+    psi: np.ndarray  # (B,) log P(output begins with prefix)
+    r_n: np.ndarray  # (B, T) log P(paths collapsing exactly to prefix, non-blank end)
+    r_b: np.ndarray  # (B, T) same but blank-ending
 
-
-_LOG2 = math.log(2.0)
-
-
-def _logaddexp(x: float, y: float) -> float:
-    """``np.logaddexp`` on two Python floats, bit for bit.
-
-    The branches are those of numpy's ``npy_logaddexp``: equal arguments
-    (infinities of one sign included) give ``x + log 2``, a NaN difference
-    is returned as is, and otherwise the larger argument takes
-    ``log1p(exp(-|x - y|))``. It is about four times cheaper than the
-    ufunc on scalars.
-    """
-    if x == y:
-        return x + _LOG2
-    tmp = x - y
-    if tmp > 0:
-        return x + math.log1p(math.exp(-tmp))
-    if tmp <= 0:
-        return y + math.log1p(math.exp(tmp))
-    return tmp
+    def take(self, rows) -> "PrefixState":
+        """The state of the batch's ``rows`` (an index or a boolean mask)."""
+        return PrefixState(None if self.last is None else self.last[rows],
+                           self.psi[rows], self.r_n[rows], self.r_b[rows])
 
 
 class CtcPrefixScorer:
-    """Incremental two-state CTC prefix probabilities over one log-prob matrix.
+    """Incremental two-state CTC prefix probabilities over a padded batch.
+
+    ``logp`` is (B, T, V+1) with per-row frame counts ``lengths``; the
+    padded frames are read as -inf, so they add nothing to any score. One
+    (T, V+1) matrix is the batch of one: ``extend`` then returns its row
+    and ``advance`` takes one token.
 
     The work is split between the two calls of a decode step. ``extend``
-    scores every one-word extension at once but keeps no path states:
-    each candidate's prefix score is one log-sum over frames of the
-    probability of emitting it first at that frame. ``advance`` then runs
-    the two-state recursion (non-blank and blank ending) for the one
-    token the decoder kept, over Python floats. Scores are bit-identical
-    to running the recursion for every candidate.
+    scores every one-word extension of every row at once but keeps no
+    path states: each candidate's prefix score is one log-sum over frames
+    of the probability of emitting it first at that frame. ``advance``
+    then runs the two-state recursion (non-blank and blank ending) for
+    the one token each row kept, frame by frame over (B,) vectors. Scores
+    are bit-identical to running the recursion for every candidate on
+    each row's own frames.
 
-    ``evaluations`` counts scoring passes across all instances; tests use
-    it to prove the decoder-only path never touches CTC scoring.
+    ``evaluations`` counts, across all instances, one per row of each
+    scoring pass, so a decode adds one per step it scored with CTC; tests
+    use it to prove the decoder-only path never touches CTC scoring.
     """
 
     evaluations = 0
 
-    def __init__(self, logp):
-        self.x = logp.data if isinstance(logp, Tensor) else np.asarray(logp, dtype=float)
-        self.n_frames, width = self.x.shape
+    def __init__(self, logp, lengths=None):
+        x = logp.data if isinstance(logp, Tensor) else np.asarray(logp, dtype=float)
+        self._one = x.ndim == 2
+        if self._one:
+            x = x[None]
+        n_rows, n_frames, width = x.shape
+        pad = ad.padding_mask(lengths, n_rows, n_frames)
+        self.x = x if pad is None else np.where(pad[..., None], NEGINF, x)
+        self.n_frames = np.full(n_rows, n_frames) if lengths is None else np.asarray(lengths)
         self.blank = width - 1
         self.n_words = width - 1
-        self._xb = self.x[:, self.blank].tolist()
+
+    def take(self, rows) -> "CtcPrefixScorer":
+        """The scorer of the batch's ``rows`` (an index or a boolean mask)."""
+        return CtcPrefixScorer(self.x[rows], self.n_frames[rows])
 
     def initial_state(self) -> PrefixState:
-        r_b = np.cumsum(self.x[:, self.blank])
-        r_n = np.full(self.n_frames, NEGINF)
-        return PrefixState(prefix=(), psi=0.0, r_n=r_n, r_b=r_b)
+        r_b = np.cumsum(self.x[..., self.blank], axis=1)
+        return PrefixState(last=None, psi=np.zeros(len(self.x)),
+                           r_n=np.full(r_b.shape, NEGINF), r_b=r_b)
 
     def extend(self, state: PrefixState):
-        """Score every one-word extension plus termination.
+        """Score every one-word extension plus termination of every row.
 
-        Returns ``(psi, eos_score, phi, first)``. ``psi[c]`` is the
-        absolute log-probability that the output begins with
-        ``state.prefix + (c,)`` and ``eos_score`` the log-probability
-        that the output equals ``state.prefix`` exactly. ``phi`` (T, V)
-        is, per frame and candidate, the log-probability of the prefix
-        paths that a first emission of the candidate at the next frame
-        may follow (only blank-ending paths when the candidate repeats
-        the last token), and ``first`` (V,) the log-probability of
-        emitting the candidate at frame 0. ``advance`` takes both.
+        Returns ``(psi, eos_score, phi, first)``. ``psi[b, c]`` is the
+        absolute log-probability that row b's output begins with its
+        prefix followed by c, and ``eos_score[b]`` the log-probability
+        that it equals the prefix exactly, read at the row's last frame.
+        ``phi`` (B, T) is, per frame, the log-probability of the prefix
+        paths that a first emission of a new token at the next frame may
+        follow (a token that repeats the last one may follow only the
+        blank-ending paths, ``state.r_b``), and ``first`` (B, V) the
+        log-probability of emitting each candidate at frame 0.
+        ``advance`` takes both.
         """
-        type(self).evaluations += 1
-        v = self.n_words
-        xw = self.x[:, :v]
+        n_rows = len(state.psi)
+        type(self).evaluations += n_rows
+        rows_idx = np.arange(n_rows)
+        xw = self.x[..., :self.n_words]
         with np.errstate(invalid="ignore"):
-            r_sum = np.logaddexp(state.r_b, state.r_n)
-            phi = np.repeat(r_sum[:, None], v, axis=1)
-            if state.prefix:
-                phi[:, state.prefix[-1]] = state.r_b
-            # rows[t, c]: log P(prefix then c, first emitted at frame t);
+            phi = np.logaddexp(state.r_b, state.r_n)
+            # rows[b, t, c]: log P(prefix then c, first emitted at frame t);
             # the reduction folds the frames in order, left to right.
             rows = np.empty_like(xw)
-            rows[0] = NEGINF if state.prefix else xw[0]
-            np.add(phi[:-1], xw[1:], out=rows[1:])
-            psi = np.logaddexp.reduce(rows, axis=0)
-        eos_score = float(np.logaddexp(state.r_b[-1], state.r_n[-1]))
-        return psi, eos_score, phi, rows[0]
+            rows[:, 0] = xw[:, 0] if state.last is None else NEGINF
+            np.add(phi[:, :-1, None], xw[:, 1:], out=rows[:, 1:])
+            if state.last is not None:
+                last = state.last
+                rows[rows_idx, 1:, last] = state.r_b[:, :-1] + xw[rows_idx, 1:, last]
+            psi = np.logaddexp.reduce(rows, axis=1)
+        end = self.n_frames - 1
+        eos_score = np.logaddexp(state.r_b[rows_idx, end], state.r_n[rows_idx, end])
+        if self._one:
+            return psi[0], float(eos_score[0]), phi, rows[:, 0]
+        return psi, eos_score, phi, rows[:, 0]
 
-    def advance(self, state: PrefixState, token: int, psi, phi,
-                first) -> PrefixState:
-        """The state after appending ``token``, from ``extend``'s results.
+    def advance(self, state: PrefixState, tokens, psi, phi, first) -> PrefixState:
+        """The state after appending ``tokens`` (B,), from ``extend``'s results.
 
-        Runs the recursion r_n[t] = x[t, token] + logaddexp(r_n[t-1],
-        phi[t-1, token]), r_b[t] = x[t, blank] + logaddexp(r_b[t-1],
-        r_n[t-1]) from r_n[0] = first[token], r_b[0] = -inf.
+        Runs, for every row at once, the recursion r_n[t] = x[t, token] +
+        logaddexp(r_n[t-1], phi_token[t-1]), r_b[t] = x[t, blank] +
+        logaddexp(r_b[t-1], r_n[t-1]) from r_n[0] = first[token],
+        r_b[0] = -inf, where phi_token is ``state.r_b`` for a repeated
+        token and ``phi`` otherwise.
         """
-        xw = self.x[:, token].tolist()
-        xb = self._xb
-        ph = phi[:, token].tolist()
-        rn = float(first[token])
-        rb = NEGINF
-        r_n = [rn]
-        r_b = [rb]
-        for t in range(1, self.n_frames):
-            rn, rb = (xw[t] + _logaddexp(rn, ph[t - 1]),
-                      xb[t] + _logaddexp(rb, rn))
-            r_n.append(rn)
-            r_b.append(rb)
-        return PrefixState(prefix=state.prefix + (token,),
-                           psi=float(psi[token]),
-                           r_n=np.array(r_n), r_b=np.array(r_b))
+        if self._one:
+            tokens, psi = np.array([tokens]), psi[None]
+        tokens = np.asarray(tokens)
+        n_rows, n_frames = phi.shape
+        rows_idx = np.arange(n_rows)
+        # q[t] stacks (phi_token, r_n, r_b) of frame t, and x2[t] the
+        # (token, blank) log-probs, so that one logaddexp and one add per
+        # frame advance both states of every row.
+        q = np.empty((n_frames, 3, n_rows))
+        repeat = tokens == state.last if state.last is not None else np.zeros(n_rows, bool)
+        q[:, 0] = np.where(repeat[:, None], state.r_b, phi).T
+        q[0, 1] = first[rows_idx, tokens]
+        q[0, 2] = NEGINF
+        x2 = np.stack([self.x[rows_idx, :, tokens], self.x[..., self.blank]], axis=1).T
+        for t in range(1, n_frames):
+            np.logaddexp(q[t - 1, 1:], q[t - 1, :2], out=q[t, 1:])
+            q[t, 1:] += x2[t]
+        return PrefixState(last=tokens, psi=psi[rows_idx, tokens],
+                           r_n=q[:, 1].T, r_b=q[:, 2].T)
 
 
 @dataclass
@@ -147,9 +162,13 @@ class DecodeResult:
     per_step_scores: list[tuple[float, float, float]]  # (ctc, dec, combined)
 
 
-def joint_greedy_decode(params: ModelParams, hidden: Tensor,
-                        weights: MtlWeights, max_len: int) -> DecodeResult:
+def joint_greedy_decode(params: ModelParams, hidden: Tensor, weights: MtlWeights,
+                        max_len: int, lengths=None) -> list[DecodeResult] | DecodeResult:
     """Beam-1 hybrid decoding mixing CTC prefix scores and decoder scores.
+
+    ``hidden`` is a padded (B, T, d) batch of encoder states with per-row
+    frame counts ``lengths``; returns one result per row. One (T, d)
+    utterance is the batch of one and returns its one result.
 
     The CTC component of each step is the increment of the prefix score,
     so it is commensurable with the decoder's per-step log-prob; the
@@ -158,35 +177,52 @@ def joint_greedy_decode(params: ModelParams, hidden: Tensor,
     1 it is prefix-greedy CTC decoding; the unused head's component of
     ``per_step_scores`` reads 0.0.
     """
+    if hidden.ndim == 2:
+        return joint_greedy_decode(params, ad.constant(hidden.data[None]),
+                                   weights, max_len)[0]
     lam = weights.lambda_i_C
     cfg = params.config
-    unused = np.zeros(cfg.vocab_size + 1)
-    hyp: list[int] = []
-    steps: list[tuple[float, float, float]] = []
+    hyps: list[list[int]] = [[] for _ in range(hidden.shape[0])]
+    steps: list[list[tuple[float, float, float]]] = [[] for _ in hyps]
+    live = np.arange(len(hyps))  # the rows still decoding
     with ad.no_grad():
-        scorer = CtcPrefixScorer(ctc_head(params, hidden)) if lam > 0.0 else None
+        scorer = CtcPrefixScorer(ctc_head(params, hidden), lengths) if lam > 0.0 else None
         state = scorer.initial_state() if scorer else None
-        dec_state = decoder_start(params, hidden) if lam < 1.0 else None
-        token = cfg.sos
+        dec_state = decoder_start(params, hidden, lengths) if lam < 1.0 else None
+        tokens = np.full(len(live), cfg.sos)
         for _ in range(max_len):
-            ctc_inc = dec_scores = unused
+            ctc_inc = dec_scores = np.zeros((len(live), cfg.vocab_size + 1))
             if dec_state is not None:
-                dec_logp, dec_state = decoder_advance(params, hidden, dec_state, token)
+                dec_logp, dec_state = decoder_advance(params, hidden, dec_state, tokens)
                 dec_scores = dec_logp.data
             if scorer is None:
                 combined = dec_scores
             else:
                 psi, eos_score, phi, first = scorer.extend(state)
-                ctc_inc = np.append(psi, eos_score) - state.psi
+                ctc_inc = np.concatenate([psi, eos_score[:, None]], axis=1) - state.psi[:, None]
                 with np.errstate(invalid="ignore"):
                     combined = lam * ctc_inc + (1.0 - lam) * dec_scores
-            c = int(np.argmax(combined))
-            steps.append((float(ctc_inc[c]), float(dec_scores[c]),
-                          float(combined[c])))
-            if c == cfg.eos:
-                break
-            hyp.append(c)
+            c = np.argmax(combined, axis=1)
+            picked = np.arange(len(live)), c
+            for r, tok, scores in zip(live.tolist(), c.tolist(), zip(
+                    ctc_inc[picked].tolist(), dec_scores[picked].tolist(),
+                    combined[picked].tolist())):
+                steps[r].append(scores)
+                if tok != cfg.eos:
+                    hyps[r].append(tok)
+            going = c != cfg.eos
+            if not going.all():
+                live, c = live[going], c[going]
+                if not live.size:
+                    break
+                hidden = ad.constant(hidden.data[going])
+                if dec_state is not None:
+                    dec_state = dec_state.take(going)
+                if scorer is not None:
+                    scorer, state = scorer.take(going), state.take(going)
+                    psi, phi, first = psi[going], phi[going], first[going]
             if scorer is not None:
                 state = scorer.advance(state, c, psi, phi, first)
-            token = c
-    return DecodeResult(hypothesis=tuple(hyp), per_step_scores=steps)
+            tokens = c
+    return [DecodeResult(hypothesis=tuple(h), per_step_scores=s)
+            for h, s in zip(hyps, steps)]

@@ -33,7 +33,7 @@ from .data import (N_ACCENTS, N_WORDS, DatasetSplit, gen_adv_targets,
 from .decode import joint_greedy_decode
 from .losses import MtlWeights
 from .metrics import WerStats, edit_distance_words, pooled_wer
-from .model import ModelConfig, ModelParams, encode
+from .model import ModelConfig, ModelParams, encode, pad_batch
 from .train import TrainConfig, TrainLog, evaluate_benign, train_mtl
 
 ROWS_VERSION = "robustasr-rows v1"
@@ -183,8 +183,8 @@ def rows_from_csv(text: str) -> list[ReportRow]:
 def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
                  epsilon: float, alpha: float, report_steps: Sequence[int],
                  max_decode_len: int = 10):
-    """Attack the utterances as one batch, decode the snapshots, pool
-    AdvTWER per step.
+    """Attack the utterances as one batch, decode each report step's
+    snapshots as one batch, pool AdvTWER per step.
 
     Returns (pooled AdvTWER per step, attacked count, skipped count).
     Samples whose CTC branch cannot align the target are skipped, never
@@ -201,13 +201,14 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
             attacked.append((utt.features, target))
     results = pgd_attack_batch(params, [x for x, _ in attacked],
                                [t for _, t in attacked], cfg)
-    for (_x, target), result in zip(attacked, results):
-        for s in steps_sorted:
-            with ad.no_grad():
-                hidden = encode(params, ad.constant(result.snapshots[s]))
-                hyp = joint_greedy_decode(params, hidden, weights,
-                                          max_decode_len).hypothesis
-            per_step[s].append(edit_distance_words(target, hyp))
+    for s in steps_sorted if results else ():
+        x, lengths = pad_batch([result.snapshots[s] for result in results])
+        with ad.no_grad():
+            hidden = encode(params, ad.constant(x), lengths)
+            decoded = joint_greedy_decode(params, hidden, weights, max_decode_len,
+                                          lengths)
+        per_step[s] = [edit_distance_words(target, res.hypothesis)
+                       for (_x, target), res in zip(attacked, decoded)]
     pooled = {s: pooled_wer(stats) if stats else None
               for s, stats in per_step.items()}
     return pooled, len(attacked), len(utterances) - len(attacked)

@@ -14,10 +14,11 @@ token to the recurrent state) and ``_attend`` (attend and predict from
 any number of states), over a batch of rows, with two paths through
 them: ``decoder_teacher_forced`` runs them over target sequences and
 records one tape entry with a hand-written backward (the decoder loss,
-in training and attacks), and ``decoder_advance`` runs one step of one
-row for inference and records nothing. ``decoder_teacher_forced`` and
-``discriminate`` take padded batches only (the batch contract is in
-``autodiff``); ``encode`` also takes one utterance as the batch of one,
+in training and attacks), and ``decoder_advance`` runs one step of every
+row of a padded batch for inference and records nothing.
+``decoder_teacher_forced``, ``discriminate`` and the inference decoder
+take padded batches (the batch contract is in ``autodiff``); ``encode``
+and the inference decoder also take one utterance as the batch of one,
 and ``ctc_head`` maps the states of any leading shape.
 """
 
@@ -232,13 +233,21 @@ def ctc_head(params: ModelParams, hidden: Tensor) -> Tensor:
 
 
 class DecoderState:
-    """Recurrent state plus the per-utterance attention projection."""
+    """Per-row recurrent states, attention projections and padded-frame
+    mask (None when no frame is padded) of a batch being decoded."""
 
-    __slots__ = ("s", "hproj")
+    __slots__ = ("s", "hproj", "pad")
 
-    def __init__(self, s: Tensor, hproj: Tensor):
+    def __init__(self, s: Tensor, hproj: Tensor, pad: np.ndarray | None):
         self.s = s
         self.hproj = hproj
+        self.pad = pad
+
+    def take(self, rows) -> "DecoderState":
+        """The state of the batch's ``rows`` (an index or a boolean mask)."""
+        return DecoderState(ad.constant(self.s.data[rows]),
+                            ad.constant(self.hproj.data[rows]),
+                            None if self.pad is None else self.pad[rows])
 
 
 # Decoder parameters in the order the step kernels unpack them.
@@ -247,8 +256,8 @@ _STEP_PARAMS = ("dec.emb", "dec.w_in", "dec.w_rec", "dec.b",
 
 
 class _Steps(NamedTuple):
-    """Arrays of decoder steps, with leading axes: none for one step of
-    one row, (N, B) for N steps of B rows.
+    """Arrays of decoder steps, with leading axes: (B,) for one step of B
+    rows, (N, B) for N steps of B rows.
 
     The backward reads s, tanh_att, attn, joint and logp; z, q and
     log_attn are kept for the finiteness check.
@@ -272,15 +281,15 @@ _PAD_SCORE = -1.0e9
 # The decoder step is split in two numpy kernels: ``_recur`` feeds one
 # token per row to the recurrent state, and ``_attend`` attends and
 # predicts from any number of states at once. Inference runs them one
-# step of one row at a time, on vectors; teacher forcing runs the
-# recurrence step by step, then ``_attend`` once over all steps, which
-# takes the attention's per-step Python work out of the loop. At B=1
-# their numpy calls make the arithmetic of the step recorded op by op
-# (embedding row, two matmuls, two adds, tanh, query, additive
-# attention, softmax, context, output layer, log-softmax), in that
-# order, so values are bit-identical to it: a stacked matmul makes one
-# vector product per step and row. The caller validates the tokens and
-# checks the result with ``_check_steps``.
+# step at a time over the (B, ...) states of a batch's rows; teacher
+# forcing runs the recurrence step by step, then ``_attend`` once over
+# all (N, B, ...) steps, which takes the attention's per-step Python
+# work out of the loop. At B=1 their numpy calls make the arithmetic of
+# the step recorded op by op (embedding row, two matmuls, two adds,
+# tanh, query, additive attention, softmax, context, output layer,
+# log-softmax), in that order, so values are bit-identical to it: a
+# stacked matmul makes one vector product per step and row. The caller
+# validates the tokens and checks the result with ``_check_steps``.
 
 
 def _recur(arrays, s_prev: np.ndarray, tokens) -> tuple[np.ndarray, np.ndarray]:
@@ -307,9 +316,7 @@ def _attend(arrays, z: np.ndarray, s: np.ndarray, hproj: np.ndarray,
         scores[..., pad] = _PAD_SCORE
     log_attn = ad.log_softmax_array(scores, axis=-1)
     attn = np.exp(log_attn)
-    # One step of one row is a vector-matrix product; stacked rows
-    # attend through (..., 1, T) @ (..., T, d).
-    context = attn @ hidden if attn.ndim == 1 else (attn[..., None, :] @ hidden)[..., 0, :]
+    context = (attn[..., None, :] @ hidden)[..., 0, :]
     joint = np.concatenate([s, context], axis=-1)
     logp = ad.log_softmax_array(joint @ w_out + b_out, axis=-1)
     return _Steps(z, s, q, tanh_att, log_attn, attn, joint, logp)
@@ -333,10 +340,9 @@ def _check_token(cfg: ModelConfig, token: int) -> None:
 
 
 def _attention_keys(params: ModelParams, hidden: Tensor) -> np.ndarray:
-    """hidden @ attn.w_h + attn.b: the (..., T, attn_dim) projection every step reads."""
+    """hidden @ attn.w_h + attn.b: the (B, T, attn_dim) projection every step reads."""
     cfg = params.config
-    if hidden.ndim not in (2, 3) or 0 in hidden.shape[:-1] \
-            or hidden.shape[-1] != cfg.enc_hidden:
+    if hidden.ndim != 3 or 0 in hidden.shape[:-1] or hidden.shape[-1] != cfg.enc_hidden:
         raise ShapeError(f"decoder expects a nonempty (T, {cfg.enc_hidden}) "
                          f"hidden sequence or (B, T, {cfg.enc_hidden}) batch, "
                          f"got {hidden.shape}")
@@ -346,32 +352,54 @@ def _attention_keys(params: ModelParams, hidden: Tensor) -> np.ndarray:
     return hproj
 
 
-def decoder_start(params: ModelParams, hidden: Tensor) -> DecoderState:
-    """Zero recurrent state and the attention projection, as constants."""
-    return DecoderState(ad.constant(np.zeros(params.config.dec_hidden)),
-                        ad.constant(_attention_keys(params, hidden)))
+def decoder_start(params: ModelParams, hidden: Tensor, lengths=None) -> DecoderState:
+    """Zero recurrent states and the attention projection, as constants,
+    of a padded (B, T, d) batch with per-row frame counts ``lengths``, or
+    of one (T, d) utterance as the batch of one."""
+    if hidden.ndim == 2:
+        hidden = ad.constant(hidden.data[None])
+    hproj = _attention_keys(params, hidden)
+    n_rows, n_frames = hidden.shape[:2]
+    return DecoderState(ad.constant(np.zeros((n_rows, params.config.dec_hidden))),
+                        ad.constant(hproj), ad.padding_mask(lengths, n_rows, n_frames))
 
 
 def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
-                    token: int) -> tuple[Tensor, DecoderState]:
-    """Feed one token (sos or a word id); return next-token log-probs.
+                    tokens) -> tuple[Tensor, DecoderState]:
+    """Feed one token (sos or a word id) per row; return the (B, V+1)
+    next-token log-probs.
 
-    Attention is additive over the encoder states, conditioned on the
-    updated recurrent state. The last output column is eos.
+    ``hidden`` is the padded (B, T, d) batch ``state`` was started on and
+    ``tokens`` a (B,) integer vector; one (T, d) utterance and one token
+    are the batch of one, and give a (V+1,) row. Attention is additive
+    over each row's own frames, conditioned on the updated recurrent
+    state. The last output column is eos.
 
     Inference only: the step runs in numpy (``_recur`` and ``_attend`` on
-    vectors, the kernels the teacher-forced loss also runs) and the results
-    are constant tensors, so nothing is recorded on the tape and no
-    gradient flows back. Training and attacks differentiate the decoder
-    through ``decoder_teacher_forced``.
+    the rows' states, the kernels the teacher-forced loss also runs) and
+    the results are constant tensors, so nothing is recorded on the tape
+    and no gradient flows back. Training and attacks differentiate the
+    decoder through ``decoder_teacher_forced``.
     """
-    _check_token(params.config, token)
+    if hidden.ndim == 2:
+        logp, state = decoder_advance(params, ad.constant(hidden.data[None]), state,
+                                      np.array([tokens]))
+        return ad.constant(logp.data[0]), state
+    tokens = np.asarray(tokens)
+    if (hidden.ndim != 3 or tokens.shape != hidden.shape[:1]
+            or tokens.dtype.kind not in "iu" or state.s.shape[0] != len(tokens)):
+        raise ShapeError(f"decoder_advance takes one integer token per row of a "
+                         f"(B, T, d) batch and its state, got tokens {tokens.shape} "
+                         f"of {tokens.dtype}, hidden {hidden.shape} and "
+                         f"{state.s.shape[0]} state rows")
+    for token in tokens.tolist():
+        _check_token(params.config, token)
     arrays = tuple(params[name].data for name in _STEP_PARAMS)
     with np.errstate(invalid="ignore", over="ignore"):
-        z, s = _recur(arrays, state.s.data, token)
-        step = _attend(arrays, z, s, state.hproj.data, hidden.data, None)
+        z, s = _recur(arrays, state.s.data, tokens)
+        step = _attend(arrays, z, s, state.hproj.data, hidden.data, state.pad)
     _check_steps(step)
-    return ad.constant(step.logp), DecoderState(ad.constant(s), state.hproj)
+    return ad.constant(step.logp), DecoderState(ad.constant(s), state.hproj, state.pad)
 
 
 def decoder_teacher_forced(params: ModelParams, hidden: Tensor,

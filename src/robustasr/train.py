@@ -153,17 +153,30 @@ def train_mtl(model_config: ModelConfig, train_config: TrainConfig,
     return best, log
 
 
+# Utterances decoded in lockstep by ``evaluate_benign``. A block's
+# arrays scale with its size, so a whole split at once would raise the
+# peak memory of an evaluation; 16 rows already take most of the per-step
+# Python work out of decoding.
+DECODE_BLOCK = 16
+
+
 def evaluate_benign(params: ModelParams, utterances, weights: MtlWeights,
                     max_len: int = 10) -> tuple[float, float]:
-    """Pooled WER from joint decoding plus accent accuracy, no attack."""
+    """Pooled WER from joint decoding plus accent accuracy, no attack.
+
+    The utterances are encoded, decoded and classified in padded blocks
+    of ``DECODE_BLOCK``.
+    """
     stats = []
     pred_acc = []
-    gold_acc = []
     with ad.no_grad():
-        for utt in utterances:
-            batch = encode(params, ad.constant(utt.features[None]))
-            res = joint_greedy_decode(params, batch[0], weights, max_len)
-            stats.append(edit_distance_words(utt.transcript, res.hypothesis))
-            pred_acc.append(int(np.argmax(discriminate(params, batch).data[0])))
-            gold_acc.append(utt.accent)
-    return pooled_wer(stats), accent_accuracy(pred_acc, gold_acc)
+        for start in range(0, len(utterances), DECODE_BLOCK):
+            block = utterances[start:start + DECODE_BLOCK]
+            x, lengths = pad_batch([u.features for u in block])
+            hidden = encode(params, ad.constant(x), lengths)
+            results = joint_greedy_decode(params, hidden, weights, max_len, lengths)
+            stats += [edit_distance_words(u.transcript, res.hypothesis)
+                      for u, res in zip(block, results)]
+            pred_acc += np.argmax(discriminate(params, hidden, lengths).data,
+                                  axis=1).tolist()
+    return pooled_wer(stats), accent_accuracy(pred_acc, [u.accent for u in utterances])

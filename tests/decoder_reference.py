@@ -14,7 +14,7 @@ from robustasr.model import DecoderState
 
 def reference_start(params, hidden):
     hproj = ad.add(ro.matmul(hidden, params["attn.w_h"]), params["attn.b"])
-    return DecoderState(ad.constant(np.zeros(params.config.dec_hidden)), hproj)
+    return DecoderState(ad.constant(np.zeros(params.config.dec_hidden)), hproj, None)
 
 
 def reference_advance(params, hidden, state, token):
@@ -31,7 +31,7 @@ def reference_advance(params, hidden, state, token):
     context = ro.matmul(weights, hidden)
     logits = ad.add(ro.matmul(ro.concat([s, context]), params["dec.w_out"]),
                     params["dec.b_out"])
-    return ro.log_softmax(logits, axis=0), DecoderState(s, state.hproj)
+    return ro.log_softmax(logits, axis=0), DecoderState(s, state.hproj, None)
 
 
 def reference_dec_loss(params, hidden, y):

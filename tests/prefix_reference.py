@@ -3,14 +3,22 @@
 This is the reference ``robustasr.decode.CtcPrefixScorer`` is tested
 against: for every prefix, ``extend`` must give bit-identical prefix and
 termination scores, and ``advance`` bit-identical path states for the
-kept token.
+kept token. It scores one unpadded (T, V+1) log-prob matrix.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from robustasr.decode import PrefixState
-
 NEGINF = -np.inf
+
+
+@dataclass
+class PrefixState:
+    prefix: tuple[int, ...]
+    psi: float  # log P(output begins with prefix)
+    r_n: np.ndarray  # (T,) log P(paths collapsing exactly to prefix, non-blank end)
+    r_b: np.ndarray  # (T,) same but blank-ending
 
 
 class ReferencePrefixScorer:

@@ -3,19 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import argmax_attention_decode, ctc_prefix_score
+from oracles import argmax_attention_decode, close_to, ctc_prefix_score
 from prefix_reference import ReferencePrefixScorer
 
 from robustasr import autodiff as ad
-from robustasr.decode import (
-    CtcPrefixScorer,
-    _logaddexp,
-    joint_greedy_decode,
-)
+from robustasr.decode import CtcPrefixScorer, joint_greedy_decode
 from robustasr.losses import MtlWeights
-from robustasr.model import ModelConfig, encode, init_params
+from robustasr.model import ModelConfig, encode, init_params, pad_batch
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=4, disc_hidden=4, seed=3)
@@ -143,23 +139,6 @@ def test_prefix_score_property_matches_brute_force(case):
 # --- the lazy scorer is bit-identical to the full recursion -------------------
 
 
-def test_logaddexp_mirror_bit_identical_to_numpy():
-    rng = np.random.default_rng(17)
-    n = 100_000
-    x = rng.normal(size=n) * rng.choice([1e-3, 1.0, 30.0, 1e3], size=n)
-    y = rng.normal(size=n) * rng.choice([1e-3, 1.0, 30.0, 1e3], size=n)
-    y[:5000] = x[:5000]  # equal arguments
-    y[5000:10000] = x[5000:10000] + rng.normal(size=5000) * 1e-12
-    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, -745.0, 709.0]
-    pairs = list(itertools.product(special, repeat=2))
-    x = np.concatenate([x, [a for a, _ in pairs]])
-    y = np.concatenate([y, [b for _, b in pairs]])
-    with np.errstate(invalid="ignore"):
-        want = np.logaddexp(x, y)
-    got = np.array([_logaddexp(a, b) for a, b in zip(x.tolist(), y.tolist())])
-    assert got.tobytes() == want.tobytes()
-
-
 def random_lattice(rng, kind, t, width):
     raw = rng.normal(size=(t, width))
     if kind == "sharp":
@@ -173,28 +152,45 @@ def random_lattice(rng, kind, t, width):
 
 @pytest.mark.parametrize("kind", ["sharp", "flat", "neginf"])
 def test_lazy_scorer_bit_identical_to_full_recursion(kind):
+    # A ragged batch, scored in lockstep, against the full recursion on
+    # each row's own unpadded lattice; a batch of one goes through the
+    # (T, V+1) lift.
     rng = np.random.default_rng({"sharp": 1, "flat": 2, "neginf": 3}[kind])
     for trial in range(40):
-        t = 1 if trial < 5 else int(rng.integers(2, 12))
         width = int(rng.integers(2, 7))
-        lp = random_lattice(rng, kind, t, width)
-        lazy, ref = CtcPrefixScorer(lp), ReferencePrefixScorer(lp)
-        state, ref_state = lazy.initial_state(), ref.initial_state()
-        for _step in range(t + 2):  # runs past the reachable prefixes
+        n_rows = 1 if trial % 4 == 0 else int(rng.integers(2, 6))
+        lengths = [1 if trial < 5 else int(rng.integers(1, 12)) for _ in range(n_rows)]
+        lps = [random_lattice(rng, kind, t, width) for t in lengths]
+        if n_rows == 1:
+            lazy = CtcPrefixScorer(lps[0])
+        else:
+            batch = rng.normal(size=(n_rows, max(lengths), width))  # padding is ignored
+            for r, lp in enumerate(lps):
+                batch[r, :lengths[r]] = lp
+            lazy = CtcPrefixScorer(batch, lengths)
+        refs = [ReferencePrefixScorer(lp) for lp in lps]
+        state, ref_states = lazy.initial_state(), [ref.initial_state() for ref in refs]
+        for _step in range(max(lengths) + 2):  # runs past the reachable prefixes
             psi, eos, phi, first = lazy.extend(state)
-            ref_psi, ref_eos, r_n, r_b = ref.extend(ref_state)
-            assert psi.tobytes() == ref_psi.tobytes()
-            assert np.float64(eos).tobytes() == np.float64(ref_eos).tobytes()
-            if state.prefix and rng.random() < 0.4:
-                c = state.prefix[-1]  # a repeated token
-            else:
-                c = int(rng.integers(0, width - 1))
-            state = lazy.advance(state, c, psi, phi, first)
-            ref_state = ref.advance(ref_state, c, ref_psi, r_n, r_b)
-            assert state.prefix == ref_state.prefix
-            assert np.float64(state.psi).tobytes() == np.float64(ref_state.psi).tobytes()
-            assert state.r_n.tobytes() == ref_state.r_n.tobytes()
-            assert state.r_b.tobytes() == ref_state.r_b.tobytes()
+            psi, eos = np.atleast_2d(psi), np.atleast_1d(eos)
+            tokens = []
+            for r, (ref, ref_state) in enumerate(zip(refs, ref_states)):
+                ref_psi, ref_eos, r_n, r_b = ref.extend(ref_state)
+                assert psi[r].tobytes() == ref_psi.tobytes()
+                assert eos[r].tobytes() == np.float64(ref_eos).tobytes()
+                if ref_state.prefix and rng.random() < 0.4:
+                    c = ref_state.prefix[-1]  # a repeated token
+                else:
+                    c = int(rng.integers(0, width - 1))
+                tokens.append(c)
+                ref_states[r] = ref.advance(ref_state, c, ref_psi, r_n, r_b)
+            state = lazy.advance(state, tokens[0] if n_rows == 1 else tokens,
+                                 psi[0] if n_rows == 1 else psi, phi, first)
+            assert state.last.tolist() == tokens
+            for r, (t, ref_state) in enumerate(zip(lengths, ref_states)):
+                assert state.psi[r].tobytes() == np.float64(ref_state.psi).tobytes()
+                assert state.r_n[r, :t].tobytes() == ref_state.r_n.tobytes()
+                assert state.r_b[r, :t].tobytes() == ref_state.r_b.tobytes()
 
 
 # --- joint decoding ----------------------------------------------------------
@@ -241,6 +237,17 @@ def test_joint_scores_ctc_once_per_step(params, seed):
     before = CtcPrefixScorer.evaluations
     res = joint_greedy_decode(params, h, MtlWeights(1.0, 0.5, lambda_i_C=0.5), max_len=6)
     assert CtcPrefixScorer.evaluations - before == len(res.per_step_scores)
+    # A batch counts one evaluation per row and step it scored.
+    xs = [np.random.default_rng(seed + r).normal(size=(3 + r, TINY.feat_dim))
+          for r in range(4)]
+    x, lengths = pad_batch(xs)
+    with ad.no_grad():
+        hidden = encode(params, ad.constant(x), lengths)
+    before = CtcPrefixScorer.evaluations
+    results = joint_greedy_decode(params, hidden, MtlWeights(1.0, 0.5, lambda_i_C=0.5),
+                                  6, lengths)
+    assert (CtcPrefixScorer.evaluations - before
+            == sum(len(r.per_step_scores) for r in results))
 
 
 def test_joint_at_one_is_prefix_greedy_ctc():
@@ -303,3 +310,43 @@ def test_attention_decode_deterministic(params):
     a = decode_at_zero(params, h, max_len=6)
     b = decode_at_zero(params, h, max_len=6)
     assert a == b
+
+
+# --- a batch decodes as its batches of one -------------------------------------
+
+
+@st.composite
+def decode_batches(draw):
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    max_len = draw(st.integers(1, 6))
+    eos_bias = draw(st.sampled_from([-2.0, 0.0, 2.0]))
+    return lam, lengths, max_len, eos_bias, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(decode_batches())
+@example((0.0, [9, 2, 5, 1], 6, 0.0, 1))
+@example((0.5, [1, 7, 4], 4, 0.0, 2))
+@example((1.0, [3, 8, 1, 6], 6, 0.0, 3))
+def test_batched_decode_matches_batch_of_one(case):
+    # Rows stop at different steps, some at eos and some at max_len; the
+    # eos bias moves where. Each row must decode as its batch of one.
+    lam, lengths, max_len, eos_bias, seed = case
+    params = init_params(TINY)
+    params["dec.b_out"].data[TINY.eos] = eos_bias
+    params["ctc.b"].data[TINY.vocab_size] = eos_bias  # the blank column
+    rng = np.random.default_rng(seed)
+    xs = [rng.normal(size=(n, TINY.feat_dim)) for n in lengths]
+    weights = MtlWeights(1.0, 0.5, lambda_i_C=lam)
+    x, _ = pad_batch(xs)
+    with ad.no_grad():
+        hidden = encode(params, ad.constant(x), lengths)
+        ones = [joint_greedy_decode(params, encode(params, ad.constant(x_r)), weights,
+                                    max_len) for x_r in xs]
+    results = joint_greedy_decode(params, hidden, weights, max_len, lengths)
+    assert len(results) == len(xs)
+    for res, one in zip(results, ones):
+        assert res.hypothesis == one.hypothesis
+        assert len(res.per_step_scores) == len(one.per_step_scores)
+        assert close_to(res.per_step_scores, one.per_step_scores, 1e-12)

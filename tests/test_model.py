@@ -488,6 +488,27 @@ def test_decoder_advance_rejects_bad_token(params):
             decoder_advance(params, h, state, tok)
 
 
+def test_decoder_advance_takes_a_batch_and_refuses_mismatched_shapes():
+    # The batch decoder_start accepted used to fail inside numpy at the
+    # next decoder_advance.
+    params = init_params(ModelConfig())
+    h = ad.constant(np.ones((2, 5, 32)))
+    state = decoder_start(params, h)
+    logp, state = decoder_advance(params, h, state, np.array([ModelConfig().sos] * 2))
+    assert logp.shape == (2, ModelConfig().vocab_size + 1)
+    assert np.array_equal(logp.data[0], logp.data[1])
+    for tokens in (np.array([1, 2, 3]), 1, np.array([[1, 2]])):
+        with pytest.raises(ad.ShapeError, match=r"tokens \(.*\) of int.*hidden \(2, 5, 32\)"):
+            decoder_advance(params, h, state, tokens)
+    with pytest.raises(ad.ShapeError, match=r"tokens \(2,\) of float"):
+        decoder_advance(params, h, state, np.array([1.0, 2.0]))
+    h4 = ad.constant(np.ones((1, 2, 5, 32)))
+    with pytest.raises(ad.ShapeError, match=r"got \(1, 2, 5, 32\)"):
+        decoder_start(params, h4)
+    with pytest.raises(ad.ShapeError, match=r"tokens \(1,\) .*hidden \(1, 2, 5, 32\)"):
+        decoder_advance(params, h4, state, np.array([1]))
+
+
 @pytest.mark.parametrize("name", ["dec.w_rec", "attn.v", "dec.w_out"])
 def test_decoder_non_finite_parameter_raises(params, name):
     params[name].data.flat[1] = np.inf

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from robustasr import autodiff as ad
 from robustasr.data import DatasetSplit, Utterance, gen_dataset
+from robustasr.decode import joint_greedy_decode
 from robustasr.losses import MtlWeights
-from robustasr.model import ModelConfig, init_params
+from robustasr.metrics import accent_accuracy, edit_distance_words, pooled_wer
+from robustasr.model import ModelConfig, discriminate, encode, init_params
 from robustasr.train import (
+    DECODE_BLOCK,
     TrainConfig,
     TrainingDiverged,
     batch_losses,
@@ -107,16 +111,59 @@ def test_untrained_model_has_high_wer(tiny_data):
     assert wer >= 0.8
 
 
-def test_memorizes_micro_dataset():
+@pytest.fixture(scope="module")
+def micro_model():
     full = gen_dataset(2, n_train=8, n_valid=4, n_test=4, len_range=(2, 3))
     micro = DatasetSplit(train=full.train[:4], valid=full.train[:4],
                          test=full.train[:4], seed=2)
     cfg = TrainConfig(weights=MtlWeights(1.0, 0.0), epochs=500,
                       learning_rate=0.05, seed=1)
     params, _log = train_mtl(ModelConfig(seed=1), cfg, micro)
+    return params, micro
+
+
+def test_memorizes_micro_dataset(micro_model):
+    params, micro = micro_model
     wer, _acc = evaluate_benign(params, micro.test,
                                 MtlWeights(1.0, 0.0, lambda_i_C=0.0))
     assert wer == 0.0
+
+
+@pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
+def test_block_evaluation_equals_the_per_utterance_loop(micro_model, lam_i):
+    params, micro = micro_model
+    utts = micro.test + gen_dataset(5, n_train=1, n_valid=1,
+                                    n_test=2 * DECODE_BLOCK).test
+    weights = MtlWeights(1.0, 0.0, lambda_i_C=lam_i)
+    stats, pred = [], []
+    with ad.no_grad():
+        for utt in utts:
+            hidden = encode(params, ad.constant(utt.features))
+            hyp = joint_greedy_decode(params, hidden, weights, 10).hypothesis
+            stats.append(edit_distance_words(utt.transcript, hyp))
+            pred.append(int(np.argmax(discriminate(params, hidden[None]).data[0])))
+    want = pooled_wer(stats), accent_accuracy(pred, [u.accent for u in utts])
+    assert evaluate_benign(params, utts, weights) == want
+
+
+def test_evaluation_peak_memory_is_that_of_one_block():
+    # Decoding a whole split at once would hold every utterance's lattice
+    # and decoder arrays together.
+    params = init_params(ModelConfig())
+    utts = gen_dataset(4, n_train=1, n_valid=1, n_test=4 * DECODE_BLOCK).test
+    weights = MtlWeights(1.0, 0.5, lambda_i_C=0.5)
+
+    def peak(block):
+        tracemalloc.start()
+        try:
+            evaluate_benign(params, block, weights)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block = max(peak(utts[i:i + DECODE_BLOCK])
+                    for i in range(0, len(utts), DECODE_BLOCK))
+    assert peak(utts) <= 1.25 * one_block
 
 
 def test_dec_only_eval_never_scores_ctc(tiny_data):
