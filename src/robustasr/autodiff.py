@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Values live in numpy arrays. Every operation whose inputs require
-gradients is recorded, in execution order, on the innermost open tape;
+gradients is recorded, in execution order, on the innermost open tape
+(with no tape open, as under ``no_grad``, nothing is recorded);
 ``backward`` replays that tape in exact reverse order and accumulates
 gradients into leaf tensors. The op set is only what the program runs:
 ``add``, ``mul``, ``neg``, ``sum_`` and ``take`` (broadcasting covers
@@ -27,13 +28,14 @@ Batch contract. ``tanh_rnn`` and the fused ops of ``model`` and
 ``losses`` that read frames (the teacher-forced decoder, the accent head
 and the CTC lattice) take padded batches only: (B, T, ...) arrays whose
 row r holds ``lengths[r]`` real frames (default: all T) followed by
-padding. Padded frames are never read, or hold a zero state, and get
-exactly zero gradient. At B > 1 a (B, d) @ (d, d) product rounds
-differently from B vector products, so each row agrees with its own
-batch of one to about 1e-12 relative, and a parameter gradient is the
-sum of the rows'. One utterance is the batch of one: ``model.encode``
-and the task losses in ``losses`` lift it with ``x[None]`` and read the
-result's row ``[0]``, two ``take`` records when they are recorded.
+padding. Padded frames never feed a real frame's value, ``tanh_rnn``
+returns them as zero, and they get exactly zero gradient. At B > 1 a
+(B, d) @ (d, d) product rounds differently from B vector products, so
+each row agrees with its own batch of one to about 1e-12 relative, and a
+parameter gradient is the sum of the rows'. One utterance is the batch
+of one: ``model.encode`` and the task losses in ``losses`` lift it with
+``x[None]`` and read the result's row ``[0]``, two ``take`` records when
+they are recorded.
 
 Decoding, which records nothing, keeps the same contract:
 ``decode.joint_greedy_decode``, ``decode.CtcPrefixScorer`` and
@@ -148,7 +150,7 @@ class Tape:
         self.records.clear()
 
 
-_stack: list[Tape] = [Tape()]
+_stack: list[Tape] = []
 _enabled = True
 
 
@@ -207,9 +209,9 @@ def record_op(op: str, inputs: Sequence[Tensor], out: Array,
     """Wrap ``out`` as the result of a fused op defined outside this module.
 
     ``backward_fn`` maps the output gradient to one gradient (or None) per
-    entry of ``inputs``. Nothing is recorded under ``no_grad`` or when no
-    input requires gradients. The caller checks finiteness itself, with
-    ``check_finite``.
+    entry of ``inputs``. Nothing is recorded with no tape open, under
+    ``no_grad``, or when no input requires gradients. The caller checks
+    finiteness itself, with ``check_finite``.
     """
     return _emit(op, inputs, out, backward_fn, check=False)
 
@@ -220,7 +222,7 @@ def _emit(op: str, inputs: Sequence[Tensor], out: Array,
         check_finite(out, op)
     t = Tensor(out)
     t._from_op = True
-    if _enabled and any(i.requires_grad for i in inputs):
+    if _enabled and _stack and any(i.requires_grad for i in inputs):
         t.requires_grad = True
         tp = _stack[-1]
         t._tape = tp
@@ -334,10 +336,11 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
     ``seq`` is a padded batch (B, T, F), T >= 1, with per-row frame counts
     ``lengths``; the output (B, T, d) holds at frame t the state after
     frame t. h_prev starts at zero before each row's first frame (its own
-    last frame when ``reverse``), and padded frames keep a zero state. The
-    backward pass is backpropagation through time. At B=1 the forward
-    makes the numpy calls of the op-by-op scan (matmul, take, matmul, add,
-    add, tanh per frame), so its values are bit-identical to it.
+    last frame when ``reverse``), padded frames never feed a real frame's
+    state, and their output is exactly zero. The backward pass is
+    backpropagation through time. At B=1 the forward makes the numpy calls
+    of the op-by-op scan (matmul, take, matmul, add, add, tanh per frame),
+    so its values are bit-identical to it.
     """
     seq, w_in, w_rec, b = (_promote(v) for v in (seq, w_in, w_rec, b))
     if seq.ndim != 3 or 0 in seq.shape[:-1]:
@@ -357,8 +360,17 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
     # The bias is added as a (1, d) row: numpy broadcasts it into a block
     # in place about twice as fast as a (d,) vector.
     bias = b.data[None]
+    # A forward scan reaches a row's padding only after its real frames,
+    # so the padded states are left to run and zeroed once at the end. A
+    # reverse scan meets the padding first: the rows whose last real frame
+    # is t restart from a zero state there.
+    restart: dict[int, list[int]] = {}
     if dead is not None:
         dead = dead.T
+        if reverse:
+            for r, length in enumerate(lengths):
+                if length < n:
+                    restart.setdefault(length - 1, []).append(r)
     with np.errstate(invalid="ignore", over="ignore"):
         pre = x @ wi
         check_finite(pre, "tanh_rnn input projection")
@@ -367,12 +379,14 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         out = np.empty((n, rows, d))
         h = np.zeros((rows, d))
         for t in order:
+            if t in restart:
+                h[restart[t]] = 0.0
             zt = z[t]
             np.add(pre[t], h @ wr, out=zt)
             zt += bias
             h = np.tanh(zt, out=out[t])
-            if dead is not None:
-                h[dead[t]] = 0.0
+        if dead is not None:
+            out[dead] = 0.0
     check_finite(z, "tanh_rnn pre-activation")
 
     def bwd(g):

@@ -26,15 +26,13 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import autodiff as ad
 from .attack import AttackConfig, calibrate, pgd_attack_batch, target_feasible
 from .data import (N_ACCENTS, N_WORDS, DatasetSplit, gen_adv_targets,
                    gen_dataset, select_adv_target)
-from .decode import joint_greedy_decode
 from .losses import MtlWeights
-from .metrics import WerStats, edit_distance_words, pooled_wer
-from .model import ModelConfig, ModelParams, encode, pad_batch
-from .train import TrainConfig, TrainLog, evaluate_benign, train_mtl
+from .metrics import edit_distance_words, pooled_wer
+from .model import ModelConfig, ModelParams
+from .train import TrainConfig, TrainLog, decode_blocks, evaluate_benign, train_mtl
 
 ROWS_VERSION = "robustasr-rows v1"
 ROW_COLUMNS = ("lambda_t_A", "lambda_t_C", "lambda_i_C", "seed", "attack_steps",
@@ -184,7 +182,7 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
                  epsilon: float, alpha: float, report_steps: Sequence[int],
                  max_decode_len: int = 10):
     """Attack the utterances as one batch, decode each report step's
-    snapshots as one batch, pool AdvTWER per step.
+    snapshots through ``decode_blocks``, pool AdvTWER per step.
 
     Returns (pooled AdvTWER per step, attacked count, skipped count).
     Samples whose CTC branch cannot align the target are skipped, never
@@ -193,7 +191,6 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
     steps_sorted = tuple(sorted(set(report_steps)))
     cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=steps_sorted[-1],
                        weights=weights, report_at=steps_sorted)
-    per_step: dict[int, list[WerStats]] = {s: [] for s in steps_sorted}
     attacked = []
     for utt in utterances:
         target = select_adv_target(utt.transcript, targets)
@@ -201,16 +198,14 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
             attacked.append((utt.features, target))
     results = pgd_attack_batch(params, [x for x, _ in attacked],
                                [t for _, t in attacked], cfg)
-    for s in steps_sorted if results else ():
-        x, lengths = pad_batch([result.snapshots[s] for result in results])
-        with ad.no_grad():
-            hidden = encode(params, ad.constant(x), lengths)
-            decoded = joint_greedy_decode(params, hidden, weights, max_decode_len,
-                                          lengths)
-        per_step[s] = [edit_distance_words(target, res.hypothesis)
-                       for (_x, target), res in zip(attacked, decoded)]
-    pooled = {s: pooled_wer(stats) if stats else None
-              for s, stats in per_step.items()}
+    pooled = {}
+    for s in steps_sorted:
+        decoded, _accents = decode_blocks(
+            params, [result.snapshots[s] for result in results], weights,
+            max_decode_len)
+        stats = [edit_distance_words(target, res.hypothesis)
+                 for (_x, target), res in zip(attacked, decoded)]
+        pooled[s] = pooled_wer(stats) if stats else None
     return pooled, len(attacked), len(utterances) - len(attacked)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NonFiniteError
 from .data import Utterance
-from .decode import joint_greedy_decode
+from .decode import DecodeResult, joint_greedy_decode
 from .losses import LossBreakdown, MtlWeights, ctc_loss, dec_loss, dis_loss, mtl_loss
 from .metrics import accent_accuracy, edit_distance_words, pooled_wer
 from .model import (ModelConfig, ModelParams, ctc_head, discriminate, encode,
@@ -153,30 +153,50 @@ def train_mtl(model_config: ModelConfig, train_config: TrainConfig,
     return best, log
 
 
-# Utterances decoded in lockstep by ``evaluate_benign``. A block's
-# arrays scale with its size, so a whole split at once would raise the
-# peak memory of an evaluation; 16 rows already take most of the per-step
-# Python work out of decoding.
+# Sequences decoded in one lockstep block by ``decode_blocks``. A
+# block's arrays scale with its size, so a whole split at once would raise
+# the peak memory of a decode; 16 rows already take most of the per-step
+# Python work out of decoding. Blocks are cut from the sequences in order
+# of frame count, so each is padded only to its own longest.
 DECODE_BLOCK = 16
+
+
+def decode_blocks(params: ModelParams, features: Sequence[np.ndarray],
+                  weights: MtlWeights, max_len: int = 10
+                  ) -> tuple[list[DecodeResult], list[int]]:
+    """Hybrid-decode and classify (T, F) feature sequences, no recording.
+
+    The sequences are ordered by frame count (a stable sort, so ties keep
+    their input order) and cut into blocks of ``DECODE_BLOCK``; each block
+    is one padded ``encode``, one ``joint_greedy_decode`` and one
+    ``discriminate``. Returns each input's ``DecodeResult`` and predicted
+    accent, in input order.
+    """
+    order = sorted(range(len(features)), key=lambda i: len(features[i]))
+    results: list[DecodeResult] = [None] * len(features)
+    accents = [0] * len(features)
+    with ad.no_grad():
+        for start in range(0, len(order), DECODE_BLOCK):
+            block = order[start:start + DECODE_BLOCK]
+            x, lengths = pad_batch([features[i] for i in block])
+            hidden = encode(params, ad.constant(x), lengths)
+            decoded = joint_greedy_decode(params, hidden, weights, max_len, lengths)
+            pred = np.argmax(discriminate(params, hidden, lengths).data, axis=1)
+            for i, res, accent in zip(block, decoded, pred.tolist()):
+                results[i] = res
+                accents[i] = accent
+    return results, accents
 
 
 def evaluate_benign(params: ModelParams, utterances, weights: MtlWeights,
                     max_len: int = 10) -> tuple[float, float]:
     """Pooled WER from joint decoding plus accent accuracy, no attack.
 
-    The utterances are encoded, decoded and classified in padded blocks
-    of ``DECODE_BLOCK``.
+    The utterances go through ``decode_blocks``; both numbers are pooled,
+    so they do not depend on the order it decodes them in.
     """
-    stats = []
-    pred_acc = []
-    with ad.no_grad():
-        for start in range(0, len(utterances), DECODE_BLOCK):
-            block = utterances[start:start + DECODE_BLOCK]
-            x, lengths = pad_batch([u.features for u in block])
-            hidden = encode(params, ad.constant(x), lengths)
-            results = joint_greedy_decode(params, hidden, weights, max_len, lengths)
-            stats += [edit_distance_words(u.transcript, res.hypothesis)
-                      for u, res in zip(block, results)]
-            pred_acc += np.argmax(discriminate(params, hidden, lengths).data,
-                                  axis=1).tolist()
-    return pooled_wer(stats), accent_accuracy(pred_acc, [u.accent for u in utterances])
+    results, accents = decode_blocks(params, [u.features for u in utterances],
+                                     weights, max_len)
+    stats = [edit_distance_words(u.transcript, res.hypothesis)
+             for u, res in zip(utterances, results)]
+    return pooled_wer(stats), accent_accuracy(accents, [u.accent for u in utterances])

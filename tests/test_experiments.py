@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from robustasr.experiments import (
     MissingCellsError,
     ReportRow,
     evaluate_model,
+    load_config,
     make_data,
     make_tables,
     rows_from_csv,
@@ -28,6 +31,8 @@ from robustasr.experiments import (
 )
 from robustasr.losses import MtlWeights
 from robustasr.model import ModelConfig, init_params
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_row(cfg, seed, step, twer, **kw):
@@ -196,6 +201,18 @@ def test_run_grid_row_count_and_determinism():
 def test_run_grid_process_pool_gives_the_serial_rows():
     serial = rows_to_csv(run_grid(TINY_GRID, workers=1), TINY_GRID.hash())
     assert rows_to_csv(run_grid(TINY_GRID, workers=2), TINY_GRID.hash()) == serial
+
+
+# sha256 of the rows CSV of configs/grid_check.json. A change that is
+# meant to move the rows updates it and says why in CHANGES.md.
+GRID_CHECK_ROWS_SHA256 = "ef4ee15f267f6959498267ed0419311fd9d7ca8ad3d588ffffe416db7daf0ca2"
+
+
+def test_grid_check_rows_are_unchanged():
+    config, _seed, _weights = load_config(ROOT / "configs" / "grid_check.json",
+                                          run_keys=False)
+    csv = rows_to_csv(run_grid(config, workers=1), config.hash())
+    assert hashlib.sha256(csv.encode()).hexdigest() == GRID_CHECK_ROWS_SHA256
 
 
 def _refuses_before_training(field, value, message, monkeypatch):

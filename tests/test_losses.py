@@ -130,9 +130,11 @@ def params():
 
 @pytest.fixture()
 def hidden(params):
+    # A leaf, so the losses on it record their ops on the tests' tapes.
     rng = np.random.default_rng(31)
     x = ad.constant(rng.normal(size=(6, TINY.feat_dim)))
-    return encode(params, x)
+    with ad.no_grad():
+        return ad.leaf(encode(params, x).data)
 
 
 def test_dec_loss_uniform_head(params, hidden):

@@ -141,6 +141,41 @@ def test_encode_records_one_op_per_layer_and_direction(bidirectional):
         assert len(tp) == cfg.enc_layers * per_layer
 
 
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_encode_never_reads_padded_frames(bidirectional):
+    # Noise in the padded input frames leaves every real frame's state and
+    # input gradient byte-identical to a zero-padded batch's, and the
+    # padded states exactly zero.
+    params = init_params(replace(TINY, bidirectional=bidirectional))
+    rng = np.random.default_rng(41)
+    lengths = [6, 2, 4, 1]
+    pad = np.arange(6) >= np.array(lengths)[:, None]
+    clean = rng.normal(size=(4, 6, TINY.feat_dim))
+    clean[pad] = 0.0
+    noisy = clean.copy()
+    noisy[pad] = rng.normal(scale=10.0, size=(int(pad.sum()), TINY.feat_dim))
+    weight = rng.normal(size=(4, 6, TINY.enc_hidden))
+    runs = []
+    for x in (clean, noisy):
+        seq = ad.leaf(x)
+        with ad.tape():
+            out = encode(params, seq, lengths)
+            ad.backward(ad.sum_(ad.mul(out, weight)))
+        runs.append((out.data, seq.grad))
+    (out_clean, g_clean), (out_noisy, g_noisy) = runs
+    assert out_noisy[~pad].tobytes() == out_clean[~pad].tobytes()
+    assert g_noisy[~pad].tobytes() == g_clean[~pad].tobytes()
+    assert np.all(out_noisy[pad] == 0.0) and np.all(g_noisy[pad] == 0.0)
+
+
+def test_encode_outside_a_tape_records_nothing(params):
+    # With no tape open, as under no_grad, nothing is recorded, so no
+    # record and none of its arrays outlive the call.
+    assert all(t.requires_grad for t in params.leaves())
+    out = encode(params, ad.constant(np.ones((4, TINY.feat_dim))))
+    assert ad._stack == [] and not out.requires_grad
+
+
 def test_encode_non_finite_recurrent_weight_raises(params):
     params["enc0.w_rec"].data[1, 2] = np.inf
     with pytest.raises(ad.NonFiniteError):

@@ -15,6 +15,7 @@ from robustasr.train import (
     TrainConfig,
     TrainingDiverged,
     batch_losses,
+    decode_blocks,
     evaluate_benign,
     sample_losses,
     train_mtl,
@@ -144,6 +145,27 @@ def test_block_evaluation_equals_the_per_utterance_loop(micro_model, lam_i):
             pred.append(int(np.argmax(discriminate(params, hidden[None]).data[0])))
     want = pooled_wer(stats), accent_accuracy(pred, [u.accent for u in utts])
     assert evaluate_benign(params, utts, weights) == want
+    # More than two blocks given longest first: the blocks are cut in
+    # frame order, and the pooled numbers do not depend on it.
+    assert len(utts) > 2 * DECODE_BLOCK
+    longest_first = sorted(utts, key=lambda u: -len(u.features))
+    assert evaluate_benign(params, longest_first, weights) == want
+
+
+@pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
+def test_decode_blocks_of_a_permutation_are_the_permuted_results(micro_model, lam_i):
+    params, micro = micro_model
+    feats = [u.features for u in micro.test + gen_dataset(
+        6, n_train=1, n_valid=1, n_test=2 * DECODE_BLOCK + 5).test]
+    weights = MtlWeights(1.0, 0.0, lambda_i_C=lam_i)
+    perm = np.random.default_rng(7).permutation(len(feats))
+    results, accents = decode_blocks(params, feats, weights)
+    got, got_accents = decode_blocks(params, [feats[i] for i in perm], weights)
+    assert len(got) == len(feats) and len({len(x) for x in feats}) > 1
+    for k, i in enumerate(perm):
+        assert got[k].hypothesis == results[i].hypothesis
+        assert got_accents[k] == accents[i]
+        assert close_to(got[k].per_step_scores, results[i].per_step_scores, 1e-12)
 
 
 def test_evaluation_peak_memory_is_that_of_one_block():
