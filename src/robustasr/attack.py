@@ -129,14 +129,9 @@ def _batch_step(params: ModelParams, x: np.ndarray, delta: np.ndarray,
     out = []
     for r, n in enumerate(lengths):
         grad, row_delta = x_adv.grad[r, :n], delta[r, :n]
-        grad_norm = float(np.linalg.norm(grad))
-        loss = float(losses.data[r])
-        if grad_norm == 0.0:
-            out.append(PgdStep(delta=row_delta, grad_norm=0.0, loss=loss, step_norm=0.0))
-            continue
         new_delta, step_norm = l2_step(row_delta, grad, config.epsilon, config.alpha)
-        out.append(PgdStep(delta=new_delta, grad_norm=grad_norm, loss=loss,
-                           step_norm=step_norm))
+        out.append(PgdStep(delta=new_delta, grad_norm=float(np.linalg.norm(grad)),
+                           loss=float(losses.data[r]), step_norm=step_norm))
     return out
 
 

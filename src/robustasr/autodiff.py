@@ -448,12 +448,9 @@ def backward(loss: Tensor) -> None:
     if not loss._from_op:
         loss.grad = loss.grad + np.ones_like(loss.data)
         return
-    tp = loss._tape
-    if tp is None:
-        return
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     tensors: dict[int, Tensor] = {id(loss): loss}
-    for rec in reversed(tp.records):
+    for rec in reversed(loss._tape.records):  # _emit set it with requires_grad
         gout = grads.pop(id(rec.output), None)
         if gout is None:
             continue

@@ -7,8 +7,10 @@ the two run keys that a grid sets for each of its cells, ``seed`` and
 error that names it, and ``grid`` refuses the run keys. ``gen-data``,
 ``train`` and ``attack`` run the grid's own cell code (``make_data``,
 ``train_model``, ``evaluate_model``), so one config file can drive a
-model through every stage. All outputs are deterministic functions of
-their configs, so reruns are byte-identical.
+model through every stage. The stages share no targets file: ``attack``
+derives the targets from the seed the data's split files record and its
+own config's ``n_targets`` and ``len_range``. All outputs are
+deterministic functions of their configs, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import os
 import sys
 
-from .data import load_dataset, load_targets, save_dataset, save_targets
+from .data import load_dataset, save_dataset
 from .experiments import (ReportRow, evaluate_model, load_config, make_data,
                           make_tables, rows_from_csv, rows_to_csv, run_grid,
                           train_model, trend_check, trend_report)
@@ -27,10 +29,9 @@ from .train import evaluate_benign
 
 def cmd_gen_data(args) -> int:
     config, seed, _weights = load_config(args.config, args.seed)
-    ds, targets = make_data(config, seed)
+    ds = make_data(config, seed)
     save_dataset(args.out, ds)
-    save_targets(os.path.join(args.out, "targets.txt"), targets, seed)
-    print(f"wrote {args.out}/{{train,valid,test,targets}}.txt "
+    print(f"wrote {args.out}/{{train,valid,test}}.txt "
           f"(seed={seed}, {len(ds.train)}/{len(ds.valid)}/{len(ds.test)} utterances)")
     return 0
 
@@ -70,9 +71,8 @@ def cmd_eval(args) -> int:
 
 def cmd_attack(args) -> int:
     config, _seed, weights = load_config(args.config)
-    targets = load_targets(args.targets or os.path.join(args.data, "targets.txt"))
     rows = evaluate_model(config, load_checkpoint(args.checkpoint),
-                          load_dataset(args.data).test, targets, weights)
+                          load_dataset(args.data), weights)
     with open(args.out, "w") as f:
         f.write(rows_to_csv(rows, config.hash()))
     for r in rows:
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-data", help="generate synthetic splits and targets")
+    g = sub.add_parser("gen-data", help="generate the synthetic train, valid and test splits")
     g.add_argument("--config", help=CONFIG_HELP)
     g.add_argument("--seed", type=int, help="overrides the config's seed")
     g.add_argument("--out", required=True)
@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--config", help=CONFIG_HELP)
     a.add_argument("--data", required=True)
     a.add_argument("--checkpoint", required=True)
-    a.add_argument("--targets", help="targets file (default: <data>/targets.txt)")
     a.add_argument("--out", required=True)
     a.set_defaults(fn=cmd_attack)
 

@@ -16,7 +16,9 @@ from the lorem words, which share no word with the content words, so a
 targeted attack is never accidentally "correct".
 
 Everything is pure and seed-driven: the same (seed, config) always
-yields byte-identical datasets and target sets.
+yields byte-identical datasets and target sets. Only the splits are
+saved; each split file records its seed, from which ``gen_adv_targets``
+rebuilds the targets.
 """
 
 from __future__ import annotations
@@ -56,10 +58,9 @@ NOISE_SIGMA = 0.05
 FRAMES_PER_WORD = (3, 6)  # inclusive range
 _WORLD_SEED = 20240917  # fixes prototypes and accent maps across datasets
 SPLIT_TAG = "toyspeech v2"  # v2: a final "end" line
-TARGETS_TAG = "toyspeech-targets v2"
 
 
-class DataError(Exception):
+class DataError(ValueError):
     pass
 
 
@@ -152,11 +153,16 @@ def _gen_split(name: str, n: int, len_range: tuple[int, int], seed: int,
     return utts
 
 
-def _check_len_range(len_range: tuple[int, int]) -> None:
-    """Refuse a transcript length range that allows empty or no lengths."""
-    if not 1 <= len_range[0] <= len_range[1]:
-        raise DataError(f"len_range {tuple(len_range)} must satisfy "
-                        f"1 <= lower <= upper")
+def check_len_range(len_range: tuple[int, int]) -> None:
+    """Refuse a transcript length range that is not two integers
+    ``lower, upper`` with 1 <= lower <= upper."""
+    pair = isinstance(len_range, (tuple, list))
+    if not (pair and len(len_range) == 2
+            and all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                    for n in len_range)
+            and 1 <= len_range[0] <= len_range[1]):
+        raise DataError(f"len_range {tuple(len_range) if pair else len_range!r} "
+                        f"must be two integers with 1 <= lower <= upper")
 
 
 def gen_dataset(seed: int, n_train: int = 2000, n_valid: int = 200,
@@ -165,7 +171,7 @@ def gen_dataset(seed: int, n_train: int = 2000, n_valid: int = 200,
     """Three disjoint splits with balanced accents, deterministic per seed."""
     if min(n_train, n_valid, n_test) < 1:
         raise DataError("split sizes must be >= 1")
-    _check_len_range(len_range)
+    check_len_range(len_range)
     return DatasetSplit(
         train=_gen_split("train", n_train, len_range, seed, feat_dim),
         valid=_gen_split("valid", n_valid, len_range, seed, feat_dim),
@@ -178,7 +184,7 @@ def gen_dataset(seed: int, n_train: int = 2000, n_valid: int = 200,
 def gen_adv_targets(seed: int, count: int = 12,
                     len_range: tuple[int, int] = (2, 6)) -> list[tuple[int, ...]]:
     """Fixed lorem-ipsum transcriptions; lengths cycle through len_range."""
-    _check_len_range(len_range)
+    check_len_range(len_range)
     lengths = list(range(len_range[0], len_range[1] + 1))
     if count < len(lengths):
         raise DataError(f"need at least {len(lengths)} targets to cover {len_range}")
@@ -235,7 +241,7 @@ def _write_lines(path, tag: str, fields: dict, records: list[str]) -> None:
 
 def _read_lines(path, tag: str, fields: dict) -> tuple[dict, list[str]]:
     """The header fields and the lines, header first and ``end`` dropped,
-    of a file ``save_*`` wrote under ``tag``, refusing another
+    of a file ``save_split`` wrote under ``tag``, refusing another
     vocabulary's file. Those files end in an ``end`` line and a newline,
     so a file that does not was cut short, even at a record boundary."""
     with open(path) as f:
@@ -260,7 +266,7 @@ def _parse(path, lines: list[str], i: int, parse):
     """``parse(lines[i])``, failing with a DataError that names the line."""
     try:
         return parse(lines[i])
-    except (ValueError, KeyError, DataError) as e:
+    except (ValueError, KeyError) as e:
         raise DataError(f"{path}: line {i + 1}: {type(e).__name__}: {e}") from None
 
 
@@ -280,13 +286,13 @@ def _accent(line: str) -> int:
     return int(line)
 
 
-def _words(line: str, allowed: range) -> tuple[int, ...]:
-    """A nonempty transcript of words whose ids lie in ``allowed``."""
+def _words(line: str) -> tuple[int, ...]:
+    """A nonempty transcript of content words."""
     tokens = tuple(to_ids(line.split()))
     if not tokens:
         raise DataError("empty transcript")
-    if any(t not in allowed for t in tokens):
-        raise DataError(f"{line!r} holds a word outside ids {allowed}")
+    if any(t not in CONTENT_IDS for t in tokens):
+        raise DataError(f"{line!r} holds a word outside ids {CONTENT_IDS}")
     return tokens
 
 
@@ -301,7 +307,7 @@ def load_split(path) -> tuple[list[Utterance], dict]:
             raise DataError(f"{path}: truncated utterance header at line {i + 1}")
         uid = lines[i]
         accent = _parse(path, lines, i + 1, _accent)
-        tokens = _parse(path, lines, i + 2, lambda l: _words(l, CONTENT_IDS))
+        tokens = _parse(path, lines, i + 2, _words)
         n = _parse(path, lines, i + 3, int)
         i += 4
         if not 0 < n <= len(lines) - i:
@@ -332,17 +338,3 @@ def load_dataset(outdir) -> DatasetSplit:
     return DatasetSplit(train=parts["train"], valid=parts["valid"],
                         test=parts["test"], seed=meta["seed"],
                         feat_dim=meta["feat_dim"])
-
-
-def save_targets(path, targets: Sequence[tuple[int, ...]], seed: int) -> None:
-    _write_lines(path, TARGETS_TAG, {"vocab": VOCAB_HASH, "seed": seed},
-                 [" ".join(to_words(t)) for t in targets])
-
-
-def load_targets(path) -> list[tuple[int, ...]]:
-    _meta, lines = _read_lines(path, TARGETS_TAG, {"vocab": str})
-    targets = [_parse(path, lines, i, lambda l: _words(l, range(N_WORDS)))
-               for i in range(1, len(lines))]
-    if not targets:
-        raise DataError(f"{path}: no targets")
-    return targets

@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .attack import AttackConfig, calibrate, pgd_attack_batch, target_feasible
-from .data import (N_ACCENTS, N_WORDS, DatasetSplit, gen_adv_targets,
-                   gen_dataset, select_adv_target)
+from .data import (N_ACCENTS, N_WORDS, DatasetSplit, check_len_range,
+                   gen_adv_targets, gen_dataset, select_adv_target)
 from .losses import MtlWeights
 from .metrics import edit_distance_words, pooled_wer
 from .model import ModelConfig, ModelParams
@@ -103,6 +103,12 @@ class ExperimentConfig:
         for name in ("n_eval", "n_attack", "epochs", "batch_size", "max_decode_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_len_range(self.len_range)
+        # the attack builds its targets only after training
+        n_lengths = self.len_range[1] - self.len_range[0] + 1
+        if self.n_targets < n_lengths:
+            raise ValueError(f"n_targets must be >= {n_lengths} to cover len_range "
+                             f"{self.len_range}, got {self.n_targets}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -116,7 +122,7 @@ class ExperimentConfig:
             d["grid"] = _build(GridSpec, g, "grid.")
         if "model" in d:
             d["model"] = _build(ModelConfig, d["model"], "model.")
-        if "len_range" in d:
+        if isinstance(d.get("len_range"), list):
             d["len_range"] = tuple(d["len_range"])
         return _build(cls, d)
 
@@ -223,15 +229,12 @@ def load_config(path=None, seed: int | None = None, run_keys: bool = True
     return ExperimentConfig.from_dict(d), file_seed if seed is None else seed, weights
 
 
-def make_data(config: ExperimentConfig,
-              seed: int) -> tuple[DatasetSplit, list[tuple[int, ...]]]:
-    """The seed's three splits and attack targets."""
-    ds = gen_dataset(seed, n_train=config.n_train, n_valid=config.n_valid,
-                     n_test=config.n_test, len_range=config.len_range,
-                     feat_dim=config.model.feat_dim)
-    targets = gen_adv_targets(seed, count=config.n_targets,
-                              len_range=config.len_range)
-    return ds, targets
+def make_data(config: ExperimentConfig, seed: int) -> DatasetSplit:
+    """The seed's three splits; ``evaluate_model`` derives the attack
+    targets from their seed."""
+    return gen_dataset(seed, n_train=config.n_train, n_valid=config.n_valid,
+                       n_test=config.n_test, len_range=config.len_range,
+                       feat_dim=config.model.feat_dim)
 
 
 def _check_output_sizes(model: ModelConfig) -> None:
@@ -257,12 +260,17 @@ def train_model(config: ExperimentConfig, weights: MtlWeights, seed: int,
     return train_mtl(replace(config.model, seed=seed), train_cfg, ds)
 
 
-def evaluate_model(config: ExperimentConfig, params: ModelParams, test,
-                   targets, weights: MtlWeights) -> list[ReportRow]:
-    """Benign WER on ``test[:n_eval]`` and AdvTWER on ``test[:n_attack]``
-    at the inference weight of ``weights``, one row per report step; the
-    attack ball is calibrated on all of ``test``."""
+def evaluate_model(config: ExperimentConfig, params: ModelParams,
+                   ds: DatasetSplit, weights: MtlWeights) -> list[ReportRow]:
+    """Benign WER on ``ds.test[:n_eval]`` and AdvTWER on
+    ``ds.test[:n_attack]`` at the inference weight of ``weights``, one row
+    per report step; the attack ball is calibrated on all of ``ds.test``.
+    The attack targets are ``gen_adv_targets`` of the data's seed under
+    ``config``'s ``n_targets`` and ``len_range``."""
     _check_output_sizes(params.config)
+    test = ds.test
+    targets = gen_adv_targets(ds.seed, count=config.n_targets,
+                              len_range=config.len_range)
     epsilon, alpha = calibrate(test, ratio=config.epsilon_ratio,
                                alpha_fraction=config.alpha_fraction)
     benign_wer, accent_acc = evaluate_benign(
@@ -280,7 +288,7 @@ def evaluate_model(config: ExperimentConfig, params: ModelParams, test,
 def run_cell(config: ExperimentConfig, lam_a: float, lam_c: float,
              seed: int) -> list[ReportRow]:
     """Train one model and evaluate it under every inference mode."""
-    ds, targets = make_data(config, seed)
+    ds = make_data(config, seed)
     params, _log = train_model(config, MtlWeights(lam_a, lam_c), seed, ds)
     rows: list[ReportRow] = []
     # At lambda_t_C=0 both modes infer with lambda_i_C=0: evaluate and
@@ -289,8 +297,7 @@ def run_cell(config: ExperimentConfig, lam_a: float, lam_c: float,
     for mode in config.grid.modes:
         weights = MtlWeights(lam_a, lam_c, lam_c if mode == "match" else 0.0)
         if weights not in done:
-            done[weights] = evaluate_model(config, params, ds.test, targets,
-                                           weights)
+            done[weights] = evaluate_model(config, params, ds, weights)
         rows += done[weights]
     return rows
 
@@ -408,11 +415,9 @@ def trend_report(results: Sequence[TrendResult]) -> str:
 # table shaping
 
 
-def _table(rows: Sequence[ReportRow], fixed: dict, axis: str,
-           steps: Sequence[int]) -> str:
+def _table(rows: Sequence[ReportRow], axis: str, steps: Sequence[int]) -> str:
     """Seed-median AdvTWER, one line per axis value, one column per step."""
-    axis_vals = sorted({getattr(r, axis) for r in rows
-                        if all(getattr(r, k) == v for k, v in fixed.items())})
+    axis_vals = sorted({getattr(r, axis) for r in rows})
     header = [axis] + [f"steps_{s}" for s in steps]
     lines = [",".join(header)]
     for v in axis_vals:
@@ -420,30 +425,29 @@ def _table(rows: Sequence[ReportRow], fixed: dict, axis: str,
         for s in steps:
             vals = [r.adv_twer for r in rows
                     if getattr(r, axis) == v and r.attack_steps == s
-                    and r.adv_twer is not None
-                    and all(getattr(r, k) == fv for k, fv in fixed.items())]
+                    and r.adv_twer is not None]
             cells.append(repr(statistics.median(vals)) if vals else "")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def make_tables(rows: Sequence[ReportRow], steps: Sequence[int]) -> dict[str, str]:
-    """The three grid summaries plus a long-format CSV for plotting."""
+    """The four grid summaries plus a long-format CSV for plotting."""
     match_rows = [r for r in rows if r.lambda_i_C == r.lambda_t_C]
     drop_rows = [r for r in rows if r.lambda_i_C == 0.0]
     tables = {
         "table_ctc_decoder_match.csv": _table(
             [r for r in match_rows if r.lambda_t_A == 1.0],
-            {"lambda_t_A": 1.0}, "lambda_t_C", steps),
+            "lambda_t_C", steps),
         "table_ctc_decoder_drop.csv": _table(
             [r for r in drop_rows if r.lambda_t_A == 1.0],
-            {"lambda_t_A": 1.0}, "lambda_t_C", steps),
+            "lambda_t_C", steps),
         "table_decoder_discriminator.csv": _table(
             [r for r in rows if r.lambda_t_C == 0.0 and r.lambda_i_C == 0.0],
-            {"lambda_t_C": 0.0}, "lambda_t_A", steps),
+            "lambda_t_A", steps),
         "table_all_heads.csv": _table(
             [r for r in drop_rows if r.lambda_t_A == 0.7],
-            {"lambda_t_A": 0.7}, "lambda_t_C", steps),
+            "lambda_t_C", steps),
     }
     long_lines = ["lambda_t_A,lambda_t_C,lambda_i_C,attack_steps,seed,adv_twer"]
     for r in sorted(rows, key=ReportRow.sort_key):

@@ -127,8 +127,7 @@ def train_mtl(model_config: ModelConfig, train_config: TrainConfig,
             try:
                 with ad.tape():
                     bd = batch_losses(params, batch, weights)
-                    if isinstance(bd.total, ad.Tensor):
-                        ad.backward(bd.total)
+                    ad.backward(bd.total)
                 if not math.isfinite(bd.l_mtl):
                     raise NonFiniteError(f"l_mtl = {bd.l_mtl}")
             except NonFiniteError as e:

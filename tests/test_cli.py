@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from robustasr.cli import load_config, main
-from robustasr.data import CONTENT_WORDS, N_WORDS, save_targets
 from robustasr.experiments import (ConfigError, ExperimentConfig, GridSpec,
                                    MissingCellsError, ReportRow, rows_from_csv,
                                    rows_to_csv, run_cell)
@@ -59,8 +58,8 @@ def test_cli_pipeline_end_to_end(tmp_path):
     assert main(["report", "--rows", str(tmp_path / "grid" / "rows.csv"),
                  "--out", str(tmp_path / "report")]) == 0
 
-    for name in ("train.txt", "valid.txt", "test.txt", "targets.txt"):
-        assert (data / name).is_file()
+    assert sorted(p.name for p in data.iterdir()) == ["test.txt", "train.txt",
+                                                      "valid.txt"]
     assert " seed=3 " in (data / "train.txt").read_text().splitlines()[0]
     for name in ("checkpoint.txt", "trainlog.csv", "eval.csv", "attack.csv"):
         assert (run / name).is_file()
@@ -75,6 +74,8 @@ def test_cli_pipeline_end_to_end(tmp_path):
 def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
     # A target longer than any test utterance cannot be aligned by the CTC
     # branch (lambda_i_C > 0), so every sample is skipped and AdvTWER is n/a.
+    # The data's transcripts hold at most 3 words of at most 6 frames each;
+    # the attack's one target has 20 words.
     data, run = tmp_path / "data", tmp_path / "run"
     gen_cfg = _write(tmp_path / "gen.json", {
         "n_train": 4, "n_valid": 2, "n_test": 3, "len_range": [2, 3],
@@ -83,18 +84,15 @@ def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
         "weights": WEIGHTS, "epochs": 1, "batch_size": 4, "model": MODEL})
     attack_cfg = _write(tmp_path / "attack.json", {
         "weights": WEIGHTS, "grid": {"report_steps": [2]}, "n_attack": 3,
-        "max_decode_len": 4})
+        "max_decode_len": 4, "len_range": [20, 20], "n_targets": 1})
     assert main(["gen-data", "--config", gen_cfg, "--seed", "4",
                  "--out", str(data)]) == 0
     assert main(["train", "--config", train_cfg, "--data", str(data),
                  "--out", str(run)]) == 0
-    targets = tmp_path / "long_targets.txt"
-    save_targets(targets, [tuple(range(len(CONTENT_WORDS), N_WORDS)) * 20], seed=0)
     capsys.readouterr()
 
     assert main(["attack", "--config", attack_cfg, "--data", str(data),
                  "--checkpoint", str(run / "checkpoint.txt"),
-                 "--targets", str(targets),
                  "--out", str(run / "attack.csv")]) == 0
     assert "AdvTWER=n/a (attacked 0, skipped 3" in capsys.readouterr().out
     rows = rows_from_csv((run / "attack.csv").read_text())

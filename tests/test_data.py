@@ -12,10 +12,8 @@ from robustasr.data import (
     gen_dataset,
     load_dataset,
     load_split,
-    load_targets,
     render_utterance,
     save_dataset,
-    save_targets,
     select_adv_target,
     to_ids,
     to_words,
@@ -159,16 +157,6 @@ def test_dataset_round_trip_byte_exact(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_targets_round_trip(tmp_path):
-    targets = gen_adv_targets(3, count=8, len_range=(2, 4))
-    p = tmp_path / "targets.txt"
-    save_targets(p, targets, 3)
-    assert load_targets(p) == targets
-    raw = p.read_bytes()
-    save_targets(p, load_targets(p), 3)
-    assert p.read_bytes() == raw
-
-
 def _cuts(path):
     """Every prefix of the file at ``path``, written back in turn."""
     raw = path.read_bytes()
@@ -212,29 +200,7 @@ def test_load_truncated_split_fails(tmp_path):
     with pytest.raises(DataError, match="no utterances"):
         load_dataset(tmp_path)
 
-    targets = tmp_path / "targets.txt"
-    save_targets(targets, [(24, 25), (26, 27, 28)], 0)
-    loaded = []
-    for _ in _cuts(targets):
-        try:
-            loaded.append(load_targets(targets))
-        except DataError:
-            pass
-    assert loaded == []
-    header = targets.read_text().splitlines()[0]
-    targets.write_text(header.replace(" vocab", " hash") + "\nlorem ipsum\nend\n")
-    with pytest.raises(DataError, match="line 1"):
-        load_targets(targets)
-    targets.write_text(header.replace(VOCAB_HASH, "0" * 12) + "\nlorem ipsum\nend\n")
-    with pytest.raises(DataError, match="vocab hash mismatch"):
-        load_targets(targets)
-    targets.write_text(header + "\nlorem ipsum\n\nend\n")  # empty target
-    with pytest.raises(DataError, match="line 3: DataError: empty"):
-        load_targets(targets)
     # a file of the previous format is refused by its tag, not as truncated
-    targets.write_text(header.replace(" v2 ", " v1 ") + "\nlorem ipsum\n")
-    with pytest.raises(DataError, match="format toyspeech-targets v1 is not read"):
-        load_targets(targets)
     path.write_text(lines[0].replace(" v2 ", " v1 ") + "\n" + "\n".join(lines[1:-1]) + "\n")
     with pytest.raises(DataError, match="format toyspeech v1 is not read"):
         load_split(path)

@@ -166,10 +166,20 @@ def test_grid_spec_validation():
     ({"epochs": 0}, "epochs must be >= 1, got 0"),
     ({"batch_size": 0}, "batch_size must be >= 1, got 0"),
     ({"max_decode_len": 0}, "max_decode_len must be >= 1, got 0"),
+    # the data and the attack targets read len_range only once a cell runs
+    ({"len_range": [2]}, r"len_range \(2,\) must be two integers"),
+    ({"len_range": [2, 3, 9]}, r"len_range \(2, 3, 9\) must be two integers"),
+    ({"len_range": [2.5, 3]}, r"len_range \(2.5, 3\) must be two integers"),
+    ({"len_range": [0, 3]}, r"len_range \(0, 3\) must be two integers"),
+    ({"len_range": [3, 2]}, r"len_range \(3, 2\) must be two integers"),
+    ({"len_range": 5}, "len_range 5 must be two integers"),
+    # the attack builds its targets after training: one per length at least
+    ({"n_targets": 4}, r"n_targets must be >= 5 to cover len_range \(2, 6\), got 4"),
 ], ids=["report_steps", "epsilon_ratio", "alpha_fraction", "n_eval", "n_attack_zero",
         "n_attack_negative", "learning_rate_nan", "learning_rate_inf",
         "epsilon_ratio_nan", "alpha_fraction_nan", "epochs", "batch_size",
-        "max_decode_len"])
+        "max_decode_len", "len_range_one", "len_range_three", "len_range_float",
+        "len_range_zero", "len_range_reversed", "len_range_scalar", "n_targets"])
 def test_config_refuses_values_the_evaluation_cannot_use(change, message):
     # refused when the config is read, before a cell trains
     with pytest.raises(ValueError, match=message):
@@ -217,7 +227,7 @@ def test_grid_check_rows_are_unchanged():
 
 def _refuses_before_training(field, value, message, monkeypatch):
     config = replace(TINY_GRID, model=replace(TINY_GRID.model, **{field: value}))
-    ds, targets = make_data(config, 0)
+    ds = make_data(config, 0)
 
     def no_training(*args):
         raise AssertionError("train_mtl ran")
@@ -226,8 +236,7 @@ def _refuses_before_training(field, value, message, monkeypatch):
     with pytest.raises(ConfigError, match=message):
         train_model(config, MtlWeights(), 0, ds)
     with pytest.raises(ConfigError, match=message):
-        evaluate_model(TINY_GRID, init_params(config.model), ds.test, targets,
-                       MtlWeights())
+        evaluate_model(TINY_GRID, init_params(config.model), ds, MtlWeights())
 
 
 @pytest.mark.parametrize("value", [30, 50])
@@ -260,3 +269,17 @@ def test_make_tables_shapes():
     long = tables["advtwer_long.csv"].splitlines()
     assert long[0].startswith("lambda_t_A,")
     assert len(long) == 1 + len(rows)
+
+
+def test_make_tables_content():
+    # the bytes of the four summaries on the rows of test_make_tables_shapes
+    tables = make_tables(synthetic_rows(GOOD_LEVELS), steps=(100, 200))
+    assert {name: tables[name] for name in tables if name != "advtwer_long.csv"} == {
+        "table_ctc_decoder_match.csv": "lambda_t_C,steps_100,steps_200\n"
+                                       "0.0,0.4,0.395\n0.5,0.39,0.385\n1.0,0.1,0.095\n",
+        "table_ctc_decoder_drop.csv": "lambda_t_C,steps_100,steps_200\n"
+                                      "0.0,0.4,0.395\n0.5,0.55,0.545\n",
+        "table_decoder_discriminator.csv": "lambda_t_A,steps_100,steps_200\n"
+                                           "1.0,0.4,0.395\n",
+        "table_all_heads.csv": "lambda_t_C,steps_100,steps_200\n0.5,0.7,0.695\n",
+    }

@@ -1,8 +1,8 @@
 """Dead-helper guard: every public name in ``src/robustasr`` has a caller.
 
-A top-level public function or class, or a public method or property,
-defined in the package must be named somewhere in the package or in
-``perfbench/`` other than its own definition. Tests do not count: a
+A top-level public function, class or constant, or a public method or
+property, defined in the package must be named somewhere in the package
+or in ``perfbench/`` other than its own definition. Tests do not count: a
 helper only tests call belongs in ``tests/``, as the oracles in
 ``tests/oracles.py`` do.
 """
@@ -15,10 +15,16 @@ PACKAGE = ROOT / "src" / "robustasr"
 
 
 def _public_definitions(tree):
-    """(name, is_member) of each public top-level definition and member."""
+    """(name, is_member) of each public top-level definition, constant and
+    member."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, False
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) else []
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                yield target.id, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
@@ -26,10 +32,11 @@ def _public_definitions(tree):
 
 
 def _names_used(tree):
-    """(bare names and imported names, attribute names) in ``tree``."""
+    """(bare names read and imported names, attribute names) in ``tree``;
+    an assignment does not name its target."""
     names, attrs = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.alias):
             names.add(node.name.rsplit(".", 1)[-1])
