@@ -28,7 +28,10 @@ Batch contract. ``tanh_rnn`` and the fused ops of ``model`` and
 ``losses`` that read frames (the teacher-forced decoder, the accent head
 and the CTC lattice) take padded batches only: (B, T, ...) arrays whose
 row r holds ``lengths[r]`` real frames (default: all T) followed by
-padding. Padded frames never feed a real frame's value, ``tanh_rnn``
+padding. Each kernel reads its lengths only through ``padding_mask``,
+which checks them and returns the rows' frame counts and the padded-frame
+mask, all False when no frame is padded; a kernel has one masked path,
+padded or not. Padded frames never feed a real frame's value, ``tanh_rnn``
 returns them as zero, and they get exactly zero gradient. At B > 1 a
 (B, d) @ (d, d) product rounds differently from B vector products, so
 each row agrees with its own batch of one to about 1e-12 relative, and a
@@ -312,22 +315,20 @@ def log_softmax_array(x: Array, axis: int = -1) -> Array:
     return s - np.log(np.exp(s).sum(axis=axis, keepdims=True))
 
 
-def padding_mask(lengths, rows: int, frames: int) -> Array | None:
-    """(rows, frames) mask of the frames past each row's length.
+def padding_mask(lengths, rows: int, frames: int) -> tuple[Array, Array]:
+    """Per-row frame counts (rows,) and the (rows, frames) mask of the
+    frames past them.
 
     ``lengths`` holds one frame count per row, each in 1..frames; None
-    means every row is ``frames`` long. Returns None when no frame is
-    padded.
+    means every row is ``frames`` long, and the mask is then all False.
+    This is the one place a batch's lengths are read: every kernel that
+    takes them masks through its result, padded or not.
     """
-    if lengths is None:
-        return None
-    shortest = min(lengths, default=0)
-    if len(lengths) != rows or shortest < 1 or max(lengths) > frames:
-        raise ShapeError(f"lengths {list(lengths)} do not fit {rows} rows "
+    counts = np.full(rows, frames) if lengths is None else np.asarray(lengths)
+    if counts.shape != (rows,) or (counts < 1).any() or (counts > frames).any():
+        raise ShapeError(f"lengths {counts.tolist()} do not fit {rows} rows "
                          f"of {frames} frames")
-    if shortest == frames:
-        return None
-    return np.arange(frames) >= np.asarray(lengths)[:, None]
+    return counts, np.arange(frames) >= counts[:, None]
 
 
 def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor:
@@ -353,7 +354,8 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
                          f"must be ({d}, {d}) and ({d},)")
     x = seq.data
     rows, n = x.shape[:2]
-    dead = padding_mask(lengths, rows, n)
+    counts, dead = padding_mask(lengths, rows, n)
+    dead = dead.T
     wi, wr = w_in.data, w_rec.data
     order = range(n - 1, -1, -1) if reverse else range(n)
     # The scan runs time-major: frame t of every row is one (B, d) block.
@@ -364,13 +366,8 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
     # so the padded states are left to run and zeroed once at the end. A
     # reverse scan meets the padding first: the rows whose last real frame
     # is t restart from a zero state there.
-    restart: dict[int, list[int]] = {}
-    if dead is not None:
-        dead = dead.T
-        if reverse:
-            for r, length in enumerate(lengths):
-                if length < n:
-                    restart.setdefault(length - 1, []).append(r)
+    restart = {int(t) - 1: np.flatnonzero(counts == t)
+               for t in np.unique(counts[counts < n])} if reverse else {}
     with np.errstate(invalid="ignore", over="ignore"):
         pre = x @ wi
         check_finite(pre, "tanh_rnn input projection")
@@ -385,8 +382,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
             np.add(pre[t], h @ wr, out=zt)
             zt += bias
             h = np.tanh(zt, out=out[t])
-        if dead is not None:
-            out[dead] = 0.0
+        out[dead] = 0.0
     check_finite(z, "tanh_rnn pre-activation")
 
     def bwd(g):
@@ -395,8 +391,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         # is copied time-major, contiguous.
         g = np.ascontiguousarray(g.transpose(1, 0, 2))
         deriv = 1.0 - out * out
-        if dead is not None:
-            deriv[dead] = 0.0
+        deriv[dead] = 0.0
         wr_t = wr.T
         dpre = np.empty((n, rows, d))
         dz = None

@@ -7,9 +7,10 @@ the two run keys that a grid sets for each of its cells, ``seed`` and
 error that names it, and ``grid`` refuses the run keys. ``gen-data``,
 ``train`` and ``attack`` run the grid's own cell code (``make_data``,
 ``train_model``, ``evaluate_model``), so one config file can drive a
-model through every stage. The stages share no targets file: ``attack``
-derives the targets from the seed the data's split files record and its
-own config's ``n_targets`` and ``len_range``. All outputs are
+model through every stage. ``eval`` and ``attack`` read only the test
+split. The stages share no targets file: ``attack`` derives the targets
+from the seed the test split's header records and its own config's
+``n_targets`` and ``len_range``. All outputs are
 deterministic functions of their configs, so reruns are byte-identical.
 """
 
@@ -19,7 +20,7 @@ import argparse
 import os
 import sys
 
-from .data import load_dataset, save_dataset
+from .data import load_dataset, load_split, save_dataset
 from .experiments import (ReportRow, evaluate_model, load_config, make_data,
                           make_tables, rows_from_csv, rows_to_csv, run_grid,
                           train_model, trend_check, trend_report)
@@ -51,7 +52,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config, _seed, weights = load_config(args.config)
     params = load_checkpoint(args.checkpoint)
-    utts = load_dataset(args.data).test[:config.n_eval]
+    utts = load_split(os.path.join(args.data, "test.txt"))[0][:config.n_eval]
     wer, acc = evaluate_benign(params, utts, weights,
                                max_len=config.max_decode_len)
     print(f"benign pooled WER={wer:.4f} accent_acc={acc:.4f} "
@@ -71,8 +72,9 @@ def cmd_eval(args) -> int:
 
 def cmd_attack(args) -> int:
     config, _seed, weights = load_config(args.config)
-    rows = evaluate_model(config, load_checkpoint(args.checkpoint),
-                          load_dataset(args.data), weights)
+    test, meta = load_split(os.path.join(args.data, "test.txt"))
+    rows = evaluate_model(config, load_checkpoint(args.checkpoint), test,
+                          meta["seed"], weights)
     with open(args.out, "w") as f:
         f.write(rows_to_csv(rows, config.hash()))
     for r in rows:

@@ -219,7 +219,10 @@ def _fmt(x: float) -> str:
 
 def save_split(path, utts: Iterable[Utterance], feat_dim: int, seed: int,
                split_name: str) -> None:
-    lines = []
+    """A header line (``SPLIT_TAG`` and ``key=value`` fields), one record
+    per utterance and an ``end`` line."""
+    lines = [f"{SPLIT_TAG} F={feat_dim} vocab={VOCAB_HASH} seed={seed} "
+             f"split={split_name}"]
     for u in utts:
         lines.append(u.id)
         lines.append(str(u.accent))
@@ -227,39 +230,9 @@ def save_split(path, utts: Iterable[Utterance], feat_dim: int, seed: int,
         lines.append(str(u.n_frames))
         for row in u.features:
             lines.append(" ".join(_fmt(v) for v in row))
-    _write_lines(path, SPLIT_TAG, {"F": feat_dim, "vocab": VOCAB_HASH,
-                                   "seed": seed, "split": split_name}, lines)
-
-
-def _write_lines(path, tag: str, fields: dict, records: list[str]) -> None:
-    """A header line (``tag`` and the ``key=value`` fields), the records
-    and an ``end`` line."""
-    header = " ".join([tag] + [f"{key}={value}" for key, value in fields.items()])
+    lines.append("end")
     with open(path, "w") as f:
-        f.write("\n".join([header] + records + ["end"]) + "\n")
-
-
-def _read_lines(path, tag: str, fields: dict) -> tuple[dict, list[str]]:
-    """The header fields and the lines, header first and ``end`` dropped,
-    of a file ``save_split`` wrote under ``tag``, refusing another
-    vocabulary's file. Those files end in an ``end`` line and a newline,
-    so a file that does not was cut short, even at a record boundary."""
-    with open(path) as f:
-        text = f.read()
-    if not text:
-        raise DataError(f"{path}: empty file")
-    lines = text.splitlines()
-    head = lines[0].split()[:2]
-    if head != tag.split():
-        raise DataError(f"{path}: format {' '.join(head)} is not read, only "
-                        f"{tag}; regenerate the file" if head[:1] == tag.split()[:1]
-                        else f"{path}: bad header {lines[0]!r}")
-    if lines[-1] != "end" or not text.endswith("\n"):
-        raise DataError(f"{path}: truncated (no end line)")
-    meta = _parse(path, lines, 0, lambda l: _header(l, fields))
-    if meta["vocab"] != VOCAB_HASH:
-        raise DataError(f"{path}: vocab hash mismatch")
-    return meta, lines[:-1]
+        f.write("\n".join(lines) + "\n")
 
 
 def _parse(path, lines: list[str], i: int, parse):
@@ -268,12 +241,6 @@ def _parse(path, lines: list[str], i: int, parse):
         return parse(lines[i])
     except (ValueError, KeyError) as e:
         raise DataError(f"{path}: line {i + 1}: {type(e).__name__}: {e}") from None
-
-
-def _header(line: str, fields: dict) -> dict:
-    """The ``key=value`` fields after the format tag, each converted."""
-    meta = dict(kv.split("=", 1) for kv in line.split()[2:])
-    return {key: convert(meta[key]) for key, convert in fields.items()}
 
 
 def _feature_row(line: str, feat_dim: int) -> np.ndarray:
@@ -297,9 +264,31 @@ def _words(line: str) -> tuple[int, ...]:
 
 
 def load_split(path) -> tuple[list[Utterance], dict]:
-    meta, lines = _read_lines(path, SPLIT_TAG, {"F": int, "vocab": str,
-                                                "seed": int, "split": str})
-    feat_dim = meta["F"]
+    """The utterances and header fields of a file ``save_split`` wrote,
+    refusing another format version or vocabulary. Those files end in an
+    ``end`` line and a newline, so a file that does not was cut short,
+    even at a record boundary."""
+    with open(path) as f:
+        text = f.read()
+    if not text:
+        raise DataError(f"{path}: empty file")
+    lines = text.splitlines()
+    head = lines[0].split()[:2]
+    if head != SPLIT_TAG.split():
+        raise DataError(f"{path}: format {' '.join(head)} is not read, only "
+                        f"{SPLIT_TAG}; regenerate the file" if head[:1] == SPLIT_TAG.split()[:1]
+                        else f"{path}: bad header {lines[0]!r}")
+    if lines[-1] != "end" or not text.endswith("\n"):
+        raise DataError(f"{path}: truncated (no end line)")
+    lines.pop()
+
+    def header(line):
+        meta = dict(kv.split("=", 1) for kv in line.split()[2:])
+        return int(meta["F"]), meta["vocab"], int(meta["seed"]), meta["split"]
+
+    feat_dim, vocab, seed, split_name = _parse(path, lines, 0, header)
+    if vocab != VOCAB_HASH:
+        raise DataError(f"{path}: vocab hash mismatch")
     utts = []
     i = 1
     while i < len(lines):
@@ -320,7 +309,7 @@ def load_split(path) -> tuple[list[Utterance], dict]:
                               accent=accent))
     if not utts:
         raise DataError(f"{path}: no utterances")
-    return utts, {"feat_dim": feat_dim, "seed": meta["seed"], "split": meta["split"]}
+    return utts, {"feat_dim": feat_dim, "seed": seed, "split": split_name}
 
 
 def save_dataset(outdir, ds: DatasetSplit) -> None:

@@ -76,9 +76,8 @@ class CtcPrefixScorer:
         if self._one:
             x = x[None]
         n_rows, n_frames, width = x.shape
-        pad = ad.padding_mask(lengths, n_rows, n_frames)
-        self.x = x if pad is None else np.where(pad[..., None], NEGINF, x)
-        self.n_frames = np.full(n_rows, n_frames) if lengths is None else np.asarray(lengths)
+        self.n_frames, pad = ad.padding_mask(lengths, n_rows, n_frames)
+        self.x = np.where(pad[..., None], NEGINF, x)
         self.blank = width - 1
         self.n_words = width - 1
 

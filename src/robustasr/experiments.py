@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .attack import AttackConfig, calibrate, pgd_attack_batch, target_feasible
-from .data import (N_ACCENTS, N_WORDS, DatasetSplit, check_len_range,
+from .data import (N_ACCENTS, N_WORDS, DatasetSplit, Utterance, check_len_range,
                    gen_adv_targets, gen_dataset, select_adv_target)
 from .losses import MtlWeights
 from .metrics import edit_distance_words, pooled_wer
@@ -261,15 +261,15 @@ def train_model(config: ExperimentConfig, weights: MtlWeights, seed: int,
 
 
 def evaluate_model(config: ExperimentConfig, params: ModelParams,
-                   ds: DatasetSplit, weights: MtlWeights) -> list[ReportRow]:
-    """Benign WER on ``ds.test[:n_eval]`` and AdvTWER on
-    ``ds.test[:n_attack]`` at the inference weight of ``weights``, one row
-    per report step; the attack ball is calibrated on all of ``ds.test``.
-    The attack targets are ``gen_adv_targets`` of the data's seed under
-    ``config``'s ``n_targets`` and ``len_range``."""
+                   test: Sequence[Utterance], seed: int,
+                   weights: MtlWeights) -> list[ReportRow]:
+    """Benign WER on ``test[:n_eval]`` and AdvTWER on ``test[:n_attack]``
+    at the inference weight of ``weights``, one row per report step; the
+    attack ball is calibrated on all of ``test``. The attack targets are
+    ``gen_adv_targets`` of the data's ``seed`` under ``config``'s
+    ``n_targets`` and ``len_range``."""
     _check_output_sizes(params.config)
-    test = ds.test
-    targets = gen_adv_targets(ds.seed, count=config.n_targets,
+    targets = gen_adv_targets(seed, count=config.n_targets,
                               len_range=config.len_range)
     epsilon, alpha = calibrate(test, ratio=config.epsilon_ratio,
                                alpha_fraction=config.alpha_fraction)
@@ -297,7 +297,7 @@ def run_cell(config: ExperimentConfig, lam_a: float, lam_c: float,
     for mode in config.grid.modes:
         weights = MtlWeights(lam_a, lam_c, lam_c if mode == "match" else 0.0)
         if weights not in done:
-            done[weights] = evaluate_model(config, params, ds, weights)
+            done[weights] = evaluate_model(config, params, ds.test, ds.seed, weights)
         rows += done[weights]
     return rows
 

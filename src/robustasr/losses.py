@@ -115,8 +115,7 @@ def ctc_loss(logp: Tensor, y: Sequence, lengths=None) -> Tensor:
     blank = width - 1
     if any(tok < 0 or tok >= blank for row in rows for tok in row):
         raise ValueError("CTC targets must be word ids (no blank/eos)")
-    pad = ad.padding_mask(lengths, n_rows, t_max)
-    frames = np.full(n_rows, t_max) if lengths is None else np.asarray(lengths)
+    frames, pad = ad.padding_mask(lengths, n_rows, t_max)
     for r, row in enumerate(rows):
         if not row:
             raise ValueError(f"row {r}: a CTC target must hold at least one word")
@@ -141,8 +140,7 @@ def ctc_loss(logp: Tensor, y: Sequence, lengths=None) -> Tensor:
     scale = 1.0 / counts
 
     emis = np.take_along_axis(lp, ext[:, None, :], axis=2)
-    if pad is not None:
-        emis[pad] = 0.0  # frames past a row's length: keep its alphas finite
+    emis[pad] = 0.0  # frames past a row's length: keep its alphas finite
     emis = emis.transpose(1, 0, 2)  # frame-major
     alphas = np.empty((t_max, n_rows, n_states))
     weights = np.empty((t_max, 3, n_rows, n_states))  # softmax weights; frame 0 unused

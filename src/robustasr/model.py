@@ -233,12 +233,13 @@ def ctc_head(params: ModelParams, hidden: Tensor) -> Tensor:
 
 
 class DecoderState:
-    """Per-row recurrent states, attention projections and padded-frame
-    mask (None when no frame is padded) of a batch being decoded."""
+    """Per-row recurrent states, attention projections and (B, T)
+    padded-frame mask (all False when no frame is padded) of a batch
+    being decoded."""
 
     __slots__ = ("s", "hproj", "pad")
 
-    def __init__(self, s: Tensor, hproj: Tensor, pad: np.ndarray | None):
+    def __init__(self, s: Tensor, hproj: Tensor, pad: np.ndarray):
         self.s = s
         self.hproj = hproj
         self.pad = pad
@@ -246,8 +247,7 @@ class DecoderState:
     def take(self, rows) -> "DecoderState":
         """The state of the batch's ``rows`` (an index or a boolean mask)."""
         return DecoderState(ad.constant(self.s.data[rows]),
-                            ad.constant(self.hproj.data[rows]),
-                            None if self.pad is None else self.pad[rows])
+                            ad.constant(self.hproj.data[rows]), self.pad[rows])
 
 
 # Decoder parameters in the order the step kernels unpack them.
@@ -300,20 +300,20 @@ def _recur(arrays, s_prev: np.ndarray, tokens) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _attend(arrays, z: np.ndarray, s: np.ndarray, hproj: np.ndarray,
-            hidden: np.ndarray, pad: np.ndarray | None) -> _Steps:
+            hidden: np.ndarray, pad: np.ndarray) -> _Steps:
     """Attention and next-token log-probs of the states ``s`` (..., dec_hidden).
 
     ``hproj`` (..., T, attn_dim) and ``hidden`` (..., T, d) broadcast
-    against the leading axes of ``s``; ``pad`` is a mask of padded frames
-    shaped like the scores' trailing axes, or None.
+    against the leading axes of ``s``; ``pad`` is the mask of padded
+    frames, shaped like the scores' trailing axes (all False when no
+    frame is padded).
     """
     w_s, v, w_out, b_out = arrays[4:]
     q = s @ w_s
     tanh_att = hproj + q[..., None, :]
     np.tanh(tanh_att, out=tanh_att)
     scores = tanh_att @ v
-    if pad is not None:
-        scores[..., pad] = _PAD_SCORE
+    scores[..., pad] = _PAD_SCORE
     log_attn = ad.log_softmax_array(scores, axis=-1)
     attn = np.exp(log_attn)
     context = (attn[..., None, :] @ hidden)[..., 0, :]
@@ -361,7 +361,7 @@ def decoder_start(params: ModelParams, hidden: Tensor, lengths=None) -> DecoderS
     hproj = _attention_keys(params, hidden)
     n_rows, n_frames = hidden.shape[:2]
     return DecoderState(ad.constant(np.zeros((n_rows, params.config.dec_hidden))),
-                        ad.constant(hproj), ad.padding_mask(lengths, n_rows, n_frames))
+                        ad.constant(hproj), ad.padding_mask(lengths, n_rows, n_frames)[1])
 
 
 def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
@@ -436,7 +436,7 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
     n_rows, n_frames = h.shape[:2]
     if len(counts) != n_rows:
         raise ShapeError(f"{len(counts)} token rows for a batch of {n_rows}")
-    pad = ad.padding_mask(lengths, n_rows, n_frames)
+    pad = ad.padding_mask(lengths, n_rows, n_frames)[1]
     param_inputs = (*(params[name] for name in _STEP_PARAMS),
                     params["attn.w_h"], params["attn.b"])
     # Constant parameters (an attack differentiates only its input) get
@@ -450,7 +450,7 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
     for r, (row_in, row_tgt) in enumerate(zip(rows_in, rows_tgt)):
         tok_in[:counts[r], r] = row_in
         tok_tgt[:counts[r], r] = row_tgt
-    late = np.arange(n)[:, None] >= np.array(counts) if min(counts) < n else None
+    late = np.arange(n)[:, None] >= np.array(counts)
     arrays = tuple(params[name].data for name in _STEP_PARAMS)
     z = np.empty((n, n_rows, cfg.dec_hidden))
     s = np.empty((n, n_rows, cfg.dec_hidden))
@@ -464,16 +464,13 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
     row_idx = np.arange(n_rows)
     step_idx = np.arange(n)[:, None]
     picked = st.logp[step_idx, row_idx, tok_tgt]
-    if late is not None:
-        picked[late] = 0.0
+    picked[late] = 0.0
     emb, w_in, w_rec, _b, w_s, v, w_out, _b_out = arrays
     w_h = params["attn.w_h"].data
     dh = cfg.dec_hidden
 
     def bwd(g):
-        g = g.T
-        if late is not None:
-            g = np.where(late, 0.0, g)
+        g = np.where(late, 0.0, g.T)
         g_logp = np.zeros(st.logp.shape)
         g_logp[step_idx, row_idx, tok_tgt] += g
         g_logits = g_logp - np.exp(st.logp) * g_logp.sum(axis=2, keepdims=True)
@@ -555,11 +552,10 @@ def discriminate(params: ModelParams, hidden: Tensor, lengths=None) -> Tensor:
     top = cfg.disc_layers - 1
     h = hidden.data
     n_rows, n_frames = h.shape[:2]
-    pad = ad.padding_mask(lengths, n_rows, n_frames)
-    frames = np.full((n_rows, 1), float(n_frames)) if lengths is None \
-        else np.asarray(lengths, dtype=float)[:, None]
+    frames, pad = ad.padding_mask(lengths, n_rows, n_frames)
+    frames = frames[:, None].astype(float)
     with np.errstate(invalid="ignore", over="ignore"):
-        mean = (h if pad is None else np.where(pad[..., None], 0.0, h)).sum(axis=1)
+        mean = np.where(pad[..., None], 0.0, h).sum(axis=1)
         mean /= frames
         acts = [mean]  # the input of each layer, one row per utterance
         pre = []
@@ -587,9 +583,7 @@ def discriminate(params: ModelParams, hidden: Tensor, lengths=None) -> Tensor:
                 g_z = g_in * masks[i - 1]
         g_hidden = None
         if hidden.requires_grad:
-            g_hidden = np.broadcast_to((g_in / frames)[:, None], h.shape)
-            if pad is not None:
-                g_hidden = np.where(pad[..., None], 0.0, g_hidden)
+            g_hidden = np.where(pad[..., None], 0.0, (g_in / frames)[:, None])
         return (g_hidden, *(gr for pair in reversed(g_layers) for gr in pair))
 
     return ad.record_op("discriminate",

@@ -99,6 +99,34 @@ def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
     assert [(r.adv_twer, r.n_samples, r.n_skipped) for r in rows] == [(None, 0, 3)]
 
 
+def test_cli_eval_and_attack_read_only_the_test_split(tmp_path):
+    # eval and attack need test.txt alone, and give the rows they give on
+    # the full data directory
+    data, only_test, run = tmp_path / "data", tmp_path / "only_test", tmp_path / "run"
+    gen_cfg = _write(tmp_path / "gen.json", {
+        "n_train": 4, "n_valid": 2, "n_test": 3, "len_range": [2, 3],
+        "n_targets": 2})
+    train_cfg = _write(tmp_path / "train.json", {
+        "weights": WEIGHTS, "epochs": 1, "batch_size": 4, "model": MODEL})
+    cfg = _write(tmp_path / "attack.json", {
+        "weights": WEIGHTS, "grid": {"report_steps": [1]}, "n_attack": 2,
+        "n_eval": 2, "max_decode_len": 4, "len_range": [2, 3], "n_targets": 2})
+    assert main(["gen-data", "--config", gen_cfg, "--seed", "5",
+                 "--out", str(data)]) == 0
+    assert main(["train", "--config", train_cfg, "--data", str(data),
+                 "--out", str(run)]) == 0
+    only_test.mkdir()
+    (only_test / "test.txt").write_bytes((data / "test.txt").read_bytes())
+    ckpt = str(run / "checkpoint.txt")
+    for d in (data, only_test):
+        for stage in ("eval", "attack"):
+            assert main([stage, "--config", cfg, "--data", str(d), "--checkpoint", ckpt,
+                         "--out", str(run / f"{stage}-{d.name}.csv")]) == 0
+    for stage in ("eval", "attack"):
+        assert (run / f"{stage}-only_test.csv").read_text() == \
+            (run / f"{stage}-data.csv").read_text()
+
+
 def test_cli_stages_write_the_rows_of_run_cell(tmp_path):
     # gen-data -> train -> attack on one config give the rows run_cell
     # gives for the same cell in match mode, byte for byte

@@ -236,7 +236,8 @@ def _refuses_before_training(field, value, message, monkeypatch):
     with pytest.raises(ConfigError, match=message):
         train_model(config, MtlWeights(), 0, ds)
     with pytest.raises(ConfigError, match=message):
-        evaluate_model(TINY_GRID, init_params(config.model), ds, MtlWeights())
+        evaluate_model(TINY_GRID, init_params(config.model), ds.test, ds.seed,
+                       MtlWeights())
 
 
 @pytest.mark.parametrize("value", [30, 50])

@@ -1,10 +1,11 @@
-"""Dead-helper guard: every public name in ``src/robustasr`` has a caller.
+"""Dead-helper guard: every name defined in ``src/robustasr`` has a caller.
 
 A top-level public function, class or constant, or a public method or
 property, defined in the package must be named somewhere in the package
 or in ``perfbench/`` other than its own definition. Tests do not count: a
 helper only tests call belongs in ``tests/``, as the oracles in
-``tests/oracles.py`` do.
+``tests/oracles.py`` do. A private top-level name (``_name``) must be
+named in its own module.
 """
 
 import ast
@@ -14,17 +15,25 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "robustasr"
 
 
-def _public_definitions(tree):
-    """(name, is_member) of each public top-level definition, constant and
-    member."""
+def _top_level_names(tree):
+    """The name of each top-level function, class and assigned constant."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, False
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
         targets = node.targets if isinstance(node, ast.Assign) else \
             [node.target] if isinstance(node, ast.AnnAssign) else []
         for target in targets:
-            if isinstance(target, ast.Name) and not target.id.startswith("_"):
-                yield target.id, False
+            if isinstance(target, ast.Name):
+                yield target.id
+
+
+def _public_definitions(tree):
+    """(name, is_member) of each public top-level definition, constant and
+    member."""
+    for name in _top_level_names(tree):
+        if not name.startswith("_"):
+            yield name, False
+    for node in tree.body:
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
@@ -62,3 +71,15 @@ def test_every_public_helper_has_a_caller_outside_tests():
     unused = [f"{module}: {name}" for module, name, member in defined
               if name.rsplit(".", 1)[-1] not in (attrs if member else names | attrs)]
     assert not unused, "public names without a caller:\n" + "\n".join(unused)
+
+
+def test_every_private_top_level_name_is_named_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names, _attrs = _names_used(tree)
+        unused += [f"{path.name}: {name}" for name in _top_level_names(tree)
+                   if name.startswith("_") and not name.startswith("__")
+                   and name not in names]
+    assert not unused, "private names without a caller in their module:\n" + \
+        "\n".join(unused)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from robustasr import autodiff as ad
 from robustasr.attack import adv_loss
-from robustasr.losses import MtlWeights
+from robustasr.decode import CtcPrefixScorer
+from robustasr.losses import MtlWeights, ctc_loss
 from robustasr.model import (
     CheckpointError,
     ModelConfig,
@@ -204,6 +206,22 @@ def test_batch_only_kernels_refuse_one_sequence(params, kernel):
         "adv_loss": lambda: adv_loss(params, x, [1], MtlWeights()),
     }[kernel]
     with pytest.raises(ad.ShapeError, match=r"\(B, T, \w+\) batch, got \(4, \d+\)$"):
+        call()
+
+
+@pytest.mark.parametrize("lengths", [[4], [4, 0], [4, 5]],
+                         ids=["row count", "zero length", "above T"])
+@pytest.mark.parametrize("kernel", ["encode", "ctc_loss", "CtcPrefixScorer"])
+def test_kernels_refuse_lengths_that_do_not_fit_the_batch(params, kernel, lengths):
+    # Every kernel reads its lengths through ad.padding_mask; the message
+    # lists them as plain ints, also when they come as a numpy array.
+    x = ad.constant(np.ones((2, 4, TINY.feat_dim)))
+    logp = ctc_head(params, encode(params, x))
+    call = {"encode": lambda: encode(params, x, np.array(lengths)),
+            "ctc_loss": lambda: ctc_loss(logp, [[1], [2]], np.array(lengths)),
+            "CtcPrefixScorer": lambda: CtcPrefixScorer(logp, np.array(lengths))}[kernel]
+    with pytest.raises(ad.ShapeError, match=re.escape(
+            f"lengths {lengths} do not fit 2 rows of 4 frames")):
         call()
 
 
