@@ -5,15 +5,16 @@ gradients is recorded, in execution order, on the innermost open tape
 (with no tape open, as under ``no_grad``, nothing is recorded);
 ``backward`` replays that tape in exact reverse order and accumulates
 gradients into leaf tensors. The op set is only what the program runs:
-``add``, ``mul``, ``neg``, ``sum_`` and ``take`` (broadcasting covers
-scalar scaling), plus one fused tanh-RNN scan for the encoder.
-Everything is double precision.
+``add``, ``mul``, ``neg``, ``sum_`` (of all elements) and ``take``
+(broadcasting covers scalar scaling), plus one fused tanh-RNN scan for
+the encoder. Everything is double precision. ``record_op`` is the one
+recording path: every op, here and elsewhere, records through it.
 
 A fused op runs a whole loop in numpy and records one tape entry whose
 backward is written by hand. ``tanh_rnn`` (the encoder scan) is one;
-``record_op`` lets other modules define their own: the CTC head, the
-teacher-forced attention decoder and the accent head in ``model``, and
-the CTC lattice in ``losses``. Every fused op keeps one contract with
+the others are defined through ``record_op`` in other modules: the CTC
+head, the teacher-forced decoder loss and the accent head in ``model``,
+and the CTC lattice in ``losses``. Every fused op keeps one contract with
 the same computation recorded op by op (the references in
 ``tests/*_reference.py``): forward values are bit-identical to it;
 gradients agree with it to 1e-12 relative in the max norm, because a
@@ -207,22 +208,15 @@ def check_finite_rows(out: Array, op: str) -> None:
                              f"in row {int(np.argmin(ok))}")
 
 
-def record_op(op: str, inputs: Sequence[Tensor], out: Array,
+def record_op(inputs: Sequence[Tensor], out: Array,
               backward_fn: Callable[[Array], tuple]) -> Tensor:
-    """Wrap ``out`` as the result of a fused op defined outside this module.
+    """Wrap ``out`` as the result of an op on ``inputs``: the one recording path.
 
     ``backward_fn`` maps the output gradient to one gradient (or None) per
     entry of ``inputs``. Nothing is recorded with no tape open, under
     ``no_grad``, or when no input requires gradients. The caller checks
     finiteness itself, with ``check_finite``.
     """
-    return _emit(op, inputs, out, backward_fn, check=False)
-
-
-def _emit(op: str, inputs: Sequence[Tensor], out: Array,
-          backward_fn: Callable[[Array], tuple], check: bool = True) -> Tensor:
-    if check:
-        check_finite(out, op)
     t = Tensor(out)
     t._from_op = True
     if _enabled and _stack and any(i.requires_grad for i in inputs):
@@ -255,11 +249,11 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError as e:
         raise ShapeError(f"add: {a.shape} vs {b.shape}") from e
+    check_finite(out, "add")
     sa, sb = a.shape, b.shape
     ra, rb = a.requires_grad, b.requires_grad
-    return _emit("add", (a, b), out,
-                 lambda g: (_unbroadcast(g, sa) if ra else None,
-                            _unbroadcast(g, sb) if rb else None))
+    return record_op((a, b), out, lambda g: (_unbroadcast(g, sa) if ra else None,
+                                             _unbroadcast(g, sb) if rb else None))
 
 
 def mul(a, b) -> Tensor:
@@ -268,28 +262,24 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError as e:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}") from e
+    check_finite(out, "mul")
     da, db = a.data, b.data
     sa, sb = a.shape, b.shape
     ra, rb = a.requires_grad, b.requires_grad
-    return _emit("mul", (a, b), out,
-                 lambda g: (_unbroadcast(g * db, sa) if ra else None,
-                            _unbroadcast(g * da, sb) if rb else None))
+    return record_op((a, b), out, lambda g: (_unbroadcast(g * db, sa) if ra else None,
+                                             _unbroadcast(g * da, sb) if rb else None))
 
 
 def neg(a) -> Tensor:
     a = _promote(a)
-    return _emit("neg", (a,), -a.data, lambda g: (-g,), check=False)
+    return record_op((a,), -a.data, lambda g: (-g,))
 
 
-def sum_(a, axis: int | None = None) -> Tensor:
-    """Sum of all elements, or over one axis."""
+def sum_(a) -> Tensor:
+    """Sum of all elements."""
     a = _promote(a)
     shape = a.shape
-    if axis is None:
-        return _emit("sum", (a,), np.asarray(a.data.sum()),
-                     lambda g: (np.broadcast_to(g, shape),))
-    return _emit("sum", (a,), a.data.sum(axis=axis),
-                 lambda g: (np.broadcast_to(np.expand_dims(g, axis), shape),))
+    return record_op((a,), np.asarray(a.data.sum()), lambda g: (np.broadcast_to(g, shape),))
 
 
 def take(a, key) -> Tensor:
@@ -306,7 +296,7 @@ def take(a, key) -> Tensor:
         np.add.at(z, key, g)
         return (z,)
 
-    return _emit("take", (a,), out, bwd, check=False)
+    return record_op((a,), out, bwd)
 
 
 def log_softmax_array(x: Array, axis: int = -1) -> Array:
@@ -420,8 +410,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
             db = flat.sum(axis=0)
         return (g_seq, dwi, dwr, db)
 
-    return _emit("tanh_rnn", (seq, w_in, w_rec, b), out.transpose(1, 0, 2),
-                 bwd, check=False)
+    return record_op((seq, w_in, w_rec, b), out.transpose(1, 0, 2), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +434,7 @@ def backward(loss: Tensor) -> None:
         return
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     tensors: dict[int, Tensor] = {id(loss): loss}
-    for rec in reversed(loss._tape.records):  # _emit set it with requires_grad
+    for rec in reversed(loss._tape.records):  # record_op set it with requires_grad
         gout = grads.pop(id(rec.output), None)
         if gout is None:
             continue

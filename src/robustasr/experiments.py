@@ -35,8 +35,6 @@ from .model import ModelConfig, ModelParams
 from .train import TrainConfig, TrainLog, decode_blocks, evaluate_benign, train_mtl
 
 ROWS_VERSION = "robustasr-rows v1"
-ROW_COLUMNS = ("lambda_t_A", "lambda_t_C", "lambda_i_C", "seed", "attack_steps",
-               "benign_wer", "accent_acc", "adv_twer", "n_samples", "n_skipped")
 
 
 class MissingCellsError(Exception):
@@ -146,6 +144,9 @@ class ReportRow:
     def sort_key(self):
         return (self.lambda_t_A, self.lambda_t_C, self.lambda_i_C, self.seed,
                 self.attack_steps)
+
+
+ROW_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def rows_to_csv(rows: Sequence[ReportRow], config_hash: str) -> str:

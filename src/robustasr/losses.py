@@ -8,7 +8,10 @@ carry a large negative sentinel (``NEG``) instead of -inf: at double
 precision the sentinel's contribution underflows to exactly zero in
 every logsumexp, so values and gradients are bit-for-bit what a true
 -inf would give while every lattice array stays finite, and one
-finiteness check over the alphas catches a non-finite input.
+finiteness check over the alphas catches a non-finite input. The
+decoder loss is one fused op too, ``model.decoder_teacher_forced``: it
+frames each target with sos and eos and averages over the output steps
+itself, so ``dec_loss`` only lifts one utterance to the batch of one.
 
 Each task loss takes a padded batch (B, T, ·) with per-row frame counts
 ``lengths`` and one target per row, and gives the (B,) per-row losses
@@ -195,7 +198,7 @@ def ctc_loss(logp: Tensor, y: Sequence, lengths=None) -> Tensor:
                            minlength=n_rows * t_max * width)
         return (g_lp.reshape(n_rows, t_max, width),)
 
-    return ad.record_op("ctc_loss", (logp,), -tail[:, 0] * scale, bwd)
+    return ad.record_op((logp,), -tail[:, 0] * scale, bwd)
 
 
 def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence,
@@ -203,24 +206,16 @@ def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence,
     """Teacher-forced decoder negative log-likelihood, averaged per step.
 
     ``hidden`` is a padded batch (B, T, d) with per-row frame counts
-    ``lengths`` and ``y`` holds one target per row; one (T, d) utterance
-    and its target give a scalar. An empty target is legal and means
-    "predict eos immediately". The decoder runs as one fused op
-    (``model.decoder_teacher_forced``), so a batch's loss records four
-    tape entries whatever the length of its targets; one utterance adds
-    the two ``take`` records of its lift.
+    ``lengths`` and ``y`` holds one target of word ids per row; one (T, d)
+    utterance and its target give a scalar. An empty target is legal and
+    means "predict eos immediately". The loss is one fused op,
+    ``model.decoder_teacher_forced``, so a batch records one tape entry
+    whatever the length of its targets; one utterance adds the two
+    ``take`` records of its lift.
     """
     if hidden.ndim == 2:
         return dec_loss(params, hidden[None], [y])[0]
-    cfg = params.config
-    rows = [list(r) for r in y]
-    if any(tok < 0 or tok >= cfg.vocab_size for row in rows for tok in row):
-        raise ValueError("decoder targets must be word ids (no special tokens)")
-    targets = [row + [cfg.eos] for row in rows]
-    picked = decoder_teacher_forced(params, hidden, [[cfg.sos] + row for row in rows],
-                                    targets, lengths)
-    scale = 1.0 / np.array([len(t) for t in targets])
-    return ad.mul(ad.neg(ad.sum_(picked, axis=-1)), scale)
+    return decoder_teacher_forced(params, hidden, y, lengths)
 
 
 def dis_loss(params: ModelParams, hidden: Tensor, accent, lengths=None) -> Tensor:

@@ -12,10 +12,10 @@ targets are expressible; ``experiments.train_model`` and
 The attention decoder's step is two numpy kernels, ``_recur`` (feed a
 token to the recurrent state) and ``_attend`` (attend and predict from
 any number of states), over a batch of rows, with two paths through
-them: ``decoder_teacher_forced`` runs them over target sequences and
-records one tape entry with a hand-written backward (the decoder loss,
-in training and attacks), and ``decoder_advance`` runs one step of every
-row of a padded batch for inference and records nothing.
+them: ``decoder_teacher_forced`` runs them over each row's sos-framed
+target and returns the decoder loss (training and attacks) as one tape
+entry with a hand-written backward, and ``decoder_advance`` runs one
+step of every row of a padded batch for inference and records nothing.
 ``decoder_teacher_forced``, ``discriminate`` and the inference decoder
 take padded batches (the batch contract is in ``autodiff``); ``encode``
 and the inference decoder also take one utterance as the batch of one,
@@ -228,8 +228,7 @@ def ctc_head(params: ModelParams, hidden: Tensor) -> Tensor:
                 h.T @ g_logits if w.requires_grad else None,
                 g_logits.sum(axis=0) if b.requires_grad else None)
 
-    return ad.record_op("ctc_head", (hidden, w, b),
-                        out.reshape(*hidden.shape[:-1], -1), bwd)
+    return ad.record_op((hidden, w, b), out.reshape(*hidden.shape[:-1], -1), bwd)
 
 
 class DecoderState:
@@ -334,11 +333,6 @@ def _check_steps(st: _Steps) -> None:
         raise ad.NonFiniteError(f"non-finite values in the decoder step ({bad})")
 
 
-def _check_token(cfg: ModelConfig, token: int) -> None:
-    if not 0 <= token <= cfg.vocab_size:
-        raise ShapeError(f"decoder token {token} outside 0..{cfg.vocab_size}")
-
-
 def _attention_keys(params: ModelParams, hidden: Tensor) -> np.ndarray:
     """hidden @ attn.w_h + attn.b: the (B, T, attn_dim) projection every step reads."""
     cfg = params.config
@@ -392,8 +386,9 @@ def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
                          f"(B, T, d) batch and its state, got tokens {tokens.shape} "
                          f"of {tokens.dtype}, hidden {hidden.shape} and "
                          f"{state.s.shape[0]} state rows")
-    for token in tokens.tolist():
-        _check_token(params.config, token)
+    if ((tokens < 0) | (tokens > params.config.vocab_size)).any():
+        raise ShapeError(f"decoder tokens {tokens.tolist()} not all in "
+                         f"0..{params.config.vocab_size}")
     arrays = tuple(params[name].data for name in _STEP_PARAMS)
     with np.errstate(invalid="ignore", over="ignore"):
         z, s = _recur(arrays, state.s.data, tokens)
@@ -402,55 +397,57 @@ def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
     return ad.constant(step.logp), DecoderState(ad.constant(s), state.hproj, state.pad)
 
 
-def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
-                           inputs: Sequence, targets: Sequence,
+def decoder_teacher_forced(params: ModelParams, hidden: Tensor, targets: Sequence,
                            lengths=None) -> Tensor:
-    """(B, max N_b) log-probs of each row's ``targets[k]`` after ``inputs[:k + 1]``.
+    """(B,) decoder loss: each row's teacher-forced negative log-likelihood
+    of its target, averaged over its output steps.
 
     ``hidden`` is a padded batch (B, T, d) with per-row frame counts
-    ``lengths``; ``inputs`` and ``targets`` hold one token sequence per
-    row, of N_b >= 1 tokens, and the output is zero past each row's N_b.
-    Attention gives padded frames exactly zero weight, and padded steps
-    get exactly zero gradient. Runs the recurrence N times and the
-    attention and output layer once over all N states, in numpy, and
-    records one tape entry. The backward runs the state recurrence and
-    the attention's tanh terms step by step; every other term, and each
-    gradient, is computed for all steps and rows at once.
+    ``lengths``; ``targets`` holds one row of word ids per batch row, and
+    an empty row means "predict eos immediately". Row b feeds
+    ``[sos] + targets[b]``, predicts ``targets[b] + [eos]``, and its loss
+    is divided by ``len(targets[b]) + 1``. Attention gives padded frames
+    exactly zero weight, and padded steps get exactly zero gradient.
+
+    One tape entry, whatever the targets' lengths; ``losses.dec_loss``
+    lifts one utterance to the batch of one, which adds its two ``take``
+    records. Runs the recurrence N times and the attention and output
+    layer once over all N states, in numpy. The per-row sum, negation and
+    scaling make the numpy calls of those ops recorded one by one, so
+    values and gradients stay bit-identical to the op-by-op tape. The
+    backward runs the state recurrence and the attention's tanh terms step
+    by step; every other term, and each gradient, is computed for all
+    steps and rows at once.
     """
     cfg = params.config
     if hidden.ndim != 3:
         raise ShapeError(f"decoder_teacher_forced expects a (B, T, {cfg.enc_hidden}) "
                          f"batch, got {hidden.shape}")
-    rows_in = [list(r) for r in inputs]
-    rows_tgt = [list(r) for r in targets]
-    counts = [len(r) for r in rows_in]
-    if (len(rows_tgt) != len(rows_in) or [len(r) for r in rows_tgt] != counts
-            or min(counts, default=0) == 0):
-        raise ShapeError(f"teacher forcing needs as many inputs as targets in "
-                         f"every row, got {counts} and {[len(r) for r in rows_tgt]}")
-    for row in (*rows_in, *rows_tgt):
-        for tok in row:
-            _check_token(cfg, tok)
+    rows = [list(r) for r in targets]
+    if any(tok < 0 or tok >= cfg.vocab_size for row in rows for tok in row):
+        raise ValueError("decoder targets must be word ids (no special tokens)")
     hproj = _attention_keys(params, hidden)
     h = hidden.data
     n_rows, n_frames = h.shape[:2]
-    if len(counts) != n_rows:
-        raise ShapeError(f"{len(counts)} token rows for a batch of {n_rows}")
+    if len(rows) != n_rows:
+        raise ShapeError(f"{len(rows)} token rows for a batch of {n_rows}")
     pad = ad.padding_mask(lengths, n_rows, n_frames)[1]
     param_inputs = (*(params[name] for name in _STEP_PARAMS),
                     params["attn.w_h"], params["attn.b"])
     # Constant parameters (an attack differentiates only its input) get
     # none of their terms computed.
     train = any(p.requires_grad for p in param_inputs)
-    n = max(counts)
-    # Step-major tokens. Rows shorter than n feed eos and pick column 0
-    # on their padded steps; the picks are zeroed and take no gradient.
-    tok_in = np.full((n, n_rows), cfg.eos)
+    steps = np.array([len(row) + 1 for row in rows])
+    n = steps.max()
+    # Step-major tokens: row r feeds sos, then its words, and predicts its
+    # words, then eos. Past its steps it feeds sos and picks column 0;
+    # those picks are zeroed and take no gradient.
+    tok_in = np.full((n, n_rows), cfg.sos)
     tok_tgt = np.zeros((n, n_rows), dtype=int)
-    for r, (row_in, row_tgt) in enumerate(zip(rows_in, rows_tgt)):
-        tok_in[:counts[r], r] = row_in
-        tok_tgt[:counts[r], r] = row_tgt
-    late = np.arange(n)[:, None] >= np.array(counts)
+    for r, row in enumerate(rows):
+        tok_in[1:steps[r], r] = row
+        tok_tgt[:steps[r], r] = row + [cfg.eos]
+    late = np.arange(n)[:, None] >= steps
     arrays = tuple(params[name].data for name in _STEP_PARAMS)
     z = np.empty((n, n_rows, cfg.dec_hidden))
     s = np.empty((n, n_rows, cfg.dec_hidden))
@@ -465,12 +462,14 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
     step_idx = np.arange(n)[:, None]
     picked = st.logp[step_idx, row_idx, tok_tgt]
     picked[late] = 0.0
+    scale = 1.0 / steps
+    loss = -picked.T.sum(axis=-1) * scale
     emb, w_in, w_rec, _b, w_s, v, w_out, _b_out = arrays
     w_h = params["attn.w_h"].data
     dh = cfg.dec_hidden
 
     def bwd(g):
-        g = np.where(late, 0.0, g.T)
+        g = np.where(late, 0.0, -(g * scale))
         g_logp = np.zeros(st.logp.shape)
         g_logp[step_idx, row_idx, tok_tgt] += g
         g_logits = g_logp - np.exp(st.logp) * g_logp.sum(axis=2, keepdims=True)
@@ -523,8 +522,7 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor,
                 h.reshape(n_rows * n_frames, -1).T @ flat_hproj,
                 flat_hproj.sum(axis=0), g_hidden]
 
-    return ad.record_op("decoder_teacher_forced", (*param_inputs, hidden),
-                        picked.T, bwd)
+    return ad.record_op((*param_inputs, hidden), loss, bwd)
 
 
 def discriminate(params: ModelParams, hidden: Tensor, lengths=None) -> Tensor:
@@ -586,9 +584,7 @@ def discriminate(params: ModelParams, hidden: Tensor, lengths=None) -> Tensor:
             g_hidden = np.where(pad[..., None], 0.0, (g_in / frames)[:, None])
         return (g_hidden, *(gr for pair in reversed(g_layers) for gr in pair))
 
-    return ad.record_op("discriminate",
-                        (hidden, *(t for pair in layers for t in pair)),
-                        out, bwd)
+    return ad.record_op((hidden, *(t for pair in layers for t in pair)), out, bwd)
 
 
 # ---------------------------------------------------------------------------

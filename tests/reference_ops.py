@@ -26,7 +26,7 @@ def _promote(x) -> Tensor:
 
 def _checked(op, inputs, out, backward_fn) -> Tensor:
     ad.check_finite(out, op)
-    return ad.record_op(op, inputs, out, backward_fn)
+    return ad.record_op(inputs, out, backward_fn)
 
 
 def matmul(a, b) -> Tensor:
@@ -75,14 +75,13 @@ def ctc_head(params, hidden) -> Tensor:
 def tanh(a) -> Tensor:
     a = _promote(a)
     out = np.tanh(a.data)
-    return ad.record_op("tanh", (a,), out, lambda g: (g * (1.0 - out * out),))
+    return ad.record_op((a,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def relu(a) -> Tensor:
     a = _promote(a)
     mask = a.data > 0
-    return ad.record_op("relu", (a,), np.where(mask, a.data, 0.0),
-                        lambda g: (g * mask,))
+    return ad.record_op((a,), np.where(mask, a.data, 0.0), lambda g: (g * mask,))
 
 
 def exp(a) -> Tensor:
@@ -120,7 +119,7 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     def bwd(g):
         return tuple(np.split(g, cuts, axis=axis))
 
-    return ad.record_op("concat", tuple(ts), out, bwd)
+    return ad.record_op(tuple(ts), out, bwd)
 
 
 def reshape(a, shape) -> Tensor:
@@ -130,7 +129,7 @@ def reshape(a, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError as e:
         raise ShapeError(f"reshape {old} -> {shape}") from e
-    return ad.record_op("reshape", (a,), out, lambda g: (g.reshape(old),))
+    return ad.record_op((a,), out, lambda g: (g.reshape(old),))
 
 
 def embedding_lookup(table, ids) -> Tensor:
@@ -149,7 +148,7 @@ def embedding_lookup(table, ids) -> Tensor:
         np.add.at(z, idx, g)
         return (z,)
 
-    return ad.record_op("embedding_lookup", (table,), out, bwd)
+    return ad.record_op((table,), out, bwd)
 
 
 def logsumexp(a, axis: int | None = None, keepdims: bool = False) -> Tensor:

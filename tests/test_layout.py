@@ -6,6 +6,10 @@ or in ``perfbench/`` other than its own definition. Tests do not count: a
 helper only tests call belongs in ``tests/``, as the oracles in
 ``tests/oracles.py`` do. A private top-level name (``_name``) must be
 named in its own module.
+
+Dead-parameter guard: every parameter of a function or lambda in the
+package is read in its body. ``self``, ``cls`` and names starting with
+``_`` are exempt.
 """
 
 import ast
@@ -83,3 +87,29 @@ def test_every_private_top_level_name_is_named_in_its_module():
                    and name not in names]
     assert not unused, "private names without a caller in their module:\n" + \
         "\n".join(unused)
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) of each parameter its function never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *(arg for arg in (a.vararg, a.kwarg) if arg)]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        yield from ((node.lineno, name, p.arg) for p in params
+                    if p.arg not in read and p.arg not in ("self", "cls")
+                    and not p.arg.startswith("_"))
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unread += [f"{path.name}:{line} {func}({param})"
+                   for line, func, param in _unread_parameters(tree)]
+    assert not unread, "parameters never read:\n" + "\n".join(unread)

@@ -200,8 +200,7 @@ def test_batch_only_kernels_refuse_one_sequence(params, kernel):
     call = {
         "tanh_rnn": lambda: ad.tanh_rnn(x, params["enc0.w_in"], params["enc0.w_rec"],
                                         params["enc0.b"]),
-        "decoder_teacher_forced": lambda: decoder_teacher_forced(
-            params, h, [TINY.sos, 1], [1, TINY.eos]),
+        "decoder_teacher_forced": lambda: decoder_teacher_forced(params, h, [[1]]),
         "discriminate": lambda: discriminate(params, h),
         "adv_loss": lambda: adv_loss(params, x, [1], MtlWeights()),
     }[kernel]
@@ -539,6 +538,11 @@ def test_decoder_advance_rejects_bad_token(params):
     for tok in (-1, TINY.vocab_size + 1):
         with pytest.raises(ad.ShapeError):
             decoder_advance(params, h, state, tok)
+    # One range test covers the token vector, and its message lists it.
+    h2 = ad.constant(np.ones((2, 3, TINY.enc_hidden)))
+    with pytest.raises(ad.ShapeError, match=re.escape(f"[1, {TINY.vocab_size + 1}]")):
+        decoder_advance(params, h2, decoder_start(params, h2),
+                        np.array([1, TINY.vocab_size + 1]))
 
 
 def test_decoder_advance_takes_a_batch_and_refuses_mismatched_shapes():
@@ -570,30 +574,30 @@ def test_decoder_non_finite_parameter_raises(params, name):
     with pytest.raises(ad.NonFiniteError):
         decoder_advance(params, h, state, TINY.sos)
     with pytest.raises(ad.NonFiniteError):
-        decoder_teacher_forced(params, h[None], [[TINY.sos, 1]], [[1, TINY.eos]])
+        decoder_teacher_forced(params, h[None], [[1]])
 
 
 def test_teacher_forced_rejects_bad_tokens(params):
+    # Targets are word ids: sos/eos (V) and ids outside the vocabulary
+    # are refused; an empty target only predicts eos.
     h = ad.constant(np.ones((1, 3, TINY.enc_hidden)))
-    eos = TINY.eos
-    for inputs, targets in (([TINY.sos, eos + 1], [1, eos]),
-                            ([TINY.sos, 1], [-1, eos]),
-                            ([TINY.sos], [1, eos]),
-                            ([], [])):
-        with pytest.raises(ad.ShapeError):
-            decoder_teacher_forced(params, h, [inputs], [targets])
+    for bad in (TINY.vocab_size, TINY.vocab_size + 1, -1):
+        with pytest.raises(ValueError, match="word ids"):
+            decoder_teacher_forced(params, h, [[1, bad]])
+    assert decoder_teacher_forced(params, h, [[]]).shape == (1,)
 
 
 @pytest.mark.parametrize("name", ("hidden",) + DEC_PARAMS)
 def test_teacher_forced_gradient_matches_fd(params, name):
+    # A ragged batch: an empty target, a repeated word and padded frames,
+    # each row's loss weighted at random.
     rng = np.random.default_rng(14)
-    h = ad.leaf(rng.normal(size=(1, 5, TINY.enc_hidden)))
-    inputs, targets = [[TINY.sos, 3, 3, 0]], [[3, 3, 0, TINY.eos]]
-    weight = ad.constant(rng.normal(size=len(targets[0])))
+    h = ad.leaf(rng.normal(size=(3, 5, TINY.enc_hidden)))
+    targets, lengths = [[], [3, 3, 0], [2, 4]], [5, 3, 4]
+    weight = ad.constant(rng.normal(size=len(targets)))
 
     def loss(p, hidden):
-        picked = decoder_teacher_forced(p, hidden, inputs, targets)
-        return ad.sum_(ad.mul(picked, weight))
+        return ad.sum_(ad.mul(decoder_teacher_forced(p, hidden, targets, lengths), weight))
 
     with ad.tape():
         ad.backward(loss(params, h))
