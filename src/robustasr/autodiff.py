@@ -47,9 +47,13 @@ Decoding, which records nothing, keeps the same contract:
 per-row lengths and step its rows in lockstep, dropping a row once it
 stops. Attention gives padded frames zero weight, and the prefix scorer
 reads them as -inf. The prefix lattice has no cross-row products, so on
-the same log-probs each row's prefix scores are bit-identical to scoring
-its own frames alone; every other score agrees with the row's batch of
-one to about 1e-12 relative. One utterance is the batch of one here too.
+the same log-probs each prefix score the scorer computes is bit-identical
+to scoring the row's own frames alone; every other score agrees with the
+row's batch of one to about 1e-12 relative. At each step the scorer
+folds exactly only the candidates whose score bounds say they can still
+win, and the others read -inf, so hypotheses and per-step scores are
+byte-identical to scoring every candidate. One utterance is the batch of
+one here too.
 
 The tape stack and the recording flag are plain module state, one per
 process; parallel work runs in separate processes, never in threads that
@@ -348,10 +352,11 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
     dead = dead.T
     wi, wr = w_in.data, w_rec.data
     order = range(n - 1, -1, -1) if reverse else range(n)
-    # The scan runs time-major: frame t of every row is one (B, d) block.
-    # The bias is added as a (1, d) row: numpy broadcasts it into a block
-    # in place about twice as fast as a (d,) vector.
-    bias = b.data[None]
+    # The scan runs time-major: frame t of every row is one (B, d) block,
+    # built in place in z[t]: the recurrent product, then the input
+    # projection, then the bias. The bias is broadcast to a (B, d) block
+    # once, so no frame's add broadcasts.
+    bias = np.broadcast_to(b.data, (rows, d)).copy()
     # A forward scan reaches a row's padding only after its real frames,
     # so the padded states are left to run and zeroed once at the end. A
     # reverse scan meets the padding first: the rows whose last real frame
@@ -368,8 +373,8 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         for t in order:
             if t in restart:
                 h[restart[t]] = 0.0
-            zt = z[t]
-            np.add(pre[t], h @ wr, out=zt)
+            zt = np.dot(h, wr, out=z[t])
+            zt += pre[t]
             zt += bias
             h = np.tanh(zt, out=out[t])
         out[dead] = 0.0
@@ -384,10 +389,14 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         deriv[dead] = 0.0
         wr_t = wr.T
         dpre = np.empty((n, rows, d))
+        buf = np.empty((rows, d))
         dz = None
         for t in reversed(order):
-            dh = g[t] if dz is None else dz @ wr_t + g[t]
-            dz = dpre[t] = dh * deriv[t]
+            dh = g[t]
+            if dz is not None:
+                dh = np.dot(dz, wr_t, out=buf)
+                dh += g[t]
+            dz = np.multiply(dh, deriv[t], out=dpre[t])
         # Each gradient is one product over all frames and rows; terms for
         # inputs that take no gradient (a constant input, or constant
         # weights under attack) are skipped.

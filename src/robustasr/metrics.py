@@ -20,15 +20,27 @@ class WerStats:
 
 
 def edit_distance_words(ref: Sequence, hyp: Sequence) -> WerStats:
-    """Unit-cost Levenshtein distance of two token sequences."""
-    if len(ref) == 0:
+    """Unit-cost Levenshtein distance of two token sequences.
+
+    A common prefix or suffix costs no edit, so the DP runs only on what
+    lies between them.
+    """
+    n_ref = len(ref)
+    if n_ref == 0:
         raise ValueError("empty reference")
+    start, stop = 0, min(n_ref, len(hyp))
+    while start < stop and ref[start] == hyp[start]:
+        start += 1
+    end = 0
+    while end < stop - start and ref[-1 - end] == hyp[-1 - end]:
+        end += 1
+    ref, hyp = ref[start:n_ref - end], hyp[start:len(hyp) - end]
     row = list(range(len(hyp) + 1))  # distances from ref[:i] to each hyp prefix
     for i, r in enumerate(ref, 1):
         prev, row = row, [i]
         for j, h in enumerate(hyp, 1):
             row.append(min(prev[j - 1] + (r != h), prev[j] + 1, row[j - 1] + 1))
-    return WerStats(errors=row[-1], ref_len=len(ref))
+    return WerStats(errors=row[-1], ref_len=n_ref)
 
 
 def accent_accuracy(pred_labels: Sequence[int], gold_labels: Sequence[int]) -> float:

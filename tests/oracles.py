@@ -6,6 +6,9 @@
   path enumeration.
 - ``argmax_attention_decode`` is the attention decoder's own argmax loop,
   the reference for hybrid decoding at ``lambda_i_C`` 0.
+- ``full_scoring_decode`` is hybrid decoding at a nonzero ``lambda_i_C``
+  that folds every CTC candidate exactly, the reference for the pruned
+  scoring of ``joint_greedy_decode``.
 - ``fd_gradient`` is central finite differences, the oracle for every
   analytic gradient on the tape.
 - ``assert_matches_reference`` checks a fused op's contract against its
@@ -24,7 +27,7 @@ from robustasr import autodiff as ad
 from robustasr.autodiff import Tensor
 from robustasr.decode import CtcPrefixScorer, DecodeResult
 from robustasr.losses import CtcInfeasibleError
-from robustasr.model import decoder_advance, decoder_start
+from robustasr.model import ctc_head, decoder_advance, decoder_start
 
 
 def ctc_brute_force(logp, y: Sequence[int]) -> float:
@@ -90,6 +93,54 @@ def argmax_attention_decode(params, hidden, max_len: int) -> DecodeResult:
             hyp.append(c)
             token = c
     return DecodeResult(hypothesis=tuple(hyp), per_step_scores=steps)
+
+
+def full_scoring_decode(params, hidden, weights, max_len: int,
+                        lengths=None) -> list[DecodeResult]:
+    """Hybrid decoding of a padded batch at a nonzero ``lambda_i_C`` whose
+    every step scores all CTC candidates, through ``extend(state)``.
+
+    The rows run in lockstep and leave the batch when they stop, as in
+    ``joint_greedy_decode``, so the decoder sees the same batches and
+    gives the same bytes.
+    """
+    lam = weights.lambda_i_C
+    cfg = params.config
+    hyps: list[list[int]] = [[] for _ in range(hidden.shape[0])]
+    steps: list[list[tuple[float, float, float]]] = [[] for _ in hyps]
+    live = list(range(len(hyps)))
+    with ad.no_grad():
+        scorer = CtcPrefixScorer(ctc_head(params, hidden), lengths)
+        state = scorer.initial_state()
+        dec_state = decoder_start(params, hidden, lengths) if lam < 1.0 else None
+        tokens = np.full(len(live), cfg.sos)
+        for _ in range(max_len):
+            dec = np.zeros((len(live), cfg.vocab_size + 1))
+            if dec_state is not None:
+                logp, dec_state = decoder_advance(params, hidden, dec_state, tokens)
+                dec = logp.data
+            psi, eos, phi, first = scorer.extend(state)
+            ctc = np.concatenate([psi, eos[:, None]], axis=1) - state.psi[:, None]
+            with np.errstate(invalid="ignore"):
+                combined = lam * ctc + (1.0 - lam) * dec
+            c = np.argmax(combined, axis=1)
+            for i, (r, tok) in enumerate(zip(live, c.tolist())):
+                steps[r].append((float(ctc[i, tok]), float(dec[i, tok]),
+                                 float(combined[i, tok])))
+                if tok != cfg.eos:
+                    hyps[r].append(tok)
+            going = c != cfg.eos
+            live = [r for r, g in zip(live, going.tolist()) if g]
+            if not live:
+                break
+            hidden = ad.constant(hidden.data[going])
+            if dec_state is not None:
+                dec_state = dec_state.take(going)
+            scorer, state = scorer.take(going), state.take(going)
+            state = scorer.advance(state, c[going], psi[going], phi[going], first[going])
+            tokens = c[going]
+    return [DecodeResult(hypothesis=tuple(h), per_step_scores=s)
+            for h, s in zip(hyps, steps)]
 
 
 def fd_gradient(f: Callable[[Tensor], "Tensor | float"], x: Tensor,

@@ -1,17 +1,21 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import argmax_attention_decode, close_to, ctc_prefix_score
+from oracles import argmax_attention_decode, close_to, ctc_prefix_score, full_scoring_decode
 from prefix_reference import ReferencePrefixScorer
 
 from robustasr import autodiff as ad
-from robustasr.decode import CtcPrefixScorer, joint_greedy_decode
+from robustasr import decode
+from robustasr.data import gen_dataset
+from robustasr.decode import CtcPrefixScorer, _fold_bounds, joint_greedy_decode
 from robustasr.losses import MtlWeights
-from robustasr.model import ModelConfig, encode, init_params, pad_batch
+from robustasr.model import ModelConfig, encode, init_params, load_checkpoint, pad_batch
+from robustasr.train import DECODE_BLOCK
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=4, disc_hidden=4, seed=3)
@@ -315,9 +319,20 @@ def test_attention_decode_deterministic(params):
 # --- a batch decodes as its batches of one -------------------------------------
 
 
+def decode_problem(lam, lengths, eos_bias, seed):
+    """The TINY model with eos and blank biased by ``eos_bias``, random
+    inputs of ``lengths`` frames, and the weights at ``lam``."""
+    params = init_params(TINY)
+    params["dec.b_out"].data[TINY.eos] = eos_bias
+    params["ctc.b"].data[TINY.vocab_size] = eos_bias  # the blank column
+    rng = np.random.default_rng(seed)
+    xs = [rng.normal(size=(n, TINY.feat_dim)) for n in lengths]
+    return params, xs, MtlWeights(1.0, 0.5, lambda_i_C=lam)
+
+
 @st.composite
-def decode_batches(draw):
-    lam = draw(st.sampled_from([0.0, 0.5, 1.0]))
+def decode_batches(draw, lams=(0.0, 0.5, 1.0)):
+    lam = draw(st.sampled_from(lams))
     lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
     max_len = draw(st.integers(1, 6))
     eos_bias = draw(st.sampled_from([-2.0, 0.0, 2.0]))
@@ -333,12 +348,7 @@ def test_batched_decode_matches_batch_of_one(case):
     # Rows stop at different steps, some at eos and some at max_len; the
     # eos bias moves where. Each row must decode as its batch of one.
     lam, lengths, max_len, eos_bias, seed = case
-    params = init_params(TINY)
-    params["dec.b_out"].data[TINY.eos] = eos_bias
-    params["ctc.b"].data[TINY.vocab_size] = eos_bias  # the blank column
-    rng = np.random.default_rng(seed)
-    xs = [rng.normal(size=(n, TINY.feat_dim)) for n in lengths]
-    weights = MtlWeights(1.0, 0.5, lambda_i_C=lam)
+    params, xs, weights = decode_problem(lam, lengths, eos_bias, seed)
     x, _ = pad_batch(xs)
     with ad.no_grad():
         hidden = encode(params, ad.constant(x), lengths)
@@ -350,3 +360,164 @@ def test_batched_decode_matches_batch_of_one(case):
         assert res.hypothesis == one.hypothesis
         assert len(res.per_step_scores) == len(one.per_step_scores)
         assert close_to(res.per_step_scores, one.per_step_scores, 1e-12)
+
+
+# --- pruned prefix scoring ------------------------------------------------------
+
+
+@st.composite
+def fold_cases(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 6)))
+    kind = draw(st.sampled_from(["normal", "sharp", "deep", "equal"]))
+    return shape, kind, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fold_cases())
+@example(((2, 40, 3), "equal", 0))
+def test_fold_bounds_hold(case):
+    # Terms laid out as extend folds them, (T, B, V): -inf on padded
+    # frames, on some emissions, and at frame 0 of the column that
+    # repeats the last token. "equal" puts every term of a column at one
+    # value, where the fold is its top plus log n and only the slack
+    # covers the rounding, whose size grows with the terms' magnitude.
+    (n_rows, n_frames, width), kind, seed = case
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, n_frames + 1, size=n_rows)
+    if kind == "equal":
+        top = -10.0 ** rng.uniform(-2.0, 5.0, size=(1, n_rows, width))
+        terms = np.repeat(top, n_frames, axis=0)
+    else:
+        scale = {"normal": 1.0, "sharp": 30.0, "deep": 1e4}[kind]
+        terms = -scale * np.abs(rng.normal(size=(n_frames, n_rows, width)))
+        terms[rng.random(size=terms.shape) < 0.2] = -np.inf
+    terms[np.arange(n_frames)[:, None] >= lengths] = -np.inf
+    terms[0, np.arange(n_rows), rng.integers(0, width, size=n_rows)] = -np.inf
+    low, high = _fold_bounds(terms, lengths)
+    fold = np.logaddexp.reduce(terms, axis=0)
+    assert (low <= fold).all() and (fold <= high).all()
+    assert (np.isneginf(high) == np.isneginf(terms).all(axis=0)).all()
+
+
+def combined_scores(lam, scored, state, dec):
+    psi, eos = scored[:2]
+    with np.errstate(invalid="ignore"):
+        return lam * (np.concatenate([psi, eos[:, None]], axis=1) - state.psi[:, None]) \
+            + (1.0 - lam) * dec
+
+
+@pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
+def test_pruned_extend_scores_every_candidate_that_can_win(lam):
+    # Random token paths run into prefixes no path reaches, whose score
+    # is -inf, and "nan" lattices hold NaN log-probs: the rows whose
+    # bounds are not finite are scored in full.
+    rng = np.random.default_rng(int(lam * 100))
+    pruned = fallback = 0
+    for trial in range(80):
+        width = int(rng.integers(2, 7))
+        n_rows = int(rng.integers(1, 6))
+        lengths = rng.integers(1, 12, size=n_rows)
+        kind = ("sharp", "flat", "neginf", "nan")[trial % 4]
+        batch = np.full((n_rows, max(lengths), width), np.nan)  # padding is ignored
+        for r, t in enumerate(lengths):
+            batch[r, :t] = random_lattice(rng, kind, t, width)
+            if kind == "nan" and r == 0:
+                batch[r, rng.integers(0, t)] = np.nan
+        scorer = CtcPrefixScorer(batch, lengths)
+        state = scorer.initial_state()
+        for _step in range(max(lengths) + 2):
+            dec = norm_logp(rng.normal(size=(n_rows, width))) if lam < 1.0 \
+                else np.zeros((n_rows, width))
+            with np.errstate(invalid="ignore"):  # NaN log-probs
+                full = scorer.extend(state)
+                got = scorer.extend(state, lam, dec)
+            for a, b in zip(got[1:], full[1:]):  # eos, phi and first are exact
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            exact = (got[0] == full[0]) | (np.isnan(got[0]) & np.isnan(full[0]))
+            assert np.isneginf(got[0][~exact]).all()
+            want = combined_scores(lam, full, state, dec)
+            have = combined_scores(lam, got, state, dec)
+            best = np.argmax(want, axis=1)
+            assert (np.argmax(have, axis=1) == best).all()
+            rows_idx = np.arange(n_rows)
+            assert have[rows_idx, best].tobytes() == want[rows_idx, best].tobytes()
+            lost = ~exact & (want[:, :-1] < want[rows_idx, best][:, None])
+            assert (lost == ~exact).all()  # what reads -inf lost to the winner
+            dead = ~np.isfinite(state.psi)
+            assert exact[dead].all()
+            pruned += int((~exact).sum())
+            fallback += int(dead.sum())
+            tokens = [int(state.last[r]) if state.last is not None and rng.random() < 0.4
+                      else int(rng.integers(0, width - 1)) for r in range(n_rows)]
+            with np.errstate(invalid="ignore"):
+                state = scorer.advance(state, tokens, *full[:1], *full[2:])
+    assert pruned and fallback
+
+
+@settings(max_examples=40, deadline=None)
+@given(decode_batches(lams=(0.25, 0.5, 1.0)))
+@example((0.25, [9, 2, 5, 1], 6, 0.0, 1))
+@example((0.5, [1, 7, 4], 6, -2.0, 2))
+@example((1.0, [3, 8, 1, 6], 6, 2.0, 3))
+def test_pruned_decode_equals_full_scoring(case):
+    # Byte for byte: the hypotheses and the repr of every per-step score.
+    # The CTC head refuses non-finite log-probs, so no prefix a decode
+    # keeps scores -inf and the rows scored in full for non-finite bounds
+    # are covered by the scorer-level test above.
+    lam, lengths, max_len, eos_bias, seed = case
+    params, xs, weights = decode_problem(lam, lengths, eos_bias, seed)
+    x, _ = pad_batch(xs)
+    with ad.no_grad():
+        hidden = encode(params, ad.constant(x), lengths)
+    got = joint_greedy_decode(params, hidden, weights, max_len, lengths)
+    want = full_scoring_decode(params, hidden, weights, max_len, lengths)
+    assert [r.hypothesis for r in got] == [r.hypothesis for r in want]
+    assert repr([r.per_step_scores for r in got]) == repr([r.per_step_scores for r in want])
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "checkpoint.txt"
+
+
+class FoldCounter:
+    """numpy for the ``decode`` module, whose ``logaddexp.reduce`` counts
+    the columns it folds."""
+
+    def __init__(self):
+        self.folded = 0
+        self.logaddexp = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def __call__(self, *args, **kwargs):
+        return np.logaddexp(*args, **kwargs)
+
+    def reduce(self, a, axis):
+        self.folded += a.size // a.shape[axis]
+        return np.logaddexp.reduce(a, axis=axis)
+
+
+def test_pruned_decode_on_the_fixture_folds_few_candidates(monkeypatch):
+    # On a trained model the exact fold runs on few of the V candidates
+    # of a scored row (1.14 at lambda_i_C 0.5, 1.17 at 1), and the
+    # decodes equal full scoring. A change that folds every candidate
+    # again fails here.
+    params = load_checkpoint(FIXTURE)
+    feats = sorted((u.features for u in gen_dataset(0, 1, 1, 200).test), key=len)
+    blocks = []
+    with ad.no_grad():
+        for start in range(0, len(feats), DECODE_BLOCK):
+            x, lengths = pad_batch(feats[start:start + DECODE_BLOCK])
+            blocks.append((encode(params, ad.constant(x), lengths), lengths))
+    counter = FoldCounter()
+    for lam in (0.5, 1.0):
+        weights = MtlWeights(0.7, 0.5, lambda_i_C=lam)
+        before, counter.folded = CtcPrefixScorer.evaluations, 0
+        with monkeypatch.context() as patch:
+            patch.setattr(decode, "np", counter)
+            got = [joint_greedy_decode(params, h, weights, 10, lengths)
+                   for h, lengths in blocks]
+        scored = CtcPrefixScorer.evaluations - before
+        assert counter.folded <= 2 * scored, (lam, counter.folded / scored)
+        want = [full_scoring_decode(params, h, weights, 10, lengths) for h, lengths in blocks]
+        assert repr(got) == repr(want)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robustasr.metrics import (
     WerStats,
@@ -47,6 +49,20 @@ def test_distance_matches_oracle():
         ref = list(rng.integers(0, 4, size=rng.integers(1, 7)))
         hyp = list(rng.integers(0, 4, size=rng.integers(0, 7)))
         assert edit_distance_words(ref, hyp) == WerStats(naive_distance(ref, hyp), len(ref))
+
+
+words = st.lists(st.integers(0, 3), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words, words, words, words)
+def test_distance_with_shared_ends_matches_oracle(prefix, ref_mid, hyp_mid, suffix):
+    # A shared prefix and suffix around the middles, which may share
+    # words with the ends or be empty; the hypothesis is a tuple, as
+    # decoding gives it.
+    ref, hyp = prefix + ref_mid + suffix, prefix + hyp_mid + suffix
+    assume(ref)
+    assert edit_distance_words(ref, tuple(hyp)) == WerStats(naive_distance(ref, hyp), len(ref))
 
 
 def test_triangle_consistency():
