@@ -89,11 +89,26 @@ def target_feasible(x: np.ndarray, target, weights: MtlWeights) -> bool:
     return x.shape[0] >= ctc_min_frames(list(target))
 
 
-def project_l2(delta: np.ndarray, epsilon: float) -> np.ndarray:
+def project_l2(delta: np.ndarray, epsilon: float) -> tuple[np.ndarray, float]:
+    """``delta`` scaled back onto the epsilon-ball if it left it, and the
+    norm of what is returned: the one already computed when ``delta``
+    stays inside, else that of the scaled copy."""
     norm = float(np.linalg.norm(delta))
     if norm <= epsilon:
-        return delta
-    return delta * (epsilon / norm)
+        return delta, norm
+    projected = delta * (epsilon / norm)
+    return projected, float(np.linalg.norm(projected))
+
+
+def _descend(delta: np.ndarray, grad: np.ndarray, grad_norm: float, epsilon: float,
+             alpha: float) -> tuple[np.ndarray, float, float]:
+    """``l2_step`` given the gradient's norm ``grad_norm``; it also returns
+    the norm of the new perturbation."""
+    if grad_norm == 0.0 or alpha == 0.0:
+        return delta, 0.0, float(np.linalg.norm(delta))
+    step = grad * (-alpha / grad_norm)
+    projected, norm = project_l2(delta + step, epsilon)
+    return projected, float(np.linalg.norm(step)), norm
 
 
 def l2_step(delta: np.ndarray, grad: np.ndarray, epsilon: float,
@@ -104,11 +119,7 @@ def l2_step(delta: np.ndarray, grad: np.ndarray, epsilon: float,
     (== alpha whenever the gradient is nonzero; a zero gradient leaves
     the perturbation untouched).
     """
-    grad_norm = float(np.linalg.norm(grad))
-    if grad_norm == 0.0 or alpha == 0.0:
-        return delta, 0.0
-    step = grad * (-alpha / grad_norm)
-    return project_l2(delta + step, epsilon), float(np.linalg.norm(step))
+    return _descend(delta, grad, float(np.linalg.norm(grad)), epsilon, alpha)[:2]
 
 
 @dataclass
@@ -117,6 +128,7 @@ class PgdStep:
     grad_norm: float
     loss: float
     step_norm: float
+    delta_norm: float  # of the new perturbation
 
 
 def _batch_step(params: ModelParams, x: np.ndarray, delta: np.ndarray,
@@ -128,10 +140,12 @@ def _batch_step(params: ModelParams, x: np.ndarray, delta: np.ndarray,
         ad.backward(ad.sum_(losses))
     out = []
     for r, n in enumerate(lengths):
-        grad, row_delta = x_adv.grad[r, :n], delta[r, :n]
-        new_delta, step_norm = l2_step(row_delta, grad, config.epsilon, config.alpha)
-        out.append(PgdStep(delta=new_delta, grad_norm=float(np.linalg.norm(grad)),
-                           loss=float(losses.data[r]), step_norm=step_norm))
+        grad = x_adv.grad[r, :n]
+        grad_norm = float(np.linalg.norm(grad))
+        new_delta, step_norm, delta_norm = _descend(delta[r, :n], grad, grad_norm,
+                                                    config.epsilon, config.alpha)
+        out.append(PgdStep(delta=new_delta, grad_norm=grad_norm, loss=float(losses.data[r]),
+                           step_norm=step_norm, delta_norm=delta_norm))
     return out
 
 
@@ -198,7 +212,7 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
                 continue
             delta[r, :n] = out.delta
             res.step_norms.append(out.step_norm)
-            res.delta_norms.append(float(np.linalg.norm(out.delta)))
+            res.delta_norms.append(out.delta_norm)
             if k in config.report_at:
                 res.snapshots[k] = x + out.delta
         live = np.array([r for r in live if results[r].converged_at is None], dtype=int)

@@ -354,9 +354,10 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
     order = range(n - 1, -1, -1) if reverse else range(n)
     # The scan runs time-major: frame t of every row is one (B, d) block,
     # built in place in z[t]: the recurrent product, then the input
-    # projection, then the bias. The bias is broadcast to a (B, d) block
+    # projection, then the bias. The bias is filled into a (B, d) block
     # once, so no frame's add broadcasts.
-    bias = np.broadcast_to(b.data, (rows, d)).copy()
+    bias = np.empty((rows, d))
+    bias[:] = b.data
     # A forward scan reaches a row's padding only after its real frames,
     # so the padded states are left to run and zeroed once at the end. A
     # reverse scan meets the padding first: the rows whose last real frame

@@ -19,6 +19,13 @@ Everything is pure and seed-driven: the same (seed, config) always
 yields byte-identical datasets and target sets. Only the splits are
 saved; each split file records its seed, from which ``gen_adv_targets``
 rebuilds the targets.
+
+Those bytes are a contract, so the generator's draws are fixed: each
+split has one generator, which shuffles the accents and then, per
+utterance, draws one length and one ``size=length`` token array, and per
+word one frame count and one block of noise (``render_utterance``). The
+accent-rotated prototypes involve no draw; ``_world`` computes each once
+per ``feat_dim`` and rendering adds the cached row to the noise.
 """
 
 from __future__ import annotations
@@ -79,10 +86,15 @@ def to_words(tokens: Sequence[int]) -> list[str]:
 
 
 @functools.cache
-def _world(feat_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed geometry of the feature space: the content words'
-    prototypes (n_content, F), unit rows, and the accents' orthogonal maps
-    (N_ACCENTS, F, F). Built once per ``feat_dim``; read-only."""
+def _world(feat_dim: int) -> np.ndarray:
+    """The fixed geometry of the feature space, built once per
+    ``feat_dim``: each content word's unit-norm prototype through each
+    accent's orthogonal map, the frame every rendering of that word
+    centres on, as a read-only (N_ACCENTS, n_content, F) table.
+
+    Each row is its own vector-matrix product: the one matrix product
+    ``prototypes @ map`` rounds some rows differently, which would change
+    every generated byte."""
     rng = np.random.default_rng([_WORLD_SEED, feat_dim])
     # prototypes share a strong common direction so the two accent
     # rotations displace every utterance consistently; the residual
@@ -91,10 +103,11 @@ def _world(feat_dim: int) -> tuple[np.ndarray, np.ndarray]:
     common /= np.linalg.norm(common)
     protos = 1.5 * common + rng.normal(size=(len(CONTENT_WORDS), feat_dim))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-    maps = np.stack([np.linalg.qr(rng.normal(size=(feat_dim, feat_dim)))[0]
-                     for _ in range(N_ACCENTS)])
-    protos.flags.writeable = maps.flags.writeable = False
-    return protos, maps
+    maps = [np.linalg.qr(rng.normal(size=(feat_dim, feat_dim)))[0]
+            for _ in range(N_ACCENTS)]
+    rotated = np.array([[protos[tok] @ m for tok in CONTENT_IDS] for m in maps])
+    rotated.flags.writeable = False
+    return rotated
 
 
 @dataclass(frozen=True)
@@ -121,20 +134,27 @@ class DatasetSplit:
 def render_utterance(tokens: Sequence[int], accent: int, rng: np.random.Generator,
                      feat_dim: int = DEFAULT_FEAT_DIM,
                      noise_sigma: float = NOISE_SIGMA) -> np.ndarray:
-    """Emit 3..6 frames per word: accent-rotated prototype plus noise."""
+    """Emit 3..6 frames per word: accent-rotated prototype plus noise.
+
+    The draws from ``rng`` are the data contract, so they are fixed: per
+    word one frame count ``n`` from ``integers``, then, when
+    ``noise_sigma > 0``, one ``normal(scale=noise_sigma, size=(n, F))``.
+    The word's rotated prototype comes from a per-``feat_dim`` cache and
+    is added in place to that noise (to zeros at ``noise_sigma`` 0)."""
     if not tokens:
         raise DataError("empty transcript")
     if accent not in range(N_ACCENTS):
         raise DataError(f"accent must be in 0..{N_ACCENTS - 1}, got {accent}")
-    prototypes, accent_maps = _world(feat_dim)
+    rotated = _world(feat_dim)[accent]
     frames = []
     for tok in tokens:
         if tok not in CONTENT_IDS:
             raise DataError(f"token id {tok} is not a content word")
         n = int(rng.integers(FRAMES_PER_WORD[0], FRAMES_PER_WORD[1] + 1))
-        base = prototypes[tok] @ accent_maps[accent]
-        noise = rng.normal(scale=noise_sigma, size=(n, feat_dim)) if noise_sigma > 0 else 0.0
-        frames.append(np.broadcast_to(base, (n, feat_dim)) + noise)
+        word = (rng.normal(scale=noise_sigma, size=(n, feat_dim)) if noise_sigma > 0
+                else np.zeros((n, feat_dim)))
+        word += rotated[tok]
+        frames.append(word)
     return np.concatenate(frames, axis=0)
 
 
@@ -144,12 +164,12 @@ def _gen_split(name: str, n: int, len_range: tuple[int, int], seed: int,
     accents = np.array([i % N_ACCENTS for i in range(n)])
     rng.shuffle(accents)
     utts = []
-    for i in range(n):
+    for i, accent in enumerate(accents.tolist()):
         length = int(rng.integers(len_range[0], len_range[1] + 1))
-        tokens = tuple(int(t) for t in rng.integers(0, len(CONTENT_WORDS), size=length))
-        feats = render_utterance(tokens, int(accents[i]), rng, feat_dim)
+        tokens = tuple(rng.integers(0, len(CONTENT_WORDS), size=length).tolist())
+        feats = render_utterance(tokens, accent, rng, feat_dim)
         utts.append(Utterance(id=f"{name}-{i:05d}", features=feats,
-                              transcript=tokens, accent=int(accents[i])))
+                              transcript=tokens, accent=accent))
     return utts
 
 

@@ -24,6 +24,7 @@ and ``ctc_head`` maps the states of any leading shape.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
@@ -632,10 +633,14 @@ def load_checkpoint(path) -> ModelParams:
         i += 1
         if i + n_rows > len(lines) - 1:
             raise CheckpointError(f"{path}: truncated values for {name}")
+        rows = [line.split() for line in lines[i:i + n_rows]]
         try:
-            rows = [[float.fromhex(v) for v in lines[i + r].split()]
-                    for r in range(n_rows)]
-            arr = np.array(rows, dtype=np.float64).reshape(shape)
+            for r, row in enumerate(rows):
+                if len(row) != shape[-1]:
+                    raise ValueError(f"row {r + 1} holds {len(row)} values, "
+                                     f"not {shape[-1]}")
+            arr = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)),
+                              dtype=np.float64).reshape(shape)
         except ValueError as e:
             raise CheckpointError(f"{path}: bad values for {name}: {e}") from e
         tensors[name] = ad.leaf(arr)

@@ -100,11 +100,14 @@ def test_adv_loss_infeasible_target(params):
 
 def test_project_l2():
     inside = np.array([1.0, 0.0])
-    assert np.array_equal(project_l2(inside, 2.0), inside)
-    out = project_l2(np.array([3.0, 4.0]), 2.0)
+    same, norm = project_l2(inside, 2.0)
+    assert same is inside and norm == 1.0
+    out, norm = project_l2(np.array([3.0, 4.0]), 2.0)
     assert np.allclose(out, [1.2, 1.6], atol=1e-12)
+    assert norm == float(np.linalg.norm(out))  # of the scaled copy, not epsilon
     zero = np.zeros(3)
-    assert np.array_equal(project_l2(zero, 2.0), zero)
+    same, norm = project_l2(zero, 2.0)
+    assert same is zero and norm == 0.0
 
 
 def test_l2_step_quadratic_moves_alpha_toward_target():
@@ -195,6 +198,8 @@ def test_pgd_attack_invariants_and_determinism(case):
         assert len(res.loss_trace) == taken + 1 + (res.converged_at is not None)
         assert all(np.isfinite(v) for v in res.loss_trace)
         assert all(n <= epsilon * (1.0 + 1e-12) for n in res.delta_norms)
+        # the reused norm is the one a fresh computation gives
+        assert res.delta_norms[-1:] == [float(np.linalg.norm(res.delta))][:taken]
         assert all(abs(s - alpha) <= 1e-12 * alpha for s in res.step_norms)
         assert res.delta.shape == x.shape
         assert np.array_equal(res.x_adv, x + res.delta)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,50 @@ def test_load_truncated_split_fails(tmp_path):
     path.write_text(lines[0].replace(" v2 ", " v1 ") + "\n" + "\n".join(lines[1:-1]) + "\n")
     with pytest.raises(DataError, match="format toyspeech v1 is not read"):
         load_split(path)
+
+
+# The generated bytes are the data contract: every grid cell, checkpoint
+# and stored benchmark row is built from them. A change to the
+# generator's draw order, arithmetic or output types fails here.
+DATASET_SHA256 = {
+    (0, 16): "c5de815dc0fe0c3d11bf7af08e7d47240330f04172a7ce1b79b38fbac26dd66d",
+    (7, 16): "640c7a32c05522184281974fc68440b0ca44ab7ca427922f3b3fc76198cea114",
+    (0, 3): "6abd362a08577dbe519bf6cf28c015e284f25941158c4413d9a213a883f413ed",
+    (7, 3): "a2a2c4ad2bc1d9795ad31c64afbdb7f9ab7c39119ce5ac8e1c603254b048b982",
+}
+RENDER_SHA256 = {
+    0.0: "c8c96a2d16e4f4b0b7352c668371d12a1f6eedcb9e1d8cfecad20653c34188b7",
+    0.05: "0ab98821168807a4b4bed090fc3661a910e0eecddeb5fc1da1d7cc9ae471a03b",
+}
+
+
+def _sha256(arrays, *values):
+    h = hashlib.sha256(repr(values).encode())
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(("seed", "feat_dim"), list(DATASET_SHA256))
+def test_gen_dataset_bytes_are_pinned(seed, feat_dim):
+    ds = gen_dataset(seed, n_train=40, n_valid=10, n_test=10, feat_dim=feat_dim)
+    utts = ds.train + ds.valid + ds.test
+    assert all(type(t) is int for u in utts for t in u.transcript)
+    got = _sha256([u.features for u in utts],
+                  [(u.id, u.transcript, u.accent) for u in utts])
+    assert got == DATASET_SHA256[seed, feat_dim]
+
+
+@pytest.mark.parametrize("noise_sigma", list(RENDER_SHA256))
+def test_render_utterance_bytes_are_pinned(noise_sigma):
+    rng = np.random.default_rng(42)
+    feats = [render_utterance(tokens, accent, rng, noise_sigma=noise_sigma)
+             for tokens, accent in (((0, 5, 23, 11), 0), ((23, 23, 4), 1), ((9,), 1))]
+    assert _sha256(feats) == RENDER_SHA256[noise_sigma]
+
+
+@pytest.mark.parametrize("accent", [-1, 2, 0.5])
+def test_render_refuses_an_accent_outside_the_set(accent):
+    with pytest.raises(DataError, match=f"accent must be in 0..1, got {accent}$"):
+        render_utterance((0, 1), accent, np.random.default_rng(0))

@@ -1,5 +1,7 @@
+import hashlib
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,6 +506,51 @@ def test_checkpoint_wrong_shape_fails(tmp_path, params):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(CheckpointError, match="ctc.b"):
         load_checkpoint(p)
+
+
+def _bad_block(lines, name, edit):
+    """``lines`` with the rows of parameter ``name`` passed through ``edit``."""
+    idx = next(i for i, l in enumerate(lines) if l.startswith(f"param {name} "))
+    n_rows = int(lines[idx].split()[2]) if len(lines[idx].split()) == 4 else 1
+    rows = [l.split() for l in lines[idx + 1:idx + 1 + n_rows]]
+    edit(rows)
+    return lines[:idx + 1] + [" ".join(r) for r in rows] + lines[idx + 1 + n_rows:]
+
+
+def _set(rows, r, c, value):
+    rows[r][c] = value
+
+
+@pytest.mark.parametrize(("name", "edit"), [
+    ("enc0.w_in", lambda rows: _set(rows, 1, 2, "0x1.zzp-3")),  # not hex
+    ("enc0.w_in", lambda rows: _set(rows, 2, 0, "")),  # an empty value
+    ("ctc.b", lambda rows: _set(rows, 0, 1, "nope")),  # not hex, 1-D
+    ("enc0.w_in", lambda rows: rows[1].pop()),  # a row one value short
+    ("enc0.w_in", lambda rows: rows[0].append(rows[1].pop())),  # right count, ragged
+    ("ctc.b", lambda rows: rows[0].pop()),  # a vector one value short
+    ("enc1.w_rec", lambda rows: rows[-1].append("0x1p-1")),  # a row one value long
+], ids=["not-hex", "empty", "vector-not-hex", "row-short", "ragged", "vector-short",
+        "row-long"])
+def test_checkpoint_bad_values_name_the_parameter(tmp_path, params, name, edit):
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, params)
+    p.write_text("\n".join(_bad_block(p.read_text().splitlines(), name, edit)) + "\n")
+    with pytest.raises(CheckpointError, match=f": bad values for {re.escape(name)}: "):
+        load_checkpoint(p)
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixture" / "checkpoint.txt"
+
+
+def test_fixture_checkpoint_loads_to_pinned_bytes():
+    # Digest of the trained fixture's config and every parameter, in
+    # order: any parse must read exactly these values.
+    loaded = load_checkpoint(FIXTURE)
+    h = hashlib.sha256(loaded.config.to_json().encode())
+    for name, t in loaded.items():
+        h.update(f"{name} {t.shape}".encode())
+        h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    assert h.hexdigest() == "bb26cea2f72a9ef7cd25d3cecd68076c50496a048c39be528c3bfc0c1379fde0"
 
 
 # ---------------------------------------------------------------------------
