@@ -7,11 +7,14 @@ the two run keys that a grid sets for each of its cells, ``seed`` and
 error that names it, and ``grid`` refuses the run keys. ``gen-data``,
 ``train`` and ``attack`` run the grid's own cell code (``make_data``,
 ``train_model``, ``evaluate_model``), so one config file can drive a
-model through every stage. ``eval`` and ``attack`` read only the test
-split. The stages share no targets file: ``attack`` derives the targets
-from the seed the test split's header records and its own config's
-``n_targets`` and ``len_range``. All outputs are
-deterministic functions of their configs, so reruns are byte-identical.
+model through every stage. ``gen-data`` writes a data directory as one
+file, the recipe: the ``gen_dataset`` arguments and a sha256 of each
+split. ``train`` regenerates all three splits from it, and ``eval`` and
+``attack`` only the test split, each checked against its digest. The
+stages share no targets file: ``attack`` derives the targets from the
+seed the recipe records and its own config's ``n_targets`` and
+``len_range``. All outputs are deterministic functions of their configs,
+so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import argparse
 import os
 import sys
 
-from .data import load_dataset, load_split, save_dataset
+from .data import RECIPE, load_dataset, load_test_split, save_dataset
 from .experiments import (ReportRow, evaluate_model, load_config, make_data,
                           make_tables, rows_from_csv, rows_to_csv, run_grid,
                           train_model, trend_check, trend_report)
@@ -31,8 +34,8 @@ from .train import evaluate_benign
 def cmd_gen_data(args) -> int:
     config, seed, _weights = load_config(args.config, args.seed)
     ds = make_data(config, seed)
-    save_dataset(args.out, ds)
-    print(f"wrote {args.out}/{{train,valid,test}}.txt "
+    save_dataset(args.out, ds, config.len_range)
+    print(f"wrote {os.path.join(args.out, RECIPE)} "
           f"(seed={seed}, {len(ds.train)}/{len(ds.valid)}/{len(ds.test)} utterances)")
     return 0
 
@@ -52,7 +55,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     config, _seed, weights = load_config(args.config)
     params = load_checkpoint(args.checkpoint)
-    utts = load_split(os.path.join(args.data, "test.txt"))[0][:config.n_eval]
+    utts = load_test_split(args.data)[0][:config.n_eval]
     wer, acc = evaluate_benign(params, utts, weights,
                                max_len=config.max_decode_len)
     print(f"benign pooled WER={wer:.4f} accent_acc={acc:.4f} "
@@ -72,9 +75,9 @@ def cmd_eval(args) -> int:
 
 def cmd_attack(args) -> int:
     config, _seed, weights = load_config(args.config)
-    test, meta = load_split(os.path.join(args.data, "test.txt"))
-    rows = evaluate_model(config, load_checkpoint(args.checkpoint), test,
-                          meta["seed"], weights)
+    test, seed = load_test_split(args.data)
+    rows = evaluate_model(config, load_checkpoint(args.checkpoint), test, seed,
+                          weights)
     with open(args.out, "w") as f:
         f.write(rows_to_csv(rows, config.hash()))
     for r in rows:

@@ -4,9 +4,7 @@ The vocabulary is fixed and lives here: ``WORDS`` is the content words,
 then the lorem words, and a token id is a word's index in it. So is the
 accent set, ``N_ACCENTS`` labels ``0..N_ACCENTS-1``. The model has one
 output per word and one per accent (``ModelConfig.vocab_size`` must
-equal ``N_WORDS`` and ``n_accents`` must equal ``N_ACCENTS``), and every
-data file carries ``VOCAB_HASH`` so that files written under another
-vocabulary are refused.
+equal ``N_WORDS`` and ``n_accents`` must equal ``N_ACCENTS``).
 
 Each content word owns a fixed unit-norm prototype vector; an utterance
 renders every word as a short run of frames, rotates them through the
@@ -16,9 +14,11 @@ from the lorem words, which share no word with the content words, so a
 targeted attack is never accidentally "correct".
 
 Everything is pure and seed-driven: the same (seed, config) always
-yields byte-identical datasets and target sets. Only the splits are
-saved; each split file records its seed, from which ``gen_adv_targets``
-rebuilds the targets.
+yields byte-identical datasets and target sets. So a data directory
+stores no features, only its recipe (``RECIPE``): the ``gen_dataset``
+arguments and a sha256 of each split. Loading regenerates the splits it
+needs and refuses one whose bytes differ from the recorded ones;
+``gen_adv_targets`` rebuilds the targets from the recorded seed.
 
 Those bytes are a contract, so the generator's draws are fixed: each
 split has one generator, which shuffles the accents and then, per
@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,35 +55,16 @@ LOREM_WORDS = (
 WORDS = CONTENT_WORDS + LOREM_WORDS
 N_WORDS = len(WORDS)
 CONTENT_IDS = range(len(CONTENT_WORDS))
-VOCAB_HASH = hashlib.sha256(("\x1f".join(CONTENT_WORDS) + "\x1e" +
-                             "\x1f".join(LOREM_WORDS)).encode()).hexdigest()[:12]
-_IDS = {w: i for i, w in enumerate(WORDS)}
 N_ACCENTS = 2
-_ACCENT_LINES = tuple(str(a) for a in range(N_ACCENTS))
 
 DEFAULT_FEAT_DIM = 16
 NOISE_SIGMA = 0.05
 FRAMES_PER_WORD = (3, 6)  # inclusive range
 _WORLD_SEED = 20240917  # fixes prototypes and accent maps across datasets
-SPLIT_TAG = "toyspeech v2"  # v2: a final "end" line
 
 
 class DataError(ValueError):
     pass
-
-
-def to_ids(words: Sequence[str]) -> list[int]:
-    try:
-        return [_IDS[w] for w in words]
-    except KeyError as e:
-        raise DataError(f"unknown word {e.args[0]!r}") from None
-
-
-def to_words(tokens: Sequence[int]) -> list[str]:
-    for t in tokens:
-        if t not in range(N_WORDS):
-            raise DataError(f"token id {t} is not a word")
-    return [WORDS[t] for t in tokens]
 
 
 @functools.cache
@@ -230,120 +212,97 @@ def select_adv_target(original: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# persistence: line-oriented text, byte-exact round trips
+# persistence: a data directory holds the recipe that regenerates it
+
+RECIPE = "recipe.json"
+RECIPE_TAG = "robustasr-data v1"
+_SPLITS = ("train", "valid", "test")
+_RECIPE_INTS = ("seed", "n_train", "n_valid", "n_test", "feat_dim")
+_RECIPE_KEYS = {"format", *_RECIPE_INTS, "len_range", "sha256"}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def save_split(path, utts: Iterable[Utterance], feat_dim: int, seed: int,
-               split_name: str) -> None:
-    """A header line (``SPLIT_TAG`` and ``key=value`` fields), one record
-    per utterance and an ``end`` line."""
-    lines = [f"{SPLIT_TAG} F={feat_dim} vocab={VOCAB_HASH} seed={seed} "
-             f"split={split_name}"]
+def _sha256(utts: Sequence[Utterance]) -> str:
+    """A split's digest: the repr of its (id, transcript, accent) list,
+    then each utterance's feature shape and little-endian float64 bytes."""
+    h = hashlib.sha256(repr(([(u.id, u.transcript, u.accent) for u in utts],)).encode())
     for u in utts:
-        lines.append(u.id)
-        lines.append(str(u.accent))
-        lines.append(" ".join(to_words(u.transcript)))
-        lines.append(str(u.n_frames))
-        for row in u.features:
-            lines.append(" ".join(_fmt(v) for v in row))
-    lines.append("end")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        h.update(repr(u.features.shape).encode())
+        h.update(np.ascontiguousarray(u.features, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
-def _parse(path, lines: list[str], i: int, parse):
-    """``parse(lines[i])``, failing with a DataError that names the line."""
-    try:
-        return parse(lines[i])
-    except (ValueError, KeyError) as e:
-        raise DataError(f"{path}: line {i + 1}: {type(e).__name__}: {e}") from None
-
-
-def _feature_row(line: str, feat_dim: int) -> np.ndarray:
-    return np.array([float(v) for v in line.split()]).reshape(feat_dim)
-
-
-def _accent(line: str) -> int:
-    if line not in _ACCENT_LINES:
-        raise DataError(f"accent must be in 0..{N_ACCENTS - 1}, got {line!r}")
-    return int(line)
-
-
-def _words(line: str) -> tuple[int, ...]:
-    """A nonempty transcript of content words."""
-    tokens = tuple(to_ids(line.split()))
-    if not tokens:
-        raise DataError("empty transcript")
-    if any(t not in CONTENT_IDS for t in tokens):
-        raise DataError(f"{line!r} holds a word outside ids {CONTENT_IDS}")
-    return tokens
-
-
-def load_split(path) -> tuple[list[Utterance], dict]:
-    """The utterances and header fields of a file ``save_split`` wrote,
-    refusing another format version or vocabulary. Those files end in an
-    ``end`` line and a newline, so a file that does not was cut short,
-    even at a record boundary."""
-    with open(path) as f:
-        text = f.read()
-    if not text:
-        raise DataError(f"{path}: empty file")
-    lines = text.splitlines()
-    head = lines[0].split()[:2]
-    if head != SPLIT_TAG.split():
-        raise DataError(f"{path}: format {' '.join(head)} is not read, only "
-                        f"{SPLIT_TAG}; regenerate the file" if head[:1] == SPLIT_TAG.split()[:1]
-                        else f"{path}: bad header {lines[0]!r}")
-    if lines[-1] != "end" or not text.endswith("\n"):
-        raise DataError(f"{path}: truncated (no end line)")
-    lines.pop()
-
-    def header(line):
-        meta = dict(kv.split("=", 1) for kv in line.split()[2:])
-        return int(meta["F"]), meta["vocab"], int(meta["seed"]), meta["split"]
-
-    feat_dim, vocab, seed, split_name = _parse(path, lines, 0, header)
-    if vocab != VOCAB_HASH:
-        raise DataError(f"{path}: vocab hash mismatch")
-    utts = []
-    i = 1
-    while i < len(lines):
-        if i + 4 > len(lines):
-            raise DataError(f"{path}: truncated utterance header at line {i + 1}")
-        uid = lines[i]
-        accent = _parse(path, lines, i + 1, _accent)
-        tokens = _parse(path, lines, i + 2, _words)
-        n = _parse(path, lines, i + 3, int)
-        i += 4
-        if not 0 < n <= len(lines) - i:
-            raise DataError(f"{path}: line {i}: {uid} has {n} frames, "
-                            f"{len(lines) - i} lines follow")
-        feats = np.array([_parse(path, lines, i + t, lambda l: _feature_row(l, feat_dim))
-                          for t in range(n)])
-        i += n
-        utts.append(Utterance(id=uid, features=feats, transcript=tokens,
-                              accent=accent))
-    if not utts:
-        raise DataError(f"{path}: no utterances")
-    return utts, {"feat_dim": feat_dim, "seed": seed, "split": split_name}
-
-
-def save_dataset(outdir, ds: DatasetSplit) -> None:
+def save_dataset(outdir, ds: DatasetSplit, len_range: tuple[int, int]) -> None:
+    """Write ``outdir/RECIPE``: the ``gen_dataset`` arguments that made
+    ``ds`` (its seed, split sizes and ``feat_dim``, and ``len_range``),
+    ``RECIPE_TAG`` and the sha256 of each split."""
+    recipe = {"format": RECIPE_TAG, "seed": ds.seed, "n_train": len(ds.train),
+              "n_valid": len(ds.valid), "n_test": len(ds.test),
+              "len_range": list(len_range), "feat_dim": ds.feat_dim,
+              "sha256": {name: _sha256(getattr(ds, name)) for name in _SPLITS}}
     os.makedirs(outdir, exist_ok=True)
-    for name in ("train", "valid", "test"):
-        save_split(os.path.join(outdir, f"{name}.txt"), getattr(ds, name),
-                   ds.feat_dim, ds.seed, name)
+    with open(os.path.join(outdir, RECIPE), "w") as f:
+        f.write(json.dumps(recipe, indent=2) + "\n")
+
+
+def _read_recipe(outdir) -> tuple[str, dict]:
+    """The path and contents of ``outdir/RECIPE``, refusing a missing,
+    unknown or ill-typed key and another format tag."""
+    path = os.path.join(outdir, RECIPE)
+    try:
+        with open(path) as f:
+            recipe = json.load(f)
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file; a data directory holds the recipe "
+                        "that gen-data writes, so rerun gen-data") from None
+    except ValueError as e:
+        raise DataError(f"{path}: not JSON: {e}") from None
+    if not isinstance(recipe, dict):
+        raise DataError(f"{path}: not a JSON object")
+    for problem, keys in (("missing", _RECIPE_KEYS - recipe.keys()),
+                          ("unknown", recipe.keys() - _RECIPE_KEYS)):
+        if keys:
+            raise DataError(f"{path}: {problem} key " + ", ".join(map(repr, sorted(keys))))
+    if recipe["format"] != RECIPE_TAG:
+        raise DataError(f"{path}: format {recipe['format']!r} is not read, only "
+                        f"{RECIPE_TAG!r}; rerun gen-data")
+    for key in _RECIPE_INTS:
+        least = 0 if key == "seed" else 1
+        if type(recipe[key]) is not int or recipe[key] < least:
+            raise DataError(f"{path}: {key} must be an integer >= {least}, "
+                            f"got {recipe[key]!r}")
+    try:
+        check_len_range(recipe["len_range"])
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+    digests = recipe["sha256"]
+    if not (isinstance(digests, dict) and sorted(digests) == sorted(_SPLITS)
+            and all(isinstance(d, str) for d in digests.values())):
+        raise DataError(f"{path}: sha256 must map each of {', '.join(_SPLITS)} "
+                        f"to a digest, got {digests!r}")
+    return path, recipe
+
+
+def _regenerate(path: str, recipe: dict, name: str) -> list[Utterance]:
+    """Split ``name`` of ``recipe``, refused unless its bytes are the ones
+    whose digest the recipe records."""
+    utts = _gen_split(name, recipe[f"n_{name}"], recipe["len_range"], recipe["seed"],
+                      recipe["feat_dim"])
+    if _sha256(utts) != recipe["sha256"][name]:
+        raise DataError(f"{path}: the {name} split regenerates to other bytes than "
+                        "the ones its sha256 records; rerun gen-data")
+    return utts
+
+
+def load_test_split(outdir) -> tuple[list[Utterance], int]:
+    """The test split of a data directory and the data's seed; only that
+    split is regenerated."""
+    path, recipe = _read_recipe(outdir)
+    return _regenerate(path, recipe, "test"), recipe["seed"]
 
 
 def load_dataset(outdir) -> DatasetSplit:
-    parts = {}
-    meta = None
-    for name in ("train", "valid", "test"):
-        parts[name], meta = load_split(os.path.join(outdir, f"{name}.txt"))
-    return DatasetSplit(train=parts["train"], valid=parts["valid"],
-                        test=parts["test"], seed=meta["seed"],
-                        feat_dim=meta["feat_dim"])
+    """The three splits of a data directory, regenerated from the recipe
+    that ``save_dataset`` wrote and checked against its digests."""
+    path, recipe = _read_recipe(outdir)
+    splits = {name: _regenerate(path, recipe, name) for name in _SPLITS}
+    return DatasetSplit(**splits, seed=recipe["seed"], feat_dim=recipe["feat_dim"])

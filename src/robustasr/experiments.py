@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -35,6 +36,8 @@ from .model import ModelConfig, ModelParams
 from .train import TrainConfig, TrainLog, decode_blocks, evaluate_benign, train_mtl
 
 ROWS_VERSION = "robustasr-rows v1"
+# the AdvTWER slack that claims (b) and (d) allow
+TOLERANCE = 0.02
 
 
 class MissingCellsError(Exception):
@@ -54,6 +57,10 @@ def _build(cls, d: dict, where: str = ""):
     return cls(**d)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     lambda_t_A_values: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5)
@@ -65,12 +72,26 @@ class GridSpec:
     def __post_init__(self):
         if not (self.lambda_t_A_values and self.lambda_t_C_values):
             raise ValueError("weight grids must be nonempty")
+        for name in ("lambda_t_A_values", "lambda_t_C_values"):
+            values = getattr(self, name)
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and 0.0 <= v <= 1.0 for v in values):
+                raise ValueError(f"{name} {values} holds a value outside [0, 1]")
         if not self.modes or any(m not in ("match", "drop_ctc") for m in self.modes):
             raise ValueError("modes must be a nonempty subset of {match, drop_ctc}")
         if not self.report_steps or not self.seeds:
             raise ValueError("report_steps and seeds must be nonempty")
+        for name in ("report_steps", "seeds"):
+            values = getattr(self, name)
+            if not all(_is_int(v) for v in values):
+                raise ValueError(f"{name} {values} holds a value that is not an integer")
         if min(self.report_steps) < 0:
             raise ValueError(f"report_steps {self.report_steps} holds a negative step")
+        # a repeated value trains its cells twice and writes their rows twice
+        for name in ("lambda_t_A_values", "lambda_t_C_values", "modes", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} {values} repeats a value")
 
 
 @dataclass(frozen=True)
@@ -98,7 +119,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("n_eval", "n_attack", "epochs", "batch_size", "max_decode_len"):
+        for name in ("n_train", "n_valid", "n_test", "n_eval", "n_attack", "epochs",
+                     "batch_size", "max_decode_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         check_len_range(self.len_range)
@@ -165,12 +187,16 @@ def _cell(column: str, text: str):
 
 
 def rows_from_csv(text: str) -> list[ReportRow]:
-    lines = [(i, l) for i, l in enumerate(text.splitlines(), 1)
-             if l and not l.startswith("#")]
-    if not lines or lines[0][1] != ",".join(ROW_COLUMNS):
-        raise ValueError("unrecognized rows CSV header")
+    """The rows of a CSV that ``rows_to_csv`` wrote, refusing another
+    version line or column header."""
+    lines = text.splitlines()
+    if not (lines and re.fullmatch(rf"# {ROWS_VERSION} config=\S+", lines[0])):
+        raise ValueError(f"rows CSV line 1: {lines[0] if lines else ''!r} is not "
+                         f"'# {ROWS_VERSION} config=<hash>'")
+    if lines[1:2] != [",".join(ROW_COLUMNS)]:
+        raise ValueError("rows CSV line 2: unrecognized column header")
     rows = []
-    for i, line in lines[1:]:
+    for i, line in enumerate(lines[2:], 3):
         cells = line.split(",")
         try:
             if len(cells) != len(ROW_COLUMNS):
@@ -227,6 +253,8 @@ def load_config(path=None, seed: int | None = None, run_keys: bool = True
                           "from grid.seeds and the lambda grids")
     weights = _build(MtlWeights, d.pop("weights", {}), "weights.")
     file_seed = d.pop("seed", 0)
+    if not _is_int(file_seed):
+        raise ConfigError(f"{path}: seed must be an integer, got {file_seed!r}")
     return ExperimentConfig.from_dict(d), file_seed if seed is None else seed, weights
 
 
@@ -354,8 +382,7 @@ ALL3_DROP = (0.7, 0.5, 0.0)
 
 
 def trend_check(rows: Sequence[ReportRow],
-                steps: Sequence[int] = (100, 200),
-                tolerance: float = 0.02) -> list[TrendResult]:
+                steps: Sequence[int] = (100, 200)) -> list[TrendResult]:
     """Robustness-ordering assertions on seed-median AdvTWER.
 
     Each assertion must hold at every requested step count. Missing
@@ -379,13 +406,13 @@ def trend_check(rows: Sequence[ReportRow],
         checks_a.append((step, stl_ctc, stl_dec, stl_ctc < stl_dec))
         mtl_match = med(MTL_MATCH, step)
         checks_b.append((step, mtl_match, stl_dec,
-                         mtl_match <= stl_dec + tolerance))
+                         mtl_match <= stl_dec + TOLERANCE))
         mtl_drop = med(MTL_DROP, step)
         checks_c.append((step, mtl_drop, max(stl_ctc, stl_dec),
                          mtl_drop > stl_ctc and mtl_drop > stl_dec))
         all3 = med(ALL3_DROP, step)
         floor = max(med(c, step) for c in others) if others else 0.0
-        checks_d.append((step, all3, floor, all3 >= floor - tolerance))
+        checks_d.append((step, all3, floor, all3 >= floor - TOLERANCE))
 
     def pack(name, desc, checks):
         passed = all(ok for *_rest, ok in checks)
@@ -395,7 +422,7 @@ def trend_check(rows: Sequence[ReportRow],
 
     pack("a", "STL-CTC is more vulnerable than STL-DEC", checks_a)
     pack("b", "CTC-in-inference MTL does not beat STL-DEC "
-              f"(tolerance {tolerance})", checks_b)
+              f"(tolerance {TOLERANCE})", checks_b)
     pack("c", "CTC-dropped MTL beats both STL baselines", checks_c)
     pack("d", "all-three-heads MTL is within tolerance of the best "
               "everywhere", checks_d)

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from robustasr.cli import load_config, main
+from robustasr.data import DataError
 from robustasr.experiments import (ConfigError, ExperimentConfig, GridSpec,
                                    MissingCellsError, ReportRow, rows_from_csv,
                                    rows_to_csv, run_cell)
@@ -58,9 +60,9 @@ def test_cli_pipeline_end_to_end(tmp_path):
     assert main(["report", "--rows", str(tmp_path / "grid" / "rows.csv"),
                  "--out", str(tmp_path / "report")]) == 0
 
-    assert sorted(p.name for p in data.iterdir()) == ["test.txt", "train.txt",
-                                                      "valid.txt"]
-    assert " seed=3 " in (data / "train.txt").read_text().splitlines()[0]
+    assert [p.name for p in data.iterdir()] == ["recipe.json"]
+    recipe = json.loads((data / "recipe.json").read_text())
+    assert (recipe["seed"], recipe["n_train"], recipe["len_range"]) == (3, 8, [2, 3])
     for name in ("checkpoint.txt", "trainlog.csv", "eval.csv", "attack.csv"):
         assert (run / name).is_file()
     # one attack row per grid.report_steps entry
@@ -100,8 +102,9 @@ def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
 
 
 def test_cli_eval_and_attack_read_only_the_test_split(tmp_path):
-    # eval and attack need test.txt alone, and give the rows they give on
-    # the full data directory
+    # eval and attack regenerate the test split alone: a recipe whose train
+    # and valid digests are wrong serves them, and they give the rows they
+    # give on the intact directory, while train refuses it
     data, only_test, run = tmp_path / "data", tmp_path / "only_test", tmp_path / "run"
     gen_cfg = _write(tmp_path / "gen.json", {
         "n_train": 4, "n_valid": 2, "n_test": 3, "len_range": [2, 3],
@@ -115,8 +118,13 @@ def test_cli_eval_and_attack_read_only_the_test_split(tmp_path):
                  "--out", str(data)]) == 0
     assert main(["train", "--config", train_cfg, "--data", str(data),
                  "--out", str(run)]) == 0
+    recipe = json.loads((data / "recipe.json").read_text())
+    recipe["sha256"].update(train="0" * 64, valid="0" * 64)
     only_test.mkdir()
-    (only_test / "test.txt").write_bytes((data / "test.txt").read_bytes())
+    _write(only_test / "recipe.json", recipe)
+    with pytest.raises(DataError, match="the train split regenerates to other bytes"):
+        main(["train", "--config", train_cfg, "--data", str(only_test),
+              "--out", str(tmp_path / "refused")])
     ckpt = str(run / "checkpoint.txt")
     for d in (data, only_test):
         for stage in ("eval", "attack"):
@@ -142,6 +150,10 @@ def test_cli_stages_write_the_rows_of_run_cell(tmp_path):
     assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
     assert main(["train", "--config", cfg, "--data", str(data),
                  "--out", str(run)]) == 0
+    # the checkpoint's bytes are pinned: train regenerates the very data
+    # that gen-data generated
+    assert hashlib.sha256((run / "checkpoint.txt").read_bytes()).hexdigest() == \
+        "9a5a8ba48374c882da39ba094692b513edd4e3b56f32066a26df6a3376782a60"
     assert main(["attack", "--config", cfg, "--data", str(data),
                  "--checkpoint", str(run / "checkpoint.txt"),
                  "--out", str(run / "attack.csv")]) == 0
@@ -224,6 +236,11 @@ def test_load_config_defaults_and_seed_override(tmp_path):
     cfg = _write(tmp_path / "c.json", {"seed": 4, "weights": {"lambda_i_C": 0.0}})
     assert load_config(cfg)[1:] == (4, MtlWeights(1.0, 0.5, 0.0))
     assert load_config(cfg, seed=9)[1] == 9
+    # the seed is written into the checkpoint config and the rows
+    for seed in ("3", True, 3.0):
+        cfg = _write(tmp_path / "c.json", {"seed": seed})
+        with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}"):
+            load_config(cfg)
 
 
 def test_perfbench_fixture_configs_hold_the_recorded_recipe():

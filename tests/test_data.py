@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -8,17 +9,16 @@ from robustasr.data import (
     CONTENT_WORDS,
     LOREM_WORDS,
     N_WORDS,
-    VOCAB_HASH,
+    RECIPE,
+    WORDS,
     DataError,
     gen_adv_targets,
     gen_dataset,
     load_dataset,
-    load_split,
+    load_test_split,
     render_utterance,
     save_dataset,
     select_adv_target,
-    to_ids,
-    to_words,
 )
 
 
@@ -26,16 +26,10 @@ def test_vocabularies_disjoint():
     assert not (set(CONTENT_WORDS) & set(LOREM_WORDS))
 
 
-def test_vocabulary_hash_and_ids():
-    # data files carry this hash; a new one would refuse every file written before
-    assert VOCAB_HASH == "e5db6376219b"
+def test_vocabulary_ids():
     assert N_WORDS == 40 and CONTENT_IDS == range(24)
-    assert to_ids(["alpha", "yankee", "lorem", "veniam"]) == [0, 23, 24, 39]
-    assert to_words([0, 23, 24, 39]) == ["alpha", "yankee", "lorem", "veniam"]
-    with pytest.raises(DataError, match="unknown word 'zulu'"):
-        to_ids(["alpha", "zulu"])
-    with pytest.raises(DataError, match="token id 40 is not a word"):
-        to_words([0, 40])
+    assert [WORDS.index(w) for w in ("alpha", "yankee", "lorem", "veniam")] == \
+        [0, 23, 24, 39]
 
 
 def test_render_deterministic():
@@ -113,8 +107,6 @@ def test_gen_adv_targets_properties():
     assert all(t in lorem for tgt in targets for t in tgt)
     lengths = {len(t) for t in targets}
     assert lengths >= set(range(len_range[0], len_range[1] + 1))
-    for tgt in targets:
-        assert not (set(to_words(tgt)) & set(CONTENT_WORDS))
     assert targets == gen_adv_targets(9, count=12, len_range=len_range)
 
 
@@ -142,70 +134,93 @@ def test_select_adv_target_single_candidate():
 
 
 def test_dataset_round_trip_byte_exact(tmp_path):
-    ds = gen_dataset(5, n_train=6, n_valid=3, n_test=3)
-    d1 = tmp_path / "a"
-    d2 = tmp_path / "b"
-    save_dataset(d1, ds)
-    loaded = load_dataset(d1)
-    assert loaded.seed == ds.seed
+    # a data directory is one recipe file, from which the loaders
+    # regenerate the bytes gen_dataset gave
+    ds = gen_dataset(5, n_train=6, n_valid=3, n_test=4, len_range=(2, 3), feat_dim=5)
+    save_dataset(tmp_path / "a", ds, (2, 3))
+    assert [p.name for p in (tmp_path / "a").iterdir()] == [RECIPE]
+    recipe = json.loads((tmp_path / "a" / RECIPE).read_text())
+    # the digest of each split is the one the pinned-bytes test below takes
+    assert recipe["sha256"] == {
+        name: _sha256([u.features for u in getattr(ds, name)],
+                      [(u.id, u.transcript, u.accent) for u in getattr(ds, name)])
+        for name in ("train", "valid", "test")}
+    loaded = load_dataset(tmp_path / "a")
+    assert (loaded.seed, loaded.feat_dim) == (5, 5)
     for sa, sb in zip((ds.train, ds.valid, ds.test),
                       (loaded.train, loaded.valid, loaded.test)):
+        assert len(sa) == len(sb)
         for ua, ub in zip(sa, sb):
             assert ua.id == ub.id and ua.accent == ub.accent
             assert ua.transcript == ub.transcript
             assert np.array_equal(ua.features, ub.features)
-    save_dataset(d2, loaded)
-    for name in ("train.txt", "valid.txt", "test.txt"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    test, seed = load_test_split(tmp_path / "a")
+    assert seed == 5 and [u.id for u in test] == [u.id for u in ds.test]
+    assert all(np.array_equal(a.features, b.features) for a, b in zip(test, ds.test))
+    save_dataset(tmp_path / "b", loaded, (2, 3))
+    assert (tmp_path / "a" / RECIPE).read_bytes() == (tmp_path / "b" / RECIPE).read_bytes()
 
 
-def _cuts(path):
-    """Every prefix of the file at ``path``, written back in turn."""
+def test_load_refuses_a_bad_recipe(tmp_path):
+    ds = gen_dataset(5, n_train=3, n_valid=2, n_test=2, len_range=(2, 3), feat_dim=3)
+    save_dataset(tmp_path, ds, (2, 3))
+    path = tmp_path / RECIPE
+    good = json.loads(path.read_text())
+
+    def refused(message, loader=load_dataset):
+        with pytest.raises(DataError, match=message) as e:
+            loader(tmp_path)
+        assert str(e.value).startswith(f"{path}: ")
+
+    # every cut into the JSON text is refused, before anything is generated
     raw = path.read_bytes()
-    for end in range(len(raw)):
+    assert raw.endswith(b"}\n")
+    for end in range(len(raw) - 1):
         path.write_bytes(raw[:end])
-        yield
-    path.write_bytes(raw)
+        refused("not JSON")
+    path.write_text("[]")
+    refused("not a JSON object")
 
+    def edited(**change):
+        path.write_text(json.dumps({**good, **change}))
 
-def test_load_truncated_split_fails(tmp_path):
-    ds = gen_dataset(5, n_train=2, n_valid=1, n_test=1, len_range=(2, 2), feat_dim=3)
-    save_dataset(tmp_path, ds)
-    path = tmp_path / "train.txt"
-    loaded = []
-    for _ in _cuts(path):
-        try:
-            utts, _meta = load_split(path)
-        except DataError:
-            continue
-        loaded.append(len(utts))
-    # no cut loads, not even one at an utterance boundary: the end line is gone
-    assert loaded == []
+    edited(n_tests=2)
+    refused("unknown key 'n_tests'")
+    path.write_text(json.dumps({k: v for k, v in good.items() if k != "feat_dim"}))
+    refused("missing key 'feat_dim'")
+    for key, bad in [("seed", "5"), ("seed", -1), ("n_train", 3.0), ("n_valid", True),
+                     ("n_test", 0), ("feat_dim", None)]:
+        edited(**{key: bad})
+        refused(rf"{key} must be an integer >= {0 if key == 'seed' else 1}, "
+                rf"got {bad!r}")
+    edited(len_range=[3, 2])
+    refused(r"len_range \(3, 2\) must be two integers")
+    edited(sha256={"train": good["sha256"]["train"]})
+    refused("sha256 must map each of train, valid, test to a digest")
+    edited(format="robustasr-data v0")
+    refused("format 'robustasr-data v0' is not read, only 'robustasr-data v1'; "
+            "rerun gen-data")
 
-    lines = path.read_text().splitlines()
-    malformed = [(0, lines[0].replace(" vocab", " hash")),  # header field
-                 (2, "one"),  # accent
-                 (2, "5"),  # accent out of range
-                 (3, ""),  # empty transcript
-                 (3, lines[3] + " lorem"),  # transcript with a lorem word
-                 (4, "0"),  # frame count
-                 (5, " ".join(lines[5].split()[:-1]))]  # ragged feature row
-    for i, bad in malformed:
-        path.write_text("\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n")
-        with pytest.raises(DataError, match=f"line {i + 1}"):
-            load_split(path)
-    # a file written under another vocabulary is refused
-    path.write_text("\n".join([lines[0].replace(VOCAB_HASH, "0" * 12)] + lines[1:]) + "\n")
-    with pytest.raises(DataError, match="vocab hash mismatch"):
-        load_split(path)
-    path.write_text(lines[0] + "\nend\n")
-    with pytest.raises(DataError, match="no utterances"):
-        load_dataset(tmp_path)
+    # a recipe whose digest does not match the regenerated bytes, here
+    # one that records another seed's data
+    other = tmp_path / "other"
+    save_dataset(other, gen_dataset(6, n_train=3, n_valid=2, n_test=2,
+                                    len_range=(2, 3), feat_dim=3), (2, 3))
+    edited(sha256=json.loads((other / RECIPE).read_text())["sha256"])
+    refused("the train split regenerates to other bytes than the ones its sha256 "
+            "records; rerun gen-data")
+    refused("the test split regenerates to other bytes", load_test_split)
+    edited(sha256={**good["sha256"], "valid": good["sha256"]["train"]})
+    refused("the valid split regenerates")
+    load_test_split(tmp_path)  # the test split alone still matches
 
-    # a file of the previous format is refused by its tag, not as truncated
-    path.write_text(lines[0].replace(" v2 ", " v1 ") + "\n" + "\n".join(lines[1:-1]) + "\n")
-    with pytest.raises(DataError, match="format toyspeech v1 is not read"):
-        load_split(path)
+    # a directory of split files from before recipes names the missing file
+    path.unlink()
+    for name in ("train", "valid", "test"):
+        (tmp_path / f"{name}.txt").write_text("toyspeech v2 F=3\nend\n")
+    for loader in (load_dataset, load_test_split):
+        refused("no such file; a data directory holds the recipe that gen-data "
+                "writes, so rerun gen-data", loader)
 
 
 # The generated bytes are the data contract: every grid cell, checkpoint

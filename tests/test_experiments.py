@@ -130,6 +130,19 @@ def test_rows_from_csv_refuses_a_line_of_another_width(fields):
         rows_from_csv("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("first", [
+    "# other v9", "# robustasr-rows v2 config=abc123def456", "# robustasr-rows v1",
+    "# robustasr-rows v1 config=", ",".join(experiments.ROW_COLUMNS), ""])
+def test_rows_from_csv_refuses_another_version_line(first):
+    lines = rows_to_csv(synthetic_rows(GOOD_LEVELS), "x").splitlines()
+    text = "\n".join([first] + lines[1:]) + "\n"
+    with pytest.raises(ValueError, match="rows CSV line 1: .* is not "
+                       "'# robustasr-rows v1 config=<hash>'"):
+        rows_from_csv(text)
+    with pytest.raises(ValueError, match="line 1"):
+        rows_from_csv(first)
+
+
 def test_experiment_config_json_round_trip():
     cfg = ExperimentConfig(
         grid=GridSpec(lambda_t_A_values=(1.0,), lambda_t_C_values=(0.0, 0.5),
@@ -146,6 +159,22 @@ def test_grid_spec_validation():
         GridSpec(lambda_t_A_values=())
     with pytest.raises(ValueError):
         GridSpec(modes=("nope",))
+    # each would fail only once a cell reads it, after earlier cells trained
+    for name, values in [("lambda_t_A_values", (1.0, 1.5)), ("lambda_t_C_values", (-0.1,)),
+                         ("lambda_t_C_values", (float("nan"),)),
+                         ("lambda_t_A_values", (True,)), ("lambda_t_C_values", ("0.5",))]:
+        with pytest.raises(ValueError, match=rf"{name} .* outside \[0, 1\]"):
+            GridSpec(**{name: values})
+    for name, values in [("report_steps", (2.5,)), ("report_steps", ("10",)),
+                         ("report_steps", (False, 10)), ("seeds", (0, 1.0))]:
+        with pytest.raises(ValueError, match=f"{name} .* not an integer"):
+            GridSpec(**{name: values})
+    # a repeated value trains the same cells twice and writes their rows twice
+    for name, values in [("lambda_t_A_values", (1.0, 0.7, 1)),
+                         ("lambda_t_C_values", (0.5, 0.5)),
+                         ("modes", ("match", "drop_ctc", "match")), ("seeds", (0, 1, 0))]:
+        with pytest.raises(ValueError, match=f"{name} .* repeats a value"):
+            GridSpec(**{name: values})
 
 
 @pytest.mark.parametrize("change, message", [
@@ -153,6 +182,15 @@ def test_grid_spec_validation():
     ({"epsilon_ratio": 0.0}, "epsilon_ratio must be positive"),
     ({"alpha_fraction": -0.5}, "alpha_fraction must be positive"),
     ({"n_eval": 0}, "n_eval must be >= 1"),
+    ({"n_train": 0}, "n_train must be >= 1, got 0"),
+    ({"n_valid": 0}, "n_valid must be >= 1, got 0"),
+    ({"n_test": -1}, "n_test must be >= 1, got -1"),
+    ({"grid": {"lambda_t_A_values": [1.0, 1.5]}}, r"lambda_t_A_values .* outside \[0, 1\]"),
+    ({"grid": {"lambda_t_C_values": [0.0, 0.5, 0.5]}}, "lambda_t_C_values .* repeats a value"),
+    ({"grid": {"seeds": [0, 0]}}, "seeds .* repeats a value"),
+    ({"grid": {"modes": ["match", "match"]}}, "modes .* repeats a value"),
+    ({"grid": {"report_steps": [2.5]}}, "report_steps .* not an integer"),
+    ({"grid": {"seeds": [0, True]}}, "seeds .* not an integer"),
     ({"n_attack": 0}, "n_attack must be >= 1, got 0"),
     ({"n_attack": -1}, "n_attack must be >= 1, got -1"),
     # NaN passes a "<= 0" check: training would read it as a divergence,
@@ -175,7 +213,9 @@ def test_grid_spec_validation():
     ({"len_range": 5}, "len_range 5 must be two integers"),
     # the attack builds its targets after training: one per length at least
     ({"n_targets": 4}, r"n_targets must be >= 5 to cover len_range \(2, 6\), got 4"),
-], ids=["report_steps", "epsilon_ratio", "alpha_fraction", "n_eval", "n_attack_zero",
+], ids=["report_steps", "epsilon_ratio", "alpha_fraction", "n_eval", "n_train", "n_valid",
+        "n_test", "lambda_t_A_range", "lambda_t_C_repeated", "seeds_repeated",
+        "modes_repeated", "report_steps_float", "seeds_bool", "n_attack_zero",
         "n_attack_negative", "learning_rate_nan", "learning_rate_inf",
         "epsilon_ratio_nan", "alpha_fraction_nan", "epochs", "batch_size",
         "max_decode_len", "len_range_one", "len_range_three", "len_range_float",
