@@ -7,8 +7,9 @@ gradients is recorded, in execution order, on the innermost open tape
 gradients into leaf tensors. The op set is only what the program runs:
 ``add``, ``mul``, ``neg``, ``sum_`` (of all elements) and ``take``
 (broadcasting covers scalar scaling), plus one fused tanh-RNN scan for
-the encoder. Everything is double precision. ``record_op`` is the one
-recording path: every op, here and elsewhere, records through it.
+the encoder, which runs forward in time only. Everything is double
+precision. ``record_op`` is the one recording path: every op, here and
+elsewhere, records through it.
 
 A fused op runs a whole loop in numpy and records one tape entry whose
 backward is written by hand. ``tanh_rnn`` (the encoder scan) is one;
@@ -325,14 +326,14 @@ def padding_mask(lengths, rows: int, frames: int) -> tuple[Array, Array]:
     return counts, np.arange(frames) >= counts[:, None]
 
 
-def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor:
-    """Elman scan h_t = tanh(x_t W_in + h_prev W_rec + b) as one tape record.
+def tanh_rnn(seq, w_in, w_rec, b, lengths=None) -> Tensor:
+    """Elman scan h_t = tanh(x_t W_in + h_{t-1} W_rec + b) as one tape record.
 
     ``seq`` is a padded batch (B, T, F), T >= 1, with per-row frame counts
     ``lengths``; the output (B, T, d) holds at frame t the state after
-    frame t. h_prev starts at zero before each row's first frame (its own
-    last frame when ``reverse``), padded frames never feed a real frame's
-    state, and their output is exactly zero. The backward pass is
+    frame t. The scan runs forward in time from a zero state, so padded
+    frames, which follow a row's real frames, never feed a real frame's
+    state; their output is exactly zero. The backward pass is
     backpropagation through time. At B=1 the forward makes the numpy calls
     of the op-by-op scan (matmul, take, matmul, add, add, tanh per frame),
     so its values are bit-identical to it.
@@ -348,22 +349,16 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
                          f"must be ({d}, {d}) and ({d},)")
     x = seq.data
     rows, n = x.shape[:2]
-    counts, dead = padding_mask(lengths, rows, n)
-    dead = dead.T
+    dead = padding_mask(lengths, rows, n)[1].T
     wi, wr = w_in.data, w_rec.data
-    order = range(n - 1, -1, -1) if reverse else range(n)
     # The scan runs time-major: frame t of every row is one (B, d) block,
     # built in place in z[t]: the recurrent product, then the input
     # projection, then the bias. The bias is filled into a (B, d) block
-    # once, so no frame's add broadcasts.
+    # once, so no frame's add broadcasts. A row reaches its padding only
+    # after its real frames, so the padded states are left to run and
+    # zeroed once at the end.
     bias = np.empty((rows, d))
     bias[:] = b.data
-    # A forward scan reaches a row's padding only after its real frames,
-    # so the padded states are left to run and zeroed once at the end. A
-    # reverse scan meets the padding first: the rows whose last real frame
-    # is t restart from a zero state there.
-    restart = {int(t) - 1: np.flatnonzero(counts == t)
-               for t in np.unique(counts[counts < n])} if reverse else {}
     with np.errstate(invalid="ignore", over="ignore"):
         pre = x @ wi
         check_finite(pre, "tanh_rnn input projection")
@@ -371,9 +366,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         z = np.empty((n, rows, d))
         out = np.empty((n, rows, d))
         h = np.zeros((rows, d))
-        for t in order:
-            if t in restart:
-                h[restart[t]] = 0.0
+        for t in range(n):
             zt = np.dot(h, wr, out=z[t])
             zt += pre[t]
             zt += bias
@@ -382,9 +375,9 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
     check_finite(z, "tanh_rnn pre-activation")
 
     def bwd(g):
-        # Frames in reverse of the forward order: dh = W_rec dz_next + g_t,
-        # dz = dh (1 - h^2), which is zero on padded frames. The gradient
-        # is copied time-major, contiguous.
+        # Frames last to first: dh = W_rec dz_next + g_t, dz = dh (1 - h^2),
+        # which is zero on padded frames. The gradient is copied
+        # time-major, contiguous.
         g = np.ascontiguousarray(g.transpose(1, 0, 2))
         deriv = 1.0 - out * out
         deriv[dead] = 0.0
@@ -392,7 +385,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
         dpre = np.empty((n, rows, d))
         buf = np.empty((rows, d))
         dz = None
-        for t in reversed(order):
+        for t in reversed(range(n)):
             dh = g[t]
             if dz is not None:
                 dh = np.dot(dz, wr_t, out=buf)
@@ -411,10 +404,7 @@ def tanh_rnn(seq, w_in, w_rec, b, reverse: bool = False, lengths=None) -> Tensor
             # The state each frame read: zero for the first, else the one
             # before.
             h_prev = np.zeros_like(out)
-            if reverse:
-                h_prev[:-1] = out[1:]
-            else:
-                h_prev[1:] = out[:-1]
+            h_prev[1:] = out[:-1]
             dwr = h_prev.reshape(n * rows, d).T @ flat
         if b.requires_grad:
             db = flat.sum(axis=0)

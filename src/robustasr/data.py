@@ -114,15 +114,14 @@ class DatasetSplit:
 
 
 def render_utterance(tokens: Sequence[int], accent: int, rng: np.random.Generator,
-                     feat_dim: int = DEFAULT_FEAT_DIM,
-                     noise_sigma: float = NOISE_SIGMA) -> np.ndarray:
+                     feat_dim: int = DEFAULT_FEAT_DIM) -> np.ndarray:
     """Emit 3..6 frames per word: accent-rotated prototype plus noise.
 
     The draws from ``rng`` are the data contract, so they are fixed: per
-    word one frame count ``n`` from ``integers``, then, when
-    ``noise_sigma > 0``, one ``normal(scale=noise_sigma, size=(n, F))``.
-    The word's rotated prototype comes from a per-``feat_dim`` cache and
-    is added in place to that noise (to zeros at ``noise_sigma`` 0)."""
+    word one frame count ``n`` from ``integers``, then one
+    ``normal(scale=NOISE_SIGMA, size=(n, F))``. The word's rotated
+    prototype comes from a per-``feat_dim`` cache and is added in place to
+    that noise."""
     if not tokens:
         raise DataError("empty transcript")
     if accent not in range(N_ACCENTS):
@@ -133,8 +132,7 @@ def render_utterance(tokens: Sequence[int], accent: int, rng: np.random.Generato
         if tok not in CONTENT_IDS:
             raise DataError(f"token id {tok} is not a content word")
         n = int(rng.integers(FRAMES_PER_WORD[0], FRAMES_PER_WORD[1] + 1))
-        word = (rng.normal(scale=noise_sigma, size=(n, feat_dim)) if noise_sigma > 0
-                else np.zeros((n, feat_dim)))
+        word = rng.normal(scale=NOISE_SIGMA, size=(n, feat_dim))
         word += rotated[tok]
         frames.append(word)
     return np.concatenate(frames, axis=0)

@@ -87,6 +87,8 @@ class GridSpec:
                 raise ValueError(f"{name} {values} holds a value that is not an integer")
         if min(self.report_steps) < 0:
             raise ValueError(f"report_steps {self.report_steps} holds a negative step")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds {self.seeds} holds a negative seed")
         # a repeated value trains its cells twice and writes their rows twice
         for name in ("lambda_t_A_values", "lambda_t_C_values", "modes", "seeds"):
             values = getattr(self, name)
@@ -119,10 +121,13 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name in ("n_train", "n_valid", "n_test", "n_eval", "n_attack", "epochs",
-                     "batch_size", "max_decode_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("n_train", "n_valid", "n_test", "n_targets", "n_eval", "n_attack",
+                     "epochs", "batch_size", "max_decode_len"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         check_len_range(self.len_range)
         # the attack builds its targets only after training
         n_lengths = self.len_range[1] - self.len_range[0] + 1
@@ -255,6 +260,10 @@ def load_config(path=None, seed: int | None = None, run_keys: bool = True
     file_seed = d.pop("seed", 0)
     if not _is_int(file_seed):
         raise ConfigError(f"{path}: seed must be an integer, got {file_seed!r}")
+    if file_seed < 0:
+        raise ConfigError(f"{path}: seed must be >= 0, got {file_seed}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"the seed override (--seed) must be >= 0, got {seed}")
     return ExperimentConfig.from_dict(d), file_seed if seed is None else seed, weights
 
 

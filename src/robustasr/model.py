@@ -20,6 +20,9 @@ step of every row of a padded batch for inference and records nothing.
 take padded batches (the batch contract is in ``autodiff``); ``encode``
 and the inference decoder also take one utterance as the batch of one,
 and ``ctc_head`` maps the states of any leading shape.
+
+The encoder is ``enc_layers`` stacked forward-in-time ``autodiff.tanh_rnn``
+scans; ``ModelConfig.bidirectional`` must be False (its comment says why).
 """
 
 from __future__ import annotations
@@ -52,14 +55,22 @@ class ModelConfig:
     disc_hidden: int = 32
     n_accents: int = 2
     seed: int = 0
+    # Must be False. Kept only because the rows' config= hash and the
+    # checkpoint config line hold the key; it goes with the next
+    # ROWS_VERSION bump, which regenerates those references anyway.
     bidirectional: bool = False
 
     def __post_init__(self):
         for name in ("feat_dim", "enc_hidden", "enc_layers", "dec_hidden",
                      "attn_dim", "emb_dim", "vocab_size", "disc_layers",
                      "disc_hidden", "n_accents"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if type(value) is not int:  # bool excluded
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.bidirectional is not False:
+            raise ValueError(f"bidirectional must be false, got {self.bidirectional!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -123,10 +134,9 @@ def _param_shapes(cfg: ModelConfig) -> tuple[_Shapes, _Shapes]:
     biases: _Shapes = []
     for layer in range(cfg.enc_layers):
         in_dim = cfg.feat_dim if layer == 0 else d
-        for sfx in ("", "_r") if cfg.bidirectional else ("",):
-            weights.append((f"enc{layer}.w_in{sfx}", (in_dim, d)))
-            weights.append((f"enc{layer}.w_rec{sfx}", (d, d)))
-            biases.append((f"enc{layer}.b{sfx}", (d,)))
+        weights.append((f"enc{layer}.w_in", (in_dim, d)))
+        weights.append((f"enc{layer}.w_rec", (d, d)))
+        biases.append((f"enc{layer}.b", (d,)))
     weights += [("ctc.w", (d, v1)),
                 ("dec.emb", (v1, cfg.emb_dim)),
                 ("dec.w_in", (cfg.emb_dim, cfg.dec_hidden)),
@@ -183,17 +193,9 @@ def encode(params: ModelParams, x: Tensor, lengths=None) -> Tensor:
                          f"(B, T, {cfg.feat_dim}), got {x.shape}")
     seq = x
     for layer in range(cfg.enc_layers):
-        seq_fwd = ad.tanh_rnn(seq, params[f"enc{layer}.w_in"],
-                              params[f"enc{layer}.w_rec"],
-                              params[f"enc{layer}.b"], lengths=lengths)
-        if cfg.bidirectional:
-            seq_bwd = ad.tanh_rnn(seq, params[f"enc{layer}.w_in_r"],
-                                  params[f"enc{layer}.w_rec_r"],
-                                  params[f"enc{layer}.b_r"], reverse=True,
-                                  lengths=lengths)
-            seq = ad.add(seq_fwd, seq_bwd)
-        else:
-            seq = seq_fwd
+        seq = ad.tanh_rnn(seq, params[f"enc{layer}.w_in"],
+                          params[f"enc{layer}.w_rec"], params[f"enc{layer}.b"],
+                          lengths=lengths)
     return seq
 
 

@@ -248,12 +248,14 @@ def test_calibrate_uses_median_norm():
     assert alpha == pytest.approx(eps / 40.0)
 
 
-BIDIR = ModelConfig(feat_dim=4, enc_hidden=5, enc_layers=2, dec_hidden=6,
-                    attn_dim=3, emb_dim=2, vocab_size=6, disc_hidden=4,
-                    seed=8, bidirectional=True)
+# Two encoder layers and distinct dimensions. Its test cases keep the id
+# "bidir" from when this config also ran a reverse scan, so that their
+# names stay comparable across versions.
+DEEP = ModelConfig(feat_dim=4, enc_hidden=5, enc_layers=2, dec_hidden=6,
+                   attn_dim=3, emb_dim=2, vocab_size=6, disc_hidden=4, seed=8)
 
 
-@pytest.mark.parametrize("cfg", [TINY, BIDIR], ids=["tiny", "bidir"])
+@pytest.mark.parametrize("cfg", [TINY, DEEP], ids=["tiny", "bidir"])
 @pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
 def test_pgd_differentiates_only_its_input(cfg, lam_i):
     params = init_params(cfg)
@@ -320,7 +322,7 @@ def _pad(xs):
 
 @st.composite
 def ragged_batches(draw):
-    cfg = draw(st.sampled_from([TINY, BIDIR]))
+    cfg = draw(st.sampled_from([TINY, DEEP]))
     lam = draw(st.sampled_from([0.0, 0.5, 1.0]))
     targets = draw(st.lists(st.lists(st.integers(0, cfg.vocab_size - 1), max_size=3),
                             min_size=1, max_size=5))
@@ -330,7 +332,7 @@ def ragged_batches(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(ragged_batches())
-@example((BIDIR, 0.5, [[], [1, 1, 3], [2]], [5, 8, 2], 0))
+@example((DEEP, 0.5, [[], [1, 1, 3], [2]], [5, 8, 2], 0))
 @example((TINY, 1.0, [[3], []], [1, 3], 1))
 def test_batched_adv_loss_matches_batch_of_one(case):
     cfg, lam, targets, lengths, seed = case
@@ -361,11 +363,11 @@ def test_batched_adv_loss_matches_batch_of_one(case):
 def test_batched_row_gradient_matches_fd(lam_i):
     # Row 1 is padded; its loss's finite differences over its whole
     # padded input, padded frames included, match the batched gradient.
-    params = init_params(BIDIR).frozen()
+    params = init_params(DEEP).frozen()
     rng = np.random.default_rng(23)
     lengths = [7, 4, 6]
     targets = [[1, 1, 3], [2, 0], [3]]
-    x_pad = _pad([rng.normal(size=(n, BIDIR.feat_dim)) for n in lengths])
+    x_pad = _pad([rng.normal(size=(n, DEEP.feat_dim)) for n in lengths])
     weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
 
     def row_loss(t):
@@ -384,11 +386,11 @@ def test_batched_row_gradient_matches_fd(lam_i):
 def test_batch_parameter_gradients_sum_the_rows():
     # Encoder and decoder parameter gradients of a padded batch's summed
     # decoder loss equal the sums of its rows' B=1 gradients.
-    params = init_params(BIDIR)
+    params = init_params(DEEP)
     rng = np.random.default_rng(24)
     lengths = [5, 3]
     targets = [[1], [2, 3]]
-    xs = [rng.normal(size=(n, BIDIR.feat_dim)) for n in lengths]
+    xs = [rng.normal(size=(n, DEEP.feat_dim)) for n in lengths]
     with ad.tape():
         hidden = encode(params, ad.constant(_pad(xs)), lengths)
         ad.backward(ad.sum_(dec_loss(params, hidden, targets, lengths)))

@@ -241,6 +241,18 @@ def test_load_config_defaults_and_seed_override(tmp_path):
         cfg = _write(tmp_path / "c.json", {"seed": seed})
         with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}"):
             load_config(cfg)
+    # numpy refuses a negative seed only once the data is generated
+    cfg = _write(tmp_path / "c.json", {"seed": -1})
+    with pytest.raises(ConfigError, match="c.json: seed must be >= 0, got -1"):
+        load_config(cfg)
+    with pytest.raises(ConfigError, match=r"seed override \(--seed\) must be >= 0, got -2"):
+        load_config(None, seed=-2)
+    out = tmp_path / "out"
+    for argv in (["gen-data", "--seed", "-3", "--out", str(out)],
+                 ["train", "--seed", "-3", "--data", str(tmp_path), "--out", str(out)]):
+        with pytest.raises(ConfigError, match=r"\(--seed\) must be >= 0, got -3"):
+            main(argv)
+        assert not out.exists()
 
 
 def test_perfbench_fixture_configs_hold_the_recorded_recipe():

@@ -9,6 +9,7 @@ from robustasr.data import (
     CONTENT_WORDS,
     LOREM_WORDS,
     N_WORDS,
+    NOISE_SIGMA,
     RECIPE,
     WORDS,
     DataError,
@@ -40,10 +41,12 @@ def test_render_deterministic():
 
 
 def test_render_accents_differ_without_noise():
+    # Two generators in the same state draw the same frame counts and the
+    # same noise, so the renderings differ by the accents' maps alone.
     toks = (2, 7)
-    a = render_utterance(toks, 0, np.random.default_rng(1), noise_sigma=0.0)
-    b = render_utterance(toks, 1, np.random.default_rng(1), noise_sigma=0.0)
-    assert a.shape == b.shape  # same rng -> same frame counts
+    a = render_utterance(toks, 0, np.random.default_rng(1))
+    b = render_utterance(toks, 1, np.random.default_rng(1))
+    assert a.shape == b.shape
     assert not np.allclose(a, b)
 
 
@@ -232,8 +235,8 @@ DATASET_SHA256 = {
     (0, 3): "6abd362a08577dbe519bf6cf28c015e284f25941158c4413d9a213a883f413ed",
     (7, 3): "a2a2c4ad2bc1d9795ad31c64afbdb7f9ab7c39119ce5ac8e1c603254b048b982",
 }
+# keyed by the noise level the pinned bytes were rendered at
 RENDER_SHA256 = {
-    0.0: "c8c96a2d16e4f4b0b7352c668371d12a1f6eedcb9e1d8cfecad20653c34188b7",
     0.05: "0ab98821168807a4b4bed090fc3661a910e0eecddeb5fc1da1d7cc9ae471a03b",
 }
 
@@ -258,8 +261,9 @@ def test_gen_dataset_bytes_are_pinned(seed, feat_dim):
 
 @pytest.mark.parametrize("noise_sigma", list(RENDER_SHA256))
 def test_render_utterance_bytes_are_pinned(noise_sigma):
+    assert NOISE_SIGMA == noise_sigma
     rng = np.random.default_rng(42)
-    feats = [render_utterance(tokens, accent, rng, noise_sigma=noise_sigma)
+    feats = [render_utterance(tokens, accent, rng)
              for tokens, accent in (((0, 5, 23, 11), 0), ((23, 23, 4), 1), ((9,), 1))]
     assert _sha256(feats) == RENDER_SHA256[noise_sigma]
 

@@ -169,6 +169,9 @@ def test_grid_spec_validation():
                          ("report_steps", (False, 10)), ("seeds", (0, 1.0))]:
         with pytest.raises(ValueError, match=f"{name} .* not an integer"):
             GridSpec(**{name: values})
+    # numpy refuses a negative seed only once the cell's data is generated
+    with pytest.raises(ValueError, match=r"seeds \(0, -1\) holds a negative seed"):
+        GridSpec(seeds=(0, -1))
     # a repeated value trains the same cells twice and writes their rows twice
     for name, values in [("lambda_t_A_values", (1.0, 0.7, 1)),
                          ("lambda_t_C_values", (0.5, 0.5)),
@@ -191,6 +194,7 @@ def test_grid_spec_validation():
     ({"grid": {"modes": ["match", "match"]}}, "modes .* repeats a value"),
     ({"grid": {"report_steps": [2.5]}}, "report_steps .* not an integer"),
     ({"grid": {"seeds": [0, True]}}, "seeds .* not an integer"),
+    ({"grid": {"seeds": [0, -1]}}, r"seeds \(0, -1\) holds a negative seed"),
     ({"n_attack": 0}, "n_attack must be >= 1, got 0"),
     ({"n_attack": -1}, "n_attack must be >= 1, got -1"),
     # NaN passes a "<= 0" check: training would read it as a divergence,
@@ -213,13 +217,33 @@ def test_grid_spec_validation():
     ({"len_range": 5}, "len_range 5 must be two integers"),
     # the attack builds its targets after training: one per length at least
     ({"n_targets": 4}, r"n_targets must be >= 5 to cover len_range \(2, 6\), got 4"),
+    # a count that is not an integer fails only inside the stage that reads it
+    ({"n_train": 2.5}, "n_train must be an integer, got 2.5"),
+    ({"n_valid": True}, "n_valid must be an integer, got True"),
+    ({"n_test": "4"}, "n_test must be an integer, got '4'"),
+    ({"n_targets": 12.0}, "n_targets must be an integer, got 12.0"),
+    ({"n_eval": 1.5}, "n_eval must be an integer, got 1.5"),
+    ({"n_attack": False}, "n_attack must be an integer, got False"),
+    ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+    ({"batch_size": 2.0}, "batch_size must be an integer, got 2.0"),
+    ({"max_decode_len": 3.5}, "max_decode_len must be an integer, got 3.5"),
+    ({"model": {"enc_hidden": 2.5}}, "enc_hidden must be an integer, got 2.5"),
+    ({"model": {"enc_layers": True}}, "enc_layers must be an integer, got True"),
+    ({"model": {"vocab_size": 0}}, "vocab_size must be >= 1, got 0"),
+    # the encoder runs forward only
+    ({"model": {"bidirectional": True}}, "bidirectional must be false, got True"),
+    ({"model": {"bidirectional": "yes"}}, "bidirectional must be false, got 'yes'"),
 ], ids=["report_steps", "epsilon_ratio", "alpha_fraction", "n_eval", "n_train", "n_valid",
         "n_test", "lambda_t_A_range", "lambda_t_C_repeated", "seeds_repeated",
-        "modes_repeated", "report_steps_float", "seeds_bool", "n_attack_zero",
+        "modes_repeated", "report_steps_float", "seeds_bool", "seeds_negative", "n_attack_zero",
         "n_attack_negative", "learning_rate_nan", "learning_rate_inf",
         "epsilon_ratio_nan", "alpha_fraction_nan", "epochs", "batch_size",
         "max_decode_len", "len_range_one", "len_range_three", "len_range_float",
-        "len_range_zero", "len_range_reversed", "len_range_scalar", "n_targets"])
+        "len_range_zero", "len_range_reversed", "len_range_scalar", "n_targets",
+        "n_train_float", "n_valid_bool", "n_test_str", "n_targets_float", "n_eval_float",
+        "n_attack_bool", "epochs_float", "batch_size_float", "max_decode_len_float",
+        "model_enc_hidden_float", "model_enc_layers_bool", "model_vocab_size_zero",
+        "model_bidirectional_true", "model_bidirectional_yes"])
 def test_config_refuses_values_the_evaluation_cannot_use(change, message):
     # refused when the config is read, before a cell trains
     with pytest.raises(ValueError, match=message):

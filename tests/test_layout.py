@@ -9,14 +9,26 @@ named in its own module.
 
 Dead-parameter guard: every parameter of a function or lambda in the
 package is read in its body. ``self``, ``cls`` and names starting with
-``_`` are exempt.
+``_`` are exempt. A parameter with a default is a knob, and some call in
+the package or in ``perfbench/`` must set it, by keyword or by position:
+a knob that only tests turn has one value in use.
+
+``perfbench/out/`` holds run outputs, copies included, and is not read.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "robustasr"
+
+
+def _program_sources():
+    """The package's modules and ``perfbench``'s scripts."""
+    bench = ROOT / "perfbench"
+    return sorted(PACKAGE.glob("*.py")) + sorted(
+        p for p in bench.rglob("*.py") if p.relative_to(bench).parts[0] != "out")
 
 
 def _top_level_names(tree):
@@ -59,10 +71,9 @@ def _names_used(tree):
 
 
 def test_every_public_helper_has_a_caller_outside_tests():
-    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
     names, attrs = set(), set()
     defined = []
-    for path in sources:
+    for path in _program_sources():
         tree = ast.parse(path.read_text(), filename=str(path))
         used_names, used_attrs = _names_used(tree)
         names |= used_names
@@ -113,3 +124,70 @@ def test_every_parameter_is_read():
         unread += [f"{path.name}:{line} {func}({param})"
                    for line, func, param in _unread_parameters(tree)]
     assert not unread, "parameters never read:\n" + "\n".join(unread)
+
+
+def _defaulted_parameters(tree):
+    """(line, callee, parameter, position) of each parameter with a default.
+
+    ``callee`` is the name a call uses: the function's own, or its class's
+    for ``__init__``. ``position`` is the parameter's index among the
+    positional arguments a call passes (``self`` and ``cls`` not counted),
+    None for a keyword-only parameter.
+    """
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        callee = node.name
+        if callee == "__init__" and isinstance(parents[node], ast.ClassDef):
+            callee = parents[node].name
+        a = node.args
+        positional = [*a.posonlyargs, *a.args]
+        if positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        first = len(positional) - len(a.defaults)
+        for i, p in enumerate(positional[first:], first):
+            yield node.lineno, callee, p.arg, i
+        for p, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield node.lineno, callee, p.arg, None
+
+
+def _calls(tree):
+    """(callee, positional argument count, keyword names) of each call.
+
+    The callee is a called name, with ``import ... as`` aliases resolved,
+    or a called attribute's name. A starred argument counts as every
+    position, and ``**`` as every keyword (the name None).
+    """
+    aliases = {a.asname: a.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for a in node.names if a.asname}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name):
+            callee = aliases.get(node.func.id, node.func.id)
+        elif isinstance(node.func, ast.Attribute):
+            callee = node.func.attr
+        else:
+            continue
+        n_args = math.inf if any(isinstance(a, ast.Starred) for a in node.args) \
+            else len(node.args)
+        yield callee, n_args, {k.arg for k in node.keywords}
+
+
+def test_every_defaulted_parameter_is_set_by_a_program_call():
+    calls = [call for path in _program_sources()
+             for call in _calls(ast.parse(path.read_text(), filename=str(path)))]
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unset += [f"{path.name}:{line} {callee}({param})"
+                  for line, callee, param, position in _defaulted_parameters(tree)
+                  if not any(name == callee and ({param, None} & keywords or
+                                                 position is not None and n_args > position)
+                             for name, n_args, keywords in calls)]
+    assert not unset, "parameters with a default that no program call sets:\n" + \
+        "\n".join(unset)

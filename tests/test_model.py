@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -83,16 +84,14 @@ def test_encode_input_gradient_matches_fd(params):
     assert rel_err(x.grad, fd.data) < 1e-6
 
 
-def _reference_scan(seq, w_in, w_rec, b, d, reverse):
+def _reference_scan(seq, w_in, w_rec, b, d):
     """The encoder scan recorded op by op, one tape record per numpy call."""
     pre = ro.matmul(seq, w_in)
-    n = seq.shape[0]
-    order = range(n - 1, -1, -1) if reverse else range(n)
     h = ad.constant(np.zeros(d))
-    rows = [None] * n
-    for t in order:
+    rows = []
+    for t in range(seq.shape[0]):
         h = ro.tanh(ad.add(ad.add(pre[t], ro.matmul(h, w_rec)), b))
-        rows[t] = ro.reshape(h, (1, d))
+        rows.append(ro.reshape(h, (1, d)))
     return ro.concat(rows, axis=0)
 
 
@@ -100,22 +99,15 @@ def _reference_encode(params, x):
     cfg = params.config
     seq = x
     for layer in range(cfg.enc_layers):
-        w = {name.split(".")[1]: t for name, t in params.items()
-             if name.startswith(f"enc{layer}.")}
-        out = _reference_scan(seq, w["w_in"], w["w_rec"], w["b"],
-                              cfg.enc_hidden, reverse=False)
-        if cfg.bidirectional:
-            out = ad.add(out, _reference_scan(seq, w["w_in_r"], w["w_rec_r"],
-                                              w["b_r"], cfg.enc_hidden,
-                                              reverse=True))
-        seq = out
+        seq = _reference_scan(seq, params[f"enc{layer}.w_in"],
+                              params[f"enc{layer}.w_rec"], params[f"enc{layer}.b"],
+                              cfg.enc_hidden)
     return seq
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_encode_bit_identical_to_op_by_op_scan(bidirectional):
+def test_encode_bit_identical_to_op_by_op_scan():
     # forward bit-identical, gradients to 1e-12 (assert_matches_reference)
-    cfg = replace(TINY, bidirectional=bidirectional, enc_layers=3)
+    cfg = replace(TINY, enc_layers=3)
     rng = np.random.default_rng(11)
     x0 = rng.normal(size=(9, cfg.feat_dim))
     weight = ad.constant(rng.normal(size=(9, cfg.enc_hidden)))
@@ -133,24 +125,17 @@ def test_encode_bit_identical_to_op_by_op_scan(bidirectional):
     assert_matches_reference(*results)
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_encode_records_one_op_per_layer_and_direction(bidirectional):
-    cfg = replace(TINY, bidirectional=bidirectional)
-    params = init_params(cfg)
-    x = ad.constant(np.ones((1, 6, cfg.feat_dim)))
+def test_encode_records_one_op_per_layer(params):
+    x = ad.constant(np.ones((1, 6, TINY.feat_dim)))
     with ad.tape() as tp:
         encode(params, x)
-        # bidirectional layers add one record that sums the two directions
-        per_layer = 3 if bidirectional else 1
-        assert len(tp) == cfg.enc_layers * per_layer
+        assert len(tp) == TINY.enc_layers
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_encode_never_reads_padded_frames(bidirectional):
+def test_encode_never_reads_padded_frames(params):
     # Noise in the padded input frames leaves every real frame's state and
     # input gradient byte-identical to a zero-padded batch's, and the
     # padded states exactly zero.
-    params = init_params(replace(TINY, bidirectional=bidirectional))
     rng = np.random.default_rng(41)
     lengths = [6, 2, 4, 1]
     pad = np.arange(6) >= np.array(lengths)[:, None]
@@ -251,19 +236,17 @@ def test_ctc_head_gradient_matches_fd(params):
 _W_CTC = np.random.default_rng(60).normal(size=(2, TINY.vocab_size + 1))
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_ctc_head_bit_identical_to_op_by_op(bidirectional):
+def test_ctc_head_bit_identical_to_op_by_op():
     # The fused head against matmul, bias add and log-softmax recorded
     # one by one: output, input gradient and every parameter gradient
     # through the encoder.
-    cfg = replace(TINY, bidirectional=bidirectional)
     rng = np.random.default_rng(61)
-    x0 = rng.normal(size=(7, cfg.feat_dim))
-    bias = rng.normal(size=cfg.vocab_size + 1)
-    weight = ad.constant(rng.normal(size=(7, cfg.vocab_size + 1)))
+    x0 = rng.normal(size=(7, TINY.feat_dim))
+    bias = rng.normal(size=TINY.vocab_size + 1)
+    weight = ad.constant(rng.normal(size=(7, TINY.vocab_size + 1)))
     results = []
     for head in (ctc_head, ro.ctc_head):
-        params = init_params(cfg)
+        params = init_params(TINY)
         params["ctc.b"].data = bias.copy()
         x = ad.leaf(x0)
         with ad.tape():
@@ -482,6 +465,22 @@ def test_checkpoint_truncated_fails(tmp_path, params):
         p.write_text("\n".join(lines[:idx] + [bad] + lines[idx + 1:]) + "\n")
         with pytest.raises(CheckpointError, match=f"line {idx + 1}"):
             load_checkpoint(p)
+
+
+@pytest.mark.parametrize("value", [True, "yes", 1])
+def test_a_bidirectional_encoder_is_refused(tmp_path, params, value):
+    # The encoder runs forward only; the key is kept but must be false.
+    message = f"bidirectional must be false, got {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(bidirectional=value)
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, params)
+    text = p.read_text()
+    assert '"bidirectional": false' in text
+    p.write_text(text.replace('"bidirectional": false',
+                              f'"bidirectional": {json.dumps(value)}'))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(p))}: bad config: {message}"):
+        load_checkpoint(p)
 
 
 def test_checkpoint_missing_param_fails(tmp_path, params):
