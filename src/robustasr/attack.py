@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .losses import MtlWeights, ctc_loss, ctc_min_frames, dec_loss
+from .losses import MtlWeights, ctc_loss, ctc_min_frames, dec_loss, mix
 from .model import ModelParams, ctc_head, encode, pad_batch
 
 
@@ -79,7 +79,7 @@ def adv_loss(params: ModelParams, x: Tensor, target, weights: MtlWeights,
     l_ctc = ctc_loss(ctc_head(params, hidden), target, lengths)
     if lam == 1.0:
         return l_ctc
-    return lam * l_ctc + (1.0 - lam) * dec_loss(params, hidden, target, lengths)
+    return mix(lam, l_ctc, dec_loss(params, hidden, target, lengths))
 
 
 def target_feasible(x: np.ndarray, target, weights: MtlWeights) -> bool:

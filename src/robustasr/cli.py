@@ -14,7 +14,9 @@ split. ``train`` regenerates all three splits from it, and ``eval`` and
 stages share no targets file: ``attack`` derives the targets from the
 seed the recipe records and its own config's ``n_targets`` and
 ``len_range``. All outputs are deterministic functions of their configs,
-so reruns are byte-identical.
+so reruns are byte-identical. A refused input (a config value, a data
+directory, a checkpoint, a rows file) ends a subcommand with one line on
+stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
-from .data import RECIPE, load_dataset, load_test_split, save_dataset
-from .experiments import (ReportRow, evaluate_model, load_config, make_data,
-                          make_tables, rows_from_csv, rows_to_csv, run_grid,
-                          train_model, trend_check, trend_report)
-from .model import load_checkpoint, save_checkpoint
+from .data import RECIPE, DataError, load_dataset, load_test_split, save_dataset
+from .experiments import (ConfigError, MissingCellsError, ReportRow, evaluate_model,
+                          load_config, make_data, make_tables, rows_from_csv,
+                          rows_to_csv, run_grid, train_model, trend_check,
+                          trend_report)
+from .model import CheckpointError, load_checkpoint, save_checkpoint
 from .train import evaluate_benign
 
 
@@ -67,8 +71,7 @@ def cmd_eval(args) -> int:
                         seed=params.config.seed, attack_steps=0,
                         benign_wer=wer, accent_acc=acc, adv_twer=None,
                         n_samples=len(utts), n_skipped=0)
-        with open(args.out, "w") as f:
-            f.write(rows_to_csv([row], config.hash()))
+        Path(args.out).write_text(rows_to_csv([row], config.hash()))
         print(f"wrote {args.out}")
     return 0
 
@@ -78,8 +81,7 @@ def cmd_attack(args) -> int:
     test, seed = load_test_split(args.data)
     rows = evaluate_model(config, load_checkpoint(args.checkpoint), test, seed,
                           weights)
-    with open(args.out, "w") as f:
-        f.write(rows_to_csv(rows, config.hash()))
+    Path(args.out).write_text(rows_to_csv(rows, config.hash()))
     for r in rows:
         twer = "n/a" if r.adv_twer is None else f"{r.adv_twer:.4f}"
         print(f"steps={r.attack_steps}: AdvTWER={twer} "
@@ -95,30 +97,30 @@ def cmd_grid(args) -> int:
                     print(f"cell {done}/{total} finished", flush=True))
     os.makedirs(args.out, exist_ok=True)
     out = os.path.join(args.out, "rows.csv")
-    with open(out, "w") as f:
-        f.write(rows_to_csv(rows, config.hash()))
+    Path(out).write_text(rows_to_csv(rows, config.hash()))
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
 
 def cmd_report(args) -> int:
-    with open(args.rows) as f:
-        rows = rows_from_csv(f.read())
-    steps = [int(s) for s in args.steps.split(",")] if args.steps else \
-        sorted({r.attack_steps for r in rows if r.adv_twer is not None})
+    try:
+        rows = rows_from_csv(Path(args.rows).read_text())
+    except ValueError as e:  # an undecodable file, too
+        raise DataError(f"{args.rows}: {e}") from None
+    steps = args.steps or sorted({r.attack_steps for r in rows if r.adv_twer is not None})
+    # judged first, so that rows the checks refuse leave no tables behind
+    text = trend_report(trend_check(rows, args.trend_steps or steps))
     os.makedirs(args.out, exist_ok=True)
-    for name, text in make_tables(rows, steps).items():
-        with open(os.path.join(args.out, name), "w") as f:
-            f.write(text)
-    check_steps = [int(s) for s in args.trend_steps.split(",")] \
-        if args.trend_steps else steps
-    results = trend_check(rows, steps=check_steps)
-    text = trend_report(results)
-    with open(os.path.join(args.out, "trend_check.txt"), "w") as f:
-        f.write(text)
+    for name, table in make_tables(rows, steps).items():
+        Path(args.out, name).write_text(table)
+    Path(args.out, "trend_check.txt").write_text(text)
     print(text, end="")
     print(f"wrote tables and trend_check.txt under {args.out}")
     return 0
+
+
+def comma_separated_ints(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
 
 
 CONFIG_HELP = ("JSON config: ExperimentConfig fields plus the run keys "
@@ -167,15 +169,22 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("report", help="aggregate rows into tables and trends")
     r.add_argument("--rows", required=True)
     r.add_argument("--out", required=True)
-    r.add_argument("--steps", help="comma-separated step columns")
-    r.add_argument("--trend-steps", help="steps for the ordering checks")
+    r.add_argument("--steps", type=comma_separated_ints, help="step columns")
+    r.add_argument("--trend-steps", type=comma_separated_ints,
+                   help="steps for the ordering checks")
     r.set_defaults(fn=cmd_report)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    # a refused input: one line and status 2, as argparse gives a usage
+    # error; any other exception is a bug and keeps its traceback
+    except (ConfigError, DataError, CheckpointError, MissingCellsError, OSError) as e:
+        print(f"robustasr: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,19 +36,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .losses import MtlWeights
+from .losses import MtlWeights, mix
 from .model import ModelParams, ctc_head, decoder_advance, decoder_start
 
 NEGINF = -np.inf
 # Rounding slack of one logaddexp step, relative to the running sum's size.
 _SLACK = 8.0 * np.finfo(float).eps
-
-
-def _mix(lam: float, ctc_inc, dec):
-    """The combined score of a decode step, ``lam`` times the CTC increment
-    plus ``1 - lam`` times the decoder's log-prob. Every operation rounds
-    monotonically, so a bound on ``ctc_inc`` bounds the score computed."""
-    return lam * ctc_inc + (1.0 - lam) * dec
 
 
 def _fold_bounds(terms, n_frames):
@@ -150,7 +143,7 @@ class CtcPrefixScorer:
         With no decoder row ``dec`` every candidate is scored exactly.
         Given ``dec`` (B, V+1) and the CTC weight ``lam``, a candidate is
         scored exactly only if it can still win the step's combined score
-        ``_mix(lam, psi - state.psi, dec)``: its upper bound from
+        ``mix(lam, psi - state.psi, dec)``: its upper bound from
         ``_fold_bounds`` reaches the row's best lower bound, which counts
         eos exactly. The others read -inf, so they lose the argmax as
         they would have lost it scored; the winner, and every candidate
@@ -181,9 +174,9 @@ class CtcPrefixScorer:
             if dec is not None:
                 low, high = _fold_bounds(terms, self.n_frames)
                 words, prefix = dec[..., :self.n_words], state.psi[:, None]
-                best = np.maximum(_mix(lam, low - prefix, words).max(axis=1),
-                                  _mix(lam, eos_score - state.psi, dec[..., self.n_words]))
-                keep = ~(_mix(lam, high - prefix, words) < best[:, None])
+                best = np.maximum(mix(lam, low - prefix, words).max(axis=1),
+                                  mix(lam, eos_score - state.psi, dec[..., self.n_words]))
+                keep = ~(mix(lam, high - prefix, words) < best[:, None])
             kept = np.flatnonzero(keep)
             psi = np.full(keep.shape, NEGINF)
             psi.flat[kept] = np.logaddexp.reduce(
@@ -267,7 +260,7 @@ def joint_greedy_decode(params: ModelParams, hidden: Tensor, weights: MtlWeights
                 psi, eos_score, phi, first = scorer.extend(state, lam, dec_scores)
                 ctc_inc = np.concatenate([psi, eos_score[:, None]], axis=1) - state.psi[:, None]
                 with np.errstate(invalid="ignore"):
-                    combined = _mix(lam, ctc_inc, dec_scores)
+                    combined = mix(lam, ctc_inc, dec_scores)
             c = np.argmax(combined, axis=1)
             picked = np.arange(len(live)), c
             for r, tok, scores in zip(live.tolist(), c.tolist(), zip(

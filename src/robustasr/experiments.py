@@ -10,7 +10,9 @@ a canonical order, which makes reruns byte-identical.
 
 AdvTWER is pooled over the attacked samples (total edit errors against
 the targets over total target words), like every other corpus metric
-here.
+here. The four tables (``TABLES``) and the claims (a)-(d) that
+``trend_check`` judges (``CLAIMS``) are data that read one index,
+``seed_medians``: the seed-median AdvTWER of each configuration and step.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import re
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -49,12 +52,15 @@ class ConfigError(ValueError):
 
 
 def _build(cls, d: dict, where: str = ""):
-    """``cls(**d)``, refusing a key that is not a field of ``cls``."""
+    """``cls(**d)`` with JSON lists read as tuples, refusing a section that
+    is not an object and a key that is not a field of ``cls``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where[:-1]} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError("unknown config key " +
                           ", ".join(repr(where + k) for k in unknown))
-    return cls(**d)
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def _is_int(value) -> bool:
@@ -77,6 +83,8 @@ class GridSpec:
             if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                        and 0.0 <= v <= 1.0 for v in values):
                 raise ValueError(f"{name} {values} holds a value outside [0, 1]")
+            # the rows write each value as it is stored: 1 would read "1"
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         if not self.modes or any(m not in ("match", "drop_ctc") for m in self.modes):
             raise ValueError("modes must be a nonempty subset of {match, drop_ctc}")
         if not self.report_steps or not self.seeds:
@@ -142,13 +150,9 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         if "grid" in d:
-            g = {k: tuple(v) if isinstance(v, list) else v
-                 for k, v in d["grid"].items()}
-            d["grid"] = _build(GridSpec, g, "grid.")
+            d["grid"] = _build(GridSpec, d["grid"], "grid.")
         if "model" in d:
             d["model"] = _build(ModelConfig, d["model"], "model.")
-        if isinstance(d.get("len_range"), list):
-            d["len_range"] = tuple(d["len_range"])
         return _build(cls, d)
 
     def hash(self) -> str:
@@ -251,20 +255,28 @@ def load_config(path=None, seed: int | None = None, run_keys: bool = True
                 ) -> tuple[ExperimentConfig, int, MtlWeights]:
     """A config file: ExperimentConfig fields plus the run keys a grid
     sets per cell, ``seed`` (default 0, overridden by the argument) and
-    ``weights`` (MtlWeights fields), which ``run_keys=False`` refuses."""
-    d = json.loads(Path(path).read_text()) if path else {}
-    if not run_keys and {"seed", "weights"} & d.keys():
-        raise ConfigError(f"{path}: a grid sets seed and weights itself, "
-                          "from grid.seeds and the lambda grids")
-    weights = _build(MtlWeights, d.pop("weights", {}), "weights.")
-    file_seed = d.pop("seed", 0)
-    if not _is_int(file_seed):
-        raise ConfigError(f"{path}: seed must be an integer, got {file_seed!r}")
-    if file_seed < 0:
-        raise ConfigError(f"{path}: seed must be >= 0, got {file_seed}")
+    ``weights`` (MtlWeights fields), which ``run_keys=False`` refuses.
+    A file that is not a JSON object, or a value the fields refuse, is a
+    ``ConfigError`` that names the file."""
     if seed is not None and seed < 0:
         raise ConfigError(f"the seed override (--seed) must be >= 0, got {seed}")
-    return ExperimentConfig.from_dict(d), file_seed if seed is None else seed, weights
+    try:
+        d = json.loads(Path(path).read_text()) if path else {}
+        if not isinstance(d, dict):
+            raise ConfigError("not a JSON object")
+        if not run_keys and {"seed", "weights"} & d.keys():
+            raise ConfigError("a grid sets seed and weights itself, "
+                              "from grid.seeds and the lambda grids")
+        weights = _build(MtlWeights, d.pop("weights", {}), "weights.")
+        file_seed = d.pop("seed", 0)
+        if not _is_int(file_seed):
+            raise ConfigError(f"seed must be an integer, got {file_seed!r}")
+        if file_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {file_seed}")
+        config = ExperimentConfig.from_dict(d)
+    except (TypeError, ValueError) as e:  # bad JSON raises a ValueError too
+        raise ConfigError(f"{path}: {e}") from None
+    return config, file_seed if seed is None else seed, weights
 
 
 def make_data(config: ExperimentConfig, seed: int) -> DatasetSplit:
@@ -362,17 +374,22 @@ def run_grid(config: ExperimentConfig, workers: int = 1,
 # aggregation and trend checks
 
 
-def _median_twer(rows: Iterable[ReportRow], lam_a: float, lam_c: float,
-                 lam_i: float, step: int) -> float:
-    vals = [r.adv_twer for r in rows
-            if r.lambda_t_A == lam_a and r.lambda_t_C == lam_c
-            and r.lambda_i_C == lam_i and r.attack_steps == step
-            and r.adv_twer is not None]
-    if not vals:
-        raise MissingCellsError(
-            f"no rows for lambda_t_A={lam_a} lambda_t_C={lam_c} "
-            f"lambda_i_C={lam_i} steps={step}")
-    return statistics.median(vals)
+class _SeedMedians(dict):
+    def __missing__(self, key):
+        raise MissingCellsError("no rows for lambda_t_A={} lambda_t_C={} "
+                                "lambda_i_C={} steps={}".format(*key))
+
+
+def seed_medians(rows: Iterable[ReportRow]) -> dict[tuple, float]:
+    """The seed-median AdvTWER of each (lambda_t_A, lambda_t_C, lambda_i_C,
+    attack_steps) key, over the rows' AdvTWER values that are not None.
+    Looking up a key without one raises ``MissingCellsError``."""
+    values: dict[tuple, list[float]] = {}
+    for r in rows:
+        if r.adv_twer is not None:
+            key = (r.lambda_t_A, r.lambda_t_C, r.lambda_i_C, r.attack_steps)
+            values.setdefault(key, []).append(r.adv_twer)
+    return _SeedMedians((key, statistics.median(v)) for key, v in values.items())
 
 
 @dataclass
@@ -389,52 +406,40 @@ MTL_MATCH = (1.0, 0.5, 0.5)
 MTL_DROP = (1.0, 0.5, 0.0)
 ALL3_DROP = (0.7, 0.5, 0.0)
 
+# The claims as (name, description, subject, rivals, relation, slack): at
+# each step, with x the subject's seed median and y the largest of the
+# rivals' (0.0 if none), the claim holds if relation(x, y + slack).
+# Rivals None are every other configuration in the rows.
+CLAIMS = (
+    ("a", "STL-CTC is more vulnerable than STL-DEC",
+     STL_CTC, (STL_DEC,), operator.lt, 0.0),
+    ("b", f"CTC-in-inference MTL does not beat STL-DEC (tolerance {TOLERANCE})",
+     MTL_MATCH, (STL_DEC,), operator.le, TOLERANCE),
+    ("c", "CTC-dropped MTL beats both STL baselines",
+     MTL_DROP, (STL_CTC, STL_DEC), operator.gt, 0.0),
+    ("d", "all-three-heads MTL is within tolerance of the best everywhere",
+     ALL3_DROP, None, operator.ge, -TOLERANCE),
+)
 
-def trend_check(rows: Sequence[ReportRow],
-                steps: Sequence[int] = (100, 200)) -> list[TrendResult]:
-    """Robustness-ordering assertions on seed-median AdvTWER.
 
-    Each assertion must hold at every requested step count. Missing
-    cells, or no step count at all, raise rather than silently passing.
-    """
+def trend_check(rows: Sequence[ReportRow], steps: Sequence[int]) -> list[TrendResult]:
+    """Judge each of ``CLAIMS`` on seed-median AdvTWER: a claim must hold
+    at every step of ``steps``. A missing cell, or no step at all, raises
+    rather than silently passing."""
     if not steps:
         raise MissingCellsError("no attack steps to judge")
+    medians = seed_medians(rows)
+    configs = {(r.lambda_t_A, r.lambda_t_C, r.lambda_i_C) for r in rows}
     results = []
-
-    def med(cfg, step):
-        return _median_twer(rows, *cfg, step)
-
-    checks_a = []
-    checks_b = []
-    checks_c = []
-    checks_d = []
-    others = {(r.lambda_t_A, r.lambda_t_C, r.lambda_i_C) for r in rows} - {ALL3_DROP}
-    for step in steps:
-        stl_ctc = med(STL_CTC, step)
-        stl_dec = med(STL_DEC, step)
-        checks_a.append((step, stl_ctc, stl_dec, stl_ctc < stl_dec))
-        mtl_match = med(MTL_MATCH, step)
-        checks_b.append((step, mtl_match, stl_dec,
-                         mtl_match <= stl_dec + TOLERANCE))
-        mtl_drop = med(MTL_DROP, step)
-        checks_c.append((step, mtl_drop, max(stl_ctc, stl_dec),
-                         mtl_drop > stl_ctc and mtl_drop > stl_dec))
-        all3 = med(ALL3_DROP, step)
-        floor = max(med(c, step) for c in others) if others else 0.0
-        checks_d.append((step, all3, floor, all3 >= floor - TOLERANCE))
-
-    def pack(name, desc, checks):
-        passed = all(ok for *_rest, ok in checks)
-        details = "; ".join(f"steps={s}: {x:.4f} vs {y:.4f}"
-                            for s, x, y, _ok in checks)
-        results.append(TrendResult(name, desc, passed, details))
-
-    pack("a", "STL-CTC is more vulnerable than STL-DEC", checks_a)
-    pack("b", "CTC-in-inference MTL does not beat STL-DEC "
-              f"(tolerance {TOLERANCE})", checks_b)
-    pack("c", "CTC-dropped MTL beats both STL baselines", checks_c)
-    pack("d", "all-three-heads MTL is within tolerance of the best "
-              "everywhere", checks_d)
+    for name, description, subject, rivals, relation, slack in CLAIMS:
+        rivals = configs - {subject} if rivals is None else rivals
+        checks = []
+        for step in steps:
+            x = medians[(*subject, step)]
+            y = max((medians[(*c, step)] for c in rivals), default=0.0)
+            checks.append((step, x, y, relation(x, y + slack)))
+        details = "; ".join(f"steps={s}: {x:.4f} vs {y:.4f}" for s, x, y, _ok in checks)
+        results.append(TrendResult(name, description, all(ok for *_r, ok in checks), details))
     return results
 
 
@@ -452,46 +457,33 @@ def trend_report(results: Sequence[TrendResult]) -> str:
 # table shaping
 
 
-def _table(rows: Sequence[ReportRow], axis: str, steps: Sequence[int]) -> str:
-    """Seed-median AdvTWER, one line per axis value, one column per step."""
-    axis_vals = sorted({getattr(r, axis) for r in rows})
-    header = [axis] + [f"steps_{s}" for s in steps]
-    lines = [",".join(header)]
-    for v in axis_vals:
-        cells = [repr(v)]
-        for s in steps:
-            vals = [r.adv_twer for r in rows
-                    if getattr(r, axis) == v and r.attack_steps == s
-                    and r.adv_twer is not None]
-            cells.append(repr(statistics.median(vals)) if vals else "")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+# Each summary as (file name, axis, the configurations it reads): one
+# line per configuration, keyed by its axis value, which names it alone.
+TABLES = (
+    ("table_ctc_decoder_match.csv", "lambda_t_C", lambda a, c, i: a == 1.0 and i == c),
+    ("table_ctc_decoder_drop.csv", "lambda_t_C", lambda a, _c, i: a == 1.0 and i == 0.0),
+    ("table_decoder_discriminator.csv", "lambda_t_A",
+     lambda _a, c, i: c == 0.0 and i == 0.0),
+    ("table_all_heads.csv", "lambda_t_C", lambda a, _c, i: a == 0.7 and i == 0.0),
+)
 
 
 def make_tables(rows: Sequence[ReportRow], steps: Sequence[int]) -> dict[str, str]:
-    """The four grid summaries plus a long-format CSV for plotting."""
-    match_rows = [r for r in rows if r.lambda_i_C == r.lambda_t_C]
-    drop_rows = [r for r in rows if r.lambda_i_C == 0.0]
-    tables = {
-        "table_ctc_decoder_match.csv": _table(
-            [r for r in match_rows if r.lambda_t_A == 1.0],
-            "lambda_t_C", steps),
-        "table_ctc_decoder_drop.csv": _table(
-            [r for r in drop_rows if r.lambda_t_A == 1.0],
-            "lambda_t_C", steps),
-        "table_decoder_discriminator.csv": _table(
-            [r for r in rows if r.lambda_t_C == 0.0 and r.lambda_i_C == 0.0],
-            "lambda_t_A", steps),
-        "table_all_heads.csv": _table(
-            [r for r in drop_rows if r.lambda_t_A == 0.7],
-            "lambda_t_C", steps),
-    }
-    long_lines = ["lambda_t_A,lambda_t_C,lambda_i_C,attack_steps,seed,adv_twer"]
-    for r in sorted(rows, key=ReportRow.sort_key):
-        if r.adv_twer is None:
-            continue
-        long_lines.append(
-            f"{r.lambda_t_A!r},{r.lambda_t_C!r},{r.lambda_i_C!r},"
-            f"{r.attack_steps},{r.seed},{r.adv_twer!r}")
-    tables["advtwer_long.csv"] = "\n".join(long_lines) + "\n"
+    """The four grid summaries of seed-median AdvTWER, one column per
+    step, plus a long-format CSV for plotting."""
+    medians = seed_medians(rows)
+    configs = {(r.lambda_t_A, r.lambda_t_C, r.lambda_i_C) for r in rows}
+    tables = {}
+    for name, axis, reads in TABLES:
+        col = ROW_COLUMNS.index(axis)  # a configuration is the rows' first three columns
+        lines = [[axis] + [f"steps_{s}" for s in steps]]
+        for cfg in sorted((c for c in configs if reads(*c)), key=lambda c: c[col]):
+            cells = [medians.get((*cfg, s)) for s in steps]
+            lines.append([repr(cfg[col])] + ["" if m is None else repr(m) for m in cells])
+        tables[name] = "".join(",".join(line) + "\n" for line in lines)
+    tables["advtwer_long.csv"] = "".join(
+        ["lambda_t_A,lambda_t_C,lambda_i_C,attack_steps,seed,adv_twer\n"] +
+        [f"{r.lambda_t_A!r},{r.lambda_t_C!r},{r.lambda_i_C!r},{r.attack_steps},{r.seed},"
+         f"{r.adv_twer!r}\n" for r in sorted(rows, key=ReportRow.sort_key)
+         if r.adv_twer is not None])
     return tables

@@ -60,8 +60,11 @@ class MtlWeights:
             object.__setattr__(self, "lambda_i_C", self.lambda_t_C)
         for name in ("lambda_t_A", "lambda_t_C", "lambda_i_C"):
             v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass
@@ -235,10 +238,11 @@ def dis_loss(params: ModelParams, hidden: Tensor, accent, lengths=None) -> Tenso
     return ad.neg(logp[np.arange(len(accents)), accents])
 
 
-def asr_loss(weights: MtlWeights, l_ctc, l_dec):
-    """CTC/decoder blend with the training weight."""
-    lam = weights.lambda_t_C
-    return lam * l_ctc + (1.0 - lam) * l_dec
+def mix(lam: float, a, b):
+    """``lam * a + (1 - lam) * b``, the blend of two heads in training, in the
+    attack and at each decode step. Every operation rounds monotonically,
+    so a bound on ``a`` bounds the blend computed."""
+    return lam * a + (1.0 - lam) * b
 
 
 def mtl_loss(weights: MtlWeights, l_ctc, l_dec, l_dis) -> LossBreakdown:
@@ -249,9 +253,8 @@ def mtl_loss(weights: MtlWeights, l_ctc, l_dec, l_dis) -> LossBreakdown:
     entirely); ``total`` stays differentiable whenever any live
     component is a tensor, and is the sum of the rows' blends.
     """
-    l_asr = asr_loss(weights, l_ctc, l_dec)
-    lam = weights.lambda_t_A
-    total = lam * l_asr + (1.0 - lam) * l_dis
+    l_asr = mix(weights.lambda_t_C, l_ctc, l_dec)
+    total = mix(weights.lambda_t_A, l_asr, l_dis)
     if isinstance(total, Tensor) and total.ndim:
         total = ad.sum_(total)
     return LossBreakdown(

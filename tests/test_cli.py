@@ -1,14 +1,13 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from robustasr.cli import load_config, main
-from robustasr.data import DataError
-from robustasr.experiments import (ConfigError, ExperimentConfig, GridSpec,
-                                   MissingCellsError, ReportRow, rows_from_csv,
-                                   rows_to_csv, run_cell)
+from robustasr.experiments import (ConfigError, ExperimentConfig, GridSpec, ReportRow,
+                                   rows_from_csv, rows_to_csv, run_cell)
 from robustasr.losses import MtlWeights
 from robustasr.model import ModelConfig
 
@@ -23,6 +22,16 @@ WEIGHTS = {"lambda_t_A": 0.7, "lambda_t_C": 0.5}
 def _write(path, obj):
     path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
+
+
+def _refused(capsys, argv, message):
+    """``main(argv)`` refuses its input: status 2 and one line on stderr,
+    ``robustasr: error: `` and a message that ``message`` matches."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("robustasr: error: ") and err.count("\n") == 1, err
+    assert re.search(message, err), err
 
 
 def test_cli_pipeline_end_to_end(tmp_path):
@@ -101,7 +110,7 @@ def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
     assert [(r.adv_twer, r.n_samples, r.n_skipped) for r in rows] == [(None, 0, 3)]
 
 
-def test_cli_eval_and_attack_read_only_the_test_split(tmp_path):
+def test_cli_eval_and_attack_read_only_the_test_split(tmp_path, capsys):
     # eval and attack regenerate the test split alone: a recipe whose train
     # and valid digests are wrong serves them, and they give the rows they
     # give on the intact directory, while train refuses it
@@ -122,9 +131,9 @@ def test_cli_eval_and_attack_read_only_the_test_split(tmp_path):
     recipe["sha256"].update(train="0" * 64, valid="0" * 64)
     only_test.mkdir()
     _write(only_test / "recipe.json", recipe)
-    with pytest.raises(DataError, match="the train split regenerates to other bytes"):
-        main(["train", "--config", train_cfg, "--data", str(only_test),
-              "--out", str(tmp_path / "refused")])
+    _refused(capsys, ["train", "--config", train_cfg, "--data", str(only_test),
+                      "--out", str(tmp_path / "refused")],
+             "the train split regenerates to other bytes")
     ckpt = str(run / "checkpoint.txt")
     for d in (data, only_test):
         for stage in ("eval", "attack"):
@@ -167,60 +176,60 @@ def test_cli_stages_write_the_rows_of_run_cell(tmp_path):
     ({"grid": {"seed": [0]}}, "'grid.seed'"),
     ({"weights": {"lambda_i": 0.0}}, "'weights.lambda_i'"),
 ])
-def test_config_unknown_key_fails_naming_it(tmp_path, bad, key):
+def test_config_unknown_key_fails_naming_it(tmp_path, capsys, bad, key):
     cfg = _write(tmp_path / "bad.json", bad)
-    with pytest.raises(ConfigError, match=key):
-        main(["gen-data", "--config", cfg, "--out", str(tmp_path / "data")])
+    _refused(capsys, ["gen-data", "--config", cfg, "--out", str(tmp_path / "data")], key)
     assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("run_key", [{"seed": 0}, {"weights": WEIGHTS}])
-def test_grid_refuses_run_keys(tmp_path, run_key):
+def test_grid_refuses_run_keys(tmp_path, capsys, run_key):
     cfg = _write(tmp_path / "grid.json", run_key)
-    with pytest.raises(ConfigError, match="grid sets seed and weights"):
-        main(["grid", "--config", cfg, "--out", str(tmp_path / "grid")])
+    _refused(capsys, ["grid", "--config", cfg, "--out", str(tmp_path / "grid")],
+             "grid sets seed and weights")
 
 
-def test_train_refuses_data_of_another_feat_dim(tmp_path):
+def test_train_refuses_data_of_another_feat_dim(tmp_path, capsys):
     gen_cfg = _write(tmp_path / "gen.json", {
         "n_train": 2, "n_valid": 1, "n_test": 1, "model": {"feat_dim": 8}})
     assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path / "data")]) == 0
-    with pytest.raises(ConfigError, match="data has feat_dim 8, model.feat_dim is 16"):
-        main(["train", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")])
+    _refused(capsys, ["train", "--data", str(tmp_path / "data"),
+                      "--out", str(tmp_path / "run")],
+             "data has feat_dim 8, model.feat_dim is 16")
 
 
-def _train_refuses(tmp_path, field, value, message):
+def _train_refuses(tmp_path, capsys, field, value, message):
     gen_cfg = _write(tmp_path / "gen.json", {"n_train": 2, "n_valid": 1, "n_test": 1})
     assert main(["gen-data", "--config", gen_cfg, "--out", str(tmp_path / "data")]) == 0
     train_cfg = _write(tmp_path / "train.json", {"model": {field: value}})
-    with pytest.raises(ConfigError, match=message):
-        main(["train", "--config", train_cfg, "--data", str(tmp_path / "data"),
-              "--out", str(tmp_path / "run")])
+    _refused(capsys, ["train", "--config", train_cfg, "--data", str(tmp_path / "data"),
+                      "--out", str(tmp_path / "run")], message)
     assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("value", [30, 50])
-def test_train_refuses_a_model_of_another_vocab_size(tmp_path, value):
+def test_train_refuses_a_model_of_another_vocab_size(tmp_path, capsys, value):
     # one output per word of the data, or nothing trains
-    _train_refuses(tmp_path, "vocab_size", value,
+    _train_refuses(tmp_path, capsys, "vocab_size", value,
                    f"model.vocab_size is {value}, the data has 40 words")
 
 
 @pytest.mark.parametrize("value", [1, 3])
-def test_train_refuses_a_model_of_another_accent_count(tmp_path, value):
+def test_train_refuses_a_model_of_another_accent_count(tmp_path, capsys, value):
     # one output per accent of the data, or nothing trains
-    _train_refuses(tmp_path, "n_accents", value,
+    _train_refuses(tmp_path, capsys, "n_accents", value,
                    f"model.n_accents is {value}, the data has 2 accents")
 
 
-def test_report_refuses_rows_without_attack_steps(tmp_path):
+def test_report_refuses_rows_without_attack_steps(tmp_path, capsys):
     # the rows file of `eval` holds no AdvTWER: no ordering can be judged
     row = ReportRow(lambda_t_A=1.0, lambda_t_C=0.5, lambda_i_C=0.5, seed=0,
                     attack_steps=0, benign_wer=0.2, accent_acc=0.9, adv_twer=None,
                     n_samples=4, n_skipped=0)
     rows = _write(tmp_path / "eval.csv", rows_to_csv([row], "x"))
-    with pytest.raises(MissingCellsError, match="no attack steps to judge"):
-        main(["report", "--rows", rows, "--out", str(tmp_path / "report")])
+    _refused(capsys, ["report", "--rows", rows, "--out", str(tmp_path / "report")],
+             "no attack steps to judge")
+    assert not (tmp_path / "report").exists()
 
 
 def test_checked_in_configs_load():
@@ -230,7 +239,7 @@ def test_checked_in_configs_load():
         load_config(path, run_keys=False)
 
 
-def test_load_config_defaults_and_seed_override(tmp_path):
+def test_load_config_defaults_and_seed_override(tmp_path, capsys):
     config, seed, weights = load_config(None)
     assert (config, seed, weights) == (ExperimentConfig(), 0, MtlWeights())
     cfg = _write(tmp_path / "c.json", {"seed": 4, "weights": {"lambda_i_C": 0.0}})
@@ -250,8 +259,7 @@ def test_load_config_defaults_and_seed_override(tmp_path):
     out = tmp_path / "out"
     for argv in (["gen-data", "--seed", "-3", "--out", str(out)],
                  ["train", "--seed", "-3", "--data", str(tmp_path), "--out", str(out)]):
-        with pytest.raises(ConfigError, match=r"\(--seed\) must be >= 0, got -3"):
-            main(argv)
+        _refused(capsys, argv, r"\(--seed\) must be >= 0, got -3")
         assert not out.exists()
 
 
@@ -268,3 +276,54 @@ def test_perfbench_fixture_configs_hold_the_recorded_recipe():
     recorded = json.loads((FIXTURE / "fixture.json").read_text())
     assert recorded["weights"] == {"lambda_t_A": 0.7, "lambda_t_C": 0.5}
     assert recorded["n_test"] == data_cfg.n_test
+
+
+def test_main_refuses_bad_input_in_one_line(tmp_path, capsys):
+    # a refused config value, a file that is not a JSON object, a missing
+    # data directory or checkpoint, and a rows CSV that does not parse:
+    # one line that names the cause, status 2, and nothing written
+    out = tmp_path / "out"
+    for i, (content, message) in enumerate([
+            ({"n_train": 0}, "n_train must be >= 1, got 0"),
+            ({"weights": {"lambda_t_A": "0.5"}}, "lambda_t_A must be a real number, got '0.5'"),
+            ({"weights": {"lambda_t_A": True}}, "lambda_t_A must be a real number, got True"),
+            ({"epsilon_ratio": "0.1"}, "must be real number, not str"),
+            ({"weights": 0.5}, "weights must be a JSON object, got 0.5"),
+            ("{not json", "Expecting property name"),
+            ("[1, 2]", "not a JSON object")]):
+        cfg = _write(tmp_path / f"bad{i}.json", content)
+        _refused(capsys, ["gen-data", "--config", cfg, "--out", str(out)],
+                 f"error: {re.escape(cfg)}: .*{message}")
+        assert not out.exists()
+    _refused(capsys, ["train", "--data", str(tmp_path / "none"), "--out", str(out)],
+             "recipe.json: no such file; a data directory holds the recipe")
+    _refused(capsys, ["eval", "--data", str(tmp_path / "none"),
+                      "--checkpoint", str(tmp_path / "none.txt")],
+             "No such file or directory: .*none.txt")
+    assert not out.exists()
+    # the CSV an attack wrote with lambda_t_A=True before weights were refused
+    row = ReportRow(lambda_t_A=1.0, lambda_t_C=0.5, lambda_i_C=0.5, seed=0,
+                    attack_steps=1, benign_wer=0.2, accent_acc=0.9, adv_twer=0.5,
+                    n_samples=4, n_skipped=0)
+    rows = _write(tmp_path / "rows.csv", rows_to_csv([row], "x").replace("1.0,", "True,", 1))
+    _refused(capsys, ["report", "--rows", rows, "--out", str(out)],
+             "rows.csv: rows CSV line 3: could not convert string to float: 'True'")
+    # rows without the cells the claims read: no tables without a verdict
+    one = _write(tmp_path / "one.csv", rows_to_csv([row], "x"))
+    _refused(capsys, ["report", "--rows", one, "--out", str(out)],
+             "no rows for lambda_t_A=1.0 lambda_t_C=1.0 lambda_i_C=1.0 steps=1")
+    assert not out.exists()
+    # argparse refuses a step list as a usage error, with the same status
+    with pytest.raises(SystemExit) as e:
+        main(["report", "--rows", rows, "--out", str(out), "--steps", "1,x"])
+    assert e.value.code == 2
+    assert "argument --steps: invalid comma_separated_ints value: '1,x'" in \
+        capsys.readouterr().err
+
+
+def test_weights_load_as_floats(tmp_path):
+    # an integer weight is written into the rows as the float it stands for
+    cfg = _write(tmp_path / "c.json", {"weights": {"lambda_t_A": 1, "lambda_t_C": 0}})
+    weights = load_config(cfg)[2]
+    assert [repr(v) for v in (weights.lambda_t_A, weights.lambda_t_C, weights.lambda_i_C)] \
+        == ["1.0", "0.0", "0.0"]

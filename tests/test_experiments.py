@@ -64,7 +64,7 @@ GOOD_LEVELS = {
 
 
 def test_trend_check_all_pass_on_well_ordered_report():
-    results = trend_check(synthetic_rows(GOOD_LEVELS))
+    results = trend_check(synthetic_rows(GOOD_LEVELS), (100, 200))
     assert all(r.passed for r in results)
     text = trend_report(results)
     assert "overall: PASS" in text
@@ -73,35 +73,69 @@ def test_trend_check_all_pass_on_well_ordered_report():
 def test_trend_check_fails_when_ctc_not_most_vulnerable():
     levels = dict(GOOD_LEVELS)
     levels[STL_CTC] = 0.80
-    results = {r.name: r for r in trend_check(synthetic_rows(levels))}
+    results = {r.name: r for r in trend_check(synthetic_rows(levels), (100, 200))}
     assert not results["a"].passed
 
 
 def test_trend_check_fails_when_match_mode_beats_stl_dec():
     levels = dict(GOOD_LEVELS)
     levels[MTL_MATCH] = 0.50  # more than 0.02 above STL-DEC
-    results = {r.name: r for r in trend_check(synthetic_rows(levels))}
+    results = {r.name: r for r in trend_check(synthetic_rows(levels), (100, 200))}
     assert not results["b"].passed
 
 
 def test_trend_check_fails_when_drop_mode_does_not_beat_baselines():
     levels = dict(GOOD_LEVELS)
     levels[MTL_DROP] = 0.30
-    results = {r.name: r for r in trend_check(synthetic_rows(levels))}
+    results = {r.name: r for r in trend_check(synthetic_rows(levels), (100, 200))}
     assert not results["c"].passed
 
 
 def test_trend_check_fails_when_all_heads_is_not_best():
     levels = dict(GOOD_LEVELS)
     levels[ALL3_DROP] = 0.40
-    results = {r.name: r for r in trend_check(synthetic_rows(levels))}
+    results = {r.name: r for r in trend_check(synthetic_rows(levels), (100, 200))}
     assert not results["d"].passed
 
 
 def test_trend_check_missing_cells_raise():
     rows = synthetic_rows({STL_CTC: 0.1, STL_DEC: 0.4})
     with pytest.raises(MissingCellsError):
-        trend_check(rows)
+        trend_check(rows, (100, 200))
+
+
+def test_trend_report_text_is_pinned():
+    # the whole report: each claim's x and y at every step, and the verdicts
+    assert trend_report(trend_check(synthetic_rows(GOOD_LEVELS), (100, 200))) == (
+        "[PASS] a: STL-CTC is more vulnerable than STL-DEC\n"
+        "        steps=100: 0.1000 vs 0.4000; steps=200: 0.0950 vs 0.3950\n"
+        "[PASS] b: CTC-in-inference MTL does not beat STL-DEC (tolerance 0.02)\n"
+        "        steps=100: 0.3900 vs 0.4000; steps=200: 0.3850 vs 0.3950\n"
+        "[PASS] c: CTC-dropped MTL beats both STL baselines\n"
+        "        steps=100: 0.5500 vs 0.4000; steps=200: 0.5450 vs 0.3950\n"
+        "[PASS] d: all-three-heads MTL is within tolerance of the best everywhere\n"
+        "        steps=100: 0.7000 vs 0.5500; steps=200: 0.6950 vs 0.5450\n"
+        "overall: PASS\n")
+    levels = dict(GOOD_LEVELS)
+    levels[MTL_MATCH] = 0.45  # 0.05 above STL-DEC
+    levels[ALL3_DROP] = 0.50  # 0.05 below MTL drop
+    assert trend_report(trend_check(synthetic_rows(levels), (100, 200))) == (
+        "[PASS] a: STL-CTC is more vulnerable than STL-DEC\n"
+        "        steps=100: 0.1000 vs 0.4000; steps=200: 0.0950 vs 0.3950\n"
+        "[FAIL] b: CTC-in-inference MTL does not beat STL-DEC (tolerance 0.02)\n"
+        "        steps=100: 0.4500 vs 0.4000; steps=200: 0.4450 vs 0.3950\n"
+        "[PASS] c: CTC-dropped MTL beats both STL baselines\n"
+        "        steps=100: 0.5500 vs 0.4000; steps=200: 0.5450 vs 0.3950\n"
+        "[FAIL] d: all-three-heads MTL is within tolerance of the best everywhere\n"
+        "        steps=100: 0.5000 vs 0.5500; steps=200: 0.4950 vs 0.5450\n"
+        "overall: FAIL\n")
+    # a cell whose every AdvTWER is None has no median
+    rows = [replace(r, adv_twer=None) if r.attack_steps == 200 and
+            (r.lambda_t_A, r.lambda_t_C, r.lambda_i_C) == MTL_DROP else r
+            for r in synthetic_rows(GOOD_LEVELS)]
+    with pytest.raises(MissingCellsError) as e:
+        trend_check(rows, (100, 200))
+    assert str(e.value) == "no rows for lambda_t_A=1.0 lambda_t_C=0.5 lambda_i_C=0.0 steps=200"
 
 
 def test_trend_check_without_steps_raises():
@@ -172,6 +206,11 @@ def test_grid_spec_validation():
     # numpy refuses a negative seed only once the cell's data is generated
     with pytest.raises(ValueError, match=r"seeds \(0, -1\) holds a negative seed"):
         GridSpec(seeds=(0, -1))
+    # a lambda is stored as a float, so the rows spell 1 and 1.0 alike
+    grid = GridSpec(lambda_t_A_values=(1, 0.7), lambda_t_C_values=(0, 0.5, 1))
+    assert [repr(v) for v in grid.lambda_t_A_values] == ["1.0", "0.7"]
+    assert [repr(v) for v in grid.lambda_t_C_values] == ["0.0", "0.5", "1.0"]
+    assert grid == GridSpec(lambda_t_A_values=(1.0, 0.7), lambda_t_C_values=(0.0, 0.5, 1.0))
     # a repeated value trains the same cells twice and writes their rows twice
     for name, values in [("lambda_t_A_values", (1.0, 0.7, 1)),
                          ("lambda_t_C_values", (0.5, 0.5)),
@@ -189,6 +228,9 @@ def test_grid_spec_validation():
     ({"n_valid": 0}, "n_valid must be >= 1, got 0"),
     ({"n_test": -1}, "n_test must be >= 1, got -1"),
     ({"grid": {"lambda_t_A_values": [1.0, 1.5]}}, r"lambda_t_A_values .* outside \[0, 1\]"),
+    # a bool or a string is no weight, though True compares as 1
+    ({"grid": {"lambda_t_A_values": [True, 0.7]}}, r"lambda_t_A_values .* outside \[0, 1\]"),
+    ({"grid": {"lambda_t_C_values": [0.0, "0.5"]}}, r"lambda_t_C_values .* outside \[0, 1\]"),
     ({"grid": {"lambda_t_C_values": [0.0, 0.5, 0.5]}}, "lambda_t_C_values .* repeats a value"),
     ({"grid": {"seeds": [0, 0]}}, "seeds .* repeats a value"),
     ({"grid": {"modes": ["match", "match"]}}, "modes .* repeats a value"),
@@ -215,6 +257,9 @@ def test_grid_spec_validation():
     ({"len_range": [0, 3]}, r"len_range \(0, 3\) must be two integers"),
     ({"len_range": [3, 2]}, r"len_range \(3, 2\) must be two integers"),
     ({"len_range": 5}, "len_range 5 must be two integers"),
+    # a section that is not an object
+    ({"grid": 5}, "grid must be a JSON object, got 5"),
+    ({"model": [8]}, r"model must be a JSON object, got \[8\]"),
     # the attack builds its targets after training: one per length at least
     ({"n_targets": 4}, r"n_targets must be >= 5 to cover len_range \(2, 6\), got 4"),
     # a count that is not an integer fails only inside the stage that reads it
@@ -234,12 +279,14 @@ def test_grid_spec_validation():
     ({"model": {"bidirectional": True}}, "bidirectional must be false, got True"),
     ({"model": {"bidirectional": "yes"}}, "bidirectional must be false, got 'yes'"),
 ], ids=["report_steps", "epsilon_ratio", "alpha_fraction", "n_eval", "n_train", "n_valid",
-        "n_test", "lambda_t_A_range", "lambda_t_C_repeated", "seeds_repeated",
+        "n_test", "lambda_t_A_range", "lambda_t_A_bool", "lambda_t_C_str",
+        "lambda_t_C_repeated", "seeds_repeated",
         "modes_repeated", "report_steps_float", "seeds_bool", "seeds_negative", "n_attack_zero",
         "n_attack_negative", "learning_rate_nan", "learning_rate_inf",
         "epsilon_ratio_nan", "alpha_fraction_nan", "epochs", "batch_size",
         "max_decode_len", "len_range_one", "len_range_three", "len_range_float",
-        "len_range_zero", "len_range_reversed", "len_range_scalar", "n_targets",
+        "len_range_zero", "len_range_reversed", "len_range_scalar", "grid_scalar",
+        "model_list", "n_targets",
         "n_train_float", "n_valid_bool", "n_test_str", "n_targets_float", "n_eval_float",
         "n_attack_bool", "epochs_float", "batch_size_float", "max_decode_len_float",
         "model_enc_hidden_float", "model_enc_layers_bool", "model_vocab_size_zero",

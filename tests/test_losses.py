@@ -13,7 +13,6 @@ from robustasr.losses import (
     CtcInfeasibleError,
     LossBreakdown,
     MtlWeights,
-    asr_loss,
     ctc_loss,
     ctc_min_frames,
     dec_loss,
@@ -204,6 +203,15 @@ def test_weights_validation_and_default_inference_weight():
     assert w2.lambda_i_C == 0.0
     with pytest.raises(ValueError):
         MtlWeights(lambda_t_A=1.5, lambda_t_C=0.0)
+    # a bool compares as 0 or 1, and the rows CSV would spell it True
+    for name, value in [("lambda_t_A", True), ("lambda_t_C", "0.5"), ("lambda_i_C", False),
+                        ("lambda_t_A", None)]:
+        with pytest.raises(ValueError, match=f"{name} must be a real number, got {value!r}"):
+            MtlWeights(**{name: value})
+    # each weight is stored as a float, whatever number it was given as
+    w3 = MtlWeights(1, 0)
+    assert [repr(v) for v in (w3.lambda_t_A, w3.lambda_t_C, w3.lambda_i_C)] == \
+        ["1.0", "0.0", "0.0"]
 
 
 def test_mtl_boundaries_and_arithmetic():
