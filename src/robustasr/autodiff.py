@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Values live in numpy arrays. Every operation whose inputs require
-gradients is recorded, in execution order, on the innermost open tape
-(with no tape open, as under ``no_grad``, nothing is recorded);
+gradients is recorded, in execution order, on the open tape (at most
+one; with no tape open, as under ``no_grad``, nothing is recorded);
 ``backward`` replays that tape in exact reverse order and accumulates
 gradients into leaf tensors. The op set is only what the program runs:
 ``add``, ``mul``, ``neg``, ``sum_`` (of all elements) and ``take``
@@ -56,7 +56,7 @@ win, and the others read -inf, so hypotheses and per-step scores are
 byte-identical to scoring every candidate. One utterance is the batch of
 one here too.
 
-The tape stack and the recording flag are plain module state, one per
+The open tape and the recording flag are plain module state, one per
 process; parallel work runs in separate processes, never in threads that
 share a tape.
 """
@@ -64,7 +64,7 @@ share a tape.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,14 +95,13 @@ class Tensor:
     gradients transiently during ``backward``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_from_op", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_from_op")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
         self._from_op = False
-        self._tape = None
 
     @property
     def shape(self) -> tuple:
@@ -137,42 +136,30 @@ class Tensor:
         return take(self, key)
 
 
-class _Record:
-    __slots__ = ("inputs", "output", "backward_fn")
-
-    def __init__(self, inputs, output, backward_fn):
-        self.inputs = inputs
-        self.output = output
-        self.backward_fn = backward_fn
+class Record(NamedTuple):
+    inputs: tuple
+    output: Tensor
+    backward_fn: Callable[[Array], tuple]
 
 
-class Tape:
-    """Ordered operation log; every record's inputs precede it."""
-
-    def __init__(self):
-        self.records: list[_Record] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def clear(self) -> None:
-        self.records.clear()
-
-
-_stack: list[Tape] = []
+# the open tape: its records in execution order, so every record's inputs
+# precede it; None while no tape is open
+_tape: list[Record] | None = None
 _enabled = True
 
 
 @contextmanager
 def tape():
-    """Push a fresh tape for one forward/backward pass."""
-    t = Tape()
-    _stack.append(t)
+    """Open the tape for one forward/backward pass; tapes do not nest."""
+    global _tape
+    if _tape is not None:
+        raise AutodiffError("a tape is already open")
+    _tape = records = []
     try:
-        yield t
+        yield records
     finally:
-        _stack.pop()
-        t.clear()
+        _tape = None
+        records.clear()
 
 
 @contextmanager
@@ -218,17 +205,16 @@ def record_op(inputs: Sequence[Tensor], out: Array,
     """Wrap ``out`` as the result of an op on ``inputs``: the one recording path.
 
     ``backward_fn`` maps the output gradient to one gradient (or None) per
-    entry of ``inputs``. Nothing is recorded with no tape open, under
-    ``no_grad``, or when no input requires gradients. The caller checks
-    finiteness itself, with ``check_finite``.
+    entry of ``inputs``. The record goes on the open tape (at most one);
+    nothing is recorded with no tape open, under ``no_grad``, or when no
+    input requires gradients. The caller checks finiteness itself, with
+    ``check_finite``.
     """
     t = Tensor(out)
     t._from_op = True
-    if _enabled and _stack and any(i.requires_grad for i in inputs):
+    if _enabled and _tape is not None and any(i.requires_grad for i in inputs):
         t.requires_grad = True
-        tp = _stack[-1]
-        t._tape = tp
-        tp.records.append(_Record(tuple(inputs), t, backward_fn))
+        _tape.append(Record(tuple(inputs), t, backward_fn))
     return t
 
 
@@ -421,7 +407,8 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires-grad leaf.
 
     Repeated calls without ``zero_grad`` keep accumulating. A constant
-    loss (no gradient history) is a no-op.
+    loss (no gradient history) is a no-op. Any other loss must have been
+    recorded on the open tape.
     """
     if not isinstance(loss, Tensor):
         raise AutodiffError("backward expects a Tensor")
@@ -434,13 +421,13 @@ def backward(loss: Tensor) -> None:
         return
     grads: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     tensors: dict[int, Tensor] = {id(loss): loss}
-    for rec in reversed(loss._tape.records):  # record_op set it with requires_grad
-        gout = grads.pop(id(rec.output), None)
+    for inputs, output, backward_fn in reversed(_tape or ()):
+        gout = grads.pop(id(output), None)
         if gout is None:
             continue
-        tensors.pop(id(rec.output), None)
-        gins = rec.backward_fn(gout)
-        for t, g in zip(rec.inputs, gins):
+        tensors.pop(id(output), None)
+        gins = backward_fn(gout)
+        for t, g in zip(inputs, gins):
             if not t.requires_grad or g is None:
                 continue
             k = id(t)
@@ -449,19 +436,16 @@ def backward(loss: Tensor) -> None:
             else:
                 grads[k] = g
                 tensors[k] = t
+    if id(loss) in grads:  # no record of the open tape produced it
+        raise AutodiffError("backward needs the loss recorded on the open tape")
     for k, g in grads.items():
         t = tensors[k]
-        if t._from_op:  # produced on some other tape; gradient stops here
+        if t._from_op:  # produced on a closed tape; gradient stops here
             continue
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
         t.grad = t.grad + np.asarray(g, dtype=np.float64).reshape(t.shape)
 
 
 def zero_grad(params) -> None:
     for t in params:
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        else:
-            t.grad[...] = 0.0
+        t.grad[...] = 0.0
 

@@ -15,8 +15,8 @@ stages share no targets file: ``attack`` derives the targets from the
 seed the recipe records and its own config's ``n_targets`` and
 ``len_range``. All outputs are deterministic functions of their configs,
 so reruns are byte-identical. A refused input (a config value, a data
-directory, a checkpoint, a rows file) ends a subcommand with one line on
-stderr and exit status 2.
+directory, a checkpoint, a rows file) and a training run that diverges
+end a subcommand with one line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .experiments import (ConfigError, MissingCellsError, ReportRow, evaluate_mo
                           rows_to_csv, run_grid, train_model, trend_check,
                           trend_report)
 from .model import CheckpointError, load_checkpoint, save_checkpoint
-from .train import evaluate_benign
+from .train import TrainingDiverged, evaluate_benign
 
 
 def cmd_gen_data(args) -> int:
@@ -180,9 +180,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    # a refused input: one line and status 2, as argparse gives a usage
-    # error; any other exception is a bug and keeps its traceback
-    except (ConfigError, DataError, CheckpointError, MissingCellsError, OSError) as e:
+    # a refused input or a diverged run: one line and status 2, as argparse
+    # gives a usage error; any other exception is a bug and keeps its
+    # traceback
+    except (ConfigError, DataError, CheckpointError, MissingCellsError,
+            TrainingDiverged, OSError) as e:
         print(f"robustasr: error: {e}", file=sys.stderr)
         return 2
 

@@ -127,8 +127,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("learning_rate", "epsilon_ratio", "alpha_fraction"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+            object.__setattr__(self, name, float(value))
         for name in ("n_train", "n_valid", "n_test", "n_targets", "n_eval", "n_attack",
                      "epochs", "batch_size", "max_decode_len"):
             value = getattr(self, name)
@@ -192,7 +195,12 @@ def rows_to_csv(rows: Sequence[ReportRow], config_hash: str) -> str:
 def _cell(column: str, text: str):
     if column in ("seed", "attack_steps", "n_samples", "n_skipped"):
         return int(text)
-    return None if column == "adv_twer" and not text else float(text)
+    if column == "adv_twer" and not text:
+        return None
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{column} must be finite, got {text}")
+    return value
 
 
 def rows_from_csv(text: str) -> list[ReportRow]:

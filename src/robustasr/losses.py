@@ -75,7 +75,6 @@ class LossBreakdown:
     l_ctc: float
     l_dec: float
     l_dis: float
-    l_asr: float
     l_mtl: float
     total: "Tensor | float" = field(repr=False, default=0.0)
 
@@ -261,7 +260,6 @@ def mtl_loss(weights: MtlWeights, l_ctc, l_dec, l_dis) -> LossBreakdown:
         l_ctc=_as_float(l_ctc),
         l_dec=_as_float(l_dec),
         l_dis=_as_float(l_dis),
-        l_asr=_as_float(l_asr),
         l_mtl=_as_float(total),
         total=total,
     )

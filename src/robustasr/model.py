@@ -643,6 +643,8 @@ def load_checkpoint(path) -> ModelParams:
                                      f"not {shape[-1]}")
             arr = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)),
                               dtype=np.float64).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise ValueError("holds a non-finite value")
         except ValueError as e:
             raise CheckpointError(f"{path}: bad values for {name}: {e}") from e
         tensors[name] = ad.leaf(arr)

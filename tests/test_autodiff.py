@@ -69,6 +69,44 @@ def test_backward_accumulates_without_zero_grad():
     assert np.allclose(x.grad, [0.0])
 
 
+def test_tapes_do_not_nest():
+    x = ad.leaf([3.0])
+    with ad.tape() as tp:
+        with pytest.raises(ad.AutodiffError, match="a tape is already open"):
+            with ad.tape():
+                pass
+        # the refused tape leaves the open one recording
+        loss = ad.sum_(ad.mul(x, x))
+        assert len(tp) == 2
+        ad.backward(loss)
+    assert np.array_equal(x.grad, [6.0])
+
+
+def test_backward_outside_the_tape_that_recorded_the_loss_raises():
+    # gradients left at zero would read as a converged attack or a flat loss
+    x = ad.leaf([3.0])
+    with ad.tape():
+        loss = ad.sum_(ad.mul(x, x))
+    with pytest.raises(ad.AutodiffError, match="recorded on the open tape"):
+        ad.backward(loss)
+    with ad.tape():
+        with pytest.raises(ad.AutodiffError, match="recorded on the open tape"):
+            ad.backward(loss)
+    assert np.array_equal(x.grad, [0.0])
+    # a leaf loss needs no tape
+    ad.backward(x)
+    assert np.array_equal(x.grad, [1.0])
+
+
+def test_gradient_stops_at_a_tensor_from_a_closed_tape():
+    x = ad.leaf([3.0])
+    with ad.tape():
+        y = ad.mul(x, x)
+    with ad.tape():
+        ad.backward(ad.sum_(ad.mul(y, x)))
+    assert np.array_equal(x.grad, [9.0])
+
+
 def test_three_layer_tanh_network_matches_fd():
     rng = np.random.default_rng(7)
     ws = [ad.leaf(rng.normal(scale=0.5, size=(4, 4))) for _ in range(3)]
@@ -301,11 +339,11 @@ def test_binary_op_skips_the_term_of_a_constant_operand(op, shapes):
     with ad.tape() as tp:
         out = fn(ad.leaf(a_val), ad.leaf(b_val))
         g = rng.normal(size=out.shape)
-        want = tp.records[0].backward_fn(g)
+        want = tp[0].backward_fn(g)
         fn(ad.constant(a_val), ad.leaf(b_val))
         fn(ad.leaf(a_val), ad.constant(b_val))
-        left_const = tp.records[1].backward_fn(g)
-        right_const = tp.records[2].backward_fn(g)
+        left_const = tp[1].backward_fn(g)
+        right_const = tp[2].backward_fn(g)
     assert left_const[0] is None and right_const[1] is None
     assert np.asarray(left_const[1]).tobytes() == np.asarray(want[1]).tobytes()
     assert np.asarray(right_const[0]).tobytes() == np.asarray(want[0]).tobytes()

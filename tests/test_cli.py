@@ -287,7 +287,7 @@ def test_main_refuses_bad_input_in_one_line(tmp_path, capsys):
             ({"n_train": 0}, "n_train must be >= 1, got 0"),
             ({"weights": {"lambda_t_A": "0.5"}}, "lambda_t_A must be a real number, got '0.5'"),
             ({"weights": {"lambda_t_A": True}}, "lambda_t_A must be a real number, got True"),
-            ({"epsilon_ratio": "0.1"}, "must be real number, not str"),
+            ({"epsilon_ratio": "0.1"}, "epsilon_ratio must be a real number, got '0.1'"),
             ({"weights": 0.5}, "weights must be a JSON object, got 0.5"),
             ("{not json", "Expecting property name"),
             ("[1, 2]", "not a JSON object")]):
@@ -308,6 +308,9 @@ def test_main_refuses_bad_input_in_one_line(tmp_path, capsys):
     rows = _write(tmp_path / "rows.csv", rows_to_csv([row], "x").replace("1.0,", "True,", 1))
     _refused(capsys, ["report", "--rows", rows, "--out", str(out)],
              "rows.csv: rows CSV line 3: could not convert string to float: 'True'")
+    nan = _write(tmp_path / "nan.csv", rows_to_csv([row], "x").replace("0.5,4,", "nan,4,"))
+    _refused(capsys, ["report", "--rows", nan, "--out", str(out)],
+             "nan.csv: rows CSV line 3: adv_twer must be finite, got nan")
     # rows without the cells the claims read: no tables without a verdict
     one = _write(tmp_path / "one.csv", rows_to_csv([row], "x"))
     _refused(capsys, ["report", "--rows", one, "--out", str(out)],
@@ -319,6 +322,21 @@ def test_main_refuses_bad_input_in_one_line(tmp_path, capsys):
     assert e.value.code == 2
     assert "argument --steps: invalid comma_separated_ints value: '1,x'" in \
         capsys.readouterr().err
+    # a diverged training run, in one cell or in a grid
+    small = {"n_train": 8, "n_valid": 2, "n_test": 2, "len_range": [2, 3], "n_targets": 4,
+             "epochs": 1, "batch_size": 4, "learning_rate": 1e200, "model": MODEL}
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", _write(tmp_path / "gen.json", small),
+                 "--out", str(data)]) == 0
+    _refused(capsys, ["train", "--config", _write(tmp_path / "train.json", small),
+                      "--data", str(data), "--out", str(out)],
+             "^robustasr: error: non-finite loss at epoch 1, batch 1$")
+    grid = {**small, "grid": {"lambda_t_A_values": [1.0], "lambda_t_C_values": [0.5],
+                              "report_steps": [1], "seeds": [0]}}
+    _refused(capsys, ["grid", "--config", _write(tmp_path / "grid.json", grid),
+                      "--out", str(out)],
+             "^robustasr: error: non-finite loss at epoch 1, batch 1$")
+    assert not out.exists()
 
 
 def test_weights_load_as_floats(tmp_path):

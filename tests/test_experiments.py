@@ -164,6 +164,19 @@ def test_rows_from_csv_refuses_a_line_of_another_width(fields):
         rows_from_csv("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("column", ["adv_twer", "benign_wer"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_rows_from_csv_refuses_a_non_finite_number(column, value):
+    # a nan AdvTWER would reach the long table while the medians hide it
+    lines = rows_to_csv(synthetic_rows(GOOD_LEVELS), "x").splitlines()
+    cells = lines[3].split(",")
+    cells[experiments.ROW_COLUMNS.index(column)] = value
+    lines[3] = ",".join(cells)
+    with pytest.raises(ValueError, match=f"rows CSV line 4: {column} must be finite, "
+                       f"got {value}"):
+        rows_from_csv("\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("first", [
     "# other v9", "# robustasr-rows v2 config=abc123def456", "# robustasr-rows v1",
     "# robustasr-rows v1 config=", ",".join(experiments.ROW_COLUMNS), ""])
@@ -245,6 +258,13 @@ def test_grid_spec_validation():
     ({"learning_rate": float("inf")}, "learning_rate must be positive and finite"),
     ({"epsilon_ratio": float("nan")}, "epsilon_ratio must be positive and finite"),
     ({"alpha_fraction": float("nan")}, "alpha_fraction must be positive and finite"),
+    # True compares as 1 and would train at a learning rate of 1
+    ({"learning_rate": True}, "learning_rate must be a real number, got True"),
+    ({"learning_rate": "0.05"}, "learning_rate must be a real number, got '0.05'"),
+    ({"epsilon_ratio": True}, "epsilon_ratio must be a real number, got True"),
+    ({"epsilon_ratio": [0.1]}, r"epsilon_ratio must be a real number, got \(0.1,\)"),
+    ({"alpha_fraction": False}, "alpha_fraction must be a real number, got False"),
+    ({"alpha_fraction": None}, "alpha_fraction must be a real number, got None"),
     # TrainConfig would refuse these only once a cell starts training, and
     # a max_decode_len of 0 reads every hypothesis as empty
     ({"epochs": 0}, "epochs must be >= 1, got 0"),
@@ -283,7 +303,9 @@ def test_grid_spec_validation():
         "lambda_t_C_repeated", "seeds_repeated",
         "modes_repeated", "report_steps_float", "seeds_bool", "seeds_negative", "n_attack_zero",
         "n_attack_negative", "learning_rate_nan", "learning_rate_inf",
-        "epsilon_ratio_nan", "alpha_fraction_nan", "epochs", "batch_size",
+        "epsilon_ratio_nan", "alpha_fraction_nan", "learning_rate_bool",
+        "learning_rate_str", "epsilon_ratio_bool", "epsilon_ratio_list",
+        "alpha_fraction_bool", "alpha_fraction_none", "epochs", "batch_size",
         "max_decode_len", "len_range_one", "len_range_three", "len_range_float",
         "len_range_zero", "len_range_reversed", "len_range_scalar", "grid_scalar",
         "model_list", "n_targets",

@@ -230,8 +230,7 @@ def test_breakdown_affine_identities():
         w = MtlWeights(la, lc)
         lc_v, ld_v, ls_v = rng.uniform(0, 5, size=3)
         bd = mtl_loss(w, lc_v, ld_v, ls_v)
-        assert abs(bd.l_asr - (lc * lc_v + (1 - lc) * ld_v)) < 1e-12
-        assert abs(bd.l_mtl - (la * bd.l_asr + (1 - la) * ls_v)) < 1e-12
+        assert abs(bd.l_mtl - (la * (lc * lc_v + (1 - lc) * ld_v) + (1 - la) * ls_v)) < 1e-12
 
 
 def test_mixing_linear_in_each_weight():

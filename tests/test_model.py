@@ -162,7 +162,7 @@ def test_encode_outside_a_tape_records_nothing(params):
     # record and none of its arrays outlive the call.
     assert all(t.requires_grad for t in params.leaves())
     out = encode(params, ad.constant(np.ones((4, TINY.feat_dim))))
-    assert ad._stack == [] and not out.requires_grad
+    assert ad._tape is None and not out.requires_grad
 
 
 def test_encode_non_finite_recurrent_weight_raises(params):
@@ -263,11 +263,11 @@ def test_ctc_head_records_one_op_and_skips_constant_terms(params):
         ctc_head(params, h)
         assert len(tp) == 1
         g = np.ones((5, TINY.vocab_size + 1))
-        assert all(t is not None for t in tp.records[0].backward_fn(g))
+        assert all(t is not None for t in tp[0].backward_fn(g))
         ctc_head(params.frozen(), ad.constant(h.data))
         assert len(tp) == 1  # nothing to differentiate: not recorded
         ctc_head(params.frozen(), h)
-        assert tp.records[1].backward_fn(g)[1:] == (None, None)
+        assert tp[1].backward_fn(g)[1:] == (None, None)
 
 
 @pytest.mark.parametrize("where", ["hidden", "ctc.w", "ctc.b"])
@@ -371,7 +371,7 @@ def test_discriminate_records_one_op_and_skips_constant_terms(params):
     h = ad.leaf(np.random.default_rng(14).normal(size=(1, 3, TINY.enc_hidden)))
     with ad.tape() as tp:
         discriminate(params.frozen(), h)
-        (rec,) = tp.records
+        (rec,) = tp
         grads = rec.backward_fn(np.array([[0.0, -1.0]]))
     assert grads[0].shape == h.shape
     assert all(g is None for g in grads[1:])
@@ -528,8 +528,12 @@ def _set(rows, r, c, value):
     ("enc0.w_in", lambda rows: rows[0].append(rows[1].pop())),  # right count, ragged
     ("ctc.b", lambda rows: rows[0].pop()),  # a vector one value short
     ("enc1.w_rec", lambda rows: rows[-1].append("0x1p-1")),  # a row one value long
+    # float.fromhex reads these, and eval would fail only inside the encoder
+    ("enc0.w_in", lambda rows: _set(rows, 1, 2, "nan")),
+    ("ctc.b", lambda rows: _set(rows, 0, 1, "inf")),
+    ("enc1.w_rec", lambda rows: _set(rows, 0, 0, "-inf")),
 ], ids=["not-hex", "empty", "vector-not-hex", "row-short", "ragged", "vector-short",
-        "row-long"])
+        "row-long", "nan", "inf", "minus-inf"])
 def test_checkpoint_bad_values_name_the_parameter(tmp_path, params, name, edit):
     p = tmp_path / "model.ckpt"
     save_checkpoint(p, params)
