@@ -13,6 +13,16 @@ backward of their summed losses: one encoder scan and one decoder pass
 for the whole batch, under the batch contract stated in ``autodiff``.
 The step, projection, zero-gradient stop, loss trace and snapshots stay
 per row; ``pgd_attack`` and ``pgd_step`` are the batch of one.
+
+What the perturbation cannot change is computed once per attack, not
+per step. The parameters are frozen once. The decoder's teacher forcing
+(``model.teacher_forcing``: the targets' token framing and the decoder's
+recurrent states, which never see the input) is built once from the
+frozen parameters for the rows still stepping, and again only when a row
+stops and that set shrinks, together with the padded width of those
+rows. Each step runs the encoder, the CTC loss and the decoder's
+attention and output layer, their input-only backward, and the per-row
+step and projection.
 """
 
 from __future__ import annotations
@@ -25,8 +35,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .losses import MtlWeights, ctc_loss, ctc_min_frames, dec_loss, mix
-from .model import ModelParams, ctc_head, encode, pad_batch
+from .losses import MtlWeights, ctc_loss, ctc_min_frames, mix
+from .model import (ModelParams, TeacherForcing, ctc_head, decoder_teacher_forced, encode,
+                    pad_batch, teacher_forcing)
 
 
 @dataclass(frozen=True)
@@ -60,26 +71,27 @@ class PerturbationResult:
     converged_at: int | None = None
 
 
-def adv_loss(params: ModelParams, x: Tensor, target, weights: MtlWeights,
-             lengths=None) -> Tensor:
+def adv_loss(params: ModelParams, x: Tensor, forcing: TeacherForcing,
+             weights: MtlWeights, lengths=None) -> Tensor:
     """Inference loss toward the attacker's transcription.
 
     Mixes the CTC and decoder losses with the *inference* weight; heads
     with exactly zero weight are never evaluated, mirroring how the
     decode under attack uses them. ``x`` is a padded batch (B, T, F) with
-    per-row frame counts ``lengths``; ``target`` holds one target per
-    row, and the result is the (B,) per-row losses.
+    per-row frame counts ``lengths``; ``forcing`` is the
+    ``teacher_forcing`` of ``params`` and one target per row, whose word
+    rows the CTC loss reads. The result is the (B,) per-row losses.
     """
     if x.ndim != 3:
         raise ShapeError(f"adv_loss expects a (B, T, F) batch, got {x.shape}")
     lam = weights.lambda_i_C
     hidden = encode(params, x, lengths)
     if lam == 0.0:
-        return dec_loss(params, hidden, target, lengths)
-    l_ctc = ctc_loss(ctc_head(params, hidden), target, lengths)
+        return decoder_teacher_forced(params, hidden, forcing, lengths)
+    l_ctc = ctc_loss(ctc_head(params, hidden), forcing.rows, lengths)
     if lam == 1.0:
         return l_ctc
-    return mix(lam, l_ctc, dec_loss(params, hidden, target, lengths))
+    return mix(lam, l_ctc, decoder_teacher_forced(params, hidden, forcing, lengths))
 
 
 def target_feasible(x: np.ndarray, target, weights: MtlWeights) -> bool:
@@ -89,15 +101,23 @@ def target_feasible(x: np.ndarray, target, weights: MtlWeights) -> bool:
     return x.shape[0] >= ctc_min_frames(list(target))
 
 
+def l2_norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` of a float array, bit for bit: the square
+    root of the dot product of its elements in memory order, which is
+    numpy's arithmetic for it, without the wrapper's per-call cost."""
+    f = a.ravel(order="K")
+    return math.sqrt(f.dot(f))
+
+
 def project_l2(delta: np.ndarray, epsilon: float) -> tuple[np.ndarray, float]:
     """``delta`` scaled back onto the epsilon-ball if it left it, and the
     norm of what is returned: the one already computed when ``delta``
     stays inside, else that of the scaled copy."""
-    norm = float(np.linalg.norm(delta))
+    norm = l2_norm(delta)
     if norm <= epsilon:
         return delta, norm
     projected = delta * (epsilon / norm)
-    return projected, float(np.linalg.norm(projected))
+    return projected, l2_norm(projected)
 
 
 def _descend(delta: np.ndarray, grad: np.ndarray, grad_norm: float, epsilon: float,
@@ -105,10 +125,10 @@ def _descend(delta: np.ndarray, grad: np.ndarray, grad_norm: float, epsilon: flo
     """``l2_step`` given the gradient's norm ``grad_norm``; it also returns
     the norm of the new perturbation."""
     if grad_norm == 0.0 or alpha == 0.0:
-        return delta, 0.0, float(np.linalg.norm(delta))
+        return delta, 0.0, l2_norm(delta)
     step = grad * (-alpha / grad_norm)
     projected, norm = project_l2(delta + step, epsilon)
-    return projected, float(np.linalg.norm(step)), norm
+    return projected, l2_norm(step), norm
 
 
 def l2_step(delta: np.ndarray, grad: np.ndarray, epsilon: float,
@@ -119,7 +139,7 @@ def l2_step(delta: np.ndarray, grad: np.ndarray, epsilon: float,
     (== alpha whenever the gradient is nonzero; a zero gradient leaves
     the perturbation untouched).
     """
-    return _descend(delta, grad, float(np.linalg.norm(grad)), epsilon, alpha)[:2]
+    return _descend(delta, grad, l2_norm(grad), epsilon, alpha)[:2]
 
 
 @dataclass
@@ -132,16 +152,18 @@ class PgdStep:
 
 
 def _batch_step(params: ModelParams, x: np.ndarray, delta: np.ndarray,
-                lengths: list[int], targets, config: AttackConfig) -> list[PgdStep]:
-    """One PGD step of each row of a padded batch: one tape, one backward."""
+                lengths: list[int], forcing: TeacherForcing,
+                config: AttackConfig) -> list[PgdStep]:
+    """One PGD step of each row of a padded batch: one tape, one backward.
+    ``forcing`` is the rows' ``teacher_forcing`` of the frozen ``params``."""
     x_adv = ad.leaf(x + delta)
     with ad.tape():
-        losses = adv_loss(params, x_adv, targets, config.weights, lengths)
+        losses = adv_loss(params, x_adv, forcing, config.weights, lengths)
         ad.backward(ad.sum_(losses))
     out = []
     for r, n in enumerate(lengths):
         grad = x_adv.grad[r, :n]
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = l2_norm(grad)
         new_delta, step_norm, delta_norm = _descend(delta[r, :n], grad, grad_norm,
                                                     config.epsilon, config.alpha)
         out.append(PgdStep(delta=new_delta, grad_norm=grad_norm, loss=float(losses.data[r]),
@@ -159,8 +181,9 @@ def pgd_step(params: ModelParams, x: np.ndarray, delta: np.ndarray, target,
     parameter gradient is computed and ``params[...].grad`` is untouched.
     It is the batch step at B=1.
     """
-    return _batch_step(params.frozen(), x[None], delta[None], [x.shape[0]],
-                       [target], config)[0]
+    params = params.frozen()
+    return _batch_step(params, x[None], delta[None], [x.shape[0]],
+                       teacher_forcing(params, [target]), config)[0]
 
 
 def pgd_attack(params: ModelParams, x: np.ndarray, target,
@@ -180,7 +203,8 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
     """``pgd_attack`` of each (x, target) pair, batched over the rows.
 
     Every step pads the rows that have not stopped on a zero gradient to
-    the longest of them and takes one batched step.
+    the longest of them and takes one batched step. Their teacher forcing
+    and padded width are computed when that set of rows is first seen.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     if not xs:
@@ -194,13 +218,14 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
     if 0 in config.report_at:
         for res, x in zip(results, xs):
             res.snapshots[0] = x.copy()
+    full = teacher_forcing(params, targets)
     live = np.arange(len(xs))
+    frames, forcing = x_pad.shape[1], full
     for k in range(1, config.steps + 1):
         if not live.size:
             break
-        frames = lengths[live].max()
         steps = _batch_step(params, x_pad[live, :frames], delta[live, :frames],
-                            list(lengths[live]), [targets[r] for r in live], config)
+                            list(lengths[live]), forcing, config)
         for r, out in zip(live, steps):
             res, x, n = results[r], xs[r], lengths[r]
             res.loss_trace.append(out.loss)  # loss at delta before this step
@@ -215,9 +240,14 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
             res.delta_norms.append(out.delta_norm)
             if k in config.report_at:
                 res.snapshots[k] = x + out.delta
-        live = np.array([r for r in live if results[r].converged_at is None], dtype=int)
+        still = [r for r in live if results[r].converged_at is None]
+        if len(still) < live.size:
+            live = np.array(still, dtype=int)
+            if live.size:
+                frames = lengths[live].max()
+                forcing = teacher_forcing(params, [targets[r] for r in live])
     with ad.no_grad():
-        final = adv_loss(params, ad.constant(x_pad + delta), targets,
+        final = adv_loss(params, ad.constant(x_pad + delta), full,
                          config.weights, list(lengths))
     for r, (res, x) in enumerate(zip(results, xs)):
         res.loss_trace.append(float(final.data[r]))
@@ -231,5 +261,5 @@ def calibrate(test_utterances, ratio: float = 0.10,
     """Scale the ball to the data: epsilon is a fixed fraction of the
     median test-sample feature norm, alpha a fixed fraction of epsilon."""
     epsilon = ratio * statistics.median(
-        float(np.linalg.norm(u.features)) for u in test_utterances)
+        l2_norm(u.features) for u in test_utterances)
     return epsilon, epsilon * alpha_fraction

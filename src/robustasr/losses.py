@@ -10,8 +10,9 @@ every logsumexp, so values and gradients are bit-for-bit what a true
 -inf would give while every lattice array stays finite, and one
 finiteness check over the alphas catches a non-finite input. The
 decoder loss is one fused op too, ``model.decoder_teacher_forced``: it
-frames each target with sos and eos and averages over the output steps
-itself, so ``dec_loss`` only lifts one utterance to the batch of one.
+averages over the output steps itself, and ``model.teacher_forcing``
+frames each target with sos and eos, so ``dec_loss`` only builds that
+forcing and lifts one utterance to the batch of one.
 
 Each task loss takes a padded batch (B, T, ·) with per-row frame counts
 ``lengths`` and one target per row, and gives the (B,) per-row losses
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .model import ModelParams, decoder_teacher_forced, discriminate
+from .model import ModelParams, decoder_teacher_forced, discriminate, teacher_forcing
 
 NEG = -1.0e9  # exact log(0) stand-in; exp(NEG - x) == 0.0 for any sane x
 
@@ -211,13 +212,14 @@ def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence,
     ``lengths`` and ``y`` holds one target of word ids per row; one (T, d)
     utterance and its target give a scalar. An empty target is legal and
     means "predict eos immediately". The loss is one fused op,
-    ``model.decoder_teacher_forced``, so a batch records one tape entry
-    whatever the length of its targets; one utterance adds the two
-    ``take`` records of its lift.
+    ``model.decoder_teacher_forced``, of a forcing built on every call,
+    since training changes the parameters between calls. So a batch
+    records one tape entry whatever the length of its targets; one
+    utterance adds the two ``take`` records of its lift.
     """
     if hidden.ndim == 2:
         return dec_loss(params, hidden[None], [y])[0]
-    return decoder_teacher_forced(params, hidden, y, lengths)
+    return decoder_teacher_forced(params, hidden, teacher_forcing(params, y), lengths)
 
 
 def dis_loss(params: ModelParams, hidden: Tensor, accent, lengths=None) -> Tensor:

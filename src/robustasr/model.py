@@ -12,10 +12,11 @@ targets are expressible; ``experiments.train_model`` and
 The attention decoder's step is two numpy kernels, ``_recur`` (feed a
 token to the recurrent state) and ``_attend`` (attend and predict from
 any number of states), over a batch of rows, with two paths through
-them: ``decoder_teacher_forced`` runs them over each row's sos-framed
-target and returns the decoder loss (training and attacks) as one tape
-entry with a hand-written backward, and ``decoder_advance`` runs one
-step of every row of a padded batch for inference and records nothing.
+them. ``teacher_forcing`` runs ``_recur`` over each row's sos-framed
+target, and ``decoder_teacher_forced`` runs ``_attend`` over those
+states and returns the decoder loss (training and attacks) as one tape
+entry with a hand-written backward. ``decoder_advance`` runs one step of
+every row of a padded batch for inference and records nothing.
 ``decoder_teacher_forced``, ``discriminate`` and the inference decoder
 take padded batches (the batch contract is in ``autodiff``); ``encode``
 and the inference decoder also take one utterance as the batch of one,
@@ -400,51 +401,37 @@ def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
     return ad.constant(step.logp), DecoderState(ad.constant(s), state.hproj, state.pad)
 
 
-def decoder_teacher_forced(params: ModelParams, hidden: Tensor, targets: Sequence,
-                           lengths=None) -> Tensor:
-    """(B,) decoder loss: each row's teacher-forced negative log-likelihood
-    of its target, averaged over its output steps.
+class TeacherForcing(NamedTuple):
+    """The part of a teacher-forced decoder pass that depends only on the
+    parameters and the targets, never on the encoder states: the token
+    framing and the recurrent states. Arrays are step-major, (N, B, ...)
+    for N steps of B rows."""
 
-    ``hidden`` is a padded batch (B, T, d) with per-row frame counts
-    ``lengths``; ``targets`` holds one row of word ids per batch row, and
-    an empty row means "predict eos immediately". Row b feeds
-    ``[sos] + targets[b]``, predicts ``targets[b] + [eos]``, and its loss
-    is divided by ``len(targets[b]) + 1``. Attention gives padded frames
-    exactly zero weight, and padded steps get exactly zero gradient.
+    rows: list[list[int]]  # each row's word ids
+    steps: np.ndarray  # (B,) output steps per row: its words, then eos
+    tok_in: np.ndarray  # tokens fed: sos, then the row's words
+    tok_tgt: np.ndarray  # tokens predicted: the row's words, then eos
+    late: np.ndarray  # steps past a row's own; they take no loss
+    z: np.ndarray  # recurrent pre-activations
+    s: np.ndarray  # recurrent states
 
-    One tape entry, whatever the targets' lengths; ``losses.dec_loss``
-    lifts one utterance to the batch of one, which adds its two ``take``
-    records. Runs the recurrence N times and the attention and output
-    layer once over all N states, in numpy. The per-row sum, negation and
-    scaling make the numpy calls of those ops recorded one by one, so
-    values and gradients stay bit-identical to the op-by-op tape. The
-    backward runs the state recurrence and the attention's tanh terms step
-    by step; every other term, and each gradient, is computed for all
-    steps and rows at once.
+
+def teacher_forcing(params: ModelParams, targets: Sequence) -> TeacherForcing:
+    """Frame each row of word ids in ``targets`` with sos and eos and run
+    the decoder's state recurrence over it.
+
+    Row r feeds ``[sos] + targets[r]`` and predicts ``targets[r] + [eos]``;
+    an empty row predicts eos at once. Past its steps a row feeds sos and
+    picks column 0, and ``late`` marks those steps. The states are those
+    of ``params`` as they are now: a forcing is stale once they change.
     """
     cfg = params.config
-    if hidden.ndim != 3:
-        raise ShapeError(f"decoder_teacher_forced expects a (B, T, {cfg.enc_hidden}) "
-                         f"batch, got {hidden.shape}")
     rows = [list(r) for r in targets]
     if any(tok < 0 or tok >= cfg.vocab_size for row in rows for tok in row):
         raise ValueError("decoder targets must be word ids (no special tokens)")
-    hproj = _attention_keys(params, hidden)
-    h = hidden.data
-    n_rows, n_frames = h.shape[:2]
-    if len(rows) != n_rows:
-        raise ShapeError(f"{len(rows)} token rows for a batch of {n_rows}")
-    pad = ad.padding_mask(lengths, n_rows, n_frames)[1]
-    param_inputs = (*(params[name] for name in _STEP_PARAMS),
-                    params["attn.w_h"], params["attn.b"])
-    # Constant parameters (an attack differentiates only its input) get
-    # none of their terms computed.
-    train = any(p.requires_grad for p in param_inputs)
-    steps = np.array([len(row) + 1 for row in rows])
-    n = steps.max()
-    # Step-major tokens: row r feeds sos, then its words, and predicts its
-    # words, then eos. Past its steps it feeds sos and picks column 0;
-    # those picks are zeroed and take no gradient.
+    n_rows = len(rows)
+    steps = np.array([len(row) + 1 for row in rows], dtype=int)
+    n = steps.max(initial=0)
     tok_in = np.full((n, n_rows), cfg.sos)
     tok_tgt = np.zeros((n, n_rows), dtype=int)
     for r, row in enumerate(rows):
@@ -459,13 +446,59 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor, targets: Sequenc
         for k in range(n):
             z[k], s[k] = _recur(arrays, s_prev, tok_in[k])
             s_prev = s[k]
-        st = _attend(arrays, z, s, hproj, h, pad)
+    return TeacherForcing(rows, steps, tok_in, tok_tgt, late, z, s)
+
+
+def decoder_teacher_forced(params: ModelParams, hidden: Tensor, forcing: TeacherForcing,
+                           lengths=None) -> Tensor:
+    """(B,) decoder loss: each row's teacher-forced negative log-likelihood
+    of its target, averaged over its output steps.
+
+    ``hidden`` is a padded batch (B, T, d) with per-row frame counts
+    ``lengths``; ``forcing`` is ``teacher_forcing`` of ``params`` and one
+    row of word ids per batch row. The recurrent states never see
+    ``hidden``, so the forcing holds them: an attack builds it once and
+    reuses it on every step, while ``losses.dec_loss`` builds it on every
+    call. Row b's loss is divided by its output steps, ``forcing.steps[b]``:
+    its words, then eos. Attention gives padded frames exactly zero
+    weight, and padded steps get exactly zero gradient.
+
+    One tape entry, whatever the targets' lengths; ``losses.dec_loss``
+    lifts one utterance to the batch of one, which adds its two ``take``
+    records. Runs the attention and output layer once over all N states,
+    in numpy. The per-row sum, negation and scaling make the numpy calls
+    of those ops recorded one by one, so values and gradients stay
+    bit-identical to the op-by-op tape. The backward runs the attention's
+    tanh terms step by step, and the state recurrence step by step only
+    when a parameter takes a gradient; every other term, and each
+    gradient, is computed for all steps and rows at once.
+    """
+    cfg = params.config
+    if hidden.ndim != 3:
+        raise ShapeError(f"decoder_teacher_forced expects a (B, T, {cfg.enc_hidden}) "
+                         f"batch, got {hidden.shape}")
+    hproj = _attention_keys(params, hidden)
+    h = hidden.data
+    n_rows, n_frames = h.shape[:2]
+    if len(forcing.rows) != n_rows:
+        raise ShapeError(f"{len(forcing.rows)} token rows for a batch of {n_rows}")
+    pad = ad.padding_mask(lengths, n_rows, n_frames)[1]
+    param_inputs = (*(params[name] for name in _STEP_PARAMS),
+                    params["attn.w_h"], params["attn.b"])
+    # Constant parameters (an attack differentiates only its input) get
+    # none of their terms computed.
+    train = any(p.requires_grad for p in param_inputs)
+    tok_in, tok_tgt, late = forcing.tok_in, forcing.tok_tgt, forcing.late
+    n = len(tok_in)
+    arrays = tuple(params[name].data for name in _STEP_PARAMS)
+    with np.errstate(invalid="ignore", over="ignore"):
+        st = _attend(arrays, forcing.z, forcing.s, hproj, h, pad)
     _check_steps(st)
     row_idx = np.arange(n_rows)
     step_idx = np.arange(n)[:, None]
     picked = st.logp[step_idx, row_idx, tok_tgt]
     picked[late] = 0.0
-    scale = 1.0 / steps
+    scale = 1.0 / forcing.steps
     loss = -picked.T.sum(axis=-1) * scale
     emb, w_in, w_rec, _b, w_s, v, w_out, _b_out = arrays
     w_h = params["attn.w_h"].data
@@ -483,32 +516,35 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor, targets: Sequenc
         # The attention's tanh terms, one step at a time: for a batch, a
         # second (N, B, T, attn_dim) array would double what the forward
         # holds. g_hproj adds the steps in order, as a sum over the step
-        # axis does, so the values are those of the one-shot sum.
-        g_q = np.empty(st.q.shape)
+        # axis does, so the values are those of the one-shot sum. The
+        # query's terms g_q reach only the parameters.
+        g_q = np.empty(st.q.shape) if train else None
         g_hproj = None
         for k in range(n):
             g_att = st.tanh_att[k] * st.tanh_att[k]
             np.subtract(1.0, g_att, out=g_att)
             g_att *= v
             g_att *= g_scores[k, ..., None]
-            g_q[k] = g_att.sum(axis=-2)
+            if train:
+                g_q[k] = g_att.sum(axis=-2)
             if g_hproj is None:
                 g_hproj = g_att
             else:
                 g_hproj += g_att
-        deriv = 1.0 - st.s * st.s
-        # Steps last first: state s_k takes the w_rec term of step k+1.
-        g_z = np.empty(st.s.shape)
-        g_next = np.zeros((n_rows, dh))
-        for k in range(n - 1, -1, -1):
-            g_z[k] = (g_next + g_joint[k, :, :dh] + g_q[k] @ w_s.T) * deriv[k]
-            g_next = g_z[k] @ w_rec.T
         # Context terms of all steps, (B, T, N) @ (B, N, d), plus the
         # attention-projection term.
         g_hidden = (st.attn.transpose(1, 2, 0) @ g_ctx.transpose(1, 0, 2)
                     + g_hproj @ w_h.T)
         if not train:
             return [None] * 10 + [g_hidden]
+        # The state recurrence, steps last first: state s_k takes the w_rec
+        # term of step k+1. The states never see the input.
+        deriv = 1.0 - st.s * st.s
+        g_z = np.empty(st.s.shape)
+        g_next = np.zeros((n_rows, dh))
+        for k in range(n - 1, -1, -1):
+            g_z[k] = (g_next + g_joint[k, :, :dh] + g_q[k] @ w_s.T) * deriv[k]
+            g_next = g_z[k] @ w_rec.T
         # Padded steps and frames hold zero terms, so each parameter sums
         # over all (step, row) pairs, in the order of ``param_inputs``.
         m = n * n_rows

@@ -132,7 +132,7 @@ def train_mtl(model_config: ModelConfig, train_config: TrainConfig,
                     raise NonFiniteError(f"l_mtl = {bd.l_mtl}")
             except NonFiniteError as e:
                 raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch}, batch {start // size}"
+                    f"non-finite loss at epoch {epoch}, batch {start // size + 1}"
                 ) from e
             for key in sums:
                 sums[key] += getattr(bd, key)

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from robustasr.attack import (
     PerturbationResult,
     adv_loss,
     calibrate,
+    l2_norm,
     l2_step,
     pgd_attack,
     pgd_attack_batch,
@@ -22,7 +24,8 @@ from robustasr.attack import (
 from robustasr.data import gen_adv_targets, gen_dataset, select_adv_target
 from robustasr.decode import joint_greedy_decode
 from robustasr.losses import CtcInfeasibleError, MtlWeights, ctc_loss, ctc_min_frames, dec_loss
-from robustasr.model import ModelConfig, ctc_head, encode, init_params, load_checkpoint
+from robustasr.model import (ModelConfig, ctc_head, encode, init_params, load_checkpoint,
+                             teacher_forcing)
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=4, disc_hidden=4, seed=5)
@@ -66,10 +69,12 @@ def test_adv_loss_boundaries(params):
     x_np = rng.normal(size=(6, TINY.feat_dim))
     target = [1, 2]
     x = ad.constant(x_np)
-    dec_only = adv_loss(params, x[None], [target], MtlWeights(1.0, 0.5, lambda_i_C=0.0))
+    dec_only = adv_loss(params, x[None], teacher_forcing(params, [target]),
+                        MtlWeights(1.0, 0.5, lambda_i_C=0.0))
     assert float(dec_only.data[0]) == pytest.approx(
         float(dec_loss(params, encode(params, x), target).data), abs=1e-12)
-    ctc_only = adv_loss(params, x[None], [target], MtlWeights(1.0, 0.5, lambda_i_C=1.0))
+    ctc_only = adv_loss(params, x[None], teacher_forcing(params, [target]),
+                        MtlWeights(1.0, 0.5, lambda_i_C=1.0))
     assert float(ctc_only.data[0]) == pytest.approx(
         float(ctc_loss(ctc_head(params, encode(params, x)), target).data), abs=1e-12)
 
@@ -80,7 +85,7 @@ def test_adv_loss_input_gradient_matches_fd(params):
     w = MtlWeights(1.0, 0.5, lambda_i_C=0.6)
 
     def f(t):
-        return adv_loss(params, t[None], [[0, 3]], w)[0]
+        return adv_loss(params, t[None], teacher_forcing(params, [[0, 3]]), w)[0]
 
     with ad.tape():
         ad.backward(f(x))
@@ -91,11 +96,37 @@ def test_adv_loss_input_gradient_matches_fd(params):
 def test_adv_loss_infeasible_target(params):
     x = ad.constant(np.zeros((2, TINY.feat_dim)))
     with pytest.raises(CtcInfeasibleError):
-        adv_loss(params, x[None], [[0, 1, 2]], MtlWeights(1.0, 1.0))
+        adv_loss(params, x[None], teacher_forcing(params, [[0, 1, 2]]), MtlWeights(1.0, 1.0))
     assert not target_feasible(np.zeros((2, TINY.feat_dim)), [0, 1, 2],
                                MtlWeights(1.0, 1.0))
     assert target_feasible(np.zeros((2, TINY.feat_dim)), [0, 1, 2],
                            MtlWeights(1.0, 0.0, lambda_i_C=0.0))
+
+
+@st.composite
+def float_arrays(draw):
+    """A float array of up to three axes, contiguous or a strided view."""
+    shape = draw(st.lists(st.integers(1, 7), min_size=0, max_size=3))
+    values = draw(st.lists(st.floats(-1e6, 1e6, allow_subnormal=True),
+                           min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    a = np.array(values, dtype=float).reshape(shape)
+    view = draw(st.sampled_from(["plain", "transposed", "stepped", "reversed"]))
+    if view == "transposed":
+        return a.T
+    if view == "stepped" and a.ndim:
+        return a[..., ::2]
+    if view == "reversed" and a.ndim:
+        return a[::-1]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_arrays())
+@example(np.zeros((2, 3)))
+@example(np.full((4, 4), 1e-160)[:, ::3])  # the squares underflow
+@example(np.array([3.0, 4.0]))
+def test_l2_norm_is_numpy_norm_bit_for_bit(a):
+    assert np.float64(l2_norm(a)).tobytes() == np.linalg.norm(a).tobytes()
 
 
 def test_project_l2():
@@ -278,7 +309,8 @@ def test_pgd_differentiates_only_its_input(cfg, lam_i):
         for p in (params, params.frozen()):
             x_adv = ad.leaf(x + delta)
             with ad.tape():
-                loss = adv_loss(p, x_adv[None], [target], attack_cfg.weights)[0]
+                loss = adv_loss(p, x_adv[None], teacher_forcing(p, [target]),
+                                attack_cfg.weights)[0]
                 ad.backward(loss)
             grads.append(x_adv.grad.tobytes())
         assert grads[0] == grads[1]
@@ -341,18 +373,19 @@ def test_batched_adv_loss_matches_batch_of_one(case):
     xs = [rng.normal(size=(n, cfg.feat_dim)) for n in lengths]
     weights = MtlWeights(1.0, 0.5, lambda_i_C=lam)
     x = ad.leaf(_pad(xs))
+    forcing = teacher_forcing(params, targets)
     if lam > 0.0 and not all(targets):
         with pytest.raises(ValueError, match="a CTC target must hold at least one word"):
-            adv_loss(params, x, targets, weights, lengths)
+            adv_loss(params, x, forcing, weights, lengths)
         return
     with ad.tape():
-        losses = adv_loss(params, x, targets, weights, lengths)
+        losses = adv_loss(params, x, forcing, weights, lengths)
         ad.backward(ad.sum_(losses))
     assert losses.shape == (len(xs),)
     for r, (x_r, target, n) in enumerate(zip(xs, targets, lengths)):
         one = ad.leaf(x_r)
         with ad.tape():
-            loss = adv_loss(params, one[None], [target], weights)[0]
+            loss = adv_loss(params, one[None], teacher_forcing(params, [target]), weights)[0]
             ad.backward(loss)
         assert close_to(losses.data[r], loss.data, 1e-12)
         assert close_to(x.grad[r, :n], one.grad, 1e-12)
@@ -369,15 +402,16 @@ def test_batched_row_gradient_matches_fd(lam_i):
     targets = [[1, 1, 3], [2, 0], [3]]
     x_pad = _pad([rng.normal(size=(n, DEEP.feat_dim)) for n in lengths])
     weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
+    forcing = teacher_forcing(params, targets)
 
     def row_loss(t):
         batch = x_pad.copy()
         batch[1] = t.data
-        return float(adv_loss(params, ad.constant(batch), targets, weights, lengths).data[1])
+        return float(adv_loss(params, ad.constant(batch), forcing, weights, lengths).data[1])
 
     x = ad.leaf(x_pad)
     with ad.tape():
-        ad.backward(ad.sum_(adv_loss(params, x, targets, weights, lengths)))
+        ad.backward(ad.sum_(adv_loss(params, x, forcing, weights, lengths)))
     fd = fd_gradient(row_loss, ad.constant(x_pad[1]))
     assert rel_err(x.grad[1], fd.data) < 1e-6
     assert np.all(x.grad[1, 4:] == 0.0)
@@ -429,3 +463,30 @@ def test_batched_attack_follows_single_trajectories_on_the_fixture():
         assert res.converged_at == alone.converged_at
         for r in cfg.report_at:
             assert hypothesis(res.snapshots[r]) == hypothesis(alone.snapshots[r])
+
+
+# sha256 of each mode's deltas, loss traces, step norms and delta norms,
+# row after row, as float64 bytes
+PGD_PINS = {
+    0.0: "99ca07b4b4fbd59420b6fbff5bc7a0955c31680ab7235e6236dcd43841e83650",
+    0.5: "10a9cb6b71b137f3dc7551a3ed1b955b011423b64473bec3b3a9fa5424948020",
+    1.0: "023335dbe4727988ac19f0d2ec06045139ec83c7475efe8ef5f1048cf2a16bfd",
+}
+
+
+@pytest.mark.parametrize("lam_i", sorted(PGD_PINS))
+def test_pgd_attack_batch_bytes_are_pinned_on_the_fixture(lam_i):
+    # 50 steps on ten test utterances of seed 3; no row stops early.
+    params = load_checkpoint(FIXTURE)
+    test = gen_dataset(3, n_train=1, n_valid=1, n_test=10).test
+    targets = [select_adv_target(u.transcript, gen_adv_targets(3)) for u in test]
+    epsilon, alpha = calibrate(test)
+    cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=50,
+                       weights=MtlWeights(0.7, 0.5, lambda_i_C=lam_i))
+    results = pgd_attack_batch(params, [u.features for u in test], targets, cfg)
+    digest = hashlib.sha256()
+    for res in results:
+        assert res.converged_at is None
+        for values in (res.delta, res.loss_trace, res.step_norms, res.delta_norms):
+            digest.update(np.asarray(values, dtype=float).tobytes())
+    assert digest.hexdigest() == PGD_PINS[lam_i]

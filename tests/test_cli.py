@@ -330,12 +330,12 @@ def test_main_refuses_bad_input_in_one_line(tmp_path, capsys):
                  "--out", str(data)]) == 0
     _refused(capsys, ["train", "--config", _write(tmp_path / "train.json", small),
                       "--data", str(data), "--out", str(out)],
-             "^robustasr: error: non-finite loss at epoch 1, batch 1$")
+             "^robustasr: error: non-finite loss at epoch 1, batch 2$")
     grid = {**small, "grid": {"lambda_t_A_values": [1.0], "lambda_t_C_values": [0.5],
                               "report_steps": [1], "seeds": [0]}}
     _refused(capsys, ["grid", "--config", _write(tmp_path / "grid.json", grid),
                       "--out", str(out)],
-             "^robustasr: error: non-finite loss at epoch 1, batch 1$")
+             "^robustasr: error: non-finite loss at epoch 1, batch 2$")
     assert not out.exists()
 
 

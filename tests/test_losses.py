@@ -19,7 +19,7 @@ from robustasr.losses import (
     dis_loss,
     mtl_loss,
 )
-from robustasr.model import ModelConfig, ctc_head, encode, init_params
+from robustasr.model import ModelConfig, ctc_head, encode, init_params, teacher_forcing
 from robustasr.train import sample_losses
 
 import reference_ops as ro
@@ -358,14 +358,14 @@ def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
     weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
 
     def run(p, x):
-        return adv_loss(p, x[None], [y], weights)[0]
+        return adv_loss(p, x[None], teacher_forcing(p, [y]), weights)[0]
 
     if lam_i > 0.0 and _refused_by_ctc(lambda: _grads(DEEP, run), y):
         return
     fused = _grads(DEEP, run)
     # the op-by-op references on the batch of one
-    monkeypatch.setattr(attack, "dec_loss",
-                        lambda p, h, y, lengths: reference_dec_loss(p, h[0], y[0])[None])
+    monkeypatch.setattr(attack, "decoder_teacher_forced",
+                        lambda p, h, f, lengths: reference_dec_loss(p, h[0], f.rows[0])[None])
     monkeypatch.setattr(attack, "ctc_loss",
                         lambda logp, y, lengths: reference_ctc_loss(logp[0], y[0])[None])
     if lam_i == 1.0:

@@ -23,6 +23,7 @@ from robustasr.model import (
     init_params,
     load_checkpoint,
     save_checkpoint,
+    teacher_forcing,
 )
 
 import reference_ops as ro
@@ -187,9 +188,10 @@ def test_batch_only_kernels_refuse_one_sequence(params, kernel):
     call = {
         "tanh_rnn": lambda: ad.tanh_rnn(x, params["enc0.w_in"], params["enc0.w_rec"],
                                         params["enc0.b"]),
-        "decoder_teacher_forced": lambda: decoder_teacher_forced(params, h, [[1]]),
+        "decoder_teacher_forced": lambda: decoder_teacher_forced(
+            params, h, teacher_forcing(params, [[1]])),
         "discriminate": lambda: discriminate(params, h),
-        "adv_loss": lambda: adv_loss(params, x, [1], MtlWeights()),
+        "adv_loss": lambda: adv_loss(params, x, teacher_forcing(params, [[1]]), MtlWeights()),
     }[kernel]
     with pytest.raises(ad.ShapeError, match=r"\(B, T, \w+\) batch, got \(4, \d+\)$"):
         call()
@@ -624,7 +626,7 @@ def test_decoder_non_finite_parameter_raises(params, name):
     with pytest.raises(ad.NonFiniteError):
         decoder_advance(params, h, state, TINY.sos)
     with pytest.raises(ad.NonFiniteError):
-        decoder_teacher_forced(params, h[None], [[1]])
+        decoder_teacher_forced(params, h[None], teacher_forcing(params, [[1]]))
 
 
 def test_teacher_forced_rejects_bad_tokens(params):
@@ -633,8 +635,8 @@ def test_teacher_forced_rejects_bad_tokens(params):
     h = ad.constant(np.ones((1, 3, TINY.enc_hidden)))
     for bad in (TINY.vocab_size, TINY.vocab_size + 1, -1):
         with pytest.raises(ValueError, match="word ids"):
-            decoder_teacher_forced(params, h, [[1, bad]])
-    assert decoder_teacher_forced(params, h, [[]]).shape == (1,)
+            decoder_teacher_forced(params, h, teacher_forcing(params, [[1, bad]]))
+    assert decoder_teacher_forced(params, h, teacher_forcing(params, [[]])).shape == (1,)
 
 
 @pytest.mark.parametrize("name", ("hidden",) + DEC_PARAMS)
@@ -647,7 +649,8 @@ def test_teacher_forced_gradient_matches_fd(params, name):
     weight = ad.constant(rng.normal(size=len(targets)))
 
     def loss(p, hidden):
-        return ad.sum_(ad.mul(decoder_teacher_forced(p, hidden, targets, lengths), weight))
+        return ad.sum_(ad.mul(decoder_teacher_forced(p, hidden, teacher_forcing(p, targets),
+                                                     lengths), weight))
 
     with ad.tape():
         ad.backward(loss(params, h))
@@ -663,3 +666,42 @@ def test_teacher_forced_gradient_matches_fd(params, name):
 
     fd = fd_gradient(f, ad.constant(params[name].data))
     assert rel_err(params[name].grad, fd.data) < 1e-6
+
+
+
+RAGGED_TARGETS = [[], [3, 3, 0], [2, 4]]
+
+
+def _ragged_decoder_batch(p, forcing, seed=15):
+    """Loss bytes and input-gradient bytes of a ragged batch (an empty
+    target, a repeated word, padded frames) under ``forcing``."""
+    h = ad.leaf(np.random.default_rng(seed).normal(size=(3, 5, TINY.enc_hidden)))
+    with ad.tape():
+        loss = decoder_teacher_forced(p, h, forcing, [5, 3, 4])
+        ad.backward(ad.sum_(loss))
+    return loss.data.tobytes(), h.grad.tobytes()
+
+
+def test_teacher_forcing_reused_gives_the_same_bits(params):
+    # An attack builds the forcing once and reuses it on every step's input.
+    forcing = teacher_forcing(params, RAGGED_TARGETS)
+    before = [np.asarray(a).tobytes() for a in forcing[1:]]
+    for seed in (15, 16):
+        assert _ragged_decoder_batch(params, forcing, seed) == \
+            _ragged_decoder_batch(params, teacher_forcing(params, RAGGED_TARGETS), seed)
+    assert [np.asarray(a).tobytes() for a in forcing[1:]] == before
+
+
+def test_teacher_forced_input_gradient_same_bits_with_frozen_parameters(params):
+    # Frozen parameters skip the query terms and the state recurrence of
+    # the backward; the input gradient does not move.
+    frozen = params.frozen()
+    assert _ragged_decoder_batch(frozen, teacher_forcing(frozen, RAGGED_TARGETS)) == \
+        _ragged_decoder_batch(params, teacher_forcing(params, RAGGED_TARGETS))
+    assert params["dec.w_rec"].grad.any()  # the leaf run took the recurrence's terms
+
+
+def test_teacher_forced_refuses_a_forcing_of_another_batch(params):
+    h = ad.constant(np.ones((2, 3, TINY.enc_hidden)))
+    with pytest.raises(ad.ShapeError, match="1 token rows for a batch of 2"):
+        decoder_teacher_forced(params, h, teacher_forcing(params, [[1]]))
