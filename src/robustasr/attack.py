@@ -7,22 +7,27 @@ perturbation back onto the epsilon-ball around the original input.
 Initialization is the zero perturbation, so runs are fully
 deterministic.
 
-``pgd_attack_batch`` attacks several utterances at once. Each step pads
-the rows still stepping to (B, T_max, F) and runs one tape and one
-backward of their summed losses: one encoder scan and one decoder pass
-for the whole batch, under the batch contract stated in ``autodiff``.
-The step, projection, zero-gradient stop, loss trace and snapshots stay
-per row; ``pgd_attack`` and ``pgd_step`` are the batch of one.
+``pgd_attack_batch`` attacks several utterances at once. Each step runs
+one tape and one backward of the rows' summed losses over the padded
+(B, T_max, F) batch: one encoder scan and one decoder pass for the
+whole batch, under the batch contract stated in ``autodiff``. The step,
+projection, zero-gradient stop, loss trace and snapshots stay per row;
+``pgd_attack`` and ``pgd_step`` are the batch of one.
 
-What the perturbation cannot change is computed once per attack, not
-per step. The parameters are frozen once. The decoder's teacher forcing
-(``model.teacher_forcing``: the targets' token framing and the decoder's
-recurrent states, which never see the input) is built once from the
-frozen parameters for the rows still stepping, and again only when a row
-stops and that set shrinks, together with the padded width of those
-rows. Each step runs the encoder, the CTC loss and the decoder's
-attention and output layer, their input-only backward, and the per-row
-step and projection.
+What the perturbation cannot change is built once per attack, not per
+step: the frozen parameters, the one padding of the rows, and the
+decoder's teacher forcing (``model.teacher_forcing``: the targets' token
+framing and the decoder's recurrent states, which never see the input),
+built from the frozen parameters for all rows. Each step runs the
+encoder, the CTC loss and the decoder's attention and output layer,
+their input-only backward, and the per-row step and projection.
+
+A row stops at its first exactly zero input gradient: its perturbation,
+loss trace and norms stop there, and it keeps its place in the batch,
+where its input, and so its zero gradient, no longer change. The batch
+keeps its shape from the first step to the last, so one row's bytes do
+not depend on another row stopping, and the loop ends once every row
+has stopped.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ class AttackConfig:
 
 @dataclass
 class PerturbationResult:
-    x_adv: np.ndarray
     delta: np.ndarray
     loss_trace: list[float]  # entry k = inference loss after k steps
     snapshots: dict[int, np.ndarray] = field(default_factory=dict)
@@ -191,9 +195,9 @@ def pgd_attack(params: ModelParams, x: np.ndarray, target,
     """Iterate perturbation and projection from a zero start.
 
     ``loss_trace[k]`` is the inference loss after k steps; snapshots of
-    x_adv are taken at every requested step count. Infeasible CTC
-    targets surface as the loss's own error. It is ``pgd_attack_batch``
-    of one utterance.
+    the perturbed input x + delta are taken at every requested step
+    count. Infeasible CTC targets surface as the loss's own error. It is
+    ``pgd_attack_batch`` of one utterance.
     """
     return pgd_attack_batch(params, [x], [target], config)[0]
 
@@ -202,57 +206,46 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
                      config: AttackConfig) -> list[PerturbationResult]:
     """``pgd_attack`` of each (x, target) pair, batched over the rows.
 
-    Every step pads the rows that have not stopped on a zero gradient to
-    the longest of them and takes one batched step. Their teacher forcing
-    and padded width are computed when that set of rows is first seen.
+    The rows are padded once to the longest of them, and every step is
+    one batched step of the whole padding; a row that has stopped on a
+    zero gradient keeps its place and its perturbation. At each report
+    step every row's snapshot is x plus its current delta, so a stopped
+    row's later snapshots are its last input.
     """
     xs = [np.asarray(x, dtype=float) for x in xs]
     if not xs:
         return []
     params = params.frozen()  # once, not on every step
     x_pad, lengths = pad_batch(xs)
-    lengths = np.array(lengths)
     delta = np.zeros_like(x_pad)
-    results = [PerturbationResult(x_adv=x.copy(), delta=np.zeros_like(x), loss_trace=[])
-               for x in xs]
-    if 0 in config.report_at:
-        for res, x in zip(results, xs):
-            res.snapshots[0] = x.copy()
-    full = teacher_forcing(params, targets)
-    live = np.arange(len(xs))
-    frames, forcing = x_pad.shape[1], full
-    for k in range(1, config.steps + 1):
-        if not live.size:
+    forcing = teacher_forcing(params, targets)
+    # Each row's delta is a view of its padded row until the attack ends.
+    results = [PerturbationResult(delta=delta[r, :n], loss_trace=[])
+               for r, n in enumerate(lengths)]
+    for k in range(config.steps + 1):
+        done = k == config.steps or all(res.converged_at is not None for res in results)
+        for s in config.report_at:
+            if s == k or (done and s > k):
+                for res, x in zip(results, xs):
+                    res.snapshots[s] = x + res.delta
+        if done:
             break
-        steps = _batch_step(params, x_pad[live, :frames], delta[live, :frames],
-                            list(lengths[live]), forcing, config)
-        for r, out in zip(live, steps):
-            res, x, n = results[r], xs[r], lengths[r]
+        steps = _batch_step(params, x_pad, delta, lengths, forcing, config)
+        for res, out in zip(results, steps):
+            if res.converged_at is not None:
+                continue
             res.loss_trace.append(out.loss)  # loss at delta before this step
             if out.grad_norm == 0.0:
-                res.converged_at = k - 1
-                for s in config.report_at:
-                    if s >= k:
-                        res.snapshots.setdefault(s, x + delta[r, :n])
+                res.converged_at = k
                 continue
-            delta[r, :n] = out.delta
+            res.delta[:] = out.delta
             res.step_norms.append(out.step_norm)
             res.delta_norms.append(out.delta_norm)
-            if k in config.report_at:
-                res.snapshots[k] = x + out.delta
-        still = [r for r in live if results[r].converged_at is None]
-        if len(still) < live.size:
-            live = np.array(still, dtype=int)
-            if live.size:
-                frames = lengths[live].max()
-                forcing = teacher_forcing(params, [targets[r] for r in live])
     with ad.no_grad():
-        final = adv_loss(params, ad.constant(x_pad + delta), full,
-                         config.weights, list(lengths))
-    for r, (res, x) in enumerate(zip(results, xs)):
+        final = adv_loss(params, ad.constant(x_pad + delta), forcing, config.weights, lengths)
+    for r, res in enumerate(results):
         res.loss_trace.append(float(final.data[r]))
-        res.delta = delta[r, :lengths[r]].copy()
-        res.x_adv = x + res.delta
+        res.delta = res.delta.copy()
     return results
 
 

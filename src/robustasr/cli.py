@@ -16,7 +16,8 @@ seed the recipe records and its own config's ``n_targets`` and
 ``len_range``. All outputs are deterministic functions of their configs,
 so reruns are byte-identical. A refused input (a config value, a data
 directory, a checkpoint, a rows file) and a training run that diverges
-end a subcommand with one line on stderr and exit status 2.
+end a subcommand with one line on stderr and exit status 2; so does a
+grid run with fewer than one worker.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"the worker count (--workers) must be >= 1, got {args.workers}")
     config, _seed, _weights = load_config(args.config, run_keys=False)
     rows = run_grid(config, workers=args.workers, progress=lambda done, total:
                     print(f"cell {done}/{total} finished", flush=True))

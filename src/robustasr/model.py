@@ -37,6 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+from .data import DEFAULT_FEAT_DIM, N_ACCENTS, N_WORDS
 
 
 class CheckpointError(Exception):
@@ -45,16 +46,16 @@ class CheckpointError(Exception):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    feat_dim: int = 16
+    feat_dim: int = DEFAULT_FEAT_DIM
     enc_hidden: int = 32
     enc_layers: int = 2
     dec_hidden: int = 32
     attn_dim: int = 32
     emb_dim: int = 16
-    vocab_size: int = 40  # data.N_WORDS; +1 per head for blank/eos
+    vocab_size: int = N_WORDS  # +1 per head for blank/eos
     disc_layers: int = 5
     disc_hidden: int = 32
-    n_accents: int = 2
+    n_accents: int = N_ACCENTS
     seed: int = 0
     # Must be False. Kept only because the rows' config= hash and the
     # checkpoint config line hold the key; it goes with the next
@@ -663,6 +664,8 @@ def load_checkpoint(path) -> ModelParams:
         if len(head) not in (3, 4) or head[0] != "param":
             raise CheckpointError(f"{path}: bad param header at line {i + 1}")
         name = head[1]
+        if name in tensors:
+            raise CheckpointError(f"{path}: repeated block for {name} at line {i + 1}")
         try:
             shape = tuple(int(v) for v in head[2:])
         except ValueError as e:

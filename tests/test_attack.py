@@ -181,7 +181,6 @@ def test_pgd_attack_zero_steps_is_identity(params):
     cfg = AttackConfig(epsilon=1.0, alpha=0.1, steps=0,
                        weights=MtlWeights(1.0, 0.0, lambda_i_C=0.0))
     res = pgd_attack(params, x, [2], cfg)
-    assert np.array_equal(res.x_adv, x)
     assert np.array_equal(res.delta, np.zeros_like(x))
     assert len(res.loss_trace) == 1 and np.isfinite(res.loss_trace[0])
 
@@ -233,16 +232,14 @@ def test_pgd_attack_invariants_and_determinism(case):
         assert res.delta_norms[-1:] == [float(np.linalg.norm(res.delta))][:taken]
         assert all(abs(s - alpha) <= 1e-12 * alpha for s in res.step_norms)
         assert res.delta.shape == x.shape
-        assert np.array_equal(res.x_adv, x + res.delta)
         assert set(res.snapshots) == set(report_at)
         assert np.array_equal(res.snapshots[0], x)
         if res.converged_at is not None:
-            assert all(np.array_equal(res.snapshots[r], res.x_adv)
+            assert all(np.array_equal(res.snapshots[r], x + res.delta)
                        for r in report_at if r > res.converged_at)
     for res, res2 in zip(results, run()):
-        for a, b in ((res.x_adv, res2.x_adv), (res.delta, res2.delta),
-                     (res.loss_trace, res2.loss_trace), (res.delta_norms, res2.delta_norms),
-                     (res.step_norms, res2.step_norms)):
+        for a, b in ((res.delta, res2.delta), (res.loss_trace, res2.loss_trace),
+                     (res.delta_norms, res2.delta_norms), (res.step_norms, res2.step_norms)):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
         assert res.converged_at == res2.converged_at
         assert all(res.snapshots[r].tobytes() == res2.snapshots[r].tobytes()
@@ -266,6 +263,24 @@ def test_pgd_batch_row_stops_on_zero_gradient_while_others_step():
     assert moving.converged_at is None and len(moving.step_norms) == 5
     assert rel_err(moving.delta, alone.delta) < 1e-12
     assert rel_err(moving.loss_trace, alone.loss_trace) < 1e-12
+
+
+def test_pgd_batch_row_bytes_do_not_depend_on_another_row_stopping():
+    # The batch keeps its shape when row 1 stops, so row 0 runs the same
+    # arithmetic whether its neighbour stops at step 0 or steps on.
+    params = init_params(TINY)
+    rng = np.random.default_rng(17)
+    x0, other = rng.normal(size=(6, TINY.feat_dim)), rng.normal(size=(4, TINY.feat_dim))
+    cfg = AttackConfig(epsilon=1.0, alpha=0.1, steps=5,
+                       weights=MtlWeights(1.0, 0.5, lambda_i_C=0.5))
+    targets = [[1], [2, 0]]
+    row, stopped = pgd_attack_batch(params, [x0, 1e8 * other], targets, cfg)
+    ref, stepping = pgd_attack_batch(params, [x0, other], targets, cfg)
+    assert stopped.converged_at == 0 and stepping.converged_at is None
+    assert row.converged_at is None
+    for a, b in ((row.delta, ref.delta), (row.step_norms, ref.step_norms),
+                 (row.loss_trace, ref.loss_trace)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_calibrate_uses_median_norm():

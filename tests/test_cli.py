@@ -337,6 +337,13 @@ def test_main_refuses_bad_input_in_one_line(tmp_path, capsys):
                       "--out", str(out)],
              "^robustasr: error: non-finite loss at epoch 1, batch 2$")
     assert not out.exists()
+    # a grid needs at least one worker
+    for workers in ("0", "-3"):
+        _refused(capsys, ["grid", "--config", _write(tmp_path / "grid.json", grid),
+                          "--out", str(out), "--workers", workers],
+                 rf"^robustasr: error: the worker count \(--workers\) must be >= 1, "
+                 rf"got {workers}$")
+        assert not out.exists()
 
 
 def test_weights_load_as_floats(tmp_path):

@@ -13,10 +13,16 @@ package is read in its body. ``self``, ``cls`` and names starting with
 the package or in ``perfbench/`` must set it, by keyword or by position:
 a knob that only tests turn has one value in use.
 
+Import guard: every name ``perfbench/`` imports from the package, and
+every attribute it reads through an imported package module, exists. So
+a package change that drops a name the benchmark uses fails here, not
+only when the benchmark runs.
+
 ``perfbench/out/`` holds run outputs, copies included, and is not read.
 """
 
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -191,3 +197,36 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
                              for name, n_args, keywords in calls)]
     assert not unset, "parameters with a default that no program call sets:\n" + \
         "\n".join(unset)
+
+
+def _package_references(tree):
+    """(line, module, name) of each ``from robustasr.<module> import <name>``
+    and each ``<alias>.<name>`` read through ``from robustasr import <module>
+    as <alias>``."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level:
+            continue
+        if node.module == "robustasr":
+            aliases.update({a.asname or a.name: a.name for a in node.names})
+        elif node.module.startswith("robustasr."):
+            module = node.module.split(".", 1)[1]
+            yield from ((node.lineno, module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases:
+            yield node.lineno, aliases[node.value.id], node.attr
+
+
+def test_every_package_name_perfbench_uses_exists():
+    bench = ROOT / "perfbench"
+    missing = []
+    for path in _program_sources():
+        if bench not in path.parents:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        missing += [f"{path.relative_to(ROOT)}:{line} robustasr.{module}.{name}"
+                    for line, module, name in _package_references(tree)
+                    if not hasattr(importlib.import_module(f"robustasr.{module}"), name)]
+    assert not missing, "package names perfbench uses that do not exist:\n" + \
+        "\n".join(missing)

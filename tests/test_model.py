@@ -558,6 +558,19 @@ def test_fixture_checkpoint_loads_to_pinned_bytes():
     assert h.hexdigest() == "bb26cea2f72a9ef7cd25d3cecd68076c50496a048c39be528c3bfc0c1379fde0"
 
 
+def test_checkpoint_repeated_block_fails(tmp_path):
+    # A second ctc.b block of zeros would otherwise silently win.
+    lines = FIXTURE.read_text().splitlines()
+    idx = next(i for i, l in enumerate(lines) if l.startswith("param ctc.b "))
+    zeros = " ".join([float(0).hex()] * len(lines[idx + 1].split()))
+    lines[-1:] = [lines[idx], zeros, "end"]
+    p = tmp_path / "model.ckpt"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(p))}: repeated block for "
+                                              f"ctc.b at line {len(lines) - 2}$"):
+        load_checkpoint(p)
+
+
 # ---------------------------------------------------------------------------
 # fused decoder against the op-by-op reference in decoder_reference.py
 
