@@ -40,6 +40,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+from .data import check_int, check_real
 from .losses import MtlWeights, ctc_loss, ctc_min_frames, mix
 from .model import (ModelParams, TeacherForcing, ctc_head, decoder_teacher_forced, encode,
                     pad_batch, teacher_forcing)
@@ -55,11 +56,8 @@ class AttackConfig:
 
     def __post_init__(self):
         for name in ("epsilon", "alpha"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        check_int("steps", self.steps, 0)
         if any(r < 0 or r > self.steps for r in self.report_at):
             raise ValueError("report_at entries must lie in [0, steps]")
         object.__setattr__(self, "report_at", tuple(sorted(self.report_at)))

@@ -15,7 +15,8 @@ stages share no targets file: ``attack`` derives the targets from the
 seed the recipe records and its own config's ``n_targets`` and
 ``len_range``. All outputs are deterministic functions of their configs,
 so reruns are byte-identical. A refused input (a config value, a data
-directory, a checkpoint, a rows file) and a training run that diverges
+directory, a checkpoint, a checkpoint that does not fit the data
+directory, a rows file) and a training run that diverges
 end a subcommand with one line on stderr and exit status 2; so does a
 grid run with fewer than one worker.
 """
@@ -28,10 +29,10 @@ import sys
 from pathlib import Path
 
 from .data import RECIPE, DataError, load_dataset, load_test_split, save_dataset
-from .experiments import (ConfigError, MissingCellsError, ReportRow, evaluate_model,
-                          load_config, make_data, make_tables, rows_from_csv,
-                          rows_to_csv, run_grid, train_model, trend_check,
-                          trend_report)
+from .experiments import (ConfigError, MissingCellsError, ReportRow, check_model_fits,
+                          evaluate_model, load_config, make_data, make_tables,
+                          rows_from_csv, rows_to_csv, run_grid, train_model,
+                          trend_check, trend_report)
 from .model import CheckpointError, load_checkpoint, save_checkpoint
 from .train import TrainingDiverged, evaluate_benign
 
@@ -61,6 +62,7 @@ def cmd_eval(args) -> int:
     config, _seed, weights = load_config(args.config)
     params = load_checkpoint(args.checkpoint)
     utts = load_test_split(args.data)[0][:config.n_eval]
+    check_model_fits(params.config, utts[0].features.shape[1])
     wer, acc = evaluate_benign(params, utts, weights,
                                max_len=config.max_decode_len)
     print(f"benign pooled WER={wer:.4f} accent_acc={acc:.4f} "

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -151,6 +152,28 @@ def _gen_split(name: str, n: int, len_range: tuple[int, int], seed: int,
         utts.append(Utterance(id=f"{name}-{i:05d}", features=feats,
                               transcript=tokens, accent=accent))
     return utts
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Refuse a config value that is not an integer >= ``least``; a bool
+    is no integer, though it compares as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_real(name: str, value, unit: bool = False) -> float:
+    """The float of a config value that is a real number, positive and
+    finite, or in [0, 1] under ``unit``; a bool is no number. Stored as a
+    float, 1 and 1.0 write and hash alike."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if unit and not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name}={value} outside [0, 1]")
+    if not unit and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
 
 
 def check_len_range(len_range: tuple[int, int]) -> None:

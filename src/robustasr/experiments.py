@@ -31,8 +31,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .attack import AttackConfig, calibrate, pgd_attack_batch, target_feasible
-from .data import (N_ACCENTS, N_WORDS, DatasetSplit, Utterance, check_len_range,
-                   gen_adv_targets, gen_dataset, select_adv_target)
+from .data import (N_ACCENTS, N_WORDS, DatasetSplit, Utterance, check_int,
+                   check_len_range, check_real, gen_adv_targets, gen_dataset,
+                   select_adv_target)
 from .losses import MtlWeights
 from .metrics import edit_distance_words, pooled_wer
 from .model import ModelConfig, ModelParams
@@ -63,10 +64,6 @@ def _build(cls, d: dict, where: str = ""):
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     lambda_t_A_values: tuple[float, ...] = (1.0, 0.9, 0.8, 0.7, 0.6, 0.5)
@@ -79,24 +76,16 @@ class GridSpec:
         if not (self.lambda_t_A_values and self.lambda_t_C_values):
             raise ValueError("weight grids must be nonempty")
         for name in ("lambda_t_A_values", "lambda_t_C_values"):
-            values = getattr(self, name)
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and 0.0 <= v <= 1.0 for v in values):
-                raise ValueError(f"{name} {values} holds a value outside [0, 1]")
-            # the rows write each value as it is stored: 1 would read "1"
-            object.__setattr__(self, name, tuple(float(v) for v in values))
+            object.__setattr__(self, name, tuple(
+                check_real(f"{name} entry", v, unit=True) for v in getattr(self, name)))
         if not self.modes or any(m not in ("match", "drop_ctc") for m in self.modes):
             raise ValueError("modes must be a nonempty subset of {match, drop_ctc}")
         if not self.report_steps or not self.seeds:
             raise ValueError("report_steps and seeds must be nonempty")
+        # numpy refuses a negative seed only once the cell's data is generated
         for name in ("report_steps", "seeds"):
-            values = getattr(self, name)
-            if not all(_is_int(v) for v in values):
-                raise ValueError(f"{name} {values} holds a value that is not an integer")
-        if min(self.report_steps) < 0:
-            raise ValueError(f"report_steps {self.report_steps} holds a negative step")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds {self.seeds} holds a negative seed")
+            for v in getattr(self, name):
+                check_int(f"{name} entry", v, 0)
         # a repeated value trains its cells twice and writes their rows twice
         for name in ("lambda_t_A_values", "lambda_t_C_values", "modes", "seeds"):
             values = getattr(self, name)
@@ -126,19 +115,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "epsilon_ratio", "alpha_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         for name in ("n_train", "n_valid", "n_test", "n_targets", "n_eval", "n_attack",
                      "epochs", "batch_size", "max_decode_len"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            check_int(name, getattr(self, name), 1)
         check_len_range(self.len_range)
         # the attack builds its targets only after training
         n_lengths = self.len_range[1] - self.len_range[0] + 1
@@ -277,10 +257,7 @@ def load_config(path=None, seed: int | None = None, run_keys: bool = True
                               "from grid.seeds and the lambda grids")
         weights = _build(MtlWeights, d.pop("weights", {}), "weights.")
         file_seed = d.pop("seed", 0)
-        if not _is_int(file_seed):
-            raise ConfigError(f"seed must be an integer, got {file_seed!r}")
-        if file_seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {file_seed}")
+        check_int("seed", file_seed, 0)
         config = ExperimentConfig.from_dict(d)
     except (TypeError, ValueError) as e:  # bad JSON raises a ValueError too
         raise ConfigError(f"{path}: {e}") from None
@@ -295,8 +272,11 @@ def make_data(config: ExperimentConfig, seed: int) -> DatasetSplit:
                        feat_dim=config.model.feat_dim)
 
 
-def _check_output_sizes(model: ModelConfig) -> None:
-    """Refuse a model without one output per word and per accent of the data."""
+def check_model_fits(model: ModelConfig, feat_dim: int) -> None:
+    """Refuse a model whose input is not the data's ``feat_dim`` or that
+    has not one output per word and per accent of the data."""
+    if feat_dim != model.feat_dim:
+        raise ConfigError(f"data has feat_dim {feat_dim}, model.feat_dim is {model.feat_dim}")
     if model.vocab_size != N_WORDS:
         raise ConfigError(f"model.vocab_size is {model.vocab_size}, "
                           f"the data has {N_WORDS} words")
@@ -308,10 +288,7 @@ def _check_output_sizes(model: ModelConfig) -> None:
 def train_model(config: ExperimentConfig, weights: MtlWeights, seed: int,
                 ds: DatasetSplit) -> tuple[ModelParams, TrainLog]:
     """Train one model on ``ds`` with the training mix of ``weights``."""
-    if ds.feat_dim != config.model.feat_dim:
-        raise ConfigError(f"data has feat_dim {ds.feat_dim}, "
-                          f"model.feat_dim is {config.model.feat_dim}")
-    _check_output_sizes(config.model)
+    check_model_fits(config.model, ds.feat_dim)
     train_cfg = TrainConfig(weights=weights, epochs=config.epochs,
                             learning_rate=config.learning_rate,
                             batch_size=config.batch_size, seed=seed)
@@ -326,7 +303,7 @@ def evaluate_model(config: ExperimentConfig, params: ModelParams,
     attack ball is calibrated on all of ``test``. The attack targets are
     ``gen_adv_targets`` of the data's ``seed`` under ``config``'s
     ``n_targets`` and ``len_range``."""
-    _check_output_sizes(params.config)
+    check_model_fits(params.config, test[0].features.shape[1])
     targets = gen_adv_targets(seed, count=config.n_targets,
                               len_range=config.len_range)
     epsilon, alpha = calibrate(test, ratio=config.epsilon_ratio,

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
+from .data import check_real
 from .model import ModelParams, decoder_teacher_forced, discriminate, teacher_forcing
 
 NEG = -1.0e9  # exact log(0) stand-in; exp(NEG - x) == 0.0 for any sane x
@@ -60,12 +61,7 @@ class MtlWeights:
         if self.lambda_i_C is None:
             object.__setattr__(self, "lambda_i_C", self.lambda_t_C)
         for name in ("lambda_t_A", "lambda_t_C", "lambda_i_C"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, check_real(name, getattr(self, name), unit=True))
 
 
 @dataclass

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .data import DEFAULT_FEAT_DIM, N_ACCENTS, N_WORDS
+from .data import DEFAULT_FEAT_DIM, N_ACCENTS, N_WORDS, check_int
 
 
 class CheckpointError(Exception):
@@ -66,11 +66,8 @@ class ModelConfig:
         for name in ("feat_dim", "enc_hidden", "enc_layers", "dec_hidden",
                      "attn_dim", "emb_dim", "vocab_size", "disc_layers",
                      "disc_hidden", "n_accents"):
-            value = getattr(self, name)
-            if type(value) is not int:  # bool excluded
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
         if self.bidirectional is not False:
             raise ValueError(f"bidirectional must be false, got {self.bidirectional!r}")
 
@@ -645,8 +642,11 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path) as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: not a checkpoint file") from None
     if not lines or lines[0] != "robustasr-checkpoint v1":
         raise CheckpointError(f"{path}: not a checkpoint file")
     if len(lines) < 2 or not lines[1].startswith("config "):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError
-from .data import Utterance
+from .data import Utterance, check_int, check_real
 from .decode import DecodeResult, joint_greedy_decode
 from .losses import LossBreakdown, MtlWeights, ctc_loss, dec_loss, dis_loss, mtl_loss
 from .metrics import accent_accuracy, edit_distance_words, pooled_wer
@@ -45,13 +45,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        object.__setattr__(self, "learning_rate",
+                           check_real("learning_rate", self.learning_rate))
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -139,7 +137,11 @@ def train_mtl(model_config: ModelConfig, train_config: TrainConfig,
             for t in params.leaves():
                 t.data -= train_config.learning_rate * t.grad
             ad.zero_grad(params.leaves())
-        valid = _mean_breakdown(params, data.valid, weights, size)
+        try:
+            valid = _mean_breakdown(params, data.valid, weights, size)
+        except NonFiniteError as e:
+            raise TrainingDiverged(
+                f"non-finite loss at epoch {epoch}, in the validation pass") from e
         row = {"epoch": epoch}
         row.update({f"train_{k}": v / n for k, v in sums.items()})
         row.update({f"valid_{k}": v for k, v in valid.items()})

@@ -55,6 +55,20 @@ def test_config_validation():
     assert cfg.report_at == (0, 5)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # True compares as 1: one step, or a ball of radius 1
+    ("steps", True, "steps must be an integer, got True"),
+    ("steps", 2.0, "steps must be an integer, got 2.0"),
+    ("steps", -1, "steps must be >= 0, got -1"),
+    ("epsilon", True, "epsilon must be a real number, got True"),
+    ("alpha", "0.1", "alpha must be a real number, got '0.1'"),
+], ids=["steps_bool", "steps_float", "steps_negative", "epsilon_bool", "alpha_str"])
+def test_config_refuses_a_value_of_the_wrong_kind(field, value, message):
+    kwargs = {"epsilon": 1.0, "alpha": 0.1, "steps": 3, field: value}
+    with pytest.raises(ValueError, match=message):
+        AttackConfig(weights=MtlWeights(1.0, 0.5), **kwargs)
+
+
 @pytest.mark.parametrize("name", ["epsilon", "alpha"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_config_refuses_a_non_finite_epsilon_or_alpha(name, value):

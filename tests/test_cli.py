@@ -280,7 +280,8 @@ def test_perfbench_fixture_configs_hold_the_recorded_recipe():
 
 def test_main_refuses_bad_input_in_one_line(tmp_path, capsys):
     # a refused config value, a file that is not a JSON object, a missing
-    # data directory or checkpoint, and a rows CSV that does not parse:
+    # data directory or checkpoint, a checkpoint that does not fit the data,
+    # and a rows CSV that does not parse:
     # one line that names the cause, status 2, and nothing written
     out = tmp_path / "out"
     for i, (content, message) in enumerate([
@@ -336,6 +337,26 @@ def test_main_refuses_bad_input_in_one_line(tmp_path, capsys):
     _refused(capsys, ["grid", "--config", _write(tmp_path / "grid.json", grid),
                       "--out", str(out)],
              "^robustasr: error: non-finite loss at epoch 1, batch 2$")
+    # the epoch's one update diverges, and the validation pass meets it
+    _refused(capsys, ["train", "--config", _write(tmp_path / "one.json",
+                                                  {**small, "batch_size": 8}),
+                      "--data", str(data), "--out", str(out)],
+             "^robustasr: error: non-finite loss at epoch 1, in the validation pass$")
+    assert not out.exists()
+    # a checkpoint of another feature dimension than the data's, and a
+    # file that is not text
+    narrow = tmp_path / "narrow"
+    assert main(["gen-data", "--config", _write(tmp_path / "narrow.json",
+                                                {**small, "model": {"feat_dim": 8}}),
+                 "--out", str(narrow)]) == 0
+    for argv in (["eval"], ["attack", "--out", str(out)]):
+        _refused(capsys, argv + ["--data", str(narrow),
+                                 "--checkpoint", str(FIXTURE / "checkpoint.txt")],
+                 "^robustasr: error: data has feat_dim 8, model.feat_dim is 16$")
+    noise = tmp_path / "noise.txt"
+    noise.write_bytes(b"\xff" * 200)
+    _refused(capsys, ["eval", "--data", str(narrow), "--checkpoint", str(noise)],
+             f"^robustasr: error: {re.escape(str(noise))}: not a checkpoint file$")
     assert not out.exists()
     # a grid needs at least one worker
     for workers in ("0", "-3"):

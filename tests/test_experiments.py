@@ -199,6 +199,8 @@ def test_experiment_config_json_round_trip():
     again = ExperimentConfig.from_dict(json.loads(cfg.to_json()))
     assert again == cfg
     assert again.hash() == cfg.hash()
+    # the defaults hash as the floats and integers they are stored as
+    assert ExperimentConfig().hash() == "56985ccf4e43"
 
 
 def test_grid_spec_validation():
@@ -208,16 +210,19 @@ def test_grid_spec_validation():
         GridSpec(modes=("nope",))
     # each would fail only once a cell reads it, after earlier cells trained
     for name, values in [("lambda_t_A_values", (1.0, 1.5)), ("lambda_t_C_values", (-0.1,)),
-                         ("lambda_t_C_values", (float("nan"),)),
-                         ("lambda_t_A_values", (True,)), ("lambda_t_C_values", ("0.5",))]:
+                         ("lambda_t_C_values", (float("nan"),))]:
         with pytest.raises(ValueError, match=rf"{name} .* outside \[0, 1\]"):
             GridSpec(**{name: values})
-    for name, values in [("report_steps", (2.5,)), ("report_steps", ("10",)),
-                         ("report_steps", (False, 10)), ("seeds", (0, 1.0))]:
-        with pytest.raises(ValueError, match=f"{name} .* not an integer"):
+    for name, values in [("lambda_t_A_values", (True,)), ("lambda_t_C_values", ("0.5",))]:
+        with pytest.raises(ValueError, match=f"{name} entry must be a real number, "
+                                             f"got {values[0]!r}"):
+            GridSpec(**{name: values})
+    for name, values, bad in [("report_steps", (2.5,), 2.5), ("report_steps", ("10",), "10"),
+                              ("report_steps", (False, 10), False), ("seeds", (0, 1.0), 1.0)]:
+        with pytest.raises(ValueError, match=f"{name} entry must be an integer, got {bad!r}"):
             GridSpec(**{name: values})
     # numpy refuses a negative seed only once the cell's data is generated
-    with pytest.raises(ValueError, match=r"seeds \(0, -1\) holds a negative seed"):
+    with pytest.raises(ValueError, match="seeds entry must be >= 0, got -1"):
         GridSpec(seeds=(0, -1))
     # a lambda is stored as a float, so the rows spell 1 and 1.0 alike
     grid = GridSpec(lambda_t_A_values=(1, 0.7), lambda_t_C_values=(0, 0.5, 1))
@@ -233,7 +238,7 @@ def test_grid_spec_validation():
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"grid": {"report_steps": [10, -1]}}, "negative step"),
+    ({"grid": {"report_steps": [10, -1]}}, "report_steps entry must be >= 0, got -1"),
     ({"epsilon_ratio": 0.0}, "epsilon_ratio must be positive"),
     ({"alpha_fraction": -0.5}, "alpha_fraction must be positive"),
     ({"n_eval": 0}, "n_eval must be >= 1"),
@@ -242,14 +247,16 @@ def test_grid_spec_validation():
     ({"n_test": -1}, "n_test must be >= 1, got -1"),
     ({"grid": {"lambda_t_A_values": [1.0, 1.5]}}, r"lambda_t_A_values .* outside \[0, 1\]"),
     # a bool or a string is no weight, though True compares as 1
-    ({"grid": {"lambda_t_A_values": [True, 0.7]}}, r"lambda_t_A_values .* outside \[0, 1\]"),
-    ({"grid": {"lambda_t_C_values": [0.0, "0.5"]}}, r"lambda_t_C_values .* outside \[0, 1\]"),
+    ({"grid": {"lambda_t_A_values": [True, 0.7]}},
+     "lambda_t_A_values entry must be a real number, got True"),
+    ({"grid": {"lambda_t_C_values": [0.0, "0.5"]}},
+     "lambda_t_C_values entry must be a real number, got '0.5'"),
     ({"grid": {"lambda_t_C_values": [0.0, 0.5, 0.5]}}, "lambda_t_C_values .* repeats a value"),
     ({"grid": {"seeds": [0, 0]}}, "seeds .* repeats a value"),
     ({"grid": {"modes": ["match", "match"]}}, "modes .* repeats a value"),
-    ({"grid": {"report_steps": [2.5]}}, "report_steps .* not an integer"),
-    ({"grid": {"seeds": [0, True]}}, "seeds .* not an integer"),
-    ({"grid": {"seeds": [0, -1]}}, r"seeds \(0, -1\) holds a negative seed"),
+    ({"grid": {"report_steps": [2.5]}}, "report_steps entry must be an integer, got 2.5"),
+    ({"grid": {"seeds": [0, True]}}, "seeds entry must be an integer, got True"),
+    ({"grid": {"seeds": [0, -1]}}, "seeds entry must be >= 0, got -1"),
     ({"n_attack": 0}, "n_attack must be >= 1, got 0"),
     ({"n_attack": -1}, "n_attack must be >= 1, got -1"),
     # NaN passes a "<= 0" check: training would read it as a divergence,
@@ -295,6 +302,9 @@ def test_grid_spec_validation():
     ({"model": {"enc_hidden": 2.5}}, "enc_hidden must be an integer, got 2.5"),
     ({"model": {"enc_layers": True}}, "enc_layers must be an integer, got True"),
     ({"model": {"vocab_size": 0}}, "vocab_size must be >= 1, got 0"),
+    # init_params seeds numpy with it
+    ({"model": {"seed": -1}}, "seed must be >= 0, got -1"),
+    ({"model": {"seed": "x"}}, "seed must be an integer, got 'x'"),
     # the encoder runs forward only
     ({"model": {"bidirectional": True}}, "bidirectional must be false, got True"),
     ({"model": {"bidirectional": "yes"}}, "bidirectional must be false, got 'yes'"),
@@ -312,6 +322,7 @@ def test_grid_spec_validation():
         "n_train_float", "n_valid_bool", "n_test_str", "n_targets_float", "n_eval_float",
         "n_attack_bool", "epochs_float", "batch_size_float", "max_decode_len_float",
         "model_enc_hidden_float", "model_enc_layers_bool", "model_vocab_size_zero",
+        "model_seed_negative", "model_seed_str",
         "model_bidirectional_true", "model_bidirectional_yes"])
 def test_config_refuses_values_the_evaluation_cannot_use(change, message):
     # refused when the config is read, before a cell trains
@@ -360,7 +371,7 @@ def test_grid_check_rows_are_unchanged():
 
 def _refuses_before_training(field, value, message, monkeypatch):
     config = replace(TINY_GRID, model=replace(TINY_GRID.model, **{field: value}))
-    ds = make_data(config, 0)
+    ds = make_data(TINY_GRID, 0)
 
     def no_training(*args):
         raise AssertionError("train_mtl ran")
@@ -388,6 +399,12 @@ def test_model_n_accents_must_match_the_data_accents(value, monkeypatch):
     # extra ones are never trained
     _refuses_before_training("n_accents", value,
                              f"model.n_accents is {value}, the data has 2 accents",
+                             monkeypatch)
+
+
+def test_model_feat_dim_must_match_the_data(monkeypatch):
+    # an encoder of another input width fails only inside its first matmul
+    _refuses_before_training("feat_dim", 8, "data has feat_dim 16, model.feat_dim is 8",
                              monkeypatch)
 
 

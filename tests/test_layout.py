@@ -18,6 +18,11 @@ every attribute it reads through an imported package module, exists. So
 a package change that drops a name the benchmark uses fails here, not
 only when the benchmark runs.
 
+Kind-check guard: no package module but ``data.py`` spells a check of a
+value's kind, ``isinstance(v, bool)`` or ``type(v) is int``. A config
+value is checked through ``data.check_int`` and ``data.check_real``, so
+every field refuses a bool, and a wrong type, in the same words.
+
 ``perfbench/out/`` holds run outputs, copies included, and is not read.
 """
 
@@ -230,3 +235,31 @@ def test_every_package_name_perfbench_uses_exists():
                     if not hasattr(importlib.import_module(f"robustasr.{module}"), name)]
     assert not missing, "package names perfbench uses that do not exist:\n" + \
         "\n".join(missing)
+
+
+def _kind_checks(tree):
+    """The line of each ``isinstance(v, bool)`` (a tuple holding ``bool``
+    too) and each ``type(v) is int`` or ``type(v) is not int``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2:
+            kinds = node.args[1]
+            kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                yield node.lineno
+        elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Call) \
+                and isinstance(node.left.func, ast.Name) and node.left.func.id == "type" \
+                and any(isinstance(op, (ast.Is, ast.IsNot))
+                        and isinstance(c, ast.Name) and c.id == "int"
+                        for op, c in zip(node.ops, node.comparators)):
+            yield node.lineno
+
+
+def test_only_data_spells_a_kind_check():
+    spelled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "data.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            spelled += [f"{path.name}:{line}" for line in sorted(_kind_checks(tree))]
+    assert not spelled, "kind checks outside data.check_int and data.check_real:\n" + \
+        "\n".join(spelled)

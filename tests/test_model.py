@@ -558,6 +558,13 @@ def test_fixture_checkpoint_loads_to_pinned_bytes():
     assert h.hexdigest() == "bb26cea2f72a9ef7cd25d3cecd68076c50496a048c39be528c3bfc0c1379fde0"
 
 
+def test_a_file_that_is_not_utf8_is_not_a_checkpoint(tmp_path):
+    p = tmp_path / "model.ckpt"
+    p.write_bytes(np.random.default_rng(0).bytes(200))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(p))}: not a checkpoint file$"):
+        load_checkpoint(p)
+
+
 def test_checkpoint_repeated_block_fails(tmp_path):
     # A second ctc.b block of zeros would otherwise silently win.
     lines = FIXTURE.read_text().splitlines()

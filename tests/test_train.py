@@ -105,6 +105,18 @@ def test_divergence_reports_position(tiny_data):
         train_mtl(SMALL_MODEL, cfg, data)
 
 
+def test_divergence_in_the_validation_pass_names_it(tiny_data):
+    # the epoch's one update leaves non-finite weights, which only the
+    # validation pass runs on
+    data = DatasetSplit(train=tiny_data.train[:4], valid=tiny_data.valid[:2],
+                        test=tiny_data.test[:2], seed=0)
+    cfg = TrainConfig(weights=MtlWeights(0.7, 0.5), epochs=1, learning_rate=1e200,
+                      batch_size=4, seed=0)
+    with pytest.raises(TrainingDiverged,
+                       match=r"^non-finite loss at epoch 1, in the validation pass$"):
+        train_mtl(SMALL_MODEL, cfg, data)
+
+
 def test_untrained_model_has_high_wer(tiny_data):
     params = init_params(SMALL_MODEL)
     wer, _acc = evaluate_benign(params, tiny_data.test,
@@ -226,6 +238,23 @@ def test_train_config_refuses_a_non_finite_learning_rate():
     for lr in (math.nan, math.inf):
         with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
             TrainConfig(weights=MtlWeights(), learning_rate=lr)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # True compares as 1: a learning rate of 1, or one epoch
+    ("learning_rate", True, "learning_rate must be a real number, got True"),
+    ("learning_rate", "0.05", "learning_rate must be a real number, got '0.05'"),
+    ("epochs", True, "epochs must be an integer, got True"),
+    ("epochs", 2.0, "epochs must be an integer, got 2.0"),
+    ("batch_size", 2.5, "batch_size must be an integer, got 2.5"),
+    ("batch_size", False, "batch_size must be an integer, got False"),
+    ("seed", 1.0, "seed must be an integer, got 1.0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+], ids=["learning_rate_bool", "learning_rate_str", "epochs_bool", "epochs_float",
+        "batch_size_float", "batch_size_bool", "seed_float", "seed_negative"])
+def test_train_config_refuses_a_value_of_the_wrong_kind(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{"weights": MtlWeights(), "learning_rate": 0.05, field: value})
 
 
 @pytest.mark.parametrize("mix", [(1.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.7, 0.5)],
