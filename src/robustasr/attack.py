@@ -14,12 +14,13 @@ whole batch, under the batch contract stated in ``autodiff``. The step,
 projection, zero-gradient stop, loss trace and snapshots stay per row;
 ``pgd_attack`` and ``pgd_step`` are the batch of one.
 
+The loss is ``losses.objective`` at ``MtlWeights(1.0, lambda_i_C)``.
 What the perturbation cannot change is built once per attack, not per
-step: the frozen parameters, the one padding of the rows, and the
-decoder's teacher forcing (``model.teacher_forcing``: the targets' token
-framing and the decoder's recurrent states, which never see the input),
-built from the frozen parameters for all rows. Each step runs the
-encoder, the CTC loss and the decoder's attention and output layer,
+step: the frozen parameters, the one padding of the rows, the
+objective's weights, and the decoder's teacher forcing
+(``model.teacher_forcing``: the targets' token framing and the
+decoder's recurrent states, which never see the input). Each step runs
+the encoder, the CTC loss and the decoder's attention and output layer,
 their input-only backward, and the per-row step and projection.
 
 A row stops at its first exactly zero input gradient: its perturbation,
@@ -39,11 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
 from .data import check_int, check_real
-from .losses import MtlWeights, ctc_loss, ctc_min_frames, mix
-from .model import (ModelParams, TeacherForcing, ctc_head, decoder_teacher_forced, encode,
-                    pad_batch, teacher_forcing)
+from .losses import MtlWeights, ctc_min_frames, objective
+from .model import ModelParams, TeacherForcing, pad_batch, teacher_forcing
 
 
 @dataclass(frozen=True)
@@ -71,29 +70,6 @@ class PerturbationResult:
     delta_norms: list[float] = field(default_factory=list)
     step_norms: list[float] = field(default_factory=list)  # pre-projection
     converged_at: int | None = None
-
-
-def adv_loss(params: ModelParams, x: Tensor, forcing: TeacherForcing,
-             weights: MtlWeights, lengths=None) -> Tensor:
-    """Inference loss toward the attacker's transcription.
-
-    Mixes the CTC and decoder losses with the *inference* weight; heads
-    with exactly zero weight are never evaluated, mirroring how the
-    decode under attack uses them. ``x`` is a padded batch (B, T, F) with
-    per-row frame counts ``lengths``; ``forcing`` is the
-    ``teacher_forcing`` of ``params`` and one target per row, whose word
-    rows the CTC loss reads. The result is the (B,) per-row losses.
-    """
-    if x.ndim != 3:
-        raise ShapeError(f"adv_loss expects a (B, T, F) batch, got {x.shape}")
-    lam = weights.lambda_i_C
-    hidden = encode(params, x, lengths)
-    if lam == 0.0:
-        return decoder_teacher_forced(params, hidden, forcing, lengths)
-    l_ctc = ctc_loss(ctc_head(params, hidden), forcing.rows, lengths)
-    if lam == 1.0:
-        return l_ctc
-    return mix(lam, l_ctc, decoder_teacher_forced(params, hidden, forcing, lengths))
 
 
 def target_feasible(x: np.ndarray, target, weights: MtlWeights) -> bool:
@@ -154,21 +130,23 @@ class PgdStep:
 
 
 def _batch_step(params: ModelParams, x: np.ndarray, delta: np.ndarray,
-                lengths: list[int], forcing: TeacherForcing,
+                lengths: list[int], forcing: TeacherForcing, weights: MtlWeights,
                 config: AttackConfig) -> list[PgdStep]:
     """One PGD step of each row of a padded batch: one tape, one backward.
-    ``forcing`` is the rows' ``teacher_forcing`` of the frozen ``params``."""
+    ``forcing`` is the rows' ``teacher_forcing`` of the frozen ``params``
+    and ``weights`` the objective's, ``MtlWeights(1.0, lambda_i_C)``."""
     x_adv = ad.leaf(x + delta)
     with ad.tape():
-        losses = adv_loss(params, x_adv, forcing, config.weights, lengths)
-        ad.backward(ad.sum_(losses))
+        bd = objective(params, x_adv, lengths, forcing, None, weights)
+        ad.backward(bd.total)
+    grads, epsilon, alpha = x_adv.grad, config.epsilon, config.alpha
     out = []
-    for r, n in enumerate(lengths):
-        grad = x_adv.grad[r, :n]
+    for r, (n, loss) in enumerate(zip(lengths, bd.rows.data.tolist())):
+        grad = grads[r, :n]
         grad_norm = l2_norm(grad)
         new_delta, step_norm, delta_norm = _descend(delta[r, :n], grad, grad_norm,
-                                                    config.epsilon, config.alpha)
-        out.append(PgdStep(delta=new_delta, grad_norm=grad_norm, loss=float(losses.data[r]),
+                                                    epsilon, alpha)
+        out.append(PgdStep(delta=new_delta, grad_norm=grad_norm, loss=loss,
                            step_norm=step_norm, delta_norm=delta_norm))
     return out
 
@@ -185,7 +163,8 @@ def pgd_step(params: ModelParams, x: np.ndarray, delta: np.ndarray, target,
     """
     params = params.frozen()
     return _batch_step(params, x[None], delta[None], [x.shape[0]],
-                       teacher_forcing(params, [target]), config)[0]
+                       teacher_forcing(params, [target]),
+                       MtlWeights(1.0, config.weights.lambda_i_C), config)[0]
 
 
 def pgd_attack(params: ModelParams, x: np.ndarray, target,
@@ -217,6 +196,7 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
     x_pad, lengths = pad_batch(xs)
     delta = np.zeros_like(x_pad)
     forcing = teacher_forcing(params, targets)
+    weights = MtlWeights(1.0, config.weights.lambda_i_C)
     # Each row's delta is a view of its padded row until the attack ends.
     results = [PerturbationResult(delta=delta[r, :n], loss_trace=[])
                for r, n in enumerate(lengths)]
@@ -228,7 +208,7 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
                     res.snapshots[s] = x + res.delta
         if done:
             break
-        steps = _batch_step(params, x_pad, delta, lengths, forcing, config)
+        steps = _batch_step(params, x_pad, delta, lengths, forcing, weights, config)
         for res, out in zip(results, steps):
             if res.converged_at is not None:
                 continue
@@ -240,9 +220,10 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
             res.step_norms.append(out.step_norm)
             res.delta_norms.append(out.delta_norm)
     with ad.no_grad():
-        final = adv_loss(params, ad.constant(x_pad + delta), forcing, config.weights, lengths)
+        final = objective(params, ad.constant(x_pad + delta), lengths, forcing, None,
+                          weights).rows.data
     for r, res in enumerate(results):
-        res.loss_trace.append(float(final.data[r]))
+        res.loss_trace.append(float(final[r]))
         res.delta = res.delta.copy()
     return results
 

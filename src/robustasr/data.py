@@ -33,8 +33,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,13 +165,14 @@ def check_int(name: str, value, least: int) -> None:
 
 def check_real(name: str, value, unit: bool = False) -> float:
     """The float of a config value that is a real number, positive and
-    finite, or in [0, 1] under ``unit``; a bool is no number. Stored as a
-    float, 1 and 1.0 write and hash alike."""
+    finite (an integer past the largest float is not), or in [0, 1] under
+    ``unit``; a bool is no number. Stored as a float, 1 and 1.0 write and
+    hash alike."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     if unit and not 0.0 <= value <= 1.0:
         raise ValueError(f"{name}={value} outside [0, 1]")
-    if not unit and not (math.isfinite(value) and value > 0):
+    if not unit and not 0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return float(value)
 
@@ -286,14 +287,11 @@ def _read_recipe(outdir) -> tuple[str, dict]:
     if recipe["format"] != RECIPE_TAG:
         raise DataError(f"{path}: format {recipe['format']!r} is not read, only "
                         f"{RECIPE_TAG!r}; rerun gen-data")
-    for key in _RECIPE_INTS:
-        least = 0 if key == "seed" else 1
-        if type(recipe[key]) is not int or recipe[key] < least:
-            raise DataError(f"{path}: {key} must be an integer >= {least}, "
-                            f"got {recipe[key]!r}")
     try:
+        for key in _RECIPE_INTS:
+            check_int(key, recipe[key], 0 if key == "seed" else 1)
         check_len_range(recipe["len_range"])
-    except DataError as e:
+    except ValueError as e:
         raise DataError(f"{path}: {e}") from None
     digests = recipe["sha256"]
     if not (isinstance(digests, dict) and sorted(digests) == sorted(_SPLITS)

@@ -254,13 +254,11 @@ def joint_greedy_decode(params: ModelParams, hidden: Tensor, weights: MtlWeights
             if dec_state is not None:
                 dec_logp, dec_state = decoder_advance(params, hidden, dec_state, tokens)
                 dec_scores = dec_logp.data
-            if scorer is None:
-                combined = dec_scores
-            else:
+            if scorer is not None:
                 psi, eos_score, phi, first = scorer.extend(state, lam, dec_scores)
                 ctc_inc = np.concatenate([psi, eos_score[:, None]], axis=1) - state.psi[:, None]
-                with np.errstate(invalid="ignore"):
-                    combined = mix(lam, ctc_inc, dec_scores)
+            with np.errstate(invalid="ignore"):
+                combined = mix(lam, ctc_inc, dec_scores)
             c = np.argmax(combined, axis=1)
             picked = np.arange(len(live)), c
             for r, tok, scores in zip(live.tolist(), c.tolist(), zip(

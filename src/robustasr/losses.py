@@ -1,5 +1,9 @@
 """Task losses and their weighted blends.
 
+``objective`` is the one loss of training, validation and the attack;
+``mix`` is exact at weights 0 and 1, so a head at weight zero is neither
+run nor blended.
+
 The CTC loss runs the standard forward recursion over the blank-extended
 label sequence entirely in log space, as one fused tape op: the lattice
 is a numpy loop over frames with a hand-written backward (the
@@ -9,10 +13,9 @@ precision the sentinel's contribution underflows to exactly zero in
 every logsumexp, so values and gradients are bit-for-bit what a true
 -inf would give while every lattice array stays finite, and one
 finiteness check over the alphas catches a non-finite input. The
-decoder loss is one fused op too, ``model.decoder_teacher_forced``: it
-averages over the output steps itself, and ``model.teacher_forcing``
-frames each target with sos and eos, so ``dec_loss`` only builds that
-forcing and lifts one utterance to the batch of one.
+decoder loss is one fused op too, ``model.decoder_teacher_forced`` of a
+``model.teacher_forcing``; ``dec_loss`` is the batch-of-one helper that
+builds that forcing for one utterance.
 
 Each task loss takes a padded batch (B, T, ·) with per-row frame counts
 ``lengths`` and one target per row, and gives the (B,) per-row losses
@@ -36,7 +39,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .data import check_real
-from .model import ModelParams, decoder_teacher_forced, discriminate, teacher_forcing
+from .model import (ModelParams, TeacherForcing, ctc_head, decoder_teacher_forced, discriminate,
+                    encode, teacher_forcing)
 
 NEG = -1.0e9  # exact log(0) stand-in; exp(NEG - x) == 0.0 for any sane x
 
@@ -66,14 +70,20 @@ class MtlWeights:
 
 @dataclass
 class LossBreakdown:
-    """Loss components in nats, summed over a batch's rows; ``total`` is
-    the differentiable sum of the rows' blends."""
+    """Each head's (B,) per-row losses (0.0 for a head not run), their
+    per-row blend ``rows`` and its differentiable sum ``total``. The
+    ``l_*`` sums in nats are computed only when read."""
 
-    l_ctc: float
-    l_dec: float
-    l_dis: float
-    l_mtl: float
-    total: "Tensor | float" = field(repr=False, default=0.0)
+    ctc: "Tensor | float"
+    dec: "Tensor | float"
+    dis: "Tensor | float"
+    rows: "Tensor | float"
+    total: "Tensor | float" = field(repr=False)
+
+    l_ctc = property(lambda self: _as_float(self.ctc))
+    l_dec = property(lambda self: _as_float(self.dec))
+    l_dis = property(lambda self: _as_float(self.dis))
+    l_mtl = property(lambda self: _as_float(self.total))
 
 
 def _as_float(v) -> float:
@@ -200,22 +210,19 @@ def ctc_loss(logp: Tensor, y: Sequence, lengths=None) -> Tensor:
     return ad.record_op((logp,), -tail[:, 0] * scale, bwd)
 
 
-def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence,
-             lengths=None) -> Tensor:
+def dec_loss(params: ModelParams, hidden: Tensor, y: Sequence) -> Tensor:
     """Teacher-forced decoder negative log-likelihood, averaged per step.
 
-    ``hidden`` is a padded batch (B, T, d) with per-row frame counts
-    ``lengths`` and ``y`` holds one target of word ids per row; one (T, d)
-    utterance and its target give a scalar. An empty target is legal and
-    means "predict eos immediately". The loss is one fused op,
-    ``model.decoder_teacher_forced``, of a forcing built on every call,
-    since training changes the parameters between calls. So a batch
-    records one tape entry whatever the length of its targets; one
-    utterance adds the two ``take`` records of its lift.
+    ``hidden`` is a batch (B, T, d) of full-length rows and ``y`` holds
+    one target of word ids per row; one (T, d) utterance and its target
+    give a scalar. An empty target is legal and means "predict eos
+    immediately". The loss is one fused op, so a batch records one tape
+    entry whatever the length of its targets; one utterance adds the two
+    ``take`` records of its lift.
     """
     if hidden.ndim == 2:
         return dec_loss(params, hidden[None], [y])[0]
-    return decoder_teacher_forced(params, hidden, teacher_forcing(params, y), lengths)
+    return decoder_teacher_forced(params, hidden, teacher_forcing(params, y))
 
 
 def dis_loss(params: ModelParams, hidden: Tensor, accent, lengths=None) -> Tensor:
@@ -237,8 +244,13 @@ def dis_loss(params: ModelParams, hidden: Tensor, accent, lengths=None) -> Tenso
 
 def mix(lam: float, a, b):
     """``lam * a + (1 - lam) * b``, the blend of two heads in training, in the
-    attack and at each decode step. Every operation rounds monotonically,
-    so a bound on ``a`` bounds the blend computed."""
+    attack and at each decode step. At ``lam`` 1 it is ``a`` itself and at
+    0 ``b``, unrecorded, and the other side is never read. Every operation
+    rounds monotonically, so a bound on ``a`` bounds the blend computed."""
+    if lam == 1.0:
+        return a
+    if lam == 0.0:
+        return b
     return lam * a + (1.0 - lam) * b
 
 
@@ -250,14 +262,29 @@ def mtl_loss(weights: MtlWeights, l_ctc, l_dec, l_dis) -> LossBreakdown:
     entirely); ``total`` stays differentiable whenever any live
     component is a tensor, and is the sum of the rows' blends.
     """
-    l_asr = mix(weights.lambda_t_C, l_ctc, l_dec)
-    total = mix(weights.lambda_t_A, l_asr, l_dis)
-    if isinstance(total, Tensor) and total.ndim:
-        total = ad.sum_(total)
-    return LossBreakdown(
-        l_ctc=_as_float(l_ctc),
-        l_dec=_as_float(l_dec),
-        l_dis=_as_float(l_dis),
-        l_mtl=_as_float(total),
-        total=total,
-    )
+    rows = mix(weights.lambda_t_A, mix(weights.lambda_t_C, l_ctc, l_dec), l_dis)
+    total = ad.sum_(rows) if isinstance(rows, Tensor) and rows.ndim else rows
+    return LossBreakdown(ctc=l_ctc, dec=l_dec, dis=l_dis, rows=rows, total=total)
+
+
+def objective(params: ModelParams, x: Tensor, lengths, forcing: TeacherForcing,
+              accents, weights: MtlWeights) -> LossBreakdown:
+    """The loss of training, validation and the attack (which runs it at
+    ``MtlWeights(1.0, lambda_i_C)``) on a padded (B, T, F) batch ``x``
+    with per-row frame counts ``lengths``.
+
+    ``forcing`` is the ``teacher_forcing`` of ``params`` and the rows'
+    targets, whose word rows the CTC loss reads, and ``accents`` holds a
+    label per row. The batch is encoded once, and each head runs only at
+    a weight above zero in ``mtl_loss``'s blend.
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"objective expects a (B, T, F) batch, got {x.shape}")
+    hidden = encode(params, x, lengths)
+    lam_a, lam_c = weights.lambda_t_A, weights.lambda_t_C
+    l_ctc = ctc_loss(ctc_head(params, hidden), forcing.rows, lengths) \
+        if lam_a > 0.0 and lam_c > 0.0 else 0.0
+    l_dec = decoder_teacher_forced(params, hidden, forcing, lengths) \
+        if lam_a > 0.0 and lam_c < 1.0 else 0.0
+    l_dis = dis_loss(params, hidden, accents, lengths) if lam_a < 1.0 else 0.0
+    return mtl_loss(weights, l_ctc, l_dec, l_dis)

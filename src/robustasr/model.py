@@ -456,10 +456,11 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor, forcing: Teacher
     ``lengths``; ``forcing`` is ``teacher_forcing`` of ``params`` and one
     row of word ids per batch row. The recurrent states never see
     ``hidden``, so the forcing holds them: an attack builds it once and
-    reuses it on every step, while ``losses.dec_loss`` builds it on every
-    call. Row b's loss is divided by its output steps, ``forcing.steps[b]``:
-    its words, then eos. Attention gives padded frames exactly zero
-    weight, and padded steps get exactly zero gradient.
+    reuses it on every step, while a training batch builds its own, as
+    each update changes the parameters. Row b's loss is divided by its
+    output steps, ``forcing.steps[b]``: its words, then eos. Attention
+    gives padded frames exactly zero weight, and padded steps get exactly
+    zero gradient.
 
     One tape entry, whatever the targets' lengths; ``losses.dec_loss``
     lifts one utterance to the batch of one, which adds its two ``take``

@@ -10,8 +10,8 @@ objective is computed with the same weights, in batches of the same
 size, and the returned parameters are the snapshot with the lowest
 validation loss seen across all epochs.
 
-Heads whose mixing weight is exactly zero are skipped entirely, so
-their parameters provably receive zero gradient.
+Heads whose mixing weight is exactly zero are skipped entirely by
+``losses.objective``, so their parameters provably receive zero gradient.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from . import autodiff as ad
 from .autodiff import NonFiniteError
 from .data import Utterance, check_int, check_real
 from .decode import DecodeResult, joint_greedy_decode
-from .losses import LossBreakdown, MtlWeights, ctc_loss, dec_loss, dis_loss, mtl_loss
+from .losses import LossBreakdown, MtlWeights, objective
 from .metrics import accent_accuracy, edit_distance_words, pooled_wer
-from .model import (ModelConfig, ModelParams, ctc_head, discriminate, encode,
-                    init_params, pad_batch)
+from .model import (ModelConfig, ModelParams, discriminate, encode, init_params, pad_batch,
+                    teacher_forcing)
 
 
 class TrainingDiverged(Exception):
@@ -73,19 +73,12 @@ class TrainLog:
 
 def batch_losses(params: ModelParams, utts: Sequence[Utterance],
                  weights: MtlWeights) -> LossBreakdown:
-    """Forward a padded batch of utterances through the encoder and the
-    active heads; the breakdown sums the rows' losses."""
+    """``losses.objective`` of a padded batch of utterances, each with its
+    own transcript and accent."""
     x, lengths = pad_batch([u.features for u in utts])
-    hidden = encode(params, ad.constant(x), lengths)
-    targets = [u.transcript for u in utts]
-    lam_a, lam_c = weights.lambda_t_A, weights.lambda_t_C
-    l_ctc = ctc_loss(ctc_head(params, hidden), targets, lengths) \
-        if lam_a > 0.0 and lam_c > 0.0 else 0.0
-    l_dec = dec_loss(params, hidden, targets, lengths) \
-        if lam_a > 0.0 and lam_c < 1.0 else 0.0
-    l_dis = dis_loss(params, hidden, [u.accent for u in utts], lengths) \
-        if lam_a < 1.0 else 0.0
-    return mtl_loss(weights, l_ctc, l_dec, l_dis)
+    forcing = teacher_forcing(params, [u.transcript for u in utts])
+    return objective(params, ad.constant(x), lengths, forcing, [u.accent for u in utts],
+                     weights)
 
 
 def sample_losses(params: ModelParams, utt: Utterance,

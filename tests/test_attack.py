@@ -11,7 +11,6 @@ from robustasr import autodiff as ad
 from robustasr.attack import (
     AttackConfig,
     PerturbationResult,
-    adv_loss,
     calibrate,
     l2_norm,
     l2_step,
@@ -23,9 +22,10 @@ from robustasr.attack import (
 )
 from robustasr.data import gen_adv_targets, gen_dataset, select_adv_target
 from robustasr.decode import joint_greedy_decode
-from robustasr.losses import CtcInfeasibleError, MtlWeights, ctc_loss, ctc_min_frames, dec_loss
-from robustasr.model import (ModelConfig, ctc_head, encode, init_params, load_checkpoint,
-                             teacher_forcing)
+from robustasr.losses import (CtcInfeasibleError, MtlWeights, ctc_loss, ctc_min_frames, dec_loss,
+                              objective)
+from robustasr.model import (ModelConfig, ctc_head, decoder_teacher_forced, encode, init_params,
+                             load_checkpoint, teacher_forcing)
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=4, disc_hidden=4, seed=5)
@@ -83,12 +83,13 @@ def test_adv_loss_boundaries(params):
     x_np = rng.normal(size=(6, TINY.feat_dim))
     target = [1, 2]
     x = ad.constant(x_np)
-    dec_only = adv_loss(params, x[None], teacher_forcing(params, [target]),
-                        MtlWeights(1.0, 0.5, lambda_i_C=0.0))
+    # the attack's loss is the objective at MtlWeights(1.0, lambda_i_C)
+    dec_only = objective(params, x[None], None, teacher_forcing(params, [target]), None,
+                         MtlWeights(1.0, 0.0)).rows
     assert float(dec_only.data[0]) == pytest.approx(
         float(dec_loss(params, encode(params, x), target).data), abs=1e-12)
-    ctc_only = adv_loss(params, x[None], teacher_forcing(params, [target]),
-                        MtlWeights(1.0, 0.5, lambda_i_C=1.0))
+    ctc_only = objective(params, x[None], None, teacher_forcing(params, [target]), None,
+                         MtlWeights(1.0, 1.0)).rows
     assert float(ctc_only.data[0]) == pytest.approx(
         float(ctc_loss(ctc_head(params, encode(params, x)), target).data), abs=1e-12)
 
@@ -96,10 +97,11 @@ def test_adv_loss_boundaries(params):
 def test_adv_loss_input_gradient_matches_fd(params):
     rng = np.random.default_rng(2)
     x = ad.leaf(rng.normal(size=(5, TINY.feat_dim)))
-    w = MtlWeights(1.0, 0.5, lambda_i_C=0.6)
+    w = MtlWeights(1.0, 0.6)
 
     def f(t):
-        return adv_loss(params, t[None], teacher_forcing(params, [[0, 3]]), w)[0]
+        return objective(params, t[None], None, teacher_forcing(params, [[0, 3]]), None,
+                         w).rows[0]
 
     with ad.tape():
         ad.backward(f(x))
@@ -110,7 +112,8 @@ def test_adv_loss_input_gradient_matches_fd(params):
 def test_adv_loss_infeasible_target(params):
     x = ad.constant(np.zeros((2, TINY.feat_dim)))
     with pytest.raises(CtcInfeasibleError):
-        adv_loss(params, x[None], teacher_forcing(params, [[0, 1, 2]]), MtlWeights(1.0, 1.0))
+        objective(params, x[None], None, teacher_forcing(params, [[0, 1, 2]]), None,
+                  MtlWeights(1.0, 1.0))
     assert not target_feasible(np.zeros((2, TINY.feat_dim)), [0, 1, 2],
                                MtlWeights(1.0, 1.0))
     assert target_feasible(np.zeros((2, TINY.feat_dim)), [0, 1, 2],
@@ -338,8 +341,8 @@ def test_pgd_differentiates_only_its_input(cfg, lam_i):
         for p in (params, params.frozen()):
             x_adv = ad.leaf(x + delta)
             with ad.tape():
-                loss = adv_loss(p, x_adv[None], teacher_forcing(p, [target]),
-                                attack_cfg.weights)[0]
+                loss = objective(p, x_adv[None], None, teacher_forcing(p, [target]), None,
+                                 MtlWeights(1.0, lam_i)).rows[0]
                 ad.backward(loss)
             grads.append(x_adv.grad.tobytes())
         assert grads[0] == grads[1]
@@ -347,6 +350,27 @@ def test_pgd_differentiates_only_its_input(cfg, lam_i):
         delta, _ = l2_step(delta, x_adv.grad, attack_cfg.epsilon, attack_cfg.alpha)
     assert result.delta.tobytes() == delta.tobytes()
     assert result.loss_trace[:-1] == trace
+
+
+@pytest.mark.parametrize("lam_i, records", [(0.0, 4), (0.5, 9), (1.0, 5)])
+def test_pgd_step_record_count(lam_i, records, monkeypatch):
+    # One step's tape at DEEP's two encoder layers: the encoder, then the
+    # decoder loss (1), the CTC head and loss (2), or both and the blend's
+    # three records, and the rows' sum. A head at weight zero adds
+    # nothing, and the objective adds no glue records to the step.
+    seen, backward = [], ad.backward
+
+    def counted(loss):
+        seen.append(len(ad._tape))
+        backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counted)
+    x = np.random.default_rng(3).normal(size=(6, DEEP.feat_dim))
+    cfg = AttackConfig(epsilon=1.0, alpha=0.1, steps=1,
+                       weights=MtlWeights(0.7, 0.5, lambda_i_C=lam_i))
+    pgd_step(init_params(DEEP), x, np.zeros_like(x), [1, 3], cfg)
+    pgd_attack_batch(init_params(DEEP), [x, x[:4]], [[1, 3], [2]], cfg)
+    assert seen == [records, records]
 
 
 def test_frozen_params_freeze_once(params):
@@ -400,21 +424,22 @@ def test_batched_adv_loss_matches_batch_of_one(case):
     params = init_params(cfg).frozen()
     rng = np.random.default_rng(seed)
     xs = [rng.normal(size=(n, cfg.feat_dim)) for n in lengths]
-    weights = MtlWeights(1.0, 0.5, lambda_i_C=lam)
+    weights = MtlWeights(1.0, lam)
     x = ad.leaf(_pad(xs))
     forcing = teacher_forcing(params, targets)
     if lam > 0.0 and not all(targets):
         with pytest.raises(ValueError, match="a CTC target must hold at least one word"):
-            adv_loss(params, x, forcing, weights, lengths)
+            objective(params, x, lengths, forcing, None, weights)
         return
     with ad.tape():
-        losses = adv_loss(params, x, forcing, weights, lengths)
+        losses = objective(params, x, lengths, forcing, None, weights).rows
         ad.backward(ad.sum_(losses))
     assert losses.shape == (len(xs),)
     for r, (x_r, target, n) in enumerate(zip(xs, targets, lengths)):
         one = ad.leaf(x_r)
         with ad.tape():
-            loss = adv_loss(params, one[None], teacher_forcing(params, [target]), weights)[0]
+            loss = objective(params, one[None], None, teacher_forcing(params, [target]), None,
+                             weights).rows[0]
             ad.backward(loss)
         assert close_to(losses.data[r], loss.data, 1e-12)
         assert close_to(x.grad[r, :n], one.grad, 1e-12)
@@ -430,17 +455,18 @@ def test_batched_row_gradient_matches_fd(lam_i):
     lengths = [7, 4, 6]
     targets = [[1, 1, 3], [2, 0], [3]]
     x_pad = _pad([rng.normal(size=(n, DEEP.feat_dim)) for n in lengths])
-    weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
+    weights = MtlWeights(1.0, lam_i)
     forcing = teacher_forcing(params, targets)
 
     def row_loss(t):
         batch = x_pad.copy()
         batch[1] = t.data
-        return float(adv_loss(params, ad.constant(batch), forcing, weights, lengths).data[1])
+        return float(objective(params, ad.constant(batch), lengths, forcing, None,
+                               weights).rows.data[1])
 
     x = ad.leaf(x_pad)
     with ad.tape():
-        ad.backward(ad.sum_(adv_loss(params, x, forcing, weights, lengths)))
+        ad.backward(objective(params, x, lengths, forcing, None, weights).total)
     fd = fd_gradient(row_loss, ad.constant(x_pad[1]))
     assert rel_err(x.grad[1], fd.data) < 1e-6
     assert np.all(x.grad[1, 4:] == 0.0)
@@ -456,7 +482,8 @@ def test_batch_parameter_gradients_sum_the_rows():
     xs = [rng.normal(size=(n, DEEP.feat_dim)) for n in lengths]
     with ad.tape():
         hidden = encode(params, ad.constant(_pad(xs)), lengths)
-        ad.backward(ad.sum_(dec_loss(params, hidden, targets, lengths)))
+        ad.backward(ad.sum_(decoder_teacher_forced(params, hidden,
+                                                   teacher_forcing(params, targets), lengths)))
     got = {n: t.grad.copy() for n, t in params.items()}
     ad.zero_grad(params.leaves())
     for x, target in zip(xs, targets):

@@ -289,6 +289,8 @@ def test_main_refuses_bad_input_in_one_line(tmp_path, capsys):
             ({"weights": {"lambda_t_A": "0.5"}}, "lambda_t_A must be a real number, got '0.5'"),
             ({"weights": {"lambda_t_A": True}}, "lambda_t_A must be a real number, got True"),
             ({"epsilon_ratio": "0.1"}, "epsilon_ratio must be a real number, got '0.1'"),
+            # an integer past the largest float is no finite real
+            ({"learning_rate": 10 ** 400}, "learning_rate must be positive and finite, got 10+$"),
             ({"weights": 0.5}, "weights must be a JSON object, got 0.5"),
             ("{not json", "Expecting property name"),
             ("[1, 2]", "not a JSON object")]):

@@ -191,11 +191,13 @@ def test_load_refuses_a_bad_recipe(tmp_path):
     refused("unknown key 'n_tests'")
     path.write_text(json.dumps({k: v for k, v in good.items() if k != "feat_dim"}))
     refused("missing key 'feat_dim'")
-    for key, bad in [("seed", "5"), ("seed", -1), ("n_train", 3.0), ("n_valid", True),
-                     ("n_test", 0), ("feat_dim", None)]:
+    for key, bad, message in [("seed", "5", "an integer, got '5'"), ("seed", -1, ">= 0, got -1"),
+                              ("n_train", 3.0, "an integer, got 3.0"),
+                              ("n_valid", True, "an integer, got True"),
+                              ("n_test", 0, ">= 1, got 0"),
+                              ("feat_dim", None, "an integer, got None")]:
         edited(**{key: bad})
-        refused(rf"{key} must be an integer >= {0 if key == 'seed' else 1}, "
-                rf"got {bad!r}")
+        refused(f"{key} must be {message}")
     edited(len_range=[3, 2])
     refused(r"len_range \(3, 2\) must be two integers")
     edited(sha256={"train": good["sha256"]["train"]})

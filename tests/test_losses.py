@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustasr import attack, losses
+from robustasr import losses
 from robustasr import autodiff as ad
-from robustasr.attack import adv_loss
 from robustasr.data import Utterance
 from robustasr.losses import (
     CtcInfeasibleError,
@@ -17,7 +16,9 @@ from robustasr.losses import (
     ctc_min_frames,
     dec_loss,
     dis_loss,
+    mix,
     mtl_loss,
+    objective,
 )
 from robustasr.model import ModelConfig, ctc_head, encode, init_params, teacher_forcing
 from robustasr.train import sample_losses
@@ -355,18 +356,18 @@ def test_training_mix_with_op_by_op_ctc_head_bit_identical(cfg, y):
 @pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("y", TARGETS, ids=["empty", "repeat", "mixed", "one"])
 def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
-    weights = MtlWeights(1.0, 0.5, lambda_i_C=lam_i)
+    weights = MtlWeights(1.0, lam_i)  # the attack's loss
 
     def run(p, x):
-        return adv_loss(p, x[None], teacher_forcing(p, [y]), weights)[0]
+        return objective(p, x[None], None, teacher_forcing(p, [y]), None, weights).rows[0]
 
     if lam_i > 0.0 and _refused_by_ctc(lambda: _grads(DEEP, run), y):
         return
     fused = _grads(DEEP, run)
     # the op-by-op references on the batch of one
-    monkeypatch.setattr(attack, "decoder_teacher_forced",
+    monkeypatch.setattr(losses, "decoder_teacher_forced",
                         lambda p, h, f, lengths: reference_dec_loss(p, h[0], f.rows[0])[None])
-    monkeypatch.setattr(attack, "ctc_loss",
+    monkeypatch.setattr(losses, "ctc_loss",
                         lambda logp, y, lengths: reference_ctc_loss(logp[0], y[0])[None])
     if lam_i == 1.0:
         # CTC alone, no decoder: the gradients are still bit-identical
@@ -403,6 +404,24 @@ def test_discriminator_bit_identical_to_op_by_op_in_training_mix(cfg, y, monkeyp
     monkeypatch.setattr(losses, "discriminate",
                         lambda p, h, lengths=None: reference_discriminate(p, h[0])[None])
     assert run() == fused
+
+
+def test_mix_is_exact_at_zero_and_one():
+    # The side at weight zero is never read: a nan or an inf there does
+    # not reach the blend, and the other side comes back itself, bit for
+    # bit (-0.0 included) and with no tape record.
+    for side in (2.5, -0.0):
+        assert mix(1.0, side, math.nan).hex() == side.hex()
+        assert mix(0.0, math.inf, side).hex() == side.hex()
+    rows = ad.leaf(np.array([0.3, -0.0, 2.5]))
+    with ad.tape() as tp:
+        assert mix(1.0, rows, math.nan) is rows
+        assert mix(0.0, math.inf, rows) is rows
+        assert len(tp) == 0
+        blend = mix(0.5, rows, rows)  # inside (0, 1) both sides are read
+        assert len(tp) == 3
+    assert blend.data.tobytes() == rows.data.tobytes()
+    assert math.isnan(mix(0.5, 2.0, math.nan))
 
 
 def test_dis_loss_records_three_ops(params, hidden):

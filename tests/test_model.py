@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from robustasr import autodiff as ad
-from robustasr.attack import adv_loss
 from robustasr.decode import CtcPrefixScorer
-from robustasr.losses import MtlWeights, ctc_loss
+from robustasr.losses import MtlWeights, ctc_loss, objective
 from robustasr.model import (
     CheckpointError,
     ModelConfig,
@@ -180,7 +179,7 @@ def test_encode_rejects_empty_and_mismatched_input(params):
 
 
 @pytest.mark.parametrize("kernel", ["tanh_rnn", "decoder_teacher_forced",
-                                    "discriminate", "adv_loss"])
+                                    "discriminate", "objective"])
 def test_batch_only_kernels_refuse_one_sequence(params, kernel):
     # One utterance enters through encode and the task losses, never here.
     h = ad.constant(np.ones((4, TINY.enc_hidden)))
@@ -191,7 +190,8 @@ def test_batch_only_kernels_refuse_one_sequence(params, kernel):
         "decoder_teacher_forced": lambda: decoder_teacher_forced(
             params, h, teacher_forcing(params, [[1]])),
         "discriminate": lambda: discriminate(params, h),
-        "adv_loss": lambda: adv_loss(params, x, teacher_forcing(params, [[1]]), MtlWeights()),
+        "objective": lambda: objective(params, x, None, teacher_forcing(params, [[1]]), [0],
+                                       MtlWeights()),
     }[kernel]
     with pytest.raises(ad.ShapeError, match=r"\(B, T, \w+\) batch, got \(4, \d+\)$"):
         call()

@@ -233,6 +233,24 @@ def test_training_pass_record_count_guard():
             assert len(tp) <= 20
 
 
+@pytest.mark.parametrize("mix, records", [
+    ((0.7, 0.5), 15), ((1.0, 0.0), 4), ((1.0, 1.0), 5), ((1.0, 0.5), 9), ((0.7, 0.0), 10),
+    ((0.7, 1.0), 11), ((0.0, 0.5), 6)],
+    ids=["mtl3", "stl_dec", "stl_ctc", "asr_only", "no_ctc", "no_dec", "dis_only"])
+def test_training_batch_record_count(mix, records):
+    # A batch's tape at two encoder layers: the encoder (2), the CTC head
+    # and loss (2), the decoder loss (1), the accent head (3), a blend's
+    # three records for each weight strictly inside (0, 1), and the rows'
+    # sum. A head at weight exactly 0 or 1 adds no glue record.
+    params = init_params(ModelConfig())
+    rng = np.random.default_rng(1)
+    batch = [Utterance(id=f"u{i}", features=rng.normal(size=(12 - i, 16)),
+                       transcript=(3, 5, 5, 1)[:1 + i], accent=i % 2) for i in range(3)]
+    with ad.tape() as tp:
+        batch_losses(params, batch, MtlWeights(*mix))
+        assert len(tp) == records
+
+
 def test_train_config_refuses_a_non_finite_learning_rate():
     # NaN passes a "<= 0" check and would surface as a divergence
     for lr in (math.nan, math.inf):
