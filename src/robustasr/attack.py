@@ -7,19 +7,23 @@ perturbation back onto the epsilon-ball around the original input.
 Initialization is the zero perturbation, so runs are fully
 deterministic.
 
-``pgd_attack_batch`` attacks several utterances at once. Each step runs
-one tape and one backward of the rows' summed losses over the padded
-(B, T_max, F) batch: one encoder scan and one decoder pass for the
-whole batch, under the batch contract stated in ``autodiff``. The step,
-projection, zero-gradient stop, loss trace and snapshots stay per row;
-``pgd_attack`` and ``pgd_step`` are the batch of one.
+``pgd_attack_batch`` holds the one PGD step loop and attacks several
+utterances at once. Each step runs one tape and one backward of the
+rows' summed losses over the padded (B, T_max, F) batch: one encoder
+scan and one decoder pass for the whole batch, under the batch contract
+stated in ``autodiff``. Then one pass over the rows takes each row's
+loss, gradient norm, zero-gradient stop, step and projection; a row
+that has stopped is skipped before any of it. ``pgd_attack`` is the
+batch of one, and ``pgd_step`` its first step (one step, no snapshots,
+from the zero start), kept for ``perfbench`` and the tests.
 
 The loss is ``losses.objective`` at ``MtlWeights(1.0, lambda_i_C)``.
 What the perturbation cannot change is built once per attack, not per
 step: the frozen parameters, the one padding of the rows, the
 objective's weights, and the decoder's teacher forcing
-(``model.teacher_forcing``: the targets' token framing and the
-decoder's recurrent states, which never see the input). Each step runs
+(``model.teacher_forcing``: the targets' token framing, and the
+decoder's recurrent states, which never see the input and are run at
+the decoder's first read, so never at lambda_i_C = 1). Each step runs
 the encoder, the CTC loss and the decoder's attention and output layer,
 their input-only backward, and the per-row step and projection.
 
@@ -35,14 +39,14 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import check_int, check_real
 from .losses import MtlWeights, ctc_min_frames, objective
-from .model import ModelParams, TeacherForcing, pad_batch, teacher_forcing
+from .model import ModelParams, pad_batch, teacher_forcing
 
 
 @dataclass(frozen=True)
@@ -120,51 +124,14 @@ def l2_step(delta: np.ndarray, grad: np.ndarray, epsilon: float,
     return _descend(delta, grad, l2_norm(grad), epsilon, alpha)[:2]
 
 
-@dataclass
-class PgdStep:
-    delta: np.ndarray
-    grad_norm: float
-    loss: float
-    step_norm: float
-    delta_norm: float  # of the new perturbation
-
-
-def _batch_step(params: ModelParams, x: np.ndarray, delta: np.ndarray,
-                lengths: list[int], forcing: TeacherForcing, weights: MtlWeights,
-                config: AttackConfig) -> list[PgdStep]:
-    """One PGD step of each row of a padded batch: one tape, one backward.
-    ``forcing`` is the rows' ``teacher_forcing`` of the frozen ``params``
-    and ``weights`` the objective's, ``MtlWeights(1.0, lambda_i_C)``."""
-    x_adv = ad.leaf(x + delta)
-    with ad.tape():
-        bd = objective(params, x_adv, lengths, forcing, None, weights)
-        ad.backward(bd.total)
-    grads, epsilon, alpha = x_adv.grad, config.epsilon, config.alpha
-    out = []
-    for r, (n, loss) in enumerate(zip(lengths, bd.rows.data.tolist())):
-        grad = grads[r, :n]
-        grad_norm = l2_norm(grad)
-        new_delta, step_norm, delta_norm = _descend(delta[r, :n], grad, grad_norm,
-                                                    epsilon, alpha)
-        out.append(PgdStep(delta=new_delta, grad_norm=grad_norm, loss=loss,
-                           step_norm=step_norm, delta_norm=delta_norm))
-    return out
-
-
 def pgd_step(params: ModelParams, x: np.ndarray, delta: np.ndarray, target,
-             config: AttackConfig) -> PgdStep:
-    """Gradient of the inference loss at x+delta, step, project.
-
-    A zero gradient is reported via ``grad_norm == 0`` with the
-    perturbation unchanged; callers treat it as convergence. Only the
-    input is differentiated: the model enters as constants, so no
-    parameter gradient is computed and ``params[...].grad`` is untouched.
-    It is the batch step at B=1.
-    """
-    params = params.frozen()
-    return _batch_step(params, x[None], delta[None], [x.shape[0]],
-                       teacher_forcing(params, [target]),
-                       MtlWeights(1.0, config.weights.lambda_i_C), config)[0]
+             config: AttackConfig) -> PerturbationResult:
+    """The first step of ``pgd_attack``: ``pgd_attack`` of one step and no
+    snapshots. ``delta`` must be the zero start; a zero gradient shows as
+    ``converged_at == 0`` with the perturbation unchanged."""
+    if np.any(delta):
+        raise ValueError("pgd_step takes the zero start; got a nonzero delta")
+    return pgd_attack(params, x, target, replace(config, steps=1, report_at=()))
 
 
 def pgd_attack(params: ModelParams, x: np.ndarray, target,
@@ -197,6 +164,7 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
     delta = np.zeros_like(x_pad)
     forcing = teacher_forcing(params, targets)
     weights = MtlWeights(1.0, config.weights.lambda_i_C)
+    epsilon, alpha = config.epsilon, config.alpha
     # Each row's delta is a view of its padded row until the attack ends.
     results = [PerturbationResult(delta=delta[r, :n], loss_trace=[])
                for r, n in enumerate(lengths)]
@@ -208,17 +176,24 @@ def pgd_attack_batch(params: ModelParams, xs, targets,
                     res.snapshots[s] = x + res.delta
         if done:
             break
-        steps = _batch_step(params, x_pad, delta, lengths, forcing, weights, config)
-        for res, out in zip(results, steps):
+        x_adv = ad.leaf(x_pad + delta)
+        with ad.tape():
+            bd = objective(params, x_adv, lengths, forcing, None, weights)
+            ad.backward(bd.total)
+        for r, (res, n, loss) in enumerate(zip(results, lengths, bd.rows.data.tolist())):
             if res.converged_at is not None:
                 continue
-            res.loss_trace.append(out.loss)  # loss at delta before this step
-            if out.grad_norm == 0.0:
+            res.loss_trace.append(loss)  # loss at delta before this step
+            grad = x_adv.grad[r, :n]
+            grad_norm = l2_norm(grad)
+            if grad_norm == 0.0:
                 res.converged_at = k
                 continue
-            res.delta[:] = out.delta
-            res.step_norms.append(out.step_norm)
-            res.delta_norms.append(out.delta_norm)
+            new_delta, step_norm, delta_norm = _descend(res.delta, grad, grad_norm,
+                                                        epsilon, alpha)
+            res.delta[:] = new_delta
+            res.step_norms.append(step_norm)
+            res.delta_norms.append(delta_norm)
     with ad.no_grad():
         final = objective(params, ad.constant(x_pad + delta), lengths, forcing, None,
                           weights).rows.data

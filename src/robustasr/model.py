@@ -12,11 +12,12 @@ targets are expressible; ``experiments.train_model`` and
 The attention decoder's step is two numpy kernels, ``_recur`` (feed a
 token to the recurrent state) and ``_attend`` (attend and predict from
 any number of states), over a batch of rows, with two paths through
-them. ``teacher_forcing`` runs ``_recur`` over each row's sos-framed
-target, and ``decoder_teacher_forced`` runs ``_attend`` over those
-states and returns the decoder loss (training and attacks) as one tape
-entry with a hand-written backward. ``decoder_advance`` runs one step of
-every row of a padded batch for inference and records nothing.
+them. A ``teacher_forcing`` runs ``_recur`` over each row's sos-framed
+target at the first read of its ``states``, and
+``decoder_teacher_forced`` runs ``_attend`` over those states and
+returns the decoder loss (training and attacks) as one tape entry with
+a hand-written backward. ``decoder_advance`` runs one step of every row
+of a padded batch for inference and records nothing.
 ``decoder_teacher_forced``, ``discriminate`` and the inference decoder
 take padded batches (the batch contract is in ``autodiff``); ``encode``
 and the inference decoder also take one utterance as the batch of one,
@@ -28,6 +29,7 @@ scans; ``ModelConfig.bidirectional`` must be False (its comment says why).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import asdict, dataclass
@@ -399,29 +401,47 @@ def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
     return ad.constant(step.logp), DecoderState(ad.constant(s), state.hproj, state.pad)
 
 
-class TeacherForcing(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class TeacherForcing:
     """The part of a teacher-forced decoder pass that depends only on the
     parameters and the targets, never on the encoder states: the token
-    framing and the recurrent states. Arrays are step-major, (N, B, ...)
-    for N steps of B rows."""
+    framing, and the recurrent states, run on their first read. Arrays
+    are step-major, (N, B, ...) for N steps of B rows."""
 
+    params: ModelParams
     rows: list[list[int]]  # each row's word ids
     steps: np.ndarray  # (B,) output steps per row: its words, then eos
     tok_in: np.ndarray  # tokens fed: sos, then the row's words
     tok_tgt: np.ndarray  # tokens predicted: the row's words, then eos
     late: np.ndarray  # steps past a row's own; they take no loss
-    z: np.ndarray  # recurrent pre-activations
-    s: np.ndarray  # recurrent states
+
+    @functools.cached_property
+    def states(self) -> tuple[np.ndarray, np.ndarray]:
+        """(z, s): the recurrent pre-activations and states, run over
+        ``tok_in`` once, at the first read, from the parameters' values
+        then. A loss whose decoder does not run never reads them."""
+        n, n_rows = self.tok_in.shape
+        arrays = tuple(self.params[name].data for name in _STEP_PARAMS)
+        dh = self.params.config.dec_hidden
+        z = np.empty((n, n_rows, dh))
+        s = np.empty((n, n_rows, dh))
+        s_prev = np.zeros((n_rows, dh))
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k in range(n):
+                z[k], s[k] = _recur(arrays, s_prev, self.tok_in[k])
+                s_prev = s[k]
+        return z, s
 
 
 def teacher_forcing(params: ModelParams, targets: Sequence) -> TeacherForcing:
-    """Frame each row of word ids in ``targets`` with sos and eos and run
-    the decoder's state recurrence over it.
+    """Frame each row of word ids in ``targets`` with sos and eos, for the
+    decoder's state recurrence over it.
 
     Row r feeds ``[sos] + targets[r]`` and predicts ``targets[r] + [eos]``;
     an empty row predicts eos at once. Past its steps a row feeds sos and
     picks column 0, and ``late`` marks those steps. The states are those
-    of ``params`` as they are now: a forcing is stale once they change.
+    of ``params`` at their first read: a forcing is stale once the
+    parameters change.
     """
     cfg = params.config
     rows = [list(r) for r in targets]
@@ -436,15 +456,7 @@ def teacher_forcing(params: ModelParams, targets: Sequence) -> TeacherForcing:
         tok_in[1:steps[r], r] = row
         tok_tgt[:steps[r], r] = row + [cfg.eos]
     late = np.arange(n)[:, None] >= steps
-    arrays = tuple(params[name].data for name in _STEP_PARAMS)
-    z = np.empty((n, n_rows, cfg.dec_hidden))
-    s = np.empty((n, n_rows, cfg.dec_hidden))
-    s_prev = np.zeros((n_rows, cfg.dec_hidden))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(n):
-            z[k], s[k] = _recur(arrays, s_prev, tok_in[k])
-            s_prev = s[k]
-    return TeacherForcing(rows, steps, tok_in, tok_tgt, late, z, s)
+    return TeacherForcing(params, rows, steps, tok_in, tok_tgt, late)
 
 
 def decoder_teacher_forced(params: ModelParams, hidden: Tensor, forcing: TeacherForcing,
@@ -491,7 +503,7 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor, forcing: Teacher
     n = len(tok_in)
     arrays = tuple(params[name].data for name in _STEP_PARAMS)
     with np.errstate(invalid="ignore", over="ignore"):
-        st = _attend(arrays, forcing.z, forcing.s, hproj, h, pad)
+        st = _attend(arrays, *forcing.states, hproj, h, pad)
     _check_steps(st)
     row_idx = np.arange(n_rows)
     step_idx = np.arange(n)[:, None]

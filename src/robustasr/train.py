@@ -156,7 +156,7 @@ DECODE_BLOCK = 16
 
 
 def decode_blocks(params: ModelParams, features: Sequence[np.ndarray],
-                  weights: MtlWeights, max_len: int = 10
+                  weights: MtlWeights, max_len: int
                   ) -> tuple[list[DecodeResult], list[int]]:
     """Hybrid-decode and classify (T, F) feature sequences, no recording.
 

@@ -15,6 +15,8 @@
   op-by-op reference tape: the same forward bytes, gradients within
   1e-12 relative.
 - ``close_to`` is the relative comparison the batch contracts use.
+- ``count_calls`` logs the calls of a module's function, for the tests
+  that pin how often a kernel runs.
 """
 
 import itertools
@@ -187,3 +189,16 @@ def assert_matches_reference(fused, reference, tol: float = 1e-12) -> None:
     assert grads.keys() == ref_grads.keys()
     for name, g in grads.items():
         assert close_to(g, ref_grads[name], tol), name
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to log one entry per call, for the rest of the
+    test; return the log."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import close_to, fd_gradient
+from oracles import close_to, count_calls, fd_gradient
 
 from robustasr import autodiff as ad
+from robustasr import model
 from robustasr.attack import (
     AttackConfig,
     PerturbationResult,
@@ -186,10 +187,19 @@ def test_pgd_step_magnitude_exact(params):
     cfg = AttackConfig(epsilon=5.0, alpha=0.05, steps=1,
                        weights=MtlWeights(1.0, 0.5))
     out = pgd_step(params, x, np.zeros_like(x), [1], cfg)
-    assert out.grad_norm > 0
-    assert abs(out.step_norm - cfg.alpha) < 1e-12
+    assert out.converged_at is None  # a nonzero gradient
+    assert abs(out.step_norms[0] - cfg.alpha) < 1e-12
     # with a huge ball, the projected move equals the raw step
     assert np.linalg.norm(out.delta) == pytest.approx(cfg.alpha, abs=1e-12)
+
+
+def test_pgd_step_refuses_a_nonzero_start(params):
+    x = np.random.default_rng(3).normal(size=(6, TINY.feat_dim))
+    cfg = AttackConfig(epsilon=5.0, alpha=0.05, steps=1, weights=MtlWeights(1.0, 0.5))
+    delta = np.zeros_like(x)
+    delta[2, 1] = 1e-3
+    with pytest.raises(ValueError, match="nonzero delta"):
+        pgd_step(params, x, delta, [1], cfg)
 
 
 def test_pgd_attack_zero_steps_is_identity(params):
@@ -371,6 +381,22 @@ def test_pgd_step_record_count(lam_i, records, monkeypatch):
     pgd_step(init_params(DEEP), x, np.zeros_like(x), [1, 3], cfg)
     pgd_attack_batch(init_params(DEEP), [x, x[:4]], [[1, 3], [2]], cfg)
     assert seen == [records, records]
+
+
+@pytest.mark.parametrize("lam_i", [0.0, 0.5, 1.0])
+def test_pgd_attack_runs_the_state_recurrence_at_most_once(lam_i, monkeypatch):
+    # The forcing's states are run at the decoder's first read and kept
+    # for every later step; at lambda_i_C = 1 the decoder never runs.
+    calls = count_calls(monkeypatch, model, "_recur")
+    params, targets = init_params(DEEP), [[1, 3], [2]]
+    teacher_forcing(params, targets).states
+    assert len(calls) == 3  # sos, then the longest target's two words
+    calls.clear()
+    x = np.random.default_rng(3).normal(size=(6, DEEP.feat_dim))
+    cfg = AttackConfig(epsilon=1.0, alpha=0.1, steps=5,
+                       weights=MtlWeights(0.7, 0.5, lambda_i_C=lam_i))
+    pgd_attack_batch(params, [x, x[:4]], targets, cfg)
+    assert len(calls) == (0 if lam_i == 1.0 else 3)
 
 
 def test_frozen_params_freeze_once(params):

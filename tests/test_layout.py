@@ -18,6 +18,13 @@ every attribute it reads through an imported package module, exists. So
 a package change that drops a name the benchmark uses fails here, not
 only when the benchmark runs.
 
+Signature guard: every call in ``perfbench/`` of a package function or
+class, imported by name or read through an imported package module
+(``ad.tape()``), binds to its signature. Calls with ``*`` or ``**``
+arguments are skipped. So a package change that drops or renames a
+parameter the benchmark passes, or makes one it leaves out required,
+fails here.
+
 Kind-check guard: no package code but the bodies of ``data.check_int``,
 ``data.check_real`` and ``data.check_len_range`` spells a check of a
 value's kind, ``isinstance(v, bool)`` or ``type(v) is int``. A config
@@ -29,6 +36,7 @@ bool, and a wrong type, in the same words.
 
 import ast
 import importlib
+import inspect
 import math
 from pathlib import Path
 
@@ -205,23 +213,50 @@ def test_every_defaulted_parameter_is_set_by_a_program_call():
         "\n".join(unset)
 
 
+def _package_imports(tree):
+    """({alias: module} of each ``from robustasr import <module>``,
+    {alias: (line, module, name)} of each ``from robustasr.<module> import
+    <name>``)."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level:
+            continue
+        for a in node.names:
+            if node.module == "robustasr":
+                modules[a.asname or a.name] = a.name
+            elif node.module.startswith("robustasr."):
+                names[a.asname or a.name] = (node.lineno, node.module.split(".", 1)[1],
+                                             a.name)
+    return modules, names
+
+
 def _package_references(tree):
     """(line, module, name) of each ``from robustasr.<module> import <name>``
     and each ``<alias>.<name>`` read through ``from robustasr import <module>
     as <alias>``."""
-    aliases = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ImportFrom) or node.level:
-            continue
-        if node.module == "robustasr":
-            aliases.update({a.asname or a.name: a.name for a in node.names})
-        elif node.module.startswith("robustasr."):
-            module = node.module.split(".", 1)[1]
-            yield from ((node.lineno, module, a.name) for a in node.names)
+    modules, names = _package_imports(tree)
+    yield from names.values()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-                and node.value.id in aliases:
-            yield node.lineno, aliases[node.value.id], node.attr
+                and node.value.id in modules:
+            yield node.lineno, modules[node.value.id], node.attr
+
+
+def _package_calls(tree):
+    """(line, module, name, call) of each call of a name imported from the
+    package, or read through an imported package module, that passes no
+    ``*`` or ``**`` argument."""
+    modules, names = _package_imports(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or None in (k.arg for k in node.keywords) \
+                or any(isinstance(a, ast.Starred) for a in node.args):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in names:
+            yield node.lineno, *names[f.id][1:], node
+        elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in modules:
+            yield node.lineno, modules[f.value.id], f.attr, node
 
 
 def test_every_package_name_perfbench_uses_exists():
@@ -236,6 +271,28 @@ def test_every_package_name_perfbench_uses_exists():
                     if not hasattr(importlib.import_module(f"robustasr.{module}"), name)]
     assert not missing, "package names perfbench uses that do not exist:\n" + \
         "\n".join(missing)
+
+
+def test_every_package_call_in_perfbench_binds_to_its_signature():
+    bench = ROOT / "perfbench"
+    unbound = []
+    for path in _program_sources():
+        if bench not in path.parents:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, module, name, call in _package_calls(tree):
+            # a missing name is the existence guard's to report
+            target = getattr(importlib.import_module(f"robustasr.{module}"), name, None)
+            if not callable(target):
+                continue
+            try:
+                inspect.signature(target).bind(
+                    *call.args, **{k.arg: k.value for k in call.keywords})
+            except TypeError as e:
+                unbound.append(f"{path.relative_to(ROOT)}:{line} "
+                               f"robustasr.{module}.{name}: {e}")
+    assert not unbound, "perfbench calls that do not bind to the package's " \
+        "signatures:\n" + "\n".join(unbound)
 
 
 def _kind_checks(tree):

@@ -705,11 +705,16 @@ def _ragged_decoder_batch(p, forcing, seed=15):
 def test_teacher_forcing_reused_gives_the_same_bits(params):
     # An attack builds the forcing once and reuses it on every step's input.
     forcing = teacher_forcing(params, RAGGED_TARGETS)
-    before = [np.asarray(a).tobytes() for a in forcing[1:]]
+
+    def arrays():
+        return [a.tobytes() for a in (forcing.steps, forcing.tok_in, forcing.tok_tgt,
+                                      forcing.late, *forcing.states)]
+
+    before = arrays()
     for seed in (15, 16):
         assert _ragged_decoder_batch(params, forcing, seed) == \
             _ragged_decoder_batch(params, teacher_forcing(params, RAGGED_TARGETS), seed)
-    assert [np.asarray(a).tobytes() for a in forcing[1:]] == before
+    assert arrays() == before
 
 
 def test_teacher_forced_input_gradient_same_bits_with_frozen_parameters(params):

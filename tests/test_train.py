@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from robustasr import autodiff as ad
+from robustasr import model
 from robustasr.data import DatasetSplit, Utterance, gen_dataset
 from robustasr.decode import joint_greedy_decode
 from robustasr.losses import MtlWeights
@@ -21,7 +22,7 @@ from robustasr.train import (
     train_mtl,
 )
 
-from oracles import close_to
+from oracles import close_to, count_calls
 
 SMALL_MODEL = ModelConfig(feat_dim=16, enc_hidden=12, enc_layers=1, dec_hidden=12,
                           attn_dim=8, emb_dim=8, disc_hidden=8, seed=0)
@@ -171,8 +172,8 @@ def test_decode_blocks_of_a_permutation_are_the_permuted_results(micro_model, la
         6, n_train=1, n_valid=1, n_test=2 * DECODE_BLOCK + 5).test]
     weights = MtlWeights(1.0, 0.0, lambda_i_C=lam_i)
     perm = np.random.default_rng(7).permutation(len(feats))
-    results, accents = decode_blocks(params, feats, weights)
-    got, got_accents = decode_blocks(params, [feats[i] for i in perm], weights)
+    results, accents = decode_blocks(params, feats, weights, 10)
+    got, got_accents = decode_blocks(params, [feats[i] for i in perm], weights, 10)
     assert len(got) == len(feats) and len({len(x) for x in feats}) > 1
     for k, i in enumerate(perm):
         assert got[k].hypothesis == results[i].hypothesis
@@ -249,6 +250,23 @@ def test_training_batch_record_count(mix, records):
     with ad.tape() as tp:
         batch_losses(params, batch, MtlWeights(*mix))
         assert len(tp) == records
+
+
+@pytest.mark.parametrize("mix, recurrences", [((1.0, 1.0), 0), ((0.0, 0.5), 0),
+                                               ((0.7, 0.5), 4)],
+                         ids=["stl_ctc", "dis_only", "mtl3"])
+def test_a_batch_runs_the_state_recurrence_only_for_the_decoder(mix, recurrences,
+                                                                monkeypatch):
+    # The decoder's states are run at its first read of the forcing, one
+    # step per fed token of the longest transcript; a batch whose decoder
+    # takes weight zero runs none.
+    calls = count_calls(monkeypatch, model, "_recur")
+    rng = np.random.default_rng(1)
+    batch = [Utterance(id=f"u{i}", features=rng.normal(size=(12 - i, 16)),
+                       transcript=(3, 5, 5, 1)[:1 + i], accent=i % 2) for i in range(3)]
+    with ad.tape():
+        ad.backward(batch_losses(init_params(ModelConfig()), batch, MtlWeights(*mix)).total)
+    assert len(calls) == recurrences
 
 
 def test_train_config_refuses_a_non_finite_learning_rate():
