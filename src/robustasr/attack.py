@@ -77,7 +77,9 @@ class PerturbationResult:
 
 
 def target_feasible(x: np.ndarray, target, weights: MtlWeights) -> bool:
-    """False when the CTC branch is active but the sample is too short."""
+    """False when the CTC branch is active but the sample is too short.
+    Only ``perfbench`` calls it; an attack refuses such a target through
+    ``losses.ctc_loss``'s own ``CtcInfeasibleError``."""
     if weights.lambda_i_C == 0.0:
         return True
     return x.shape[0] >= ctc_min_frames(list(target))

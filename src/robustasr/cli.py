@@ -16,9 +16,9 @@ seed the recipe records and its own config's ``n_targets`` and
 ``len_range``. All outputs are deterministic functions of their configs,
 so reruns are byte-identical. A refused input (a config value, a data
 directory, a checkpoint, a checkpoint that does not fit the data
-directory, a rows file) and a training run that diverges
-end a subcommand with one line on stderr and exit status 2; so does a
-grid run with fewer than one worker.
+directory, a rows file, an attack target the CTC head cannot align)
+and a training run that diverges end a subcommand with one line on
+stderr and exit status 2; so does a grid run with fewer than one worker.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .experiments import (ConfigError, MissingCellsError, ReportRow, check_model
                           evaluate_model, load_config, make_data, make_tables,
                           rows_from_csv, rows_to_csv, run_grid, train_model,
                           trend_check, trend_report)
+from .losses import CtcInfeasibleError
 from .model import CheckpointError, load_checkpoint, save_checkpoint
 from .train import TrainingDiverged, evaluate_benign
 
@@ -86,10 +87,8 @@ def cmd_attack(args) -> int:
                           weights)
     Path(args.out).write_text(rows_to_csv(rows, config.hash()))
     for r in rows:
-        twer = "n/a" if r.adv_twer is None else f"{r.adv_twer:.4f}"
-        print(f"steps={r.attack_steps}: AdvTWER={twer} "
-              f"(attacked {r.n_samples}, skipped {r.n_skipped}; "
-              f"benign WER={r.benign_wer:.4f})")
+        print(f"steps={r.attack_steps}: AdvTWER={r.adv_twer:.4f} "
+              f"(attacked {r.n_samples}; benign WER={r.benign_wer:.4f})")
     print(f"wrote {args.out}")
     return 0
 
@@ -188,8 +187,8 @@ def main(argv=None) -> int:
     # a refused input or a diverged run: one line and status 2, as argparse
     # gives a usage error; any other exception is a bug and keeps its
     # traceback
-    except (ConfigError, DataError, CheckpointError, MissingCellsError,
-            TrainingDiverged, OSError) as e:
+    except (ConfigError, DataError, CheckpointError, CtcInfeasibleError,
+            MissingCellsError, TrainingDiverged, OSError) as e:
         print(f"robustasr: error: {e}", file=sys.stderr)
         return 2
 

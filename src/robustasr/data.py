@@ -189,12 +189,20 @@ def check_len_range(len_range: tuple[int, int]) -> None:
                         f"must be two integers with 1 <= lower <= upper")
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """``check_int(name, value, least)``, refusing as a ``DataError``."""
+    try:
+        check_int(name, value, least)
+    except ValueError as e:
+        raise DataError(str(e)) from None
+
+
 def gen_dataset(seed: int, n_train: int = 2000, n_valid: int = 200,
                 n_test: int = 200, len_range: tuple[int, int] = (2, 6),
                 feat_dim: int = DEFAULT_FEAT_DIM) -> DatasetSplit:
     """Three disjoint splits with balanced accents, deterministic per seed."""
-    if min(n_train, n_valid, n_test) < 1:
-        raise DataError("split sizes must be >= 1")
+    for name, n in (("n_train", n_train), ("n_valid", n_valid), ("n_test", n_test)):
+        _check_count(name, n, 1)
     check_len_range(len_range)
     return DatasetSplit(
         train=_gen_split("train", n_train, len_range, seed, feat_dim),
@@ -210,8 +218,7 @@ def gen_adv_targets(seed: int, count: int = 12,
     """Fixed lorem-ipsum transcriptions; lengths cycle through len_range."""
     check_len_range(len_range)
     lengths = list(range(len_range[0], len_range[1] + 1))
-    if count < len(lengths):
-        raise DataError(f"need at least {len(lengths)} targets to cover {len_range}")
+    _check_count("count", count, len(lengths))  # a target of every length
     rng = np.random.default_rng([seed, 4])
     lo = len(CONTENT_WORDS)
     targets = []

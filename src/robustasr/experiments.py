@@ -8,9 +8,9 @@ per snapshot step count. Cells are independent and deterministic, so
 they can run in parallel worker processes; aggregation sorts rows into
 a canonical order, which makes reruns byte-identical.
 
-AdvTWER is pooled over the attacked samples (total edit errors against
-the targets over total target words), like every other corpus metric
-here. The four tables (``TABLES``) and the claims (a)-(d) that
+AdvTWER is pooled over every utterance attacked, none skipped (edit
+errors against the targets over target words), like every other corpus
+metric here. The four tables (``TABLES``) and the claims (a)-(d) that
 ``trend_check`` judges (``CLAIMS``) are data that read one index,
 ``seed_medians``: the seed-median AdvTWER of each configuration and step.
 """
@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .attack import AttackConfig, calibrate, pgd_attack_batch, target_feasible
+from .attack import AttackConfig, calibrate, pgd_attack_batch
 from .data import (N_ACCENTS, N_WORDS, DatasetSplit, Utterance, check_int,
                    check_len_range, check_real, gen_adv_targets, gen_dataset,
                    select_adv_target)
@@ -211,32 +211,25 @@ def rows_from_csv(text: str) -> list[ReportRow]:
 def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
                  epsilon: float, alpha: float, report_steps: Sequence[int],
                  max_decode_len: int = 10):
-    """Attack the utterances as one batch, decode each report step's
+    """Attack every utterance as one batch, decode each report step's
     snapshots through ``decode_blocks``, pool AdvTWER per step.
 
-    Returns (pooled AdvTWER per step, attacked count, skipped count).
-    Samples whose CTC branch cannot align the target are skipped, never
-    silently downgraded to a decoder-only loss.
+    Returns (pooled AdvTWER per step, attacked count, skipped count), the
+    last always 0 until the rows format drops it. A target the CTC head
+    cannot align is refused by ``ctc_loss``'s ``CtcInfeasibleError``.
     """
-    steps_sorted = tuple(sorted(set(report_steps)))
-    cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=steps_sorted[-1],
-                       weights=weights, report_at=steps_sorted)
-    attacked = []
-    for utt in utterances:
-        target = select_adv_target(utt.transcript, targets)
-        if target_feasible(utt.features, target, weights):
-            attacked.append((utt.features, target))
-    results = pgd_attack_batch(params, [x for x, _ in attacked],
-                               [t for _, t in attacked], cfg)
+    cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=max(report_steps),
+                       weights=weights, report_at=tuple(set(report_steps)))
+    chosen = [select_adv_target(utt.transcript, targets) for utt in utterances]
+    results = pgd_attack_batch(params, [utt.features for utt in utterances], chosen, cfg)
     pooled = {}
-    for s in steps_sorted:
+    for s in cfg.report_at:
         decoded, _accents = decode_blocks(
             params, [result.snapshots[s] for result in results], weights,
             max_decode_len)
-        stats = [edit_distance_words(target, res.hypothesis)
-                 for (_x, target), res in zip(attacked, decoded)]
-        pooled[s] = pooled_wer(stats) if stats else None
-    return pooled, len(attacked), len(utterances) - len(attacked)
+        pooled[s] = pooled_wer([edit_distance_words(target, res.hypothesis)
+                                for target, res in zip(chosen, decoded)])
+    return pooled, len(utterances), 0
 
 
 def load_config(path=None, seed: int | None = None, run_keys: bool = True

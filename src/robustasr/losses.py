@@ -8,7 +8,7 @@ The CTC loss runs the standard forward recursion over the blank-extended
 label sequence entirely in log space, as one fused tape op: the lattice
 is a numpy loop over frames with a hand-written backward (the
 alpha-gradient recursion, frames last first). Unreachable lattice states
-carry a large negative sentinel (``NEG``) instead of -inf: at double
+carry ``model.NEG``, a large negative sentinel, instead of -inf: at double
 precision the sentinel's contribution underflows to exactly zero in
 every logsumexp, so values and gradients are bit-for-bit what a true
 -inf would give while every lattice array stays finite, and one
@@ -39,10 +39,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .data import check_real
-from .model import (ModelParams, TeacherForcing, ctc_head, decoder_teacher_forced, discriminate,
-                    encode, teacher_forcing)
-
-NEG = -1.0e9  # exact log(0) stand-in; exp(NEG - x) == 0.0 for any sane x
+from .model import (NEG, ModelParams, TeacherForcing, ctc_head, decoder_teacher_forced,
+                    discriminate, encode, teacher_forcing)
 
 
 class CtcInfeasibleError(Exception):

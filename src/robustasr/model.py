@@ -276,10 +276,10 @@ class _Steps(NamedTuple):
     logp: np.ndarray  # next-token log-probs, eos last
 
 
-# Attention score of a padded frame: exp(_PAD_SCORE - x) == 0.0 for any
-# sane score x, so padded frames get exactly zero attention while every
-# array stays finite.
-_PAD_SCORE = -1.0e9
+# The finite log(0) of a padded frame's attention score and of the CTC
+# lattice's unreachable states: exp(NEG - x) == 0.0 for any sane x, while
+# every array stays finite.
+NEG = -1.0e9
 
 # The decoder step is split in two numpy kernels: ``_recur`` feeds one
 # token per row to the recurrent state, and ``_attend`` attends and
@@ -316,7 +316,7 @@ def _attend(arrays, z: np.ndarray, s: np.ndarray, hproj: np.ndarray,
     tanh_att = hproj + q[..., None, :]
     np.tanh(tanh_att, out=tanh_att)
     scores = tanh_att @ v
-    scores[..., pad] = _PAD_SCORE
+    scores[..., pad] = NEG
     log_attn = ad.log_softmax_array(scores, axis=-1)
     attn = np.exp(log_attn)
     context = (attn[..., None, :] @ hidden)[..., 0, :]

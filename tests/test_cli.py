@@ -7,7 +7,7 @@ import pytest
 
 from robustasr.cli import load_config, main
 from robustasr.experiments import (ConfigError, ExperimentConfig, GridSpec, ReportRow,
-                                   rows_from_csv, rows_to_csv, run_cell)
+                                   rows_to_csv, run_cell)
 from robustasr.losses import MtlWeights
 from robustasr.model import ModelConfig
 
@@ -82,11 +82,12 @@ def test_cli_pipeline_end_to_end(tmp_path):
         assert (tmp_path / "report" / name).is_file()
 
 
-def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
+def test_cli_attack_refuses_a_target_the_ctc_head_cannot_align(tmp_path, capsys):
     # A target longer than any test utterance cannot be aligned by the CTC
-    # branch (lambda_i_C > 0), so every sample is skipped and AdvTWER is n/a.
-    # The data's transcripts hold at most 3 words of at most 6 frames each;
-    # the attack's one target has 20 words.
+    # branch (lambda_i_C > 0), so the attack is refused at its first step
+    # with the CTC loss's own error, and no rows are written. The data's
+    # transcripts hold at most 3 words of at most 6 frames each; the
+    # attack's one target has 20 words.
     data, run = tmp_path / "data", tmp_path / "run"
     gen_cfg = _write(tmp_path / "gen.json", {
         "n_train": 4, "n_valid": 2, "n_test": 3, "len_range": [2, 3],
@@ -100,14 +101,12 @@ def test_cli_attack_with_every_sample_skipped(tmp_path, capsys):
                  "--out", str(data)]) == 0
     assert main(["train", "--config", train_cfg, "--data", str(data),
                  "--out", str(run)]) == 0
-    capsys.readouterr()
 
-    assert main(["attack", "--config", attack_cfg, "--data", str(data),
-                 "--checkpoint", str(run / "checkpoint.txt"),
-                 "--out", str(run / "attack.csv")]) == 0
-    assert "AdvTWER=n/a (attacked 0, skipped 3" in capsys.readouterr().out
-    rows = rows_from_csv((run / "attack.csv").read_text())
-    assert [(r.adv_twer, r.n_samples, r.n_skipped) for r in rows] == [(None, 0, 3)]
+    _refused(capsys, ["attack", "--config", attack_cfg, "--data", str(data),
+                      "--checkpoint", str(run / "checkpoint.txt"),
+                      "--out", str(run / "attack.csv")],
+             r"row \d+: 20 labels need >= 21 frames, got \d+$")
+    assert not (run / "attack.csv").exists()
 
 
 def test_cli_eval_and_attack_read_only_the_test_split(tmp_path, capsys):

@@ -121,6 +121,27 @@ def test_generators_refuse_a_length_range_with_empty_or_no_lengths(len_range):
         gen_dataset(0, n_train=1, n_valid=1, n_test=1, len_range=len_range)
 
 
+@pytest.mark.parametrize("value, message", [
+    (0, "must be >= 1, got 0"),
+    (True, "must be an integer, got True"),
+    (2.5, "must be an integer, got 2.5"),
+    ("3", "must be an integer, got '3'"),
+])
+@pytest.mark.parametrize("name", ["n_train", "n_valid", "n_test", "count"])
+def test_generators_refuse_a_count_that_is_no_positive_integer(name, value, message):
+    # a bool compares as 1, and a float or a string fails only inside numpy
+    with pytest.raises(DataError, match=f"^{name} {message}$"):
+        if name == "count":
+            gen_adv_targets(0, count=value, len_range=(2, 2))
+        else:
+            gen_dataset(0, **{"n_train": 1, "n_valid": 1, "n_test": 1, name: value})
+
+
+def test_gen_adv_targets_refuses_a_count_below_the_lengths_it_covers():
+    with pytest.raises(DataError, match=r"^count must be >= 5, got 4$"):
+        gen_adv_targets(0, count=4, len_range=(2, 6))
+
+
 def test_select_adv_target_closest_length():
     t3, t5, t9 = (1,) * 3, (2,) * 5, (3,) * 9
     assert select_adv_target((0,) * 5, [t3, t5, t9]) == t5

@@ -18,6 +18,7 @@ from robustasr.experiments import (
     GridSpec,
     MissingCellsError,
     ReportRow,
+    attack_split,
     evaluate_model,
     load_config,
     make_data,
@@ -29,7 +30,8 @@ from robustasr.experiments import (
     trend_check,
     trend_report,
 )
-from robustasr.losses import MtlWeights
+from robustasr.data import Utterance
+from robustasr.losses import CtcInfeasibleError, MtlWeights
 from robustasr.model import ModelConfig, init_params
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -365,8 +367,31 @@ GRID_CHECK_ROWS_SHA256 = "ef4ee15f267f6959498267ed0419311fd9d7ca8ad3d588ffffe416
 def test_grid_check_rows_are_unchanged():
     config, _seed, _weights = load_config(ROOT / "configs" / "grid_check.json",
                                           run_keys=False)
-    csv = rows_to_csv(run_grid(config, workers=1), config.hash())
+    rows = run_grid(config, workers=1)
+    csv = rows_to_csv(rows, config.hash())
     assert hashlib.sha256(csv.encode()).hexdigest() == GRID_CHECK_ROWS_SHA256
+    # every cell of a seed attacked the same utterances, at every inference
+    # weight: what a paired comparison of two cells needs
+    assert {r.lambda_i_C for r in rows} == {0.0, 0.5, 1.0}
+    assert {(r.n_samples, r.n_skipped) for r in rows} == {(config.n_attack, 0)}
+
+
+def test_attack_split_attacks_every_utterance_or_refuses_the_batch():
+    # the 5-word target aligns to the 12-frame utterance, not to the 4-frame one
+    rng = np.random.default_rng(0)
+    utts = [Utterance(id=f"u{i}", features=rng.normal(size=(n, TINY_GRID.model.feat_dim)),
+                      transcript=(0, 1), accent=0) for i, n in enumerate((12, 4))]
+    target = (24, 25, 26, 27, 28)
+    params = init_params(TINY_GRID.model)
+    for lam in (0.5, 1.0):
+        with pytest.raises(CtcInfeasibleError,
+                           match=r"^row 1: 5 labels need >= 5 frames, got 4$"):
+            attack_split(params, utts, [target], MtlWeights(1.0, 0.5, lam), 0.5, 0.1, (1, 2))
+    pooled, n_attacked, n_skipped = attack_split(
+        params, utts, [target], MtlWeights(1.0, 0.5, 0.0), 0.5, 0.1, (2, 1))
+    assert (n_attacked, n_skipped) == (2, 0)
+    assert list(pooled) == [1, 2]
+    assert all(twer >= 0.0 for twer in pooled.values())
 
 
 def _refuses_before_training(field, value, message, monkeypatch):

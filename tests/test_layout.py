@@ -20,7 +20,11 @@ only when the benchmark runs.
 
 Signature guard: every call in ``perfbench/`` of a package function or
 class, imported by name or read through an imported package module
-(``ad.tape()``), binds to its signature. Calls with ``*`` or ``**``
+(``ad.tape()``), binds to its signature. So does each package callable
+that ``perfbench/`` passes to a wrapper of its own
+(``cpuspeed.timed(fn, *args, **kwargs)``, ``PhaseLog.call(kind,
+units_of, fn, *args, **kwargs)``): the arguments after it and the
+call's keywords bind to its signature. Calls with ``*`` or ``**``
 arguments are skipped. So a package change that drops or renames a
 parameter the benchmark passes, or makes one it leaves out required,
 fails here.
@@ -243,20 +247,38 @@ def _package_references(tree):
 
 
 def _package_calls(tree):
-    """(line, module, name, call) of each call of a name imported from the
-    package, or read through an imported package module, that passes no
-    ``*`` or ``**`` argument."""
+    """(line, module, name, args, keywords) of each call of a package
+    callable in a call that passes no ``*`` or ``**`` argument.
+
+    A package callable is a name imported from the package or read
+    through an imported package module. A call of one gives its own
+    arguments. A call of anything else that passes one as an argument
+    (``timed(fn, *args, **kwargs)``) forwards to the first such callable
+    the arguments after it and the call's keywords.
+    """
     modules, names = _package_imports(tree)
+
+    def package_name(node):
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id][1:]
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            return modules[node.value.id], node.attr
+        return None
+
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call) or None in (k.arg for k in node.keywords) \
                 or any(isinstance(a, ast.Starred) for a in node.args):
             continue
-        f = node.func
-        if isinstance(f, ast.Name) and f.id in names:
-            yield node.lineno, *names[f.id][1:], node
-        elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
-                and f.value.id in modules:
-            yield node.lineno, modules[f.value.id], f.attr, node
+        called = package_name(node.func)
+        if called:
+            yield node.lineno, *called, node.args, node.keywords
+            continue
+        for i, arg in enumerate(node.args):
+            passed = package_name(arg)
+            if passed:
+                yield node.lineno, *passed, node.args[i + 1:], node.keywords
+                break
 
 
 def test_every_package_name_perfbench_uses_exists():
@@ -280,14 +302,13 @@ def test_every_package_call_in_perfbench_binds_to_its_signature():
         if bench not in path.parents:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        for line, module, name, call in _package_calls(tree):
+        for line, module, name, args, keywords in _package_calls(tree):
             # a missing name is the existence guard's to report
             target = getattr(importlib.import_module(f"robustasr.{module}"), name, None)
             if not callable(target):
                 continue
             try:
-                inspect.signature(target).bind(
-                    *call.args, **{k.arg: k.value for k in call.keywords})
+                inspect.signature(target).bind(*args, **{k.arg: k.value for k in keywords})
             except TypeError as e:
                 unbound.append(f"{path.relative_to(ROOT)}:{line} "
                                f"robustasr.{module}.{name}: {e}")
