@@ -20,12 +20,14 @@ from the zero start), kept for ``perfbench`` and the tests.
 The loss is ``losses.objective`` at ``MtlWeights(1.0, lambda_i_C)``.
 What the perturbation cannot change is built once per attack, not per
 step: the frozen parameters, the one padding of the rows, the
-objective's weights, and the decoder's teacher forcing
-(``model.teacher_forcing``: the targets' token framing, and the
-decoder's recurrent states, which never see the input and are run at
-the decoder's first read, so never at lambda_i_C = 1). Each step runs
-the encoder, the CTC loss and the decoder's attention and output layer,
-their input-only backward, and the per-row step and projection.
+objective's weights, and the target side of both sequence heads
+(``model.teacher_forcing``: the decoder's token framing; the decoder's
+recurrent states, which never see the input and are run at the
+decoder's first read, so never at lambda_i_C = 1; and the CTC framing,
+built at the CTC head's first read, so never at lambda_i_C = 0). Each
+step runs the encoder, the CTC lattice and the decoder's attention and
+output layer, their input-only backward, and the per-row step and
+projection.
 
 A row stops at its first exactly zero input gradient: its perturbation,
 loss trace and norms stop there, and it keeps its place in the batch,
@@ -45,8 +47,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import check_int, check_real
-from .losses import MtlWeights, ctc_min_frames, objective
-from .model import ModelParams, pad_batch, teacher_forcing
+from .losses import MtlWeights, objective
+from .model import ModelParams, ctc_framing, pad_batch, teacher_forcing, word_matrix
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,12 @@ class PerturbationResult:
 def target_feasible(x: np.ndarray, target, weights: MtlWeights) -> bool:
     """False when the CTC branch is active but the sample is too short.
     Only ``perfbench`` calls it; an attack refuses such a target through
-    ``losses.ctc_loss``'s own ``CtcInfeasibleError``."""
+    ``losses.ctc_lattice``'s own ``CtcInfeasibleError``."""
     if weights.lambda_i_C == 0.0:
         return True
-    return x.shape[0] >= ctc_min_frames(list(target))
+    # the fewest frames of a target do not depend on the blank's id
+    words, counts = word_matrix([target])
+    return x.shape[0] >= ctc_framing(words, counts, words.max(initial=0) + 1).min_frames[0]
 
 
 def l2_norm(a: np.ndarray) -> float:

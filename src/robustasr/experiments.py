@@ -24,7 +24,6 @@ import math
 import operator
 import re
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -216,7 +215,7 @@ def attack_split(params: ModelParams, utterances, targets, weights: MtlWeights,
 
     Returns (pooled AdvTWER per step, attacked count, skipped count), the
     last always 0 until the rows format drops it. A target the CTC head
-    cannot align is refused by ``ctc_loss``'s ``CtcInfeasibleError``.
+    cannot align is refused by ``ctc_lattice``'s ``CtcInfeasibleError``.
     """
     cfg = AttackConfig(epsilon=epsilon, alpha=alpha, steps=max(report_steps),
                        weights=weights, report_at=tuple(set(report_steps)))
@@ -337,6 +336,9 @@ def run_grid(config: ExperimentConfig, workers: int = 1,
     cells = list(itertools.product(g.lambda_t_A_values, g.lambda_t_C_values,
                                    g.seeds))
     rows: list[ReportRow] = []
+    if workers > 1:
+        # here, not at module level: it loads multiprocessing into every process
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         results = (pool.map if pool else map)(
             run_cell, itertools.repeat(config), *zip(*cells))

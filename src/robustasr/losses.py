@@ -5,24 +5,33 @@
 run nor blended.
 
 The CTC loss runs the standard forward recursion over the blank-extended
-label sequence entirely in log space, as one fused tape op: the lattice
-is a numpy loop over frames with a hand-written backward (the
-alpha-gradient recursion, frames last first). Unreachable lattice states
-carry ``model.NEG``, a large negative sentinel, instead of -inf: at double
-precision the sentinel's contribution underflows to exactly zero in
-every logsumexp, so values and gradients are bit-for-bit what a true
--inf would give while every lattice array stays finite, and one
-finiteness check over the alphas catches a non-finite input. The
-decoder loss is one fused op too, ``model.decoder_teacher_forced`` of a
-``model.teacher_forcing``; ``dec_loss`` is the batch-of-one helper that
-builds that forcing for one utterance.
+label sequence entirely in log space, as one fused tape op,
+``ctc_lattice``: a numpy loop over frames with a hand-written backward
+(the alpha-gradient recursion, frames last first). Its target side is a
+``model.ctc_framing``, which a ``model.teacher_forcing`` builds once
+for all the losses of its targets; ``ctc_loss`` is the one-utterance
+helper that frames its target on every call.
+An unreachable lattice state carries ``model.NEG``, a large negative
+sentinel, plus the log-probs gathered since, instead of -inf; a skip the
+labels forbid takes NEG as its bias, so a masked skip term reads NEG
+plus the alpha it skips from. A reachable state has a reachable
+predecessor, so its logsumexp's max is a real value, and at double
+precision every sentinel term's exp underflows to exactly 0 against it.
+So the loss and its gradient are bit-for-bit what a true -inf would
+give, an unreachable state takes exactly zero gradient, every lattice
+array stays finite, and one finiteness check over the alphas catches a
+non-finite input. The decoder loss is one fused op too,
+``model.decoder_teacher_forced`` of a ``model.teacher_forcing``;
+``dec_loss`` is the batch-of-one helper that builds that forcing for
+one utterance.
 
 Each task loss takes a padded batch (B, T, ·) with per-row frame counts
 ``lengths`` and one target per row, and gives the (B,) per-row losses
-(the batch contract is in ``autodiff``); one utterance and its target
-give a scalar, through the batch of one. ``mtl_loss`` blends per-row
-losses row by row and sums the rows, so the gradient of a batch is the
-sum of its rows' gradients.
+(the batch contract is in ``autodiff``); the CTC loss takes its targets
+framed, as ``ctc_lattice``. One utterance and its target give a scalar,
+through the batch of one (``ctc_loss``, ``dec_loss``, ``dis_loss``).
+``mtl_loss`` blends per-row losses row by row and sums the rows, so the
+gradient of a batch is the sum of its rows' gradients.
 
 Normalization: CTC divides by the label count, the decoder loss by the
 number of output steps (targets plus eos). This keeps the mixing weights
@@ -35,12 +44,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 from .data import check_real
-from .model import (NEG, ModelParams, TeacherForcing, ctc_head, decoder_teacher_forced,
-                    discriminate, encode, teacher_forcing)
+from .model import (NEG, CtcFraming, ModelParams, TeacherForcing, ctc_framing, ctc_head,
+                    decoder_teacher_forced, discriminate, encode, teacher_forcing,
+                    word_matrix)
 
 
 class CtcInfeasibleError(Exception):
@@ -88,120 +99,126 @@ def _as_float(v) -> float:
     return float(v.data.sum()) if isinstance(v, Tensor) else float(v)
 
 
-def ctc_min_frames(y: Sequence[int]) -> int:
-    """Shortest frame count that can emit ``y`` (repeats need a blank between)."""
-    return len(y) + sum(1 for i in range(1, len(y)) if y[i] == y[i - 1])
+def ctc_loss(logp: Tensor, y: Sequence[int]) -> Tensor:
+    """Negative log-probability of all alignments of one utterance's
+    (T, V+1) log-probs ``logp``, blank in the last column, that collapse
+    to the nonempty target ``y`` of word ids, normalized by its label
+    count: ``ctc_lattice`` of the batch of one, whose lift adds two
+    ``take`` records. It frames ``y`` on every call; a
+    ``model.teacher_forcing`` frames its targets once for all the losses
+    of its batch.
+    """
+    if logp.ndim != 2:
+        raise ShapeError(f"ctc_loss expects one (T, V+1) utterance, got {logp.shape}")
+    return ctc_lattice(logp[None], ctc_framing(*word_matrix([y]), logp.shape[1] - 1))[0]
 
 
-def ctc_loss(logp: Tensor, y: Sequence, lengths=None) -> Tensor:
-    """Negative log-probability of all alignments collapsing to each target.
-
-    ``logp`` is a padded batch (B, T, V+1) of per-frame log-probs with
-    blank in the last column and per-row frame counts ``lengths``; ``y``
-    holds one nonempty target of word ids per row. Each row's loss is
-    normalized by its label count. One (T, V+1) matrix and its target
-    give a scalar.
+def ctc_lattice(logp: Tensor, framing: CtcFraming, lengths=None) -> Tensor:
+    """(B,) CTC loss of a padded batch ``logp`` (B, T, V+1) with per-row
+    frame counts ``lengths``, for the targets framed by ``framing``.
 
     The whole lattice runs in numpy and records one tape entry. It is
-    (B, 2 * max |y| + 1) states wide; each row's states past its own are
-    never read. The forward makes the numpy calls of the lattice recorded
-    op by op (per frame: shift the previous alphas, mask and bias the
-    skip row, a 3-row logsumexp, add the emissions). The backward walks
-    the frames last first; each frame's gradient into the previous alphas
-    is the stay term plus the skip and one-state shift terms. The lattice
-    has no products across rows, so every row's loss and gradient are
-    bit-identical to its B=1 run. An infeasible or non-finite row raises
-    an error that names it.
+    (B, S) states wide; each row's states past its own are never read.
+    The alphas sit behind two NEG columns, so a reversed window over a
+    frame's padded alphas gives each state its stay, advance and skip
+    terms (alphas s, s - 1 and s - 2) as three (B, S) rows. Per frame the
+    forward makes 8 numpy calls: one add stacks the three rows with their
+    bias (the framing's on the skip row), a logsumexp over them writes
+    into preallocated buffers (max, subtract, exp, sum, log, add), and
+    one add takes the emissions. The softmax weights of all frames are
+    one exp, taken in the backward, so a loss under ``no_grad`` never
+    takes it. The backward walks the frames last first at 3 calls each:
+    the weighted terms go into a buffer that is zero past the last state,
+    and each state's gradient into the previous alphas is its stay term
+    plus the skip term of the state two after it, plus the advance term
+    of the state after it. These are the op-by-op lattice's sums in its order,
+    and the lattice has no products across rows, so every row's loss and
+    gradient are bit-identical to the op-by-op tape's and to its B=1 run.
+    An infeasible or non-finite row raises an error that names it.
     """
-    if logp.ndim == 2:
-        return ctc_loss(logp[None], [y])[0]
     if logp.ndim != 3:
-        raise ShapeError(f"ctc_loss expects (T, V+1) or (B, T, V+1), got {logp.shape}")
+        raise ShapeError(f"ctc_lattice expects (B, T, V+1), got {logp.shape}")
     lp = logp.data
-    rows = [list(r) for r in y]
     n_rows, t_max, width = lp.shape
-    if len(rows) != n_rows:
-        raise ShapeError(f"{len(rows)} CTC targets for a batch of {n_rows}")
-    blank = width - 1
-    if any(tok < 0 or tok >= blank for row in rows for tok in row):
-        raise ValueError("CTC targets must be word ids (no blank/eos)")
+    ext, counts = framing.ext, framing.counts
+    if len(counts) != n_rows:
+        raise ShapeError(f"{len(counts)} CTC targets for a batch of {n_rows}")
     frames, pad = ad.padding_mask(lengths, n_rows, t_max)
-    for r, row in enumerate(rows):
-        if not row:
-            raise ValueError(f"row {r}: a CTC target must hold at least one word")
-        if frames[r] < ctc_min_frames(row):
-            raise CtcInfeasibleError(
-                f"row {r}: {len(row)} labels need >= {ctc_min_frames(row)} "
-                f"frames, got {frames[r]}")
-    counts = np.array([len(row) for row in rows])
-    n_states = 2 * counts.max() + 1
-    # Each row's blank-extended labels, padded with blank states. A skip
-    # from two back reaches a label state whose label differs from the
-    # previous label.
-    ext = np.full((n_rows, n_states), blank)
-    skip_ok = np.zeros((n_rows, n_states))
-    for r, row in enumerate(rows):
-        ext[r, 1:2 * len(row):2] = row
-        skip_ok[r, 3:2 * len(row):2] = np.asarray(row[1:]) != np.asarray(row[:-1])
-    skip_bias = (1.0 - skip_ok) * NEG
+    short = np.flatnonzero(frames < framing.min_frames)
+    if short.size:
+        r = short[0]
+        raise CtcInfeasibleError(
+            f"row {r}: {counts[r]} labels need >= {framing.min_frames[r]} "
+            f"frames, got {frames[r]}")
+    n_states = ext.shape[1]
     start = np.zeros(n_states)
     start[:2] = 1.0
     start_bias = (1.0 - start) * NEG
     scale = 1.0 / counts
+    bias = np.zeros((3, n_rows, n_states))  # of the stay, advance and skip terms
+    bias[2] = framing.skip_bias
 
-    emis = np.take_along_axis(lp, ext[:, None, :], axis=2)
-    emis[pad] = 0.0  # frames past a row's length: keep its alphas finite
-    emis = emis.transpose(1, 0, 2)  # frame-major
-    alphas = np.empty((t_max, n_rows, n_states))
-    weights = np.empty((t_max, 3, n_rows, n_states))  # softmax weights; frame 0 unused
-    # rows: stay, advance one state, skip two (masked and biased)
-    stacked = np.full((3, n_rows, n_states), NEG)
+    row_idx = np.arange(n_rows)
+    # (T, B, S) flat index of each frame's state label in logp
+    cols = (np.arange(t_max)[:, None, None] + t_max * row_idx[:, None]) * width + ext
+    emis = np.take(lp, cols)
+    emis[pad.T] = 0.0  # frames past a row's length: keep its alphas finite
+    padded = np.full((t_max, n_rows, n_states + 2), NEG)
+    alphas = padded[:, :, 2:]
+    # (T, 3, B, S): at frame t, each state s's stay, advance and skip
+    # terms, alphas s, s - 1 and s - 2: a reversed window over the padding
+    step = padded.strides[2]
+    terms = as_strided(alphas, (t_max, 3, n_rows, n_states),
+                       (padded.strides[0], -step, padded.strides[1], step), writeable=False)
+    stacked = np.empty((t_max, 3, n_rows, n_states))  # biased terms; frame 0 unused
+    lse = np.empty((t_max, n_rows, n_states))  # their logsumexp
+    m = np.empty((n_rows, n_states))
+    e = np.empty((3, n_rows, n_states))
     with np.errstate(invalid="ignore", over="ignore"):
-        alphas[0] = emis[0] * start + start_bias
+        np.add(emis[0] * start, start_bias, out=alphas[0])
         for t in range(1, t_max):
-            prev = alphas[t - 1]
-            stacked[0] = prev
-            stacked[1, :, 1:] = prev[:, :-1]
-            stacked[2, :, 2:] = prev[:, :-2]
-            stacked[2] = stacked[2] * skip_ok + skip_bias
-            m = stacked.max(axis=0, keepdims=True)
-            combined = m + np.log(np.exp(stacked - m).sum(axis=0, keepdims=True))
-            np.exp(stacked - combined, out=weights[t])
-            np.add(combined[0], emis[t], out=alphas[t])
+            x, z = stacked[t], lse[t]
+            np.add(terms[t - 1], bias, out=x)
+            np.maximum.reduce(x, axis=0, out=m)
+            np.subtract(x, m, out=e)
+            np.exp(e, out=e)
+            np.add.reduce(e, axis=0, out=z)
+            np.log(z, out=z)
+            np.add(m, z, out=z)
+            np.add(z, emis[t], out=alphas[t])
         # each row ends in its last two states at its last frame
         last_t = frames - 1
-        row_idx = np.arange(n_rows)
         tail_states = 2 * counts[:, None] + np.array([-1, 0])
         last = alphas[last_t[:, None], row_idx[:, None], tail_states]
-        m = last.max(axis=1, keepdims=True)
-        tail = m + np.log(np.exp(last - m).sum(axis=1, keepdims=True))
-        w_tail = np.exp(last - tail)
-    ad.check_finite_rows(alphas.transpose(1, 0, 2), "ctc_loss lattice")
-    ad.check_finite_rows(tail, "ctc_loss tail")
-    # the rows that end at each frame, for the backward
-    ends = {t: np.flatnonzero(last_t == t) for t in set(last_t.tolist())}
+        m_tail = last.max(axis=1, keepdims=True)
+        tail = m_tail + np.log(np.exp(last - m_tail).sum(axis=1, keepdims=True))
+    ad.check_finite_rows(alphas.transpose(1, 0, 2), "ctc_lattice")
+    ad.check_finite_rows(tail, "ctc_lattice tail")
 
     def bwd(g):
-        g_tail = -(g * scale)[:, None] * w_tail
-        g_alpha = np.zeros((n_rows, n_states))
-        g_emis = np.empty((t_max, n_rows, n_states))
+        g_tail = -(g * scale)[:, None] * np.exp(last - tail)
+        weights = np.exp(stacked[1:] - lse[1:, None])  # frame t's at t - 1
+        ends = {t: np.flatnonzero(last_t == t) for t in set(last_t.tolist())}
+        g_alphas = np.empty((t_max, n_rows, n_states))
+        g_alphas[-1] = 0.0
+        # each state's weighted (stay, advance, skip) terms, zero past the
+        # last state
+        g_terms = np.zeros((3, n_rows, n_states + 2))
+        g_own, g_stay = g_terms[:, :, :-2], g_terms[0, :, :-2]
+        g_advance, g_skip = g_terms[1, :, 1:-1], g_terms[2, :, 2:]
         for t in range(t_max - 1, -1, -1):
             if t in ends:
                 r = ends[t]
-                g_alpha[r[:, None], tail_states[r]] += g_tail[r]
+                g_alphas[t][r[:, None], tail_states[r]] += g_tail[r]
             if t == 0:
                 break
-            g_emis[t] = g_alpha
-            gs = g_alpha * weights[t]
-            g_alpha = gs[0]
-            g_alpha[:, :-2] += gs[2, :, 2:] * skip_ok[:, 2:]
-            g_alpha[:, :-1] += gs[1, :, 1:]
-        g_emis[0] = g_alpha * start
-        # scatter into the label columns; every frame's state terms add up
+            np.multiply(g_alphas[t], weights[t - 1], out=g_own)
+            np.add(g_stay, g_skip, out=g_alphas[t - 1])
+            np.add(g_alphas[t - 1], g_advance, out=g_alphas[t - 1])
+        g_alphas[0] *= start
+        # scatter into the label columns; each frame's state terms add up
         # in state order
-        cols = (row_idx[:, None, None] * t_max + np.arange(t_max)[:, None]) * width \
-            + ext[:, None, :]
-        g_lp = np.bincount(cols.ravel(), weights=g_emis.transpose(1, 0, 2).ravel(),
+        g_lp = np.bincount(cols.ravel(), weights=g_alphas.ravel(),
                            minlength=n_rows * t_max * width)
         return (g_lp.reshape(n_rows, t_max, width),)
 
@@ -280,7 +297,7 @@ def objective(params: ModelParams, x: Tensor, lengths, forcing: TeacherForcing,
         raise ShapeError(f"objective expects a (B, T, F) batch, got {x.shape}")
     hidden = encode(params, x, lengths)
     lam_a, lam_c = weights.lambda_t_A, weights.lambda_t_C
-    l_ctc = ctc_loss(ctc_head(params, hidden), forcing.rows, lengths) \
+    l_ctc = ctc_lattice(ctc_head(params, hidden), forcing.ctc, lengths) \
         if lam_a > 0.0 and lam_c > 0.0 else 0.0
     l_dec = decoder_teacher_forced(params, hidden, forcing, lengths) \
         if lam_a > 0.0 and lam_c < 1.0 else 0.0

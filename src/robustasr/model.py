@@ -13,7 +13,8 @@ The attention decoder's step is two numpy kernels, ``_recur`` (feed a
 token to the recurrent state) and ``_attend`` (attend and predict from
 any number of states), over a batch of rows, with two paths through
 them. A ``teacher_forcing`` runs ``_recur`` over each row's sos-framed
-target at the first read of its ``states``, and
+target at the first read of its ``states`` (and frames the same targets
+for the CTC lattice at the first read of its ``ctc``), and
 ``decoder_teacher_forced`` runs ``_attend`` over those states and
 returns the decoder loss (training and attacks) as one tape entry with
 a hand-written backward. ``decoder_advance`` runs one step of every row
@@ -401,15 +402,64 @@ def decoder_advance(params: ModelParams, hidden: Tensor, state: DecoderState,
     return ad.constant(step.logp), DecoderState(ad.constant(s), state.hproj, state.pad)
 
 
+class CtcFraming(NamedTuple):
+    """The target side of the CTC lattice over B rows of S = 2 L + 1
+    states, for L the longest row's label count; it never sees the
+    log-probs."""
+
+    ext: np.ndarray  # (B, S) blank-extended labels, blank past a row's own states
+    skip_bias: np.ndarray  # (B, S) added to each state's skip term
+    counts: np.ndarray  # (B,) labels per row
+    min_frames: np.ndarray  # (B,) the fewest frames each row aligns to
+
+
+def word_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, L) word ids of ``rows``, each padded with 0 to the longest
+    row's L, and the (B,) word counts."""
+    counts = np.array([len(row) for row in rows], dtype=int)
+    words = np.zeros((len(counts), counts.max(initial=0)), dtype=int)
+    present = np.arange(words.shape[1]) < counts[:, None]
+    words[present] = list(itertools.chain.from_iterable(rows))
+    return words, counts
+
+
+def ctc_framing(words: np.ndarray, counts: np.ndarray, blank: int) -> CtcFraming:
+    """Frame the padded word rows ``words``, of ``counts`` words each, for
+    the CTC lattice whose blank is ``blank``.
+
+    A row's states alternate blank and label, blank first and last. A
+    skip from two states back is allowed into a label state whose label
+    differs from the previous label, and every other skip takes the bias
+    NEG. A repeated label
+    needs a blank frame between its two copies, so a row aligns to no
+    fewer frames than its labels plus its repeats.
+    """
+    if words.size and (words.min() < 0 or words.max() >= blank):
+        raise ValueError("CTC targets must be word ids (no blank/eos)")
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise ValueError(f"row {empty[0]}: a CTC target must hold at least one word")
+    n_rows, n_words = words.shape
+    present = np.arange(n_words) < counts[:, None]
+    skip_ok = present[:, 1:] & (words[:, 1:] != words[:, :-1])
+    ext = np.full((n_rows, 2 * n_words + 1), blank)
+    ext[:, 1::2] = np.where(present, words, blank)
+    skip_bias = np.full((n_rows, 2 * n_words + 1), NEG)
+    skip_bias[:, 3::2][skip_ok] = 0.0
+    repeats = present[:, 1:].sum(axis=1) - skip_ok.sum(axis=1)
+    return CtcFraming(ext, skip_bias, counts, counts + repeats)
+
+
 @dataclass(frozen=True, eq=False)
 class TeacherForcing:
-    """The part of a teacher-forced decoder pass that depends only on the
-    parameters and the targets, never on the encoder states: the token
-    framing, and the recurrent states, run on their first read. Arrays
-    are step-major, (N, B, ...) for N steps of B rows."""
+    """The part of a teacher-forced pass that depends only on the
+    parameters and the targets, never on the encoder states: the
+    decoder's token framing, and the decoder's recurrent states and the
+    CTC framing, each built on its first read. Decoder arrays are
+    step-major, (N, B, ...) for N steps of B rows."""
 
     params: ModelParams
-    rows: list[list[int]]  # each row's word ids
+    words: np.ndarray  # (B, L) the rows' word ids, padded with 0
     steps: np.ndarray  # (B,) output steps per row: its words, then eos
     tok_in: np.ndarray  # tokens fed: sos, then the row's words
     tok_tgt: np.ndarray  # tokens predicted: the row's words, then eos
@@ -432,10 +482,18 @@ class TeacherForcing:
                 s_prev = s[k]
         return z, s
 
+    @functools.cached_property
+    def ctc(self) -> CtcFraming:
+        """The rows' ``ctc_framing`` for the CTC head, whose blank is
+        column V, built at the first read. A loss whose CTC head does not
+        run never reads it; an empty row is refused here."""
+        return ctc_framing(self.words, self.steps - 1, self.params.config.vocab_size)
+
 
 def teacher_forcing(params: ModelParams, targets: Sequence) -> TeacherForcing:
     """Frame each row of word ids in ``targets`` with sos and eos, for the
-    decoder's state recurrence over it.
+    decoder's state recurrence over it, and for the CTC lattice at the
+    first read of ``ctc``.
 
     Row r feeds ``[sos] + targets[r]`` and predicts ``targets[r] + [eos]``;
     an empty row predicts eos at once. Past its steps a row feeds sos and
@@ -444,19 +502,19 @@ def teacher_forcing(params: ModelParams, targets: Sequence) -> TeacherForcing:
     parameters change.
     """
     cfg = params.config
-    rows = [list(r) for r in targets]
-    if any(tok < 0 or tok >= cfg.vocab_size for row in rows for tok in row):
+    words, counts = word_matrix(targets)
+    if words.size and (words.min() < 0 or words.max() >= cfg.vocab_size):
         raise ValueError("decoder targets must be word ids (no special tokens)")
-    n_rows = len(rows)
-    steps = np.array([len(row) + 1 for row in rows], dtype=int)
+    n_rows = len(counts)
+    steps = counts + 1
     n = steps.max(initial=0)
     tok_in = np.full((n, n_rows), cfg.sos)
+    tok_in[1:] = np.where(np.arange(n - 1) < counts[:, None], words, cfg.sos).T
     tok_tgt = np.zeros((n, n_rows), dtype=int)
-    for r, row in enumerate(rows):
-        tok_in[1:steps[r], r] = row
-        tok_tgt[:steps[r], r] = row + [cfg.eos]
+    tok_tgt[:-1] = words.T
+    tok_tgt[counts, np.arange(n_rows)] = cfg.eos
     late = np.arange(n)[:, None] >= steps
-    return TeacherForcing(params, rows, steps, tok_in, tok_tgt, late)
+    return TeacherForcing(params, words, steps, tok_in, tok_tgt, late)
 
 
 def decoder_teacher_forced(params: ModelParams, hidden: Tensor, forcing: TeacherForcing,
@@ -491,8 +549,8 @@ def decoder_teacher_forced(params: ModelParams, hidden: Tensor, forcing: Teacher
     hproj = _attention_keys(params, hidden)
     h = hidden.data
     n_rows, n_frames = h.shape[:2]
-    if len(forcing.rows) != n_rows:
-        raise ShapeError(f"{len(forcing.rows)} token rows for a batch of {n_rows}")
+    if len(forcing.steps) != n_rows:
+        raise ShapeError(f"{len(forcing.steps)} token rows for a batch of {n_rows}")
     pad = ad.padding_mask(lengths, n_rows, n_frames)[1]
     param_inputs = (*(params[name] for name in _STEP_PARAMS),
                     params["attn.w_h"], params["attn.b"])

@@ -1,6 +1,8 @@
 """Independent oracles the program's kernels are tested against.
 
 - ``ctc_brute_force`` enumerates every frame-label path for the CTC loss.
+- ``ctc_min_frames`` counts the fewest frames a CTC target aligns to, a
+  per-label loop beside the program's ``model.ctc_framing``.
 - ``ctc_prefix_score`` scores one prefix extension afresh with the
   program's ``CtcPrefixScorer``; the tests check it against brute-force
   path enumeration.
@@ -30,6 +32,11 @@ from robustasr.autodiff import Tensor
 from robustasr.decode import CtcPrefixScorer, DecodeResult
 from robustasr.losses import CtcInfeasibleError
 from robustasr.model import ctc_head, decoder_advance, decoder_start
+
+
+def ctc_min_frames(y: Sequence[int]) -> int:
+    """Shortest frame count that can emit ``y`` (repeats need a blank between)."""
+    return len(y) + sum(1 for i in range(1, len(y)) if y[i] == y[i - 1])
 
 
 def ctc_brute_force(logp, y: Sequence[int]) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import close_to, count_calls, fd_gradient
+from oracles import close_to, count_calls, ctc_min_frames, fd_gradient
 
 from robustasr import autodiff as ad
 from robustasr import model
@@ -23,8 +23,7 @@ from robustasr.attack import (
 )
 from robustasr.data import gen_adv_targets, gen_dataset, select_adv_target
 from robustasr.decode import joint_greedy_decode
-from robustasr.losses import (CtcInfeasibleError, MtlWeights, ctc_loss, ctc_min_frames, dec_loss,
-                              objective)
+from robustasr.losses import CtcInfeasibleError, MtlWeights, ctc_loss, dec_loss, objective
 from robustasr.model import (ModelConfig, ctc_head, decoder_teacher_forced, encode, init_params,
                              load_checkpoint, teacher_forcing)
 
@@ -397,6 +396,19 @@ def test_pgd_attack_runs_the_state_recurrence_at_most_once(lam_i, monkeypatch):
                        weights=MtlWeights(0.7, 0.5, lambda_i_C=lam_i))
     pgd_attack_batch(params, [x, x[:4]], targets, cfg)
     assert len(calls) == (0 if lam_i == 1.0 else 3)
+
+
+@pytest.mark.parametrize("lam_i, framings", [(0.0, 0), (0.5, 1), (1.0, 1)])
+def test_pgd_attack_frames_the_ctc_targets_at_most_once(lam_i, framings, monkeypatch):
+    # The forcing frames the targets for the CTC lattice at the CTC head's
+    # first read and keeps the framing for every later step and the final
+    # loss; at lambda_i_C = 0 the CTC head never runs.
+    calls = count_calls(monkeypatch, model, "ctc_framing")
+    x = np.random.default_rng(3).normal(size=(6, DEEP.feat_dim))
+    cfg = AttackConfig(epsilon=1.0, alpha=0.1, steps=5,
+                       weights=MtlWeights(0.7, 0.5, lambda_i_C=lam_i))
+    pgd_attack_batch(init_params(DEEP), [x, x[:4]], [[1, 3], [2]], cfg)
+    assert len(calls) == framings
 
 
 def test_frozen_params_freeze_once(params):

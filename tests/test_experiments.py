@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -357,6 +360,17 @@ def test_run_grid_row_count_and_determinism():
 def test_run_grid_process_pool_gives_the_serial_rows():
     serial = rows_to_csv(run_grid(TINY_GRID, workers=1), TINY_GRID.hash())
     assert rows_to_csv(run_grid(TINY_GRID, workers=2), TINY_GRID.hash()) == serial
+
+
+def test_importing_the_grid_and_the_cli_loads_no_process_pool():
+    # only run_grid at workers > 1 needs multiprocessing; every benchmark
+    # and CLI process would otherwise carry it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, robustasr.experiments, robustasr.cli; "
+                               "print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 # sha256 of the rows CSV of configs/grid_check.json. A change that is

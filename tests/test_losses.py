@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustasr import losses
@@ -12,22 +12,23 @@ from robustasr.losses import (
     CtcInfeasibleError,
     LossBreakdown,
     MtlWeights,
+    ctc_lattice,
     ctc_loss,
-    ctc_min_frames,
     dec_loss,
     dis_loss,
     mix,
     mtl_loss,
     objective,
 )
-from robustasr.model import ModelConfig, ctc_head, encode, init_params, teacher_forcing
+from robustasr.model import (ModelConfig, ctc_framing, ctc_head, encode, init_params,
+                            teacher_forcing, word_matrix)
 from robustasr.train import sample_losses
 
 import reference_ops as ro
 from ctc_reference import reference_ctc_loss
 from decoder_reference import reference_dec_loss
 from discriminator_reference import reference_discriminate
-from oracles import assert_matches_reference, ctc_brute_force, fd_gradient
+from oracles import assert_matches_reference, ctc_brute_force, ctc_min_frames, fd_gradient
 
 TINY = ModelConfig(feat_dim=3, enc_hidden=4, enc_layers=1, dec_hidden=4,
                    attn_dim=3, emb_dim=3, vocab_size=4, disc_hidden=4, seed=2)
@@ -49,6 +50,12 @@ def random_logp(t, width, seed):
     x = x - np.log(np.exp(x - x.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) \
         - x.max(axis=1, keepdims=True)
     return ad.constant(x)
+
+
+def batch_ctc_loss(logp, targets, lengths=None):
+    """``ctc_lattice`` of a padded (B, T, V+1) batch, its targets framed
+    as a ``teacher_forcing`` frames them."""
+    return ctc_lattice(logp, ctc_framing(*word_matrix(targets), logp.shape[2] - 1), lengths)
 
 
 def test_ctc_single_frame_single_label():
@@ -101,7 +108,7 @@ def test_ctc_rejects_special_tokens():
     with pytest.raises(ValueError, match="row 0: a CTC target must hold at least one word"):
         ctc_loss(uniform_logp(3, 3), [])
     with pytest.raises(ValueError, match="row 1: a CTC target must hold at least one word"):
-        ctc_loss(ad.constant(np.zeros((2, 3, 3))), [[0], []])
+        batch_ctc_loss(ad.constant(np.zeros((2, 3, 3))), [[0], []])
 
 
 def test_ctc_brute_force_size_guard():
@@ -366,9 +373,9 @@ def test_adv_loss_bit_identical_to_op_by_op(lam_i, y, monkeypatch):
     fused = _grads(DEEP, run)
     # the op-by-op references on the batch of one
     monkeypatch.setattr(losses, "decoder_teacher_forced",
-                        lambda p, h, f, lengths: reference_dec_loss(p, h[0], f.rows[0])[None])
-    monkeypatch.setattr(losses, "ctc_loss",
-                        lambda logp, y, lengths: reference_ctc_loss(logp[0], y[0])[None])
+                        lambda p, h, f, lengths: reference_dec_loss(p, h[0], y)[None])
+    monkeypatch.setattr(losses, "ctc_lattice",
+                        lambda logp, framing, lengths: reference_ctc_loss(logp[0], y)[None])
     if lam_i == 1.0:
         # CTC alone, no decoder: the gradients are still bit-identical
         assert _bytes(fused) == _bytes(_grads(DEEP, run))
@@ -484,7 +491,7 @@ def test_ctc_logp_gradient_bit_identical_on_random_lattices():
 def test_ctc_loss_records_one_op():
     x = ad.leaf(random_logp(9, 5, seed=3).data[None])
     with ad.tape() as tp:
-        ctc_loss(x, [[1, 1, 3, 0]])
+        batch_ctc_loss(x, [[1, 1, 3, 0]])
         assert len(tp) == 1
 
 
@@ -548,32 +555,56 @@ def _mixed_batch(seed, pad_value):
     return batch
 
 
-def test_padded_lattice_rows_equal_their_batches_of_one():
+@st.composite
+def ragged_lattices(draw):
+    """A padded batch of 1-6 rows, NaN past each row's frames, its targets
+    (repeats are common: few words) and frame counts (each row's minimum
+    to 6 more), from a flat (x0.1), plain or sharp (x30) lattice: the
+    sharper, the more cells underflow to exactly zero weight."""
+    width = draw(st.integers(2, 5))
+    targets = draw(st.lists(st.lists(st.integers(0, width - 2), min_size=1, max_size=4),
+                            min_size=1, max_size=6))
+    lengths = [draw(st.integers(ctc_min_frames(y), ctc_min_frames(y) + 6)) for y in targets]
+    sharpness = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    batch = np.full((len(targets), max(lengths), width), np.nan)
+    for r, n in enumerate(lengths):
+        batch[r, :n] = random_logp(n, width, seed + r).data * sharpness
+    return batch, targets, lengths
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_lattices())
+@example((_mixed_batch(70, np.nan), MIXED_TARGETS, MIXED_LENGTHS))
+def test_padded_lattice_rows_equal_their_batches_of_one(case):
     # NaN padding: frames past a row's length are never read. Each row's
-    # loss and gradient are bit-identical to its B=1 run.
-    batch = _mixed_batch(70, np.nan)
-    scale = [0.5, 1.0, 2.0, 3.0]  # a distinct output gradient per row
+    # loss and gradient are bit-identical to its B=1 run and to the
+    # op-by-op tape's, and its padded frames get exactly zero gradient.
+    batch, targets, lengths = case
+    scale = 0.5 * np.arange(1, len(targets) + 1)  # a distinct output gradient per row
     x = ad.leaf(batch)
     with ad.tape():
-        losses = ctc_loss(x, MIXED_TARGETS, MIXED_LENGTHS)
+        losses = batch_ctc_loss(x, targets, lengths)
         ad.backward(ad.sum_(ad.mul(losses, scale)))
-    assert losses.shape == (len(MIXED_ROWS),)
-    for r, (y, n) in enumerate(MIXED_ROWS):
-        one = ad.leaf(batch[r, :n])
-        with ad.tape():
-            loss = ctc_loss(one, y)
-            ad.backward(ad.mul(loss, scale[r]))
-        assert losses.data[r].tobytes() == loss.data.tobytes()
-        assert abs(losses.data[r] - ctc_brute_force(batch[r, :n], y)) < 1e-9
-        assert x.grad[r, :n].tobytes() == one.grad.tobytes()
+    assert losses.shape == (len(targets),)
+    for r, (y, n) in enumerate(zip(targets, lengths)):
+        for loss_fn in (ctc_loss, reference_ctc_loss):
+            one = ad.leaf(batch[r, :n])
+            with ad.tape():
+                loss = loss_fn(one, y)
+                ad.backward(ad.mul(loss, scale[r]))
+            assert losses.data[r].tobytes() == loss.data.tobytes()
+            assert x.grad[r, :n].tobytes() == one.grad.tobytes()
         assert np.all(x.grad[r, n:] == 0.0)
+        if batch.shape[2] ** n <= 4 ** 5:  # small enough to enumerate
+            assert abs(losses.data[r] - ctc_brute_force(batch[r, :n], y)) < 1e-9
 
 
 def test_padded_lattice_gradient_matches_fd():
     raw = np.random.default_rng(71).normal(size=(len(MIXED_ROWS), max(MIXED_LENGTHS), 4))
 
     def f(t):
-        return ad.sum_(ctc_loss(ro.log_softmax(t, axis=2), MIXED_TARGETS, MIXED_LENGTHS))
+        return ad.sum_(batch_ctc_loss(ro.log_softmax(t, axis=2), MIXED_TARGETS, MIXED_LENGTHS))
 
     x = ad.leaf(raw)
     with ad.tape():
@@ -586,10 +617,10 @@ def test_padded_lattice_names_a_non_finite_row(row):
     batch = _mixed_batch(72, 0.0)
     batch[row, 1, 3] = np.nan  # the blank column of a frame every row has
     with pytest.raises(ad.NonFiniteError, match=f"in row {row}$"):
-        ctc_loss(ad.leaf(batch), MIXED_TARGETS, MIXED_LENGTHS)
+        batch_ctc_loss(ad.leaf(batch), MIXED_TARGETS, MIXED_LENGTHS)
 
 
 def test_padded_lattice_names_an_infeasible_row():
     lengths = [3, 2, 4, 2]  # the repeated label of row 1 needs 3 frames
     with pytest.raises(CtcInfeasibleError, match="row 1: 2 labels need >= 3 frames, got 2"):
-        ctc_loss(ad.constant(_mixed_batch(73, 0.0)), MIXED_TARGETS, lengths)
+        batch_ctc_loss(ad.constant(_mixed_batch(73, 0.0)), MIXED_TARGETS, lengths)

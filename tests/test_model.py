@@ -9,10 +9,11 @@ import pytest
 
 from robustasr import autodiff as ad
 from robustasr.decode import CtcPrefixScorer
-from robustasr.losses import MtlWeights, ctc_loss, objective
+from robustasr.losses import MtlWeights, ctc_lattice, objective
 from robustasr.model import (
     CheckpointError,
     ModelConfig,
+    ctc_framing,
     ctc_head,
     decoder_advance,
     decoder_start,
@@ -23,6 +24,7 @@ from robustasr.model import (
     load_checkpoint,
     save_checkpoint,
     teacher_forcing,
+    word_matrix,
 )
 
 import reference_ops as ro
@@ -206,7 +208,9 @@ def test_kernels_refuse_lengths_that_do_not_fit_the_batch(params, kernel, length
     x = ad.constant(np.ones((2, 4, TINY.feat_dim)))
     logp = ctc_head(params, encode(params, x))
     call = {"encode": lambda: encode(params, x, np.array(lengths)),
-            "ctc_loss": lambda: ctc_loss(logp, [[1], [2]], np.array(lengths)),
+            "ctc_loss": lambda: ctc_lattice(logp, ctc_framing(*word_matrix([[1], [2]]),
+                                                              TINY.vocab_size),
+                                            np.array(lengths)),
             "CtcPrefixScorer": lambda: CtcPrefixScorer(logp, np.array(lengths))}[kernel]
     with pytest.raises(ad.ShapeError, match=re.escape(
             f"lengths {lengths} do not fit 2 rows of 4 frames")):
@@ -702,6 +706,21 @@ def _ragged_decoder_batch(p, forcing, seed=15):
     return loss.data.tobytes(), h.grad.tobytes()
 
 
+# RAGGED_TARGETS without the empty target, which the CTC head refuses
+CTC_RAGGED_TARGETS = [[3, 3, 0], [2, 4], [4]]
+
+
+def _ragged_hybrid_batch(p, forcing, seed):
+    """Per-row loss bytes and input-gradient bytes of the attack's hybrid
+    loss (CTC and decoder, lambda_t_C 0.5) on a ragged batch under
+    ``forcing``."""
+    x = ad.leaf(np.random.default_rng(seed).normal(size=(3, 5, TINY.feat_dim)))
+    with ad.tape():
+        bd = objective(p, x, [5, 3, 4], forcing, None, MtlWeights(1.0, 0.5))
+        ad.backward(bd.total)
+    return bd.rows.data.tobytes(), x.grad.tobytes()
+
+
 def test_teacher_forcing_reused_gives_the_same_bits(params):
     # An attack builds the forcing once and reuses it on every step's input.
     forcing = teacher_forcing(params, RAGGED_TARGETS)
@@ -715,6 +734,14 @@ def test_teacher_forcing_reused_gives_the_same_bits(params):
         assert _ragged_decoder_batch(params, forcing, seed) == \
             _ragged_decoder_batch(params, teacher_forcing(params, RAGGED_TARGETS), seed)
     assert arrays() == before
+    # the CTC head reads the forcing's framing, built at its first read
+    forcing = teacher_forcing(params, CTC_RAGGED_TARGETS)
+    first = _ragged_hybrid_batch(params, forcing, 15)
+    before = arrays() + [a.tobytes() for a in forcing.ctc]
+    for seed, run in ((15, first), (16, _ragged_hybrid_batch(params, forcing, 16))):
+        assert run == _ragged_hybrid_batch(params, teacher_forcing(params, CTC_RAGGED_TARGETS),
+                                           seed)
+    assert arrays() + [a.tobytes() for a in forcing.ctc] == before
 
 
 def test_teacher_forced_input_gradient_same_bits_with_frozen_parameters(params):

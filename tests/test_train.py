@@ -269,6 +269,21 @@ def test_a_batch_runs_the_state_recurrence_only_for_the_decoder(mix, recurrences
     assert len(calls) == recurrences
 
 
+@pytest.mark.parametrize("mix, framings", [((1.0, 0.0), 0), ((0.0, 0.5), 0),
+                                            ((0.7, 0.5), 1), ((1.0, 1.0), 1)],
+                         ids=["stl_dec", "dis_only", "mtl3", "stl_ctc"])
+def test_a_batch_frames_the_ctc_targets_only_for_the_ctc_head(mix, framings, monkeypatch):
+    # The CTC framing is built at the CTC head's first read of the forcing,
+    # once per batch; a batch whose CTC head takes weight zero builds none.
+    calls = count_calls(monkeypatch, model, "ctc_framing")
+    rng = np.random.default_rng(1)
+    batch = [Utterance(id=f"u{i}", features=rng.normal(size=(12 - i, 16)),
+                       transcript=(3, 5, 5, 1)[:1 + i], accent=i % 2) for i in range(3)]
+    with ad.tape():
+        ad.backward(batch_losses(init_params(ModelConfig()), batch, MtlWeights(*mix)).total)
+    assert len(calls) == framings
+
+
 def test_train_config_refuses_a_non_finite_learning_rate():
     # NaN passes a "<= 0" check and would surface as a divergence
     for lr in (math.nan, math.inf):
